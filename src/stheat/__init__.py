@@ -14,15 +14,12 @@ from .timegrid import (
     make_uniform_partition,
     gauss_rule,
     lobatto_points,
-    temporal_moment,
-    project_Pq,
 )
 from .fem import (
     FemSpace,
     SpectralDecomposition,
     assemble,
     spectral,
-    fractional_norm,
     l2_project,
     load_vector,
 )
@@ -39,16 +36,11 @@ from .problems import (
 from .solver import (
     SpaceTimeSolution,
     LocalBlockSystem,
-    step_interval,
     interval_moments,
     run_decomposed,
     solve_global,
     crank_nicolson,
     reconstruct_u2,
-    solution_to_dict,
-    solution_from_dict,
-    save_solution,
-    load_solution,
 )
 from .analysis import (
     ErrorReport,

@@ -21,7 +21,7 @@ import scipy.linalg
 
 from . import fem
 from .solver import assemble_bilinear, global_layout
-from .timegrid import ReferenceBlocks, TemporalBasis, gauss_rule, _segments
+from .timegrid import ReferenceBlocks, TemporalBasis, chunks, quadrature_nodes
 
 DIAGNOSTIC_GUARD = 2000
 
@@ -52,64 +52,48 @@ class DiagnosticsReport:
         return {"c_B": self.c_B, "C_B": self.C_B, "c_S": self.c_S, "C_CFL": self.C_CFL}
 
 
-def error_norms(solution, problem, time_quad=None, space_quad=None):
+def error_norms(solution, problem):
     """L2(V) error of U1 and nodal H errors of U2 against the exact solution.
 
     Both errors integrate the true pointwise difference: the V part compares
-    discrete gradients with the exact gradient at spatial quadrature points,
-    the nodal part integrates (U2 - u(., t_n))^2 directly.
+    discrete gradients with the exact gradient at spatial quadrature points
+    (p+4 Gauss points per element, q+4 per time segment), the nodal part
+    integrates (U2 - u(., t_n))^2 directly.  Both stream over chunks of
+    intervals and nodes.
     """
     if problem.exact is None:
         raise ValueError("error computation requires an exact solution")
     space, part, q = solution.space, solution.partition, solution.q
-    if time_quad is None:
-        time_quad = gauss_rule(q + 4)
-    if space_quad is None:
-        space_quad = space.degree + 4
-    x, w, B, D = space.line_tables(space_quad)
+    nq = space.degree + 4
+    x, w, B, D = space.line_tables(nq)
     trial = TemporalBasis(q, "legendre")
 
     err1_sq = 0.0
-    for i in range(part.num_intervals):
-        a, b = part.nodes[i], part.nodes[i + 1]
-        k = float(part.widths[i])
-        C = solution.u1[i]  # (q+1, dof)
-        for s0, s1 in _segments(a, b, problem.time_breakpoints):
-            ds = s1 - s0
-            taus = (s0 - a) / k + time_quad.points * (ds / k)
-            pvals = trial.eval_all(taus)              # (q+1, nt)
-            coeffs = pvals.T @ C                      # (nt, dof)
-            for g, (tau, wt) in enumerate(zip(time_quad.points, time_quad.weights)):
-                t = s0 + ds * tau
-                if space.dimension == 1:
-                    gh = D.T @ coeffs[g]
-                    ge = problem.exact.grad(x, t)
-                    sp = np.sum(w * (gh - ge) ** 2)
-                else:
-                    d = B.shape[0]
-                    Cm = coeffs[g].reshape(d, d)
-                    gx = D.T @ Cm @ B
-                    gy = B.T @ Cm @ D
-                    ex, ey = problem.exact.grad(x[:, None], x[None, :], t)
-                    sp = np.sum(np.outer(w, w) * ((gx - ex) ** 2 + (gy - ey) ** 2))
-                err1_sq += wt * ds * sp
+    for lo, hi in chunks(0, part.num_intervals, (q + 4) * space.grid_size(nq)):
+        owner, t, tau, wt = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
+        coeffs = np.einsum("mg,gmd->gd", trial.eval_all(tau), solution.u1[owner])  # (nt, dof)
+        if space.dimension == 1:
+            ge = problem.exact.grad(x[None, :], t[:, None])
+            sp = ((coeffs @ D - ge) ** 2) @ w
+        else:
+            d = B.shape[0]
+            Cm = coeffs.reshape(-1, d, d)
+            ex, ey = problem.exact.grad(x[None, :, None], x[None, None, :], t[:, None, None])
+            sq = (D.T @ Cm @ B - ex) ** 2 + (B.T @ Cm @ D - ey) ** 2   # (nt, nx, ny)
+            sp = np.einsum("gab,a,b->g", sq, w, w)
+        err1_sq += float(wt @ sp)
 
     # Nodal error of U2 against the projected exact trace.  The projection
     # realizes the exact trace in the discrete H = V_h, matching the
     # semidiscrete superconvergence statement; measuring against u itself
     # would re-add the best-approximation floor ~ h^(p+1) that the nodal
     # component cannot beat.
-    Bw = B * w
-    nn = part.num_intervals + 1
-    per_node = np.empty(nn)
-    for nidx in range(nn):
-        t = part.nodes[nidx]
-        if space.dimension == 1:
-            loadv = Bw @ problem.exact.u(x, t)
-        else:
-            loadv = (Bw @ problem.exact.u(x[:, None], x[None, :], t) @ Bw.T).ravel()
-        diff = solution.u2[nidx] - scipy.linalg.cho_solve(space.mass_cho(), loadv)
-        per_node[nidx] = np.sqrt(float(diff @ space.mass @ diff))
+    nodes = part.nodes
+    per_node = np.empty(nodes.size)
+    for lo, hi in chunks(0, nodes.size, space.grid_size(nq)):
+        trace = fem.load_vector(space, problem.exact.u, nq=nq, t=nodes[lo:hi])
+        diff = solution.u2[lo:hi] - scipy.linalg.cho_solve(space.mass_cho(), trace).T
+        per_node[lo:hi] = np.sqrt(np.sum((diff @ space.mass) * diff, axis=1))
 
     return ErrorReport(
         err_u1_L2V=float(np.sqrt(err1_sq)),
@@ -226,17 +210,16 @@ def cfl_constant(space, k_max):
     return float(k_max) * lam_max
 
 
-def stability_check(solution, problem, c_s, time_quad=None):
+def stability_check(solution, problem, c_s):
     """Evaluate both sides of the discrete stability bound.
 
     Returns a dict with lhs = ||U1||_{L2(V)}^2 + ||U2^(N)||_H^2 and
-    rhs = c_s^2 ||f||_{L2(H^-1)}^2 + ||u0||_H^2, all realized on V_h.
+    rhs = c_s^2 ||f||_{L2(H^-1)}^2 + ||u0||_H^2, all realized on V_h; the
+    f term uses q+4 Gauss points per time segment.
     """
     if problem.impulses:
         raise ValueError("stability bound implemented for impulse-free forcing")
     space, part, q = solution.space, solution.partition, solution.q
-    if time_quad is None:
-        time_quad = gauss_rule(q + 4)
     u1_sq = 0.0
     for i in range(part.num_intervals):
         k = float(part.widths[i])
@@ -247,18 +230,12 @@ def stability_check(solution, problem, c_s, time_quad=None):
     u0_sq = float(solution.u2[0] @ space.mass @ solution.u2[0])
     f_sq = 0.0
     if problem.rhs is not None:
-        for i in range(part.num_intervals):
-            a, b = part.nodes[i], part.nodes[i + 1]
-            for s0, s1 in _segments(a, b, problem.time_breakpoints):
-                ds = s1 - s0
-                for tau, w in zip(time_quad.points, time_quad.weights):
-                    t = s0 + ds * tau
-                    if space.dimension == 1:
-                        load = fem.load_vector(space, lambda xx: problem.rhs(xx, t))
-                    else:
-                        load = fem.load_vector(space, lambda xx, yy: problem.rhs(xx, yy, t))
-                    f_sq += (w * ds) * float(load @ scipy.linalg.cho_solve(
-                        space.stiffness_cho(), load))
+        per_item = (q + 4) * space.grid_size(space.degree + 2)
+        for lo, hi in chunks(0, part.num_intervals, per_item):
+            _, t, _, w = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
+            loads = fem.load_vector(space, problem.rhs, t=t)
+            dual = np.sum(loads * scipy.linalg.cho_solve(space.stiffness_cho(), loads), axis=0)
+            f_sq += float(w @ dual)
     lhs = u1_sq + u2N_sq
     rhs = c_s ** 2 * f_sq + u0_sq
     return {

@@ -16,7 +16,8 @@ Config schema (flat JSON object):
 
 Artifacts written to the output directory: rates.csv (one row per level,
 per-pair rates in the last two columns), loglog.csv (plot-ready k-vs-error
-pairs), summary.json (fitted rates, expected orders, pass flags).  The
+pairs), summary.json (fitted rates, expected orders, pass flags; rates and
+flags need at least two levels).  The
 `diagnose` subcommand writes diagnostics.json instead.  The directory is
 taken from --out if given, else the STHEAT_OUT_DIR environment variable,
 else the config.  Floats are written with 17 significant digits and JSON
@@ -26,6 +27,7 @@ keys are sorted, so reruns of the same config are byte-identical.
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -53,6 +55,14 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     problem: str
@@ -69,12 +79,24 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("q", "p", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError("%s must be an integer" % name)
+        for name in ("coupling_c", "coupling_gamma", "epsilon"):
+            if not _is_real(getattr(self, name)):
+                raise ConfigError("%s must be a finite number" % name)
+        for name in ("errors", "diagnostics"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError("%s must be true or false" % name)
+        for name in ("problem", "out_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError("%s must be a string" % name)
         if not self.levels:
             raise ConfigError("levels must be a nonempty list")
+        if any(not _is_int(n) or n < 2 for n in self.levels):
+            raise ConfigError("levels must be integers >= 2")
         if list(self.levels) != sorted(set(self.levels)):
             raise ConfigError("levels must be strictly increasing")
-        if any(int(n) != n or n < 2 for n in self.levels):
-            raise ConfigError("levels must be integers >= 2")
         if self.q < 0:
             raise ConfigError("q must be >= 0")
         if self.p not in (1, 2, 3):
@@ -84,7 +106,7 @@ class ExperimentConfig:
         if self.explicit_N is not None:
             if len(self.explicit_N) != len(self.levels):
                 raise ConfigError("explicit_N must match levels in length")
-            if any(int(N) != N or N < 1 for N in self.explicit_N):
+            if any(not _is_int(N) or N < 1 for N in self.explicit_N):
                 raise ConfigError("explicit_N entries must be integers >= 1")
 
 
@@ -106,6 +128,8 @@ def parse_config(text):
         raise ConfigError("config needs a problem id")
     for key in ("levels", "explicit_N"):
         if raw.get(key) is not None:
+            if not isinstance(raw[key], list):
+                raise ConfigError("%s must be a list" % key)
             raw[key] = tuple(raw[key])
     try:
         cfg = ExperimentConfig(**raw)
@@ -129,7 +153,7 @@ def level_geometry(cfg, idx, final_time):
     """Interval count for refinement level idx under the coupling law."""
     n = cfg.levels[idx]
     if cfg.explicit_N is not None:
-        return n, int(cfg.explicit_N[idx])
+        return n, cfg.explicit_N[idx]
     h = 1.0 / n
     k_target = cfg.coupling_c * h ** cfg.coupling_gamma
     return n, max(1, int(round(final_time / k_target)))
@@ -201,7 +225,11 @@ def _pair_rates(ks, errs):
 
 
 def emit_report(cfg, rows, out_dir):
-    """Write rates.csv, loglog.csv and summary.json; byte-stable."""
+    """Write rates.csv, loglog.csv and summary.json; byte-stable.
+
+    Fitted rates and pass flags need at least two levels with errors; a
+    single level is reported without them.  Returns the summary.
+    """
     os.makedirs(out_dir, exist_ok=True)
     with_errors = all("err_u1_L2V" in r for r in rows) and rows
     summary = {"config": config_to_dict(cfg), "levels": []}
@@ -228,17 +256,18 @@ def emit_report(cfg, rows, out_dir):
                 "" if r2[i] is None else _fmt(r2[i])]))
             log_lines.append(",".join([_fmt(ks[i]), _fmt(e1[i]), _fmt(e2[i])]))
         expected = {"u1": cfg.q + 1, "u2": 2 * (cfg.q + 1)}
-        fitted = {"u1": fit_rate(list(zip(ks, e1))), "u2": fit_rate(list(zip(ks, e2)))}
-        summary["rates"] = {
-            "fitted": fitted,
-            "per_pair_u1": r1[1:],
-            "per_pair_u2": r2[1:],
-        }
         summary["expected"] = expected
-        summary["pass"] = {
-            key: bool(expected[key] - 0.35 <= fitted[key] <= expected[key] + 0.65)
-            for key in ("u1", "u2")
-        }
+        if len(rows) > 1:
+            fitted = {"u1": fit_rate(list(zip(ks, e1))), "u2": fit_rate(list(zip(ks, e2)))}
+            summary["rates"] = {
+                "fitted": fitted,
+                "per_pair_u1": r1[1:],
+                "per_pair_u2": r2[1:],
+            }
+            summary["pass"] = {
+                key: bool(expected[key] - 0.35 <= fitted[key] <= expected[key] + 0.65)
+                for key in ("u1", "u2")
+            }
     else:
         for row in rows:
             lines.append(",".join([str(row["N"]), _fmt(row["h"]), _fmt(row["k"]), "", "", "", ""]))
@@ -247,6 +276,7 @@ def emit_report(cfg, rows, out_dir):
     _write_text(os.path.join(out_dir, "loglog.csv"), "\n".join(log_lines) + "\n")
     _write_text(os.path.join(out_dir, "summary.json"),
                 json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    return summary
 
 
 def _write_text(path, text):
@@ -287,16 +317,14 @@ def run_experiment(cfg, out_dir, parallel=1, quiet=False):
                     row["err_u1_L2V"], row["err_u2_nodal_max"])
             print(msg)
     try:
-        emit_report(cfg, rows, out_dir)
+        summary = emit_report(cfg, rows, out_dir)
     except OSError as exc:
         print("error: cannot write %r: %s" % (out_dir, exc), file=sys.stderr)
         return EXIT_UNWRITABLE
-    if not quiet and "err_u1_L2V" in rows[-1]:
-        ks = [r["k"] for r in rows]
-        fit1 = fit_rate([(k, r["err_u1_L2V"]) for k, r in zip(ks, rows)])
-        fit2 = fit_rate([(k, r["err_u2_nodal_max"]) for k, r in zip(ks, rows)])
+    if not quiet and "rates" in summary:
+        fitted, expected = summary["rates"]["fitted"], summary["expected"]
         print("fitted rates: u1 %.4f (expected %d), u2 %.4f (expected %d)"
-              % (fit1, cfg.q + 1, fit2, 2 * (cfg.q + 1)))
+              % (fitted["u1"], expected["u1"], fitted["u2"], expected["u2"]))
     return EXIT_OK
 
 

@@ -69,6 +69,12 @@ class FemSpace:
             line._tables[nq] = _build_line_tables(line.n, line.degree, nq)
         return line._tables[nq]
 
+    def grid_size(self, nq):
+        """Points of the spatial quadrature grid of line_tables(nq); 1 without a mesh."""
+        if self.n is None:
+            return 1
+        return (self.n * nq) ** self.dimension
+
     # -- factorizations ----------------------------------------------------
 
     def mass_cho(self):
@@ -143,20 +149,30 @@ def assemble(dimension, n, p):
     return FemSpace(2, n, p, M2, K2, line=line)
 
 
-def load_vector(space, g, nq=None):
+def load_vector(space, g, nq=None, t=None):
     """Vector of inner products (g, phi_a) by element-wise Gauss quadrature.
 
     1D: g(x) vectorized over arrays.  2D: g(x, y) with broadcasting
-    (evaluated on the tensor quadrature grid).
+    (evaluated on the tensor quadrature grid).  Given an array of times t,
+    g takes t as its last argument, broadcasting over a trailing time axis,
+    and the result has shape (dof, len(t)): one load vector per time.
     """
     if nq is None:
         nq = space.degree + 2
     x, w, B, _ = space.line_tables(nq)
-    if space.dimension == 1:
-        return B @ (w * np.asarray(g(x), dtype=float))
-    vals = np.asarray(g(x[:, None], x[None, :]), dtype=float)
+    grid = (x,) if space.dimension == 1 else (x[:, None], x[None, :])
+    shape = (x.size,) * space.dimension
+    if t is None:
+        vals = g(*grid)
+    else:
+        t = np.asarray(t, dtype=float)
+        vals = g(*(c[..., None] for c in grid), t)
+        shape += t.shape
+    out = np.broadcast_to(np.asarray(vals, dtype=float), shape)
     Bw = B * w
-    return (Bw @ vals @ Bw.T).ravel()
+    for axis in range(space.dimension):
+        out = np.moveaxis(np.tensordot(Bw, out, axes=(1, axis)), 0, axis)
+    return out.reshape((space.dof_count,) + shape[space.dimension:])
 
 
 def l2_project(space, g, nq=None):
@@ -170,27 +186,3 @@ def spectral(space):
         vals, vecs = scipy.linalg.eigh(space.stiffness, space.mass)
         space._spectral = SpectralDecomposition(vals, vecs)
     return space._spectral
-
-
-def fractional_norm(space, decomposition, v, s):
-    """Discrete Sobolev norm of order s: (sum_j lambda_j^s (phi_j^T M v)^2)^(1/2)."""
-    coeffs = decomposition.eigenvectors.T @ (space.mass @ np.asarray(v, dtype=float))
-    return float(np.sqrt(np.sum(decomposition.eigenvalues ** float(s) * coeffs ** 2)))
-
-
-def function_values(space, coeffs, nq):
-    """Values of the FE function at the quadrature grid of line_tables(nq).
-
-    1D: returns (vals, grad) arrays over the n*nq points.  2D: returns
-    (vals, grad_x, grad_y) arrays of shape (n*nq, n*nq) over the tensor grid.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    _, _, B, D = space.line_tables(nq)
-    if space.dimension == 1:
-        return B.T @ c, D.T @ c
-    d = B.shape[0]
-    C = c.reshape(d, d)
-    vals = B.T @ C @ B
-    gx = D.T @ C @ B
-    gy = B.T @ C @ D
-    return vals, gx, gy

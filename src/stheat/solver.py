@@ -11,8 +11,8 @@ points per interval).  Testing the form
 
 against all X yields one square linear system; because each interval's
 interior test functions only see that interval, the system decomposes into
-an interval-by-interval march (step_interval / run_decomposed) that is
-algebraically identical to the coupled solve (solve_global).
+an interval-by-interval march (LocalBlockSystem.step / run_decomposed) that
+is algebraically identical to the coupled solve (solve_global).
 
 On interval [a, a+k] with U1 = sum_m c_m P_m(tau), tau = (s-a)/k, testing
 with X = l_j(tau) v gives for j = 0 .. q+1
@@ -24,13 +24,12 @@ where b_j = int_0^1 load(f(a + k tau)) l_j(tau) dtau.  The rows j <= q close
 over the c_m alone; the last row then yields u2_out through a mass solve.
 """
 
-import json
-
 import numpy as np
 import scipy.linalg
 
 from . import fem
-from .timegrid import ReferenceBlocks, TemporalBasis, gauss_rule, legendre_eval, _segments
+from .timegrid import (ReferenceBlocks, TemporalBasis, chunks, legendre_eval,
+                       quadrature_nodes, sum_by_interval)
 
 
 class SpaceTimeSolution:
@@ -112,43 +111,29 @@ class LocalBlockSystem:
         return c, u2_out
 
 
-def step_interval(space, interval, q, u2_in, moments=None, impulse_load=None, system=None):
-    """One step of the decomposed scheme on the given interval.
+def _load_chunks(space, lo, hi, npoints):
+    """Interval ranges of lo..hi-1 whose load blocks (load_vector grid points
+    times npoints quadrature times per interval) hold about CHUNK_VALUES values."""
+    return chunks(lo, hi, npoints * space.grid_size(space.degree + 2))
 
-    moments: reference load moments, shape (q+2, dof); see interval_moments.
-    impulse_load: load vector of a jump placed at the right endpoint.
+
+def interval_moments(problem, space, partition, q, lo=0, hi=None):
+    """Load moments of the intervals lo..hi-1, shape (hi-lo, q+2, dof).
+
+    Entry [i-lo, j] is b_j = int_0^1 load(f(a + k tau)) l_j(tau) dtau on
+    interval i = [a, a+k].  Quadrature splits at the problem's temporal
+    breakpoints so kinks inside an interval do not degrade accuracy.
     """
-    a, b = float(interval[0]), float(interval[1])
-    if system is None:
-        system = LocalBlockSystem(space, b - a, q)
-    return system.step(u2_in, moments, impulse_load)
-
-
-def interval_moments(problem, space, interval, q, rule=None):
-    """Load moments b_j = int_0^1 load(f(a + k tau)) l_j(tau) dtau, shape (q+2, dof).
-
-    Quadrature splits at the problem's temporal breakpoints so kinks inside
-    the interval do not degrade accuracy.
-    """
-    dof = space.dof_count
+    hi = partition.num_intervals if hi is None else hi
+    out = np.zeros((hi - lo, q + 2, space.dof_count))
     if problem.rhs is None:
-        return np.zeros((q + 2, dof))
-    a, b = float(interval[0]), float(interval[1])
-    k = b - a
-    if rule is None:
-        rule = gauss_rule(q + 3)
+        return out
     test = TemporalBasis(q + 1, "nodal-lagrange")
-    out = np.zeros((q + 2, dof))
-    for s0, s1 in _segments(a, b, problem.time_breakpoints):
-        ds = s1 - s0
-        for tau, w in zip(rule.points, rule.weights):
-            t = s0 + ds * tau
-            if problem.dimension == 1:
-                load = fem.load_vector(space, lambda x: problem.rhs(x, t))
-            else:
-                load = fem.load_vector(space, lambda x, y: problem.rhs(x, y, t))
-            tau_ref = (t - a) / k
-            out += (w * ds / k) * np.outer(test.eval_all(tau_ref)[:, 0], load)
+    for a, b in _load_chunks(space, lo, hi, q + 3):
+        owner, t, tau, w = quadrature_nodes(partition, a, b, q + 3, problem.time_breakpoints)
+        loads = fem.load_vector(space, problem.rhs, t=t)               # (dof, nt)
+        basis = test.eval_all(tau) * (w / partition.widths[owner])     # (q+2, nt)
+        out[a - lo: b - lo] = sum_by_interval(owner, basis.T[:, :, None] * loads.T[:, None, :])
     return out
 
 
@@ -176,8 +161,8 @@ def impulse_loads(problem, space, partition):
     return loads
 
 
-def run_decomposed(problem, space, partition, q, rule=None):
-    """March the decomposed scheme over all intervals."""
+def run_decomposed(problem, space, partition, q):
+    """March the decomposed scheme over all intervals, one load chunk at a time."""
     N = partition.num_intervals
     dof = space.dof_count
     jumps = impulse_loads(problem, space, partition)
@@ -185,18 +170,16 @@ def run_decomposed(problem, space, partition, q, rule=None):
     u2 = np.empty((N + 1, dof))
     u2[0] = _initial_coefficients(problem, space)
     systems = {}
-    for i in range(N):
-        a, b = partition.nodes[i], partition.nodes[i + 1]
-        k = float(partition.widths[i])
-        if k not in systems:
-            systems[k] = LocalBlockSystem(space, k, q)
-        moments = interval_moments(problem, space, (a, b), q, rule=rule)
-        try:
-            c, out = systems[k].step(u2[i], moments, jumps.get(i + 1))
-        except RuntimeError as exc:
-            raise RuntimeError("interval %d: %s" % (i, exc)) from exc
-        u1[i] = c
-        u2[i + 1] = out
+    for lo, hi in _load_chunks(space, 0, N, q + 3):
+        moments = interval_moments(problem, space, partition, q, lo, hi)
+        for i in range(lo, hi):
+            k = float(partition.widths[i])
+            if k not in systems:
+                systems[k] = LocalBlockSystem(space, k, q)
+            try:
+                u1[i], u2[i + 1] = systems[k].step(u2[i], moments[i - lo], jumps.get(i + 1))
+            except RuntimeError as exc:
+                raise RuntimeError("interval %d: %s" % (i, exc)) from exc
     return SpaceTimeSolution(q, partition, space, u1, u2, problem=problem)
 
 
@@ -257,18 +240,17 @@ def assemble_bilinear(space, partition, q):
     return B
 
 
-def assemble_load(problem, space, partition, q, rule=None):
+def assemble_load(problem, space, partition, q):
     """Dense load functional vector matching assemble_bilinear's test layout."""
     N = partition.num_intervals
     dof = space.dof_count
     dim, _, _, test_slice, node_block = global_layout(N, q, dof)
     F = np.zeros(dim)
+    moments = interval_moments(problem, space, partition, q)
     for i in range(N):
-        a, b = partition.nodes[i], partition.nodes[i + 1]
         k = float(partition.widths[i])
-        moments = interval_moments(problem, space, (a, b), q, rule=rule)
         for j in range(q + 2):
-            F[test_slice(i, j)] += k * moments[j]
+            F[test_slice(i, j)] += k * moments[i, j]
     if problem.initial is not None:
         s = node_block(0) * dof
         F[s: s + dof] += fem.load_vector(space, problem.initial)
@@ -278,7 +260,7 @@ def assemble_load(problem, space, partition, q, rule=None):
     return F
 
 
-def solve_global(problem, space, partition, q, rule=None):
+def solve_global(problem, space, partition, q):
     """Solve the coupled space-time system in one shot.
 
     Intended for small configurations (splitting checks, diagnostics); the
@@ -290,7 +272,7 @@ def solve_global(problem, space, partition, q, rule=None):
     if dim > 6000:
         raise ValueError("global solve limited to 6000 unknowns, got %d" % dim)
     B = assemble_bilinear(space, partition, q)
-    F = assemble_load(problem, space, partition, q, rule=rule)
+    F = assemble_load(problem, space, partition, q)
     try:
         x = scipy.linalg.solve(B, F)
     except scipy.linalg.LinAlgError as exc:
@@ -305,11 +287,11 @@ def solve_global(problem, space, partition, q, rule=None):
     u2[N] = x[u2_slice]
     sol = SpaceTimeSolution(q, partition, space, u1, u2, problem=problem)
     for n in range(1, N):
-        sol.u2[n] = reconstruct_u2(sol, n, rule=rule)
+        sol.u2[n] = reconstruct_u2(sol, n)
     return sol
 
 
-def reconstruct_u2(solution, n, rule=None):
+def reconstruct_u2(solution, n):
     """Nodal component U2 at node n, rebuilt from U1 on interval n-1.
 
     Applies the last test equation of that interval (the one ending at node
@@ -323,10 +305,9 @@ def reconstruct_u2(solution, n, rule=None):
     if not (1 <= n <= part.num_intervals):
         raise ValueError("node index %d outside partition" % (n,))
     i = n - 1
-    a, b = part.nodes[i], part.nodes[i + 1]
     k = float(part.widths[i])
     rb = ReferenceBlocks(q)
-    moments = interval_moments(solution.problem, space, (a, b), q, rule=rule)
+    moments = interval_moments(solution.problem, space, part, q, i, n)[0]
     jumps = impulse_loads(solution.problem, space, part)
     bottom = k * moments[q + 1]
     if n in jumps:
@@ -337,69 +318,30 @@ def reconstruct_u2(solution, n, rule=None):
     return scipy.linalg.cho_solve(space.mass_cho(), bottom)
 
 
-def crank_nicolson(problem, space, partition, rule=None):
+def crank_nicolson(problem, space, partition):
     """Reference primal solver: trapezoidal step with exact-in-quadrature loads.
 
-    Returns the (N+1, dof) array of nodal iterates W.  Impulse forcing is not
-    supported here.
+    Returns the (N+1, dof) array of nodal iterates W; the load of step i is
+    int_{I_i} load(f) ds by 4-point Gauss.  Impulse forcing is not supported
+    here.
     """
     if problem.impulses:
         raise ValueError("Crank-Nicolson reference path does not take impulses")
-    if rule is None:
-        rule = gauss_rule(4)
     N = partition.num_intervals
-    dof = space.dof_count
     M, K = space.mass, space.stiffness
-    W = np.empty((N + 1, dof))
+    W = np.empty((N + 1, space.dof_count))
     W[0] = _initial_coefficients(problem, space)
     factors = {}
-    for i in range(N):
-        a, b = partition.nodes[i], partition.nodes[i + 1]
-        k = float(partition.widths[i])
-        if k not in factors:
-            factors[k] = scipy.linalg.cho_factor(M + 0.5 * k * K)
-        rhs = (M - 0.5 * k * K) @ W[i]
+    for lo, hi in _load_chunks(space, 0, N, 4):
         if problem.rhs is not None:
-            for s0, s1 in _segments(a, b, problem.time_breakpoints):
-                ds = s1 - s0
-                for tau, w in zip(rule.points, rule.weights):
-                    t = s0 + ds * tau
-                    if problem.dimension == 1:
-                        rhs = rhs + (w * ds) * fem.load_vector(space, lambda x: problem.rhs(x, t))
-                    else:
-                        rhs = rhs + (w * ds) * fem.load_vector(
-                            space, lambda x, y: problem.rhs(x, y, t))
-        W[i + 1] = scipy.linalg.cho_solve(factors[k], rhs)
+            owner, t, _, w = quadrature_nodes(partition, lo, hi, 4, problem.time_breakpoints)
+            forcing = sum_by_interval(owner, (fem.load_vector(space, problem.rhs, t=t) * w).T)
+        for i in range(lo, hi):
+            k = float(partition.widths[i])
+            if k not in factors:
+                factors[k] = scipy.linalg.cho_factor(M + 0.5 * k * K)
+            rhs = (M - 0.5 * k * K) @ W[i]
+            if problem.rhs is not None:
+                rhs = rhs + forcing[i - lo]
+            W[i + 1] = scipy.linalg.cho_solve(factors[k], rhs)
     return W
-
-
-# -- serialization ------------------------------------------------------------
-
-def solution_to_dict(solution):
-    """Plain-JSON layout: {q, nodes, u1[interval][mode][dof], u2[node][dof]}."""
-    return {
-        "q": solution.q,
-        "nodes": solution.partition.nodes.tolist(),
-        "u1": solution.u1.tolist(),
-        "u2": solution.u2.tolist(),
-    }
-
-
-def solution_from_dict(data, space=None, problem=None):
-    from .timegrid import TimePartition
-    part = TimePartition(np.asarray(data["nodes"], dtype=float))
-    u1 = np.asarray(data["u1"], dtype=float)
-    u2 = np.asarray(data["u2"], dtype=float)
-    if space is None:
-        space = fem.FemSpace.from_matrices(np.eye(u2.shape[1]), np.eye(u2.shape[1]))
-    return SpaceTimeSolution(int(data["q"]), part, space, u1, u2, problem=problem)
-
-
-def save_solution(solution, path):
-    with open(path, "w") as fh:
-        json.dump(solution_to_dict(solution), fh, sort_keys=True)
-
-
-def load_solution(path, space=None, problem=None):
-    with open(path) as fh:
-        return solution_from_dict(json.load(fh), space=space, problem=problem)

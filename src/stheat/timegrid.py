@@ -1,11 +1,13 @@
-"""Temporal partitions, polynomial bases on [0,1], quadrature, and interval-wise L2 projection.
+"""Temporal partitions, polynomial bases on [0,1], and space-time quadrature.
 
 The time discretization works interval by interval.  On the reference
 interval [0,1] two bases appear: shifted Legendre polynomials (trial side,
 orthogonal, so interval mass matrices are diagonal) and nodal Lagrange
 polynomials at Gauss-Lobatto points (test side, so the endpoint values of a
 test function are single coefficients).  Everything here is exact polynomial
-arithmetic up to round-off.
+arithmetic up to round-off.  Every space-time integral of the package (load
+moments, error norms, the stability bound) takes its time nodes from
+quadrature_nodes, one chunk of intervals at a time.
 """
 
 import numpy as np
@@ -149,58 +151,43 @@ class TemporalBasis:
         return out
 
 
-def _segments(a, b, breakpoints):
-    """Subintervals of [a,b] cut at the interior breakpoints."""
-    cuts = sorted(t for t in breakpoints if a < t < b)
-    pts = [a] + cuts + [b]
-    return list(zip(pts[:-1], pts[1:]))
+# Values (spatial points times quadrature times) in one block of a batched
+# space-time quadrature; callers march over the intervals in chunks of this size.
+CHUNK_VALUES = 1 << 15
 
 
-def temporal_moment(f, interval, basis_fn, rule, breakpoints=()):
-    """Approximate int_a^b f(s) * basis_fn(s) ds with the given rule.
+def chunks(lo, hi, values_per_item):
+    """Consecutive ranges (a, b) covering lo..hi-1, each worth about CHUNK_VALUES values."""
+    step = max(1, CHUNK_VALUES // values_per_item)
+    return [(a, min(a + step, hi)) for a in range(lo, hi, step)]
 
-    The rule lives on [0,1] and is mapped to each segment of [a,b] obtained
-    by cutting at the breakpoints (used when f has a kink inside the
-    interval).  f and basis_fn take physical times; f may return scalars or
-    arrays (the moment is accumulated component-wise).
+
+def quadrature_nodes(partition, lo, hi, npoints, breakpoints=()):
+    """Time nodes of the space-time quadrature on the intervals lo..hi-1.
+
+    Each interval is cut at the breakpoints that lie strictly inside it (so a
+    kink of the integrand does not degrade accuracy) and every segment gets
+    the npoints-point Gauss rule.  Returns flat arrays (interval, t, tau,
+    weight): the owning interval, the physical time, its reference
+    coordinate (t - a)/k on the owning interval [a, a + k], and the physical
+    weight.  Nodes are ordered by time, so each interval's nodes are
+    contiguous.
     """
-    a, b = float(interval[0]), float(interval[1])
-    if not b > a:
-        raise ValueError("interval must be nondegenerate")
-    total = 0.0
-    for s0, s1 in _segments(a, b, breakpoints):
-        ds = s1 - s0
-        for tau, w in zip(rule.points, rule.weights):
-            t = s0 + ds * tau
-            total = total + (w * ds) * np.asarray(f(t)) * basis_fn(t)
-    return total
+    rule = gauss_rule(npoints)
+    nodes = partition.nodes[lo:hi + 1]
+    cuts = [b for b in breakpoints if nodes[0] < b < nodes[-1] and b not in nodes]
+    pts = np.union1d(nodes, cuts)
+    s0, ds = pts[:-1], np.diff(pts)
+    owner = np.repeat(lo + np.searchsorted(nodes, s0, side="right") - 1, rule.npoints)
+    t = (s0[:, None] + ds[:, None] * rule.points).ravel()
+    weight = (ds[:, None] * rule.weights).ravel()
+    tau = (t - partition.nodes[owner]) / partition.widths[owner]
+    return owner, t, tau, weight
 
 
-def project_Pq(f, interval, q, rule, breakpoints=()):
-    """Legendre coefficients of the L2([a,b]) projection of f onto degree <= q.
-
-    Returns c with c[m] the coefficient of the shifted Legendre polynomial
-    P_m((t-a)/(b-a)); the projection is sum_m c[m] P_m(tau(t)).
-    """
-    if q < 0:
-        raise ValueError("projection degree must be nonnegative")
-    a, b = float(interval[0]), float(interval[1])
-    k = b - a
-    if not k > 0.0:
-        raise ValueError("interval must be nondegenerate")
-    basis = TemporalBasis(q, "legendre")
-    moments = None
-    for s0, s1 in _segments(a, b, breakpoints):
-        ds = s1 - s0
-        taus = (s0 - a) / k + rule.points * (ds / k)
-        vals = basis.eval_all(taus)  # (q+1, npts)
-        fvals = np.array([np.asarray(f(s0 + ds * tau), dtype=float) for tau in rule.points])
-        seg = np.tensordot(vals * rule.weights, fvals, axes=(1, 0)) * (ds / k)
-        moments = seg if moments is None else moments + seg
-    scale = 2.0 * np.arange(q + 1) + 1.0
-    if moments.ndim > 1:
-        return moments * scale[:, None]
-    return moments * scale
+def sum_by_interval(owner, values):
+    """Sum the rows of values (one per quadrature node) over each owning interval."""
+    return np.add.reduceat(values, np.flatnonzero(np.diff(owner, prepend=-1)), axis=0)
 
 
 def legendre_eval(coeffs, interval, t):

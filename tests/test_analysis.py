@@ -12,9 +12,16 @@ from stheat.analysis import (
     stability_check,
 )
 from stheat.fem import FemSpace, assemble
-from stheat.problems import ExactSolution, ProblemSpec, problem_1d_smooth, problem_impulse
+from stheat.problems import (
+    ExactSolution,
+    ProblemSpec,
+    problem_1d_lowreg,
+    problem_1d_smooth,
+    problem_2d_smooth,
+    problem_impulse,
+)
 from stheat.solver import run_decomposed
-from stheat.timegrid import make_uniform_partition
+from stheat.timegrid import TemporalBasis, gauss_rule, make_uniform_partition
 
 
 def test_fit_rate_recovers_exact_power_law():
@@ -56,6 +63,51 @@ def test_error_norms_requires_exact_solution():
     sol = run_decomposed(problem, space, make_uniform_partition(1.0, 2), q=0)
     with pytest.raises(ValueError):
         error_norms(sol, problem)
+
+
+def _error_norms_one_point_at_a_time(sol, problem):
+    """Reference: (err_u1_L2V, per-node errors), one time point per step."""
+    space, part, q = sol.space, sol.partition, sol.q
+    x, w, B, D = space.line_tables(space.degree + 4)
+    rule, trial = gauss_rule(q + 4), TemporalBasis(q, "legendre")
+    err1_sq = 0.0
+    for i in range(part.num_intervals):
+        a, b = part.nodes[i], part.nodes[i + 1]
+        cuts = [s for s in problem.time_breakpoints if a < s < b]
+        for s0, s1 in zip([a] + cuts, cuts + [b]):
+            for tau, wt in zip(rule.points, rule.weights):
+                t = s0 + (s1 - s0) * tau
+                c = trial.eval_all((t - a) / (b - a))[:, 0] @ sol.u1[i]
+                if space.dimension == 1:
+                    sp = np.sum(w * (D.T @ c - problem.exact.grad(x, t)) ** 2)
+                else:
+                    C = c.reshape(B.shape[0], -1)
+                    ex, ey = problem.exact.grad(x[:, None], x[None, :], t)
+                    sq = (D.T @ C @ B - ex) ** 2 + (B.T @ C @ D - ey) ** 2
+                    sp = np.sum(np.outer(w, w) * sq)
+                err1_sq += wt * (s1 - s0) * sp
+    per_node = []
+    for n, t in enumerate(part.nodes):
+        if space.dimension == 1:
+            load = (B * w) @ problem.exact.u(x, t)
+        else:
+            load = ((B * w) @ problem.exact.u(x[:, None], x[None, :], t) @ (B * w).T).ravel()
+        diff = sol.u2[n] - scipy.linalg.cho_solve(space.mass_cho(), load)
+        per_node.append(np.sqrt(diff @ space.mass @ diff))
+    return np.sqrt(err1_sq), np.array(per_node)
+
+
+@pytest.mark.parametrize("problem,space_args,N,q", [
+    (problem_1d_lowreg(0.5), (1, 5, 2), 3, 1),   # kink at t = 1/2 inside interval 1
+    (problem_2d_smooth(), (2, 3, 2), 4, 0),
+])
+def test_error_norms_match_pointwise_reference(problem, space_args, N, q):
+    space = assemble(*space_args)
+    sol = run_decomposed(problem, space, make_uniform_partition(1.0, N), q)
+    rep = error_norms(sol, problem)
+    err1, per_node = _error_norms_one_point_at_a_time(sol, problem)
+    assert rep.err_u1_L2V == pytest.approx(err1, rel=1e-12)
+    assert np.allclose(rep.per_node, per_node, rtol=1e-12, atol=1e-15)
 
 
 def _in_space_problem(a=0.3, b=0.7):

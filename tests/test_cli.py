@@ -78,6 +78,20 @@ def test_coarsen_for_guard_preserves_coupling():
     assert N_s == max(1, round(1.0 / (1.0 * (1.0 / n_s) ** 2)))
 
 
+@pytest.mark.parametrize("key,value", [
+    ("levels", [4.0, 8.0]),
+    ("q", 1.5),
+    ("coupling_c", float("nan")),
+    ("p", True),
+    ("errors", "no"),
+])
+def test_main_rejects_mistyped_config_values(tmp_path, key, value):
+    cfg = _write_config(tmp_path, dict(SMALL_RUN, **{key: value}))
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_main_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -137,6 +151,18 @@ def test_rates_csv_layout(tmp_path):
     assert summary["expected"] == {"u1": 1, "u2": 2}
     assert "fitted" in summary["rates"]
     assert len(summary["levels"]) == 2
+
+
+def test_single_level_run_writes_artifacts_without_rates(tmp_path):
+    cfg = _write_config(tmp_path, dict(SMALL_RUN, levels=[3]))
+    out = str(tmp_path / "out")
+    assert main(["run", cfg, "--out", out]) == EXIT_OK
+    artifacts = _read_artifacts(out)
+    assert len(artifacts["rates.csv"].decode().splitlines()) == 2
+    assert len(artifacts["loglog.csv"].decode().splitlines()) == 2
+    summary = json.loads(artifacts["summary.json"])
+    assert "rates" not in summary and "pass" not in summary
+    assert summary["levels"][0]["err_u1_L2V"] > 0.0
 
 
 def test_out_dir_environment_override(tmp_path, monkeypatch):

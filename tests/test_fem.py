@@ -4,8 +4,6 @@ import pytest
 from stheat.fem import (
     FemSpace,
     assemble,
-    fractional_norm,
-    function_values,
     l2_project,
     load_vector,
     spectral,
@@ -96,25 +94,6 @@ def test_spectral_mass_orthonormal():
     dec = spectral(space)
     gram = dec.eigenvectors.T @ space.mass @ dec.eigenvectors
     assert np.allclose(gram, np.eye(space.dof_count), atol=1e-10)
-
-
-def test_fractional_norm_special_orders():
-    space = assemble(1, 7, 2)
-    dec = spectral(space)
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal(space.dof_count)
-    nrm_H = np.sqrt(v @ space.mass @ v)
-    nrm_V = np.sqrt(v @ space.stiffness @ v)
-    assert fractional_norm(space, dec, v, 0.0) == pytest.approx(nrm_H, rel=1e-11)
-    assert fractional_norm(space, dec, v, 1.0) == pytest.approx(nrm_V, rel=1e-11)
-    # s = -1: |v|_{-1}^2 = v^T M K^{-1} M v
-    Minv = np.linalg.solve(space.stiffness, space.mass @ v)
-    assert fractional_norm(space, dec, v, -1.0) == pytest.approx(
-        np.sqrt(v @ space.mass @ Minv), rel=1e-10)
-    # s = 2: |v|_2 = |M^{-1} K v|_H
-    w = np.linalg.solve(space.mass, space.stiffness @ v)
-    assert fractional_norm(space, dec, v, 2.0) == pytest.approx(
-        np.sqrt(w @ space.mass @ w), rel=1e-8)
 
 
 def test_l2_project_zero():
@@ -246,14 +225,26 @@ def test_2d_matrices_are_kronecker_products():
     assert np.allclose(space2.stiffness, np.kron(M1, K1) + np.kron(K1, M1), atol=1e-10)
 
 
-def test_function_values_consistency():
-    space = assemble(1, 4, 2)
-    rng = np.random.default_rng(9)
-    coeffs = rng.standard_normal(space.dof_count)
-    x, w, B, D = space.line_tables(4)
-    vals, grad = function_values(space, coeffs, 4)
-    assert np.allclose(vals, coeffs @ B, atol=1e-13)
-    assert np.allclose(grad, coeffs @ D, atol=1e-13)
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_load_vector_time_axis_matches_per_time_loads(dimension):
+    space = assemble(dimension, 3, 2)
+    t = np.array([0.1, 0.45, 0.8])
+    if dimension == 1:
+        g = lambda x, s: np.sin(np.pi * x) * np.cos(3.0 * s) + x * s
+        per_time = [load_vector(space, lambda x: g(x, s)) for s in t]
+    else:
+        g = lambda x, y, s: np.sin(np.pi * x) * y * np.cos(3.0 * s) + x * s
+        per_time = [load_vector(space, lambda x, y: g(x, y, s)) for s in t]
+    batched = load_vector(space, g, t=t)
+    assert batched.shape == (space.dof_count, t.size)
+    assert np.allclose(batched, np.stack(per_time, axis=1), rtol=0.0, atol=1e-15)
+
+
+def test_load_vector_time_axis_broadcasts_time_independent_values():
+    space = assemble(1, 4, 1)
+    batched = load_vector(space, lambda x, s: np.ones_like(x), t=np.linspace(0.0, 1.0, 5))
+    assert batched.shape == (space.dof_count, 5)
+    assert np.allclose(batched, load_vector(space, np.ones_like)[:, None], atol=1e-15)
 
 
 def test_from_matrices_scalar_surrogate():

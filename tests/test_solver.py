@@ -16,22 +16,18 @@ from stheat.solver import (
     crank_nicolson,
     global_layout,
     interval_moments,
-    load_solution,
     reconstruct_u2,
     run_decomposed,
-    save_solution,
-    solution_to_dict,
     solve_global,
-    step_interval,
 )
-from stheat.timegrid import TimePartition, gauss_rule, make_uniform_partition
+from stheat.timegrid import CHUNK_VALUES, TimePartition, make_uniform_partition
 
 SCALAR = FemSpace.from_matrices([[1.0]], [[1.0]])
 
 
 def test_scalar_step_free_decay():
     # M = K = 1, k = 0.1, no forcing: c0 = 1/1.05, u2_out = 0.95/1.05
-    c, out = step_interval(SCALAR, (0.0, 0.1), 0, np.array([1.0]))
+    c, out = LocalBlockSystem(SCALAR, 0.1, 0).step(np.array([1.0]))
     assert c[0, 0] == pytest.approx(1.0 / 1.05, abs=1e-14)
     assert out[0] == pytest.approx(0.95 / 1.05, abs=1e-14)
 
@@ -39,20 +35,21 @@ def test_scalar_step_free_decay():
 def test_scalar_step_constant_forcing():
     # f == 1 from rest: b_j = int l_j = 1/2 each, k = 0.1
     moments = np.array([[0.5], [0.5]])
-    c, out = step_interval(SCALAR, (0.0, 0.1), 0, np.array([0.0]), moments=moments)
+    c, out = LocalBlockSystem(SCALAR, 0.1, 0).step(np.array([0.0]), moments=moments)
     assert c[0, 0] == pytest.approx(1.0 / 21.0, abs=1e-14)
     assert out[0] == pytest.approx(2.0 / 21.0, abs=1e-14)
 
 
 def test_scalar_step_zero_data():
-    c, out = step_interval(SCALAR, (0.0, 0.1), 1, np.array([0.0]))
+    c, out = LocalBlockSystem(SCALAR, 0.1, 1).step(np.array([0.0]))
     assert np.allclose(c, 0.0) and np.allclose(out, 0.0)
 
 
 def test_scalar_two_steps_match_trapezoidal_squares():
     # k = 0.5, lambda = 1: factor (1 - 1/4)/(1 + 1/4) = 0.6 per interval
-    _, out1 = step_interval(SCALAR, (0.0, 0.5), 0, np.array([1.0]))
-    _, out2 = step_interval(SCALAR, (0.5, 1.0), 0, out1)
+    system = LocalBlockSystem(SCALAR, 0.5, 0)
+    _, out1 = system.step(np.array([1.0]))
+    _, out2 = system.step(out1)
     assert out1[0] == pytest.approx(0.6, abs=1e-14)
     assert out2[0] == pytest.approx(0.36, abs=1e-14)
 
@@ -64,7 +61,7 @@ def test_q0_step_equals_hand_assembled_equations():
     rng = np.random.default_rng(21)
     u2_in = rng.standard_normal(space.dof_count)
     moments = rng.standard_normal((2, space.dof_count))
-    c, out = step_interval(space, (0.0, k), 0, u2_in, moments=moments)
+    c, out = LocalBlockSystem(space, k, 0).step(u2_in, moments=moments)
     c0 = np.linalg.solve(M + 0.5 * k * K, M @ u2_in + k * moments[0])
     assert np.allclose(c[0], c0, atol=1e-12)
     out_ref = np.linalg.solve(M, k * moments[1] + M @ c0 - 0.5 * k * (K @ c0))
@@ -76,7 +73,7 @@ def test_unconditional_contraction_for_all_step_sizes():
     for lam in (1e-4, 1.0, 1e4):
         space = FemSpace.from_matrices([[1.0]], [[lam]])
         for k in (1e-3, 1.0, 1e3):
-            _, out = step_interval(space, (0.0, k), 0, np.array([1.0]))
+            _, out = LocalBlockSystem(space, k, 0).step(np.array([1.0]))
             assert np.isfinite(out[0])
             assert abs(out[0]) < 1.0
 
@@ -200,8 +197,8 @@ def test_reconstruct_u2_rejects_node_zero():
 def test_interval_moments_shape_and_zero_rhs():
     problem = ProblemSpec(name="rest", dimension=1, rhs=None, initial=None, final_time=1.0)
     space = assemble(1, 4, 1)
-    m = interval_moments(problem, space, (0.0, 0.5), 2)
-    assert m.shape == (4, space.dof_count)
+    m = interval_moments(problem, space, TimePartition([0.0, 0.2, 0.5]), 2)
+    assert m.shape == (2, 4, space.dof_count)
     assert np.allclose(m, 0.0)
 
 
@@ -210,9 +207,30 @@ def test_interval_moments_constant_forcing():
     problem = ProblemSpec(name="const", dimension=1, rhs=lambda x, t: np.ones_like(x),
                           initial=None, final_time=1.0)
     space = assemble(1, 4, 1)
-    m = interval_moments(problem, space, (0.2, 0.7), 1)
+    m = interval_moments(problem, space, TimePartition([0.0, 0.2, 0.7]), 1, 1, 2)
     from stheat.fem import load_vector
-    assert np.allclose(m.sum(axis=0), load_vector(space, lambda x: np.ones_like(x)), atol=1e-13)
+    assert m.shape == (1, 3, space.dof_count)
+    assert np.allclose(m[0].sum(axis=0), load_vector(space, lambda x: np.ones_like(x)), atol=1e-13)
+
+
+def test_interval_moments_chunk_invariance():
+    """Moments over many chunks equal the per-interval ones.  The partition is
+    non-uniform, one breakpoint lies strictly inside an interval and one on
+    a node."""
+    rng = np.random.default_rng(5)
+    nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, size=1200))])
+    part = TimePartition(nodes / nodes[-1])
+    inside = 0.5 * (part.nodes[300] + part.nodes[301])
+    on_node = part.nodes[900]
+    f = lambda x, t: np.sin(np.pi * x) * (np.abs(t - inside) + np.abs(t - on_node) ** 1.5)
+    problem = ProblemSpec(name="kinks", dimension=1, rhs=f, initial=None, final_time=1.0,
+                          time_breakpoints=(inside, on_node))
+    space, q = assemble(1, 8, 2), 0
+    assert part.num_intervals * (q + 3) * space.grid_size(space.degree + 2) > 2 * CHUNK_VALUES
+    whole = interval_moments(problem, space, part, q)
+    single = np.stack([interval_moments(problem, space, part, q, i, i + 1)[0]
+                       for i in range(part.num_intervals)])
+    assert np.abs(whole - single).max() <= 1e-13 * np.abs(single).max()
 
 
 def test_u1_at_evaluates_the_legendre_expansion():
@@ -242,22 +260,6 @@ def test_solution_shape_validation():
     bad[1, 0] = np.nan
     with pytest.raises(ValueError):
         SpaceTimeSolution(0, part, space, good_u1, bad)
-
-
-def test_serialization_round_trip(tmp_path):
-    problem = problem_1d_smooth()
-    space = assemble(1, 4, 2)
-    part = make_uniform_partition(1.0, 3)
-    sol = run_decomposed(problem, space, part, q=1)
-    data = solution_to_dict(sol)
-    assert set(data) == {"q", "nodes", "u1", "u2"}
-    path = tmp_path / "sol.json"
-    save_solution(sol, path)
-    back = load_solution(path, space=space, problem=problem)
-    assert back.q == sol.q
-    assert np.allclose(back.partition.nodes, part.nodes, atol=1e-15)
-    assert np.allclose(back.u1, sol.u1, atol=1e-15)
-    assert np.allclose(back.u2, sol.u2, atol=1e-15)
 
 
 def test_nonuniform_partition_march():

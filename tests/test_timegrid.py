@@ -6,13 +6,20 @@ from stheat.timegrid import (
     ReferenceBlocks,
     TemporalBasis,
     TimePartition,
+    chunks,
     gauss_rule,
-    legendre_eval,
     lobatto_points,
     make_uniform_partition,
-    project_Pq,
-    temporal_moment,
+    quadrature_nodes,
+    sum_by_interval,
 )
+
+
+def _moment(f, phi, nodes, npoints, breakpoints=()):
+    """int f(s) phi(s) ds over each interval of the partition, by the kernel."""
+    owner, t, _, w = quadrature_nodes(TimePartition(nodes), 0, len(nodes) - 1, npoints,
+                                      breakpoints)
+    return sum_by_interval(owner, w * f(t) * phi(t))
 
 
 def test_uniform_partition_nodes():
@@ -92,77 +99,54 @@ def test_legendre_basis_orthogonality():
 
 def test_temporal_moment_hat_function():
     # right hat on [0, 0.1]: integral of 1 * (s/k) ds = k/2
-    moment = temporal_moment(lambda s: 1.0, (0.0, 0.1), lambda s: s / 0.1, gauss_rule(3))
-    assert moment == pytest.approx(0.05, abs=1e-15)
+    moment = _moment(lambda s: np.ones_like(s), lambda s: s / 0.1, [0.0, 0.1], 3)
+    assert moment[0] == pytest.approx(0.05, abs=1e-15)
 
 
 def test_temporal_moment_zero_integrand():
-    moment = temporal_moment(lambda s: 0.0, (0.2, 0.9), lambda s: s ** 3, gauss_rule(4))
-    assert moment == 0.0
+    moment = _moment(lambda s: 0.0 * s, lambda s: s ** 3, [0.2, 0.9], 4)
+    assert moment[0] == 0.0
 
 
 def test_temporal_moment_two_point_gauss_linear():
-    moment = temporal_moment(lambda s: s, (0.0, 1.0), lambda s: 1.0, gauss_rule(2))
-    assert moment == pytest.approx(0.5, abs=1e-15)
-
-
-def test_temporal_moment_rejects_degenerate_interval():
-    with pytest.raises(ValueError):
-        temporal_moment(lambda s: s, (0.5, 0.5), lambda s: 1.0, gauss_rule(2))
-
-
-def test_project_constant_mean():
-    coeffs = project_Pq(lambda s: s, (0.0, 1.0), 0, gauss_rule(3))
-    assert coeffs.shape == (1,)
-    assert coeffs[0] == pytest.approx(0.5, abs=1e-14)
-
-
-def test_project_square_degree_one():
-    # s^2 on [0,1] projected to degree 1 is s - 1/6; in shifted Legendre
-    # {1, 2s-1} the coefficients are (1/3, 1/2)
-    coeffs = project_Pq(lambda s: s ** 2, (0.0, 1.0), 1, gauss_rule(4))
-    assert np.allclose(coeffs, [1.0 / 3.0, 0.5], atol=1e-14)
-
-
-@pytest.mark.parametrize("q", [0, 1, 2, 3])
-def test_projection_idempotent(q):
-    rng = np.random.default_rng(42 + q)
-    mono = rng.standard_normal(q + 1)
-    interval = (0.3, 1.1)
-
-    def f(s):
-        return sum(c * s ** j for j, c in enumerate(mono))
-
-    once = project_Pq(f, interval, q, gauss_rule(q + 3))
-    twice = project_Pq(lambda s: float(legendre_eval(once, interval, s)[0]),
-                       interval, q, gauss_rule(q + 3))
-    assert np.allclose(once, twice, atol=1e-12)
-
-
-@pytest.mark.parametrize("q", [0, 1, 2])
-def test_projection_orthogonality_residual(q):
-    """(f - Pq f) is L2-orthogonal to polynomials of degree <= q."""
-    interval = (0.0, 0.7)
-    f = lambda s: np.sin(3.0 * s) + s ** 4
-    coeffs = project_Pq(f, interval, q, gauss_rule(q + 6))
-    scale = max(1.0, abs(temporal_moment(f, interval, lambda s: 1.0, gauss_rule(q + 6))))
-    for d in range(q + 1):
-        resid = temporal_moment(
-            lambda s: f(s) - legendre_eval(coeffs, interval, s),
-            interval, lambda s, d=d: s ** d, gauss_rule(q + 6))
-        assert abs(resid) <= 1e-10 * scale
+    moment = _moment(lambda s: s, lambda s: np.ones_like(s), [0.0, 1.0], 2)
+    assert moment[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_moment_kink_splitting_is_exact():
     # |s - 0.5| against a linear weight: piecewise quadratic, so split
     # 3-point Gauss is exact; the unsplit rule is not
-    f = lambda s: abs(s - 0.5)
+    f = lambda s: np.abs(s - 0.5)
     phi = lambda s: s
     exact = 0.125  # int_0^1 |s-1/2| s ds
-    split = temporal_moment(f, (0.0, 1.0), phi, gauss_rule(3), breakpoints=(0.5,))
-    assert split == pytest.approx(exact, abs=1e-15)
-    unsplit = temporal_moment(f, (0.0, 1.0), phi, gauss_rule(3))
-    assert abs(unsplit - exact) > 1e-5
+    split = _moment(f, phi, [0.0, 1.0], 3, breakpoints=(0.5,))
+    assert split[0] == pytest.approx(exact, abs=1e-15)
+    unsplit = _moment(f, phi, [0.0, 1.0], 3)
+    assert abs(unsplit[0] - exact) > 1e-5
+    # a breakpoint on a node cuts nothing: the same kink is exact per interval
+    on_node = _moment(f, phi, [0.0, 0.5, 1.0], 3, breakpoints=(0.5,))
+    assert on_node.sum() == pytest.approx(exact, abs=1e-15)
+    assert on_node.shape == (2,)
+
+
+def test_quadrature_nodes_layout():
+    part = TimePartition([0.0, 0.1, 0.35, 0.4, 1.0])
+    owner, t, tau, w = quadrature_nodes(part, 1, 4, 2, breakpoints=(0.2, 0.4, 0.7, 5.0))
+    # interval 1 and 3 are cut once (0.2, 0.7); 0.4 is a node, 5.0 outside
+    assert owner.tolist() == [1, 1, 1, 1, 2, 2, 3, 3, 3, 3]
+    assert np.all(np.diff(t) > 0)
+    assert np.allclose(t, part.nodes[owner] + tau * part.widths[owner], atol=1e-15)
+    assert np.all((tau > 0.0) & (tau < 1.0))
+    assert np.allclose(sum_by_interval(owner, w), part.widths[1:4], atol=1e-15)
+
+
+def test_chunks_cover_the_range():
+    assert chunks(3, 3, 10) == []
+    ranges = chunks(2, 1000, 100)
+    assert ranges[0][0] == 2 and ranges[-1][1] == 1000
+    assert all(b0 == a1 for (_, b0), (a1, _) in zip(ranges, ranges[1:]))
+    assert len(ranges) > 1
+    assert chunks(0, 5, 10 ** 9) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
 
 
 def test_reference_blocks_row_sums():
