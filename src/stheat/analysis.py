@@ -11,7 +11,11 @@ The diagnostics realize three constants of the discretization:
   * cfl_constant: k_max * lambda_max(K, M), the quantity whose boundedness
     keeps cs_constant uniform under refinement.
 
-Dual norms on V_h are spectral: ||w||_{H^-1}^2 = w^T M K^-1 M w.
+Dual norms on V_h are spectral: ||w||_{H^-1}^2 = w^T M K^-1 M w.  In the
+M-orthonormal eigenbasis of (K, M) the form and both Gram matrices split
+into one problem per spatial mode, banded in time with bandwidth q+1, so the
+first two constants are exact on any level: per mode, each extreme
+eigenvalue is found by bisection on banded Cholesky factorizations.
 """
 
 from dataclasses import dataclass
@@ -20,10 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from . import fem
-from .solver import assemble_bilinear, global_layout
 from .timegrid import ReferenceBlocks, TemporalBasis, chunks, quadrature_nodes
-
-DIAGNOSTIC_GUARD = 2000
 
 
 @dataclass
@@ -115,93 +116,87 @@ def fit_rate(pairs):
     return float(np.polyfit(logk, loge, 1)[0])
 
 
-def _dual_gram(space):
-    """Gram matrix of the discrete H^-1 norm: M K^-1 M."""
-    Kinv_M = scipy.linalg.cho_solve(space.stiffness_cho(), space.mass)
-    G = space.mass @ Kinv_M
-    return 0.5 * (G + G.T)
+def _banded(blocks):
+    """Lower banded storage of the sum of the interval blocks (N, q+2, q+2),
+    block i covering the time-ordered positions i(q+1) .. i(q+1)+q+1."""
+    N, s, _ = blocks.shape
+    ab = np.zeros((s, N * (s - 1) + 1))
+    for r in range(s):
+        for c in range(r + 1):
+            ab[r - c, c:c + N * (s - 1):s - 1] += blocks[:, r, c]
+    return ab
 
 
-def _check_guard(space, partition, q):
-    dim = (partition.num_intervals * (q + 1) + 1) * space.dof_count
-    if dim > DIAGNOSTIC_GUARD:
-        raise ValueError(
-            "diagnostics limited to %d space-time unknowns, got %d"
-            % (DIAGNOSTIC_GUARD, dim))
-    return dim
+def _definite(ab):
+    """Whether the lower banded matrix ab is positive definite."""
+    try:
+        scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        return False
+    return True
 
 
-def gram_trial(space, partition, q):
-    """Gram of the trial norm: ||y1||_{L2(V)}^2 + ||y2||_H^2, block diagonal."""
-    N = partition.num_intervals
-    dof = space.dof_count
-    dim, trial_slice, u2_slice, _, _ = global_layout(N, q, dof)
-    G = np.zeros((dim, dim))
-    for i in range(N):
-        k = float(partition.widths[i])
-        for m in range(q + 1):
-            s = trial_slice(i, m)
-            G[s, s] = (k / (2 * m + 1)) * space.stiffness
-    G[u2_slice, u2_slice] = space.mass
-    return G
+def _top(A, G):
+    """Largest eigenvalue of the banded pencil (A, G), A with a positive
+    diagonal: bisection, to the last bit, on whether sigma G - A is positive
+    definite."""
+    if not _definite(G):
+        raise RuntimeError("norm Gram matrix is not positive definite")
+    lo = float(np.max(A[0] / G[0]))  # Rayleigh quotient of a unit vector
+    hi = 2.0 * lo
+    while not _definite(hi * G - A):
+        lo, hi = hi, 2.0 * hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if _definite(mid * G - A):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
-def gram_test(space, partition, q, projected):
-    """Gram of the test norm over the nodal test layout.
+def _mode_matrices(space, partition, q):
+    """Per spatial mode of (K, M), the banded matrices (BB, GX, GC) over the
+    time-ordered test layout (node, interiors, node, ...).
 
-    The squared norm is sum_i int_{I_i} (||dX/dt||_{H^-1}^2 + ||Y||_V^2) ds
-    + ||X(0)||_H^2 with Y = Pi_q X when projected, Y = X otherwise.
+    In the M-orthonormal eigenbasis M -> 1, K -> lambda and M K^-1 M ->
+    1/lambda, so interval i contributes with mu = k_i lambda: the projected
+    test Gram GX = E/mu + mu Pi, the true test Gram GC = E/mu + mu GL2, and
+    BB = b GY^-1 b^T with b = mu G - D and the trial Gram GY = mu/(2m+1).
+    The node-0 term ||X(0)||_H^2 adds 1 to both Grams; the final trace adds
+    1 to BB at node N.
     """
-    N = partition.num_intervals
-    dof = space.dof_count
-    dim, _, _, test_slice, node_block = global_layout(N, q, dof)
     rb = ReferenceBlocks(q)
-    if projected:
-        r = np.arange(q + 1)
-        Lq = rb.L[:, : q + 1]
-        vterm = Lq @ np.diag(1.0 / (2 * r + 1)) @ Lq.T
-    else:
-        vterm = rb.GL2
-    dualM = _dual_gram(space)
-    K = space.stiffness
-    G = np.zeros((dim, dim))
-    for i in range(N):
-        k = float(partition.widths[i])
-        for j in range(q + 2):
-            rows = test_slice(i, j)
-            for jp in range(q + 2):
-                cols = test_slice(i, jp)
-                G[rows, cols] += (rb.E[j, jp] / k) * dualM + k * vterm[j, jp] * K
-    s = node_block(0) * dof
-    sl = slice(s, s + dof)
-    G[sl, sl] += space.mass
-    return G
+    Lq = rb.L[:, : q + 1]
+    odd = 2.0 * np.arange(q + 1) + 1.0
+    proj = (Lq / odd) @ Lq.T
+    for lam in fem.spectral(space).eigenvalues:
+        mu = partition.widths[:, None, None] * lam
+        b = mu * rb.G - rb.D
+        BB = _banded((b * (odd / mu)) @ b.transpose(0, 2, 1))
+        BB[0, -1] += 1.0
+        GX = _banded(rb.E / mu + mu * proj)
+        GC = _banded(rb.E / mu + mu * rb.GL2)
+        GX[0, 0] += 1.0
+        GC[0, 0] += 1.0
+        yield BB, GX, GC
 
 
 def infsup_discrete(space, partition, q):
-    """Extreme singular values (c_B, C_B) of the norm-normalized form."""
-    _check_guard(space, partition, q)
-    B = assemble_bilinear(space, partition, q)
-    GY = gram_trial(space, partition, q)
-    GX = gram_test(space, partition, q, projected=True)
-    try:
-        Lx = scipy.linalg.cholesky(GX, lower=True)
-        Ly = scipy.linalg.cholesky(GY, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise RuntimeError("norm Gram matrix is not positive definite") from exc
-    A = scipy.linalg.solve_triangular(Lx, B, lower=True)
-    A = scipy.linalg.solve_triangular(Ly, A.T, lower=True).T
-    svals = np.linalg.svd(A, compute_uv=False)
-    return float(svals.min()), float(svals.max())
+    """Extreme singular values (c_B, C_B) of the norm-normalized form: the
+    extreme square roots of the pencil (B GY^-1 B^T, GX) over all modes."""
+    lo, hi = np.inf, 0.0
+    for BB, GX, _ in _mode_matrices(space, partition, q):
+        lo = min(lo, 1.0 / _top(GX, BB))
+        hi = max(hi, _top(BB, GX))
+    return float(np.sqrt(lo)), float(np.sqrt(hi))
 
 
 def cs_constant(space, partition, q):
-    """Equivalence constant between the true and projected test norms."""
-    _check_guard(space, partition, q)
-    Gc = gram_test(space, partition, q, projected=False)
-    Gd = gram_test(space, partition, q, projected=True)
-    vals = scipy.linalg.eigh(Gc, Gd, eigvals_only=True)
-    return float(np.sqrt(vals[-1]))
+    """Equivalence constant between the true and projected test norms: the
+    square root of the top eigenvalue of (GC, GX) over all modes."""
+    top = max(_top(GC, GX) for _, GX, GC in _mode_matrices(space, partition, q))
+    return float(np.sqrt(top))
 
 
 def cfl_constant(space, k_max):

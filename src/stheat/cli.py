@@ -34,9 +34,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .analysis import (DIAGNOSTIC_GUARD, DiagnosticsReport, cfl_constant,
-                       cs_constant, error_norms, fit_rate, infsup_discrete,
-                       stability_check)
+from .analysis import (DiagnosticsReport, cfl_constant, cs_constant,
+                       error_norms, fit_rate, infsup_discrete, stability_check)
 from .fem import assemble
 from .problems import problem_by_id, validate_residual
 from .solver import run_decomposed
@@ -159,27 +158,6 @@ def level_geometry(cfg, idx, final_time):
     return n, max(1, int(round(final_time / k_target)))
 
 
-def _trial_dimension(dimension, n, p, N, q):
-    dof = n * p - 1
-    if dimension == 2:
-        dof = dof * dof
-    return (N * (q + 1) + 1) * dof
-
-
-def coarsen_for_guard(cfg, n, N, dimension, final_time):
-    """Largest surrogate (n', N') obeying the coupling law with the trial
-    dimension inside the dense-diagnostics guard."""
-    for n_s in range(n, 1, -1):
-        if cfg.explicit_N is not None:
-            N_s = max(1, int(round(N * (n_s / n) ** cfg.coupling_gamma)))
-        else:
-            _, N_s = level_geometry(
-                dataclasses.replace(cfg, levels=(n_s,), explicit_N=None), 0, final_time)
-        if _trial_dimension(dimension, n_s, cfg.p, N_s, cfg.q) <= DIAGNOSTIC_GUARD:
-            return n_s, N_s
-    raise ConfigError("no surrogate within the diagnostics guard")
-
-
 def run_level(cfg, idx, problem):
     """Solve one refinement level; returns a result dict."""
     n, N = level_geometry(cfg, idx, problem.final_time)
@@ -192,22 +170,18 @@ def run_level(cfg, idx, problem):
         row["err_u1_L2V"] = report.err_u1_L2V
         row["err_u2_nodal_max"] = report.err_u2_nodal_max
     if cfg.diagnostics:
-        row["diagnostics"] = level_diagnostics(cfg, n, N, problem, solution)
+        row["diagnostics"] = level_diagnostics(problem, space, partition, cfg.q, solution)
     return row
 
 
-def level_diagnostics(cfg, n, N, problem, solution=None):
-    """Inf-sup, c_S and CFL constants for a level, on a coarsened surrogate
-    obeying the same step law whenever the dense guard would trip."""
-    n_s, N_s = coarsen_for_guard(cfg, n, N, problem.dimension, problem.final_time)
-    space = assemble(problem.dimension, n_s, cfg.p)
-    partition = make_uniform_partition(problem.final_time, N_s)
-    c_B, C_B = infsup_discrete(space, partition, cfg.q)
-    c_S = cs_constant(space, partition, cfg.q)
+def level_diagnostics(problem, space, partition, q, solution=None):
+    """Inf-sup, c_S and CFL constants of a level; with its solution, also
+    the stability bound."""
+    c_B, C_B = infsup_discrete(space, partition, q)
+    c_S = cs_constant(space, partition, q)
     report = DiagnosticsReport(c_B=c_B, C_B=C_B, c_S=c_S,
                                C_CFL=cfl_constant(space, partition.k_max))
     block = report.to_dict()
-    block["surrogate"] = {"n": n_s, "N": N_s, "coarsened": bool(n_s != n or N_s != N)}
     if solution is not None and not problem.impulses and problem.rhs is not None:
         block["stability"] = stability_check(solution, problem, c_S)
     return block
@@ -332,7 +306,9 @@ def run_diagnose(cfg, out_dir, quiet=False):
     problem = problem_by_id(cfg.problem, cfg.epsilon)
     try:
         n, N = level_geometry(cfg, 0, problem.final_time)
-        block = level_diagnostics(cfg, n, N, problem)
+        space = assemble(problem.dimension, n, cfg.p)
+        block = level_diagnostics(problem, space,
+                                  make_uniform_partition(problem.final_time, N), cfg.q)
     except (np.linalg.LinAlgError, RuntimeError) as exc:
         print("error: solver failure: %s" % exc, file=sys.stderr)
         return EXIT_SOLVER
@@ -346,8 +322,7 @@ def run_diagnose(cfg, out_dir, quiet=False):
         return EXIT_UNWRITABLE
     if not quiet:
         print("c_B=%.12f C_B=%.12f c_S=%.6f C_CFL=%.6f (n=%d, N=%d)"
-              % (block["c_B"], block["C_B"], block["c_S"], block["C_CFL"],
-                 block["surrogate"]["n"], block["surrogate"]["N"]))
+              % (block["c_B"], block["C_B"], block["c_S"], block["C_CFL"], n, N))
     return EXIT_OK
 
 

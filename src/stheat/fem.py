@@ -38,8 +38,9 @@ class FemSpace:
     def from_matrices(cls, mass, stiffness):
         """Abstract space given directly by its matrices (no mesh attached).
 
-        Used for small surrogate checks; mesh-based operations such as
-        load_vector are unavailable on the result.
+        Used for checks on hand-written matrices, such as one spatial mode;
+        mesh-based operations such as load_vector are unavailable on the
+        result.
         """
         mass = np.atleast_2d(np.asarray(mass, dtype=float))
         stiffness = np.atleast_2d(np.asarray(stiffness, dtype=float))

@@ -186,7 +186,7 @@ def run_decomposed(problem, space, partition, q):
 # -- global coupled formulation ---------------------------------------------
 
 def global_layout(N, q, dof):
-    """Index layout shared by the coupled solve and the diagnostics.
+    """Index layout of the coupled solve.
 
     Trial vector: intervals outer, Legendre mode inner, then the final-trace
     block; trial_slice(i, m) and u2_slice address them.  Test vector: one
@@ -263,7 +263,7 @@ def assemble_load(problem, space, partition, q):
 def solve_global(problem, space, partition, q):
     """Solve the coupled space-time system in one shot.
 
-    Intended for small configurations (splitting checks, diagnostics); the
+    Intended for small configurations (splitting checks); the
     production path is run_decomposed.
     """
     N = partition.num_intervals

@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg
 
 from stheat.analysis import (
-    DIAGNOSTIC_GUARD,
     cfl_constant,
     cs_constant,
     error_norms,
@@ -20,8 +19,14 @@ from stheat.problems import (
     problem_2d_smooth,
     problem_impulse,
 )
-from stheat.solver import run_decomposed
-from stheat.timegrid import TemporalBasis, gauss_rule, make_uniform_partition
+from stheat.solver import assemble_bilinear, global_layout, run_decomposed
+from stheat.timegrid import (
+    ReferenceBlocks,
+    TemporalBasis,
+    TimePartition,
+    gauss_rule,
+    make_uniform_partition,
+)
 
 
 def test_fit_rate_recovers_exact_power_law():
@@ -145,8 +150,81 @@ def test_scheme_reproduces_trial_space_solutions():
     assert rep.err_u2_nodal_max <= 1e-12
 
 
+def _dense_gram_trial(space, partition, q):
+    """Gram of the trial norm: ||y1||_{L2(V)}^2 + ||y2||_H^2, block diagonal."""
+    N, dof = partition.num_intervals, space.dof_count
+    dim, trial_slice, u2_slice, _, _ = global_layout(N, q, dof)
+    G = np.zeros((dim, dim))
+    for i in range(N):
+        k = float(partition.widths[i])
+        for m in range(q + 1):
+            s = trial_slice(i, m)
+            G[s, s] = (k / (2 * m + 1)) * space.stiffness
+    G[u2_slice, u2_slice] = space.mass
+    return G
+
+
+def _dense_gram_test(space, partition, q, projected):
+    """Gram of the test norm sum_i int_{I_i} (||dX/dt||_{H^-1}^2 + ||Y||_V^2)
+    + ||X(0)||_H^2 with Y = Pi_q X when projected, Y = X otherwise."""
+    N, dof = partition.num_intervals, space.dof_count
+    dim, _, _, test_slice, node_block = global_layout(N, q, dof)
+    rb = ReferenceBlocks(q)
+    if projected:
+        Lq = rb.L[:, : q + 1]
+        vterm = Lq @ np.diag(1.0 / (2 * np.arange(q + 1) + 1)) @ Lq.T
+    else:
+        vterm = rb.GL2
+    dualM = space.mass @ scipy.linalg.solve(space.stiffness, space.mass)
+    dualM = 0.5 * (dualM + dualM.T)
+    G = np.zeros((dim, dim))
+    for i in range(N):
+        k = float(partition.widths[i])
+        for j in range(q + 2):
+            for jp in range(q + 2):
+                G[test_slice(i, j), test_slice(i, jp)] += (
+                    (rb.E[j, jp] / k) * dualM + k * vterm[j, jp] * space.stiffness)
+    s = node_block(0) * dof
+    G[s:s + dof, s:s + dof] += space.mass
+    return G
+
+
+def _dense_diagnostics(space, partition, q):
+    """Reference (c_B, C_B, c_S) from the assembled space-time matrices."""
+    B = assemble_bilinear(space, partition, q)
+    GX = _dense_gram_test(space, partition, q, projected=True)
+    GC = _dense_gram_test(space, partition, q, projected=False)
+    Lx = scipy.linalg.cholesky(GX, lower=True)
+    Ly = scipy.linalg.cholesky(_dense_gram_trial(space, partition, q), lower=True)
+    A = scipy.linalg.solve_triangular(Lx, B, lower=True)
+    A = scipy.linalg.solve_triangular(Ly, A.T, lower=True).T
+    svals = np.linalg.svd(A, compute_uv=False)
+    c_S = np.sqrt(scipy.linalg.eigh(GC, GX, eigvals_only=True)[-1])
+    return svals.min(), svals.max(), c_S
+
+
+_NONUNIFORM = TimePartition([0.0, 0.1, 0.25, 0.3, 0.6, 0.65, 1.0])
+
+
+@pytest.mark.parametrize("space_args,partition,q", [
+    ((1, 5, 2), make_uniform_partition(1.0, 6), 0),
+    ((1, 4, 3), make_uniform_partition(1.0, 5), 1),
+    ((1, 4, 1), make_uniform_partition(0.5, 3), 2),
+    ((2, 3, 2), make_uniform_partition(1.0, 4), 0),
+    ((1, 6, 1), _NONUNIFORM, 0),
+    ((1, 3, 2), _NONUNIFORM, 1),
+])
+def test_diagnostics_match_dense_oracle(space_args, partition, q):
+    space = assemble(*space_args)
+    c_B, C_B, c_S = _dense_diagnostics(space, partition, q)
+    got_b, got_B = infsup_discrete(space, partition, q)
+    assert got_b == pytest.approx(c_B, rel=1e-12)
+    assert got_B == pytest.approx(C_B, rel=1e-12)
+    assert cs_constant(space, partition, q) == pytest.approx(c_S, rel=1e-12)
+
+
 @pytest.mark.parametrize("space_args,N,q,tol", [
-    (None, 1, 0, 1e-8),       # scalar surrogate
+    (None, 1, 0, 1e-8),       # scalar space
     ((1, 4, 1), 4, 0, 1e-6),
     ((1, 3, 1), 2, 1, 1e-6),
 ])
@@ -219,14 +297,12 @@ def test_cfl_constant_saturates_under_coupling():
     assert vals[2] >= 10.0
 
 
-def test_diagnostic_guard_rejects_large_systems():
+def test_infsup_on_large_system_is_one():
     space = assemble(1, 64, 1)  # 63 unknowns
-    part = make_uniform_partition(1.0, 32)  # dim = 33 * 63 = 2079
-    assert (part.num_intervals + 1) * space.dof_count > DIAGNOSTIC_GUARD
-    with pytest.raises(ValueError):
-        infsup_discrete(space, part, 0)
-    with pytest.raises(ValueError):
-        cs_constant(space, part, 0)
+    part = make_uniform_partition(1.0, 32)  # 33 * 63 = 2079 space-time unknowns
+    c_B, C_B = infsup_discrete(space, part, 0)
+    assert c_B == pytest.approx(1.0, abs=1e-10)
+    assert C_B == pytest.approx(1.0, abs=1e-10)
 
 
 def test_stability_bound_holds_on_smooth_run():

@@ -11,7 +11,6 @@ from stheat.cli import (
     ConfigError,
     ExperimentConfig,
     config_to_dict,
-    coarsen_for_guard,
     level_geometry,
     main,
     parse_config,
@@ -67,15 +66,6 @@ def test_level_geometry_follows_coupling():
     assert N == max(1, round(1.0 / (1.0 * 0.5 ** 2)))  # T / (c h^gamma)
     cfg2 = parse_config(json.dumps(dict(SMALL_RUN, explicit_N=[5, 9])))
     assert level_geometry(cfg2, 1, 1.0) == (3, 9)
-
-
-def test_coarsen_for_guard_preserves_coupling():
-    cfg = parse_config(json.dumps(dict(SMALL_RUN, levels=[64, 128])))
-    n_s, N_s = coarsen_for_guard(cfg, 64, 64 * 64, 1, 1.0)
-    dim = (N_s * (cfg.q + 1) + 1) * (n_s * cfg.p - 1)
-    assert dim <= 2000
-    # the surrogate still follows k = c h^gamma
-    assert N_s == max(1, round(1.0 / (1.0 * (1.0 / n_s) ** 2)))
 
 
 @pytest.mark.parametrize("key,value", [
@@ -191,6 +181,26 @@ def test_diagnose_writes_constants(tmp_path):
     assert block["c_S"] >= 1.0
     assert block["C_CFL"] > 0.0
     assert data["config"]["problem"] == "heat1d-smooth"
+
+
+def test_diagnostics_run_on_the_level_itself(tmp_path):
+    """A level far past any dense-matrix size (n=4, N=8000: 24003 space-time
+    unknowns) gets its own constants from both commands."""
+    payload = dict(SMALL_RUN, levels=[4], explicit_N=[8000], errors=False)
+    cfg = _write_config(tmp_path, payload)
+    diag_out, run_out = str(tmp_path / "diag"), str(tmp_path / "run")
+    assert main(["diagnose", cfg, "--out", diag_out, "--quiet"]) == EXIT_OK
+    diag = json.loads(open(os.path.join(diag_out, "diagnostics.json")).read())["diagnostics"]
+    cfg = _write_config(tmp_path, dict(payload, diagnostics=True))
+    assert main(["run", cfg, "--out", run_out, "--quiet"]) == EXIT_OK
+    level = json.loads(open(os.path.join(run_out, "summary.json")).read())["levels"][0]
+    assert (level["n"], level["N"]) == (4, 8000)
+    for block in (diag, level["diagnostics"]):
+        assert "surrogate" not in block
+        assert block["c_B"] == pytest.approx(1.0, abs=1e-6)
+        assert block["C_B"] == pytest.approx(1.0, abs=1e-6)
+        assert block["C_CFL"] == pytest.approx(diag["C_CFL"], rel=1e-15)
+    assert level["diagnostics"]["stability"]["satisfied"]
 
 
 def test_experiment_config_is_frozen():
