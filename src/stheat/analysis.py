@@ -88,13 +88,15 @@ def error_norms(solution, problem):
     # realizes the exact trace in the discrete H = V_h, matching the
     # semidiscrete superconvergence statement; measuring against u itself
     # would re-add the best-approximation floor ~ h^(p+1) that the nodal
-    # component cannot beat.
+    # component cannot beat.  In the M-orthonormal eigenbasis the H norm is
+    # the Euclidean one and the projection of a load vector is V^T load.
+    dec = fem.spectral(space)
     nodes = part.nodes
     per_node = np.empty(nodes.size)
     for lo, hi in chunks(0, nodes.size, space.grid_size(nq)):
         trace = fem.load_vector(space, problem.exact.u, nq=nq, t=nodes[lo:hi])
-        diff = solution.u2[lo:hi] - scipy.linalg.cho_solve(space.mass_cho(), trace).T
-        per_node[lo:hi] = np.sqrt(np.sum((diff @ space.mass) * diff, axis=1))
+        diff = dec.modal_coefficients(solution.u2[lo:hi]) - dec.modal_loads(trace.T)
+        per_node[lo:hi] = np.sqrt(np.sum(diff * diff, axis=1))
 
     return ErrorReport(
         err_u1_L2V=float(np.sqrt(err1_sq)),
@@ -201,7 +203,7 @@ def cs_constant(space, partition, q):
 
 def cfl_constant(space, k_max):
     """k_max times the largest generalized eigenvalue of (K, M)."""
-    lam_max = float(fem.spectral(space).eigenvalues[-1])
+    lam_max = float(fem.spectral(space).eigenvalues.max())
     return float(k_max) * lam_max
 
 
@@ -210,27 +212,30 @@ def stability_check(solution, problem, c_s):
 
     Returns a dict with lhs = ||U1||_{L2(V)}^2 + ||U2^(N)||_H^2 and
     rhs = c_s^2 ||f||_{L2(H^-1)}^2 + ||u0||_H^2, all realized on V_h; the
-    f term uses q+4 Gauss points per time segment.
+    f term uses q+4 Gauss points per time segment.  In the M-orthonormal
+    eigenbasis of (K, M), with a = V^T M u, ||u||_H^2 = sum a^2 and
+    ||u||_V^2 = sum lambda a^2, and a load vector f has
+    ||f||_{H^-1}^2 = sum (V^T f)^2 / lambda, so no solve is needed.
     """
     if problem.impulses:
         raise ValueError("stability bound implemented for impulse-free forcing")
     space, part, q = solution.space, solution.partition, solution.q
+    dec = fem.spectral(space)
+    lam = dec.eigenvalues
+    scale = part.widths[:, None] / (2.0 * np.arange(q + 1) + 1.0)   # k / (2m+1)
     u1_sq = 0.0
-    for i in range(part.num_intervals):
-        k = float(part.widths[i])
-        for m in range(q + 1):
-            c = solution.u1[i, m]
-            u1_sq += (k / (2 * m + 1)) * float(c @ space.stiffness @ c)
-    u2N_sq = float(solution.u2[-1] @ space.mass @ solution.u2[-1])
-    u0_sq = float(solution.u2[0] @ space.mass @ solution.u2[0])
+    for lo, hi in chunks(0, part.num_intervals, (q + 1) * space.dof_count):
+        a = dec.modal_coefficients(solution.u1[lo:hi])
+        u1_sq += float(np.sum(scale[lo:hi] * ((a * a) @ lam)))
+    u2N_sq, u0_sq = (float(np.sum(a * a))
+                     for a in dec.modal_coefficients(solution.u2[[-1, 0]]))
     f_sq = 0.0
     if problem.rhs is not None:
         per_item = (q + 4) * space.grid_size(space.degree + 2)
         for lo, hi in chunks(0, part.num_intervals, per_item):
             _, t, _, w = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
-            loads = fem.load_vector(space, problem.rhs, t=t)
-            dual = np.sum(loads * scipy.linalg.cho_solve(space.stiffness_cho(), loads), axis=0)
-            f_sq += float(w @ dual)
+            f = dec.modal_loads(fem.load_vector(space, problem.rhs, t=t).T)
+            f_sq += float(w @ ((f * f) @ (1.0 / lam)))
     lhs = u1_sq + u2N_sq
     rhs = c_s ** 2 * f_sq + u0_sq
     return {

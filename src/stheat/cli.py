@@ -30,7 +30,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -158,6 +157,30 @@ def level_geometry(cfg, idx, final_time):
     return n, max(1, int(round(final_time / k_target)))
 
 
+def level_bytes(dimension, n, p, q, N):
+    """Lower bound on the memory of a level: its solution arrays,
+    (2N(q+1)+1) * dof doubles with dof = (np-1)^dimension."""
+    return (2 * N * (q + 1) + 1) * (n * p - 1) ** dimension * 8
+
+
+def physical_memory():
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_memory(cfg, count):
+    """Raise ConfigError if one of the first count levels cannot fit in
+    physical memory; runs before any level allocates."""
+    problem = problem_by_id(cfg.problem, cfg.epsilon)
+    available = physical_memory()
+    for idx in range(count):
+        n, N = level_geometry(cfg, idx, problem.final_time)
+        need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N)
+        if need > available:
+            raise ConfigError("level n=%d, N=%d needs at least %.3g GB, more than the "
+                              "%.3g GB of physical memory" % (n, N, need / 1e9, available / 1e9))
+
+
 def run_level(cfg, idx, problem):
     """Solve one refinement level; returns a result dict."""
     n, N = level_geometry(cfg, idx, problem.final_time)
@@ -264,7 +287,7 @@ def _resolve_out_dir(cfg, cli_out):
     return os.environ.get(OUT_DIR_ENV) or cfg.out_dir
 
 
-def run_experiment(cfg, out_dir, parallel=1, quiet=False):
+def run_experiment(cfg, out_dir, quiet=False):
     problem = problem_by_id(cfg.problem, cfg.epsilon)
     if cfg.errors and problem.exact is None:
         print("error: problem %r has no exact solution; set errors=false" % cfg.problem,
@@ -273,13 +296,7 @@ def run_experiment(cfg, out_dir, parallel=1, quiet=False):
     try:
         if problem.exact is not None:
             validate_residual(problem, seed=cfg.seed)
-        if parallel > 1:
-            with ThreadPoolExecutor(max_workers=parallel) as pool:
-                futures = [pool.submit(run_level, cfg, i, problem)
-                           for i in range(len(cfg.levels))]
-                rows = [f.result() for f in futures]
-        else:
-            rows = [run_level(cfg, i, problem) for i in range(len(cfg.levels))]
+        rows = [run_level(cfg, i, problem) for i in range(len(cfg.levels))]
     except (np.linalg.LinAlgError, RuntimeError, ValueError) as exc:
         print("error: solver failure: %s" % exc, file=sys.stderr)
         return EXIT_SOLVER
@@ -341,8 +358,6 @@ def main(argv=None):
     run_p = sub.add_parser("run", help="run a convergence experiment")
     run_p.add_argument("config")
     run_p.add_argument("--out", default=None, help="output directory override")
-    run_p.add_argument("--parallel", type=int, default=1, metavar="W",
-                       help="worker threads across levels")
     run_p.add_argument("--quiet", action="store_true")
     diag_p = sub.add_parser("diagnose", help="inf-sup / c_S / CFL constants only")
     diag_p.add_argument("config")
@@ -352,14 +367,14 @@ def main(argv=None):
 
     try:
         cfg = _load_config(args.config)
+        check_memory(cfg, len(cfg.levels) if args.command == "run" else 1)
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
 
     out_dir = _resolve_out_dir(cfg, args.out)
     if args.command == "run":
-        return run_experiment(cfg, out_dir, parallel=max(1, args.parallel),
-                              quiet=args.quiet)
+        return run_experiment(cfg, out_dir, quiet=args.quiet)
     return run_diagnose(cfg, out_dir, quiet=args.quiet)
 
 

@@ -2,15 +2,20 @@
 
 1D spaces use continuous piecewise polynomials of degree p in {1,2,3} on a
 uniform mesh of n elements, boundary DOFs eliminated.  The 2D space on the
-unit square is the tensor product of the 1D space with itself, so its mass
-and stiffness matrices are Kronecker combinations of the 1D ones:
+unit square is the tensor product of the 1D space with itself.  A space
+keeps only the 1D mass and stiffness matrices (M, K) of the line; every
+spatial operation works through them and the M-orthonormal eigenbasis of
+(K, M) computed once on the line (spectral).  The dense 2D matrices
 
-    M2 = kron(M, M),    K2 = kron(K, M) + kron(M, K).
+    M2 = kron(M, M),    K2 = kron(K, M) + kron(M, K)
+
+are formed only on first access, by the reference solvers.
 
 Coefficient vectors in 2D are flattened row-major: entry i*d + j multiplies
-phi_i(xi) * phi_j(eta) where d is the 1D DOF count.  Dual-type norms are
-realized spectrally through the generalized eigenproblem K phi = lambda M phi.
+phi_i(xi) * phi_j(eta) where d is the 1D DOF count.
 """
+
+import functools
 
 import numpy as np
 import scipy.linalg
@@ -19,19 +24,21 @@ from .timegrid import gauss_rule, lagrange_coefficient_matrix
 
 
 class FemSpace:
-    """Assembled finite element space; immutable once built."""
+    """Assembled finite element space; immutable once built.
 
-    def __init__(self, dimension, n, degree, mass, stiffness, line=None):
+    line_mass and line_stiffness are the 1D matrices of the line; for a 1D
+    or abstract space they are the space's own matrices.
+    """
+
+    def __init__(self, dimension, n, degree, line_mass, line_stiffness):
         self.dimension = dimension
         self.n = n
         self.degree = degree
-        self.mass = mass
-        self.stiffness = stiffness
-        self.dof_count = mass.shape[0]
-        self._line = line  # 1D factor space when dimension == 2
+        self.line_mass = line_mass
+        self.line_stiffness = line_stiffness
+        self.dof_count = line_mass.shape[0] ** max(dimension, 1)
         self._tables = {}
         self._mass_cho = None
-        self._stiffness_cho = None
         self._spectral = None
 
     @classmethod
@@ -46,7 +53,19 @@ class FemSpace:
         stiffness = np.atleast_2d(np.asarray(stiffness, dtype=float))
         if mass.shape != stiffness.shape or mass.shape[0] != mass.shape[1]:
             raise ValueError("mass and stiffness must be square and of equal shape")
-        return cls(dimension=0, n=None, degree=None, mass=mass, stiffness=stiffness)
+        return cls(0, None, None, mass, stiffness)
+
+    @functools.cached_property
+    def mass(self):
+        """Dense mass matrix; in 2D kron(M, M), formed on first access."""
+        M = self.line_mass
+        return M if self.dimension < 2 else np.kron(M, M)
+
+    @functools.cached_property
+    def stiffness(self):
+        """Dense stiffness matrix; in 2D kron(K, M) + kron(M, K), formed on first access."""
+        M, K = self.line_mass, self.line_stiffness
+        return K if self.dimension < 2 else np.kron(K, M) + np.kron(M, K)
 
     @property
     def h(self):
@@ -63,12 +82,11 @@ class FemSpace:
         x, w: global quadrature points/weights on (0,1); B, D: values and
         x-derivatives of the interior basis functions there, shape (dof, npts).
         """
-        line = self._line if self.dimension == 2 else self
-        if line is None or line.dimension != 1:
+        if self.n is None:
             raise ValueError("no mesh attached to this space")
-        if nq not in line._tables:
-            line._tables[nq] = _build_line_tables(line.n, line.degree, nq)
-        return line._tables[nq]
+        if nq not in self._tables:
+            self._tables[nq] = _build_line_tables(self.n, self.degree, nq)
+        return self._tables[nq]
 
     def grid_size(self, nq):
         """Points of the spatial quadrature grid of line_tables(nq); 1 without a mesh."""
@@ -76,17 +94,11 @@ class FemSpace:
             return 1
         return (self.n * nq) ** self.dimension
 
-    # -- factorizations ----------------------------------------------------
-
     def mass_cho(self):
+        """Cholesky factor of the dense mass matrix (reference solvers only)."""
         if self._mass_cho is None:
             self._mass_cho = scipy.linalg.cho_factor(self.mass)
         return self._mass_cho
-
-    def stiffness_cho(self):
-        if self._stiffness_cho is None:
-            self._stiffness_cho = scipy.linalg.cho_factor(self.stiffness)
-        return self._stiffness_cho
 
     def __repr__(self):
         return "FemSpace(dim=%r, n=%r, p=%r, dof=%d)" % (
@@ -94,11 +106,41 @@ class FemSpace:
 
 
 class SpectralDecomposition:
-    """Generalized eigenpairs K phi = lambda M phi, M-orthonormal, ascending."""
+    """M-orthonormal eigenpairs of (K, M): K V = M V diag(lam), V^T M V = I.
 
-    def __init__(self, eigenvalues, eigenvectors):
-        self.eigenvalues = eigenvalues
+    eigenvectors is the matrix V of the line.  In 2D the eigenvectors are the
+    products V[:, i](xi) V[:, j](eta) with eigenvalues lam_i + lam_j, indexed
+    i*d + j like the coefficients; they are applied as V^T X V and never
+    formed.  Modal coordinates are V^T f for a load vector f and V^T M u for
+    a coefficient vector u; both map arrays whose last axis is the DOF axis.
+    """
+
+    def __init__(self, dimension, line_eigenvalues, eigenvectors, line_mass):
+        self.dimension = max(dimension, 1)
         self.eigenvectors = eigenvectors
+        self._mass_vectors = line_mass @ eigenvectors
+        if self.dimension == 2:
+            line_eigenvalues = (line_eigenvalues[:, None] + line_eigenvalues[None, :]).ravel()
+        self.eigenvalues = line_eigenvalues
+
+    def _apply(self, X, P):
+        if self.dimension == 1:
+            return X @ P
+        d = P.shape[0]
+        lead = X.shape[:-1]
+        return (P.T @ X.reshape(lead + (d, d)) @ P).reshape(lead + (d * d,))
+
+    def modal_loads(self, f):
+        """V^T f for load vectors f."""
+        return self._apply(f, self.eigenvectors)
+
+    def modal_coefficients(self, u):
+        """V^T M u for coefficient vectors u."""
+        return self._apply(u, self._mass_vectors)
+
+    def coefficients(self, a):
+        """V a: the coefficient vectors of modal coordinates a."""
+        return self._apply(a, self.eigenvectors.T)
 
 
 def _build_line_tables(n, p, nq):
@@ -142,12 +184,7 @@ def assemble(dimension, n, p):
     K = (D * w) @ D.T
     M = 0.5 * (M + M.T)
     K = 0.5 * (K + K.T)
-    line = FemSpace(1, n, p, M, K)
-    if dimension == 1:
-        return line
-    M2 = np.kron(M, M)
-    K2 = np.kron(K, M) + np.kron(M, K)
-    return FemSpace(2, n, p, M2, K2, line=line)
+    return FemSpace(dimension, n, p, M, K)
 
 
 def load_vector(space, g, nq=None, t=None):
@@ -177,13 +214,15 @@ def load_vector(space, g, nq=None, t=None):
 
 
 def l2_project(space, g, nq=None):
-    """Coefficients of the L2-orthogonal projection of g onto the space."""
-    return scipy.linalg.cho_solve(space.mass_cho(), load_vector(space, g, nq=nq))
+    """Coefficients of the L2-orthogonal projection of g onto the space:
+    M^-1 load = V V^T load."""
+    dec = spectral(space)
+    return dec.coefficients(dec.modal_loads(load_vector(space, g, nq=nq)))
 
 
 def spectral(space):
-    """Full generalized eigendecomposition of (K, M), cached on the space."""
+    """Eigendecomposition of (K, M), solved once on the line and cached on the space."""
     if space._spectral is None:
-        vals, vecs = scipy.linalg.eigh(space.stiffness, space.mass)
-        space._spectral = SpectralDecomposition(vals, vecs)
+        vals, vecs = scipy.linalg.eigh(space.line_stiffness, space.line_mass)
+        space._spectral = SpectralDecomposition(space.dimension, vals, vecs, space.line_mass)
     return space._spectral

@@ -9,10 +9,9 @@ points per interval).  Testing the form
     sum_i int_{I_i} <U1, -dX/dt + A X> ds + <U2, X(T)>
         = sum_i int_{I_i} <f, X> ds + <u0, X(0)> + sum_j <zeta_j, X(t_j)>
 
-against all X yields one square linear system; because each interval's
-interior test functions only see that interval, the system decomposes into
-an interval-by-interval march (LocalBlockSystem.step / run_decomposed) that
-is algebraically identical to the coupled solve (solve_global).
+against all X yields one square linear system (solve_global).  Each
+interval's interior test functions only see that interval, so the system is
+an interval-by-interval march.
 
 On interval [a, a+k] with U1 = sum_m c_m P_m(tau), tau = (s-a)/k, testing
 with X = l_j(tau) v gives for j = 0 .. q+1
@@ -21,7 +20,19 @@ with X = l_j(tau) v gives for j = 0 .. q+1
         = k b_j + delta_{j,0} M u2_in + delta_{j,q+1} load(zeta),
 
 where b_j = int_0^1 load(f(a + k tau)) l_j(tau) dtau.  The rows j <= q close
-over the c_m alone; the last row then yields u2_out through a mass solve.
+over the c_m alone; the last row then yields u2_out through a mass solve
+(LocalBlockSystem.step, the dense reference).
+
+run_decomposed marches in the M-orthonormal eigenbasis of (K, M), where
+M -> 1 and K -> lambda, so the equations split into one scalar problem per
+spatial mode.  With mu = k lambda, A = mu G[:q+1] - D[:q+1] (a (q+1)x(q+1)
+matrix per mode and distinct width) and r = D[q+1] - mu G[q+1]:
+
+    c = A^-1 (k b_top + e_0 a2_in),
+    a2_out = alpha a2_in + g,   alpha = r A^-1 e_0,
+    g = k b_{q+1} + zeta + r A^-1 (k b_top),
+
+with b, zeta and a2 in modal coordinates (V^T load, V^T M u2).
 """
 
 import numpy as np
@@ -63,7 +74,8 @@ class SpaceTimeSolution:
 
 
 class LocalBlockSystem:
-    """Factorized interval system for one width k (reused across intervals)."""
+    """Dense factorized interval system for one width k (reused across
+    intervals): the reference step in FE coordinates."""
 
     def __init__(self, space, k, q):
         if k <= 0.0:
@@ -162,24 +174,45 @@ def impulse_loads(problem, space, partition):
 
 
 def run_decomposed(problem, space, partition, q):
-    """March the decomposed scheme over all intervals, one load chunk at a time."""
+    """March the scheme mode by mode (module docstring), one load chunk at a time.
+
+    Each chunk's load moments go to modal coordinates, its forced parts and
+    recurrence terms are formed for all its intervals at once, the scalar
+    recurrence runs over its intervals for all modes together, and its u1
+    and u2 go back to FE coefficients before the next chunk.
+    """
     N = partition.num_intervals
     dof = space.dof_count
-    jumps = impulse_loads(problem, space, partition)
+    dec = fem.spectral(space)
+    rb = ReferenceBlocks(q)
+    widths, width_of = np.unique(partition.widths, return_inverse=True)
+    mu = widths[:, None, None, None] * dec.eigenvalues[:, None, None]  # (widths, modes, 1, 1)
+    inv = np.linalg.inv(mu * rb.G[: q + 1] - rb.D[: q + 1])            # (widths, modes, q+1, q+1)
+    r = rb.D[q + 1] - mu[..., 0] * rb.G[q + 1]                         # (widths, modes, q+1)
+    alpha = np.einsum("wds,wds->wd", r, inv[..., 0])
+    inv_t = inv.transpose(0, 2, 3, 1)                                  # modes last
+    r_t = r.transpose(0, 2, 1)
+    jumps = {i: dec.modal_loads(v) for i, v in impulse_loads(problem, space, partition).items()}
+
     u1 = np.empty((N, q + 1, dof))
-    u2 = np.empty((N + 1, dof))
-    u2[0] = _initial_coefficients(problem, space)
-    systems = {}
+    u2 = np.empty((N + 1, dof))   # modal coordinates until converted
+    u2[0] = 0.0 if problem.initial is None else dec.modal_loads(
+        fem.load_vector(space, problem.initial))
     for lo, hi in _load_chunks(space, 0, N, q + 3):
-        moments = interval_moments(problem, space, partition, q, lo, hi)
-        for i in range(lo, hi):
-            k = float(partition.widths[i])
-            if k not in systems:
-                systems[k] = LocalBlockSystem(space, k, q)
-            try:
-                u1[i], u2[i + 1] = systems[k].step(u2[i], moments[i - lo], jumps.get(i + 1))
-            except RuntimeError as exc:
-                raise RuntimeError("interval %d: %s" % (i, exc)) from exc
+        w = width_of[lo:hi]
+        kb = dec.modal_loads(interval_moments(problem, space, partition, q, lo, hi))
+        kb *= partition.widths[lo:hi, None, None]
+        forced = np.einsum("irsd,isd->ird", inv_t[w], kb[:, : q + 1])
+        g = kb[:, q + 1] + np.einsum("ird,ird->id", r_t[w], forced)
+        for i, zeta in jumps.items():
+            if lo < i <= hi:
+                g[i - 1 - lo] += zeta
+        a = alpha[w]
+        for j in range(hi - lo):
+            u2[lo + j + 1] = a[j] * u2[lo + j] + g[j]
+        u1[lo:hi] = dec.coefficients(forced + inv_t[w, :, 0] * u2[lo:hi, None, :])
+        u2[lo:hi] = dec.coefficients(u2[lo:hi])
+    u2[N] = dec.coefficients(u2[N])
     return SpaceTimeSolution(q, partition, space, u1, u2, problem=problem)
 
 
@@ -282,7 +315,7 @@ def solve_global(problem, space, partition, q):
     for i in range(N):
         for m in range(q + 1):
             u1[i, m] = x[trial_slice(i, m)]
-    u2 = np.empty((N + 1, dof))
+    u2 = np.zeros((N + 1, dof))   # interior nodes are reconstructed below
     u2[0] = _initial_coefficients(problem, space)
     u2[N] = x[u2_slice]
     sol = SpaceTimeSolution(q, partition, space, u1, u2, problem=problem)

@@ -10,7 +10,7 @@ from stheat.analysis import (
     infsup_discrete,
     stability_check,
 )
-from stheat.fem import FemSpace, assemble
+from stheat.fem import FemSpace, assemble, load_vector
 from stheat.problems import (
     ExactSolution,
     ProblemSpec,
@@ -24,8 +24,10 @@ from stheat.timegrid import (
     ReferenceBlocks,
     TemporalBasis,
     TimePartition,
+    chunks,
     gauss_rule,
     make_uniform_partition,
+    quadrature_nodes,
 )
 
 
@@ -325,3 +327,40 @@ def test_stability_check_rejects_impulses():
     sol = run_decomposed(problem, space, part, q=0)
     with pytest.raises(ValueError):
         stability_check(sol, problem, 2.0)
+
+
+def _stability_dense_reference(solution, problem, c_s):
+    """Reference: the stability terms from the dense matrices, with a
+    Cholesky solve against K for the H^-1 norm of f."""
+    space, part, q = solution.space, solution.partition, solution.q
+    u1_sq = 0.0
+    for i in range(part.num_intervals):
+        k = float(part.widths[i])
+        for m in range(q + 1):
+            c = solution.u1[i, m]
+            u1_sq += (k / (2 * m + 1)) * float(c @ space.stiffness @ c)
+    u2N_sq = float(solution.u2[-1] @ space.mass @ solution.u2[-1])
+    u0_sq = float(solution.u2[0] @ space.mass @ solution.u2[0])
+    stiffness_cho = scipy.linalg.cho_factor(space.stiffness)
+    f_sq = 0.0
+    per_item = (q + 4) * space.grid_size(space.degree + 2)
+    for lo, hi in chunks(0, part.num_intervals, per_item):
+        _, t, _, w = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
+        loads = load_vector(space, problem.rhs, t=t)
+        f_sq += float(w @ np.sum(loads * scipy.linalg.cho_solve(stiffness_cho, loads), axis=0))
+    return {"u1_L2V_sq": u1_sq, "u2_final_H_sq": u2N_sq, "f_dual_sq": f_sq, "u0_H_sq": u0_sq,
+            "lhs": u1_sq + u2N_sq, "rhs": c_s ** 2 * f_sq + u0_sq}
+
+
+@pytest.mark.parametrize("problem,space_args,N,q", [
+    (problem_1d_smooth(), (1, 8, 2), 40, 0),
+    (problem_1d_lowreg(0.5), (1, 6, 3), 7, 1),   # initial datum, kink inside interval 3
+    (problem_2d_smooth(), (2, 4, 2), 9, 0),
+])
+def test_stability_check_matches_dense_reference(problem, space_args, N, q):
+    space = assemble(*space_args)
+    sol = run_decomposed(problem, space, make_uniform_partition(1.0, N), q)
+    report = stability_check(sol, problem, 1.7)
+    ref = _stability_dense_reference(sol, problem, 1.7)
+    for key, value in ref.items():
+        assert report[key] == pytest.approx(value, rel=1e-12, abs=1e-300), key

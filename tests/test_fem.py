@@ -96,6 +96,33 @@ def test_spectral_mass_orthonormal():
     assert np.allclose(gram, np.eye(space.dof_count), atol=1e-10)
 
 
+def test_spectral_2d_is_the_tensor_product_of_the_line():
+    """In 2D the eigenpairs are V (x) V with eigenvalues lam_i + lam_j, never
+    formed by the package; formed here, they diagonalize the dense matrices,
+    and the modal maps equal the dense products."""
+    space = assemble(2, 3, 2)
+    dec = spectral(space)
+    V2 = np.kron(dec.eigenvectors, dec.eigenvectors)
+    lam = spectral(assemble(1, 3, 2)).eigenvalues
+    assert np.allclose(dec.eigenvalues, (lam[:, None] + lam[None, :]).ravel(), rtol=1e-14)
+    assert np.allclose(V2.T @ space.mass @ V2, np.eye(space.dof_count), atol=1e-12)
+    assert np.allclose(space.mass @ V2 @ np.diag(dec.eigenvalues) @ V2.T @ space.mass,
+                       space.stiffness, rtol=1e-10, atol=1e-10)
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((4, space.dof_count))
+    assert np.allclose(dec.modal_loads(X), X @ V2, atol=1e-12)
+    assert np.allclose(dec.modal_coefficients(X), X @ space.mass @ V2, atol=1e-12)
+    assert np.allclose(dec.coefficients(X), X @ V2.T, atol=1e-12)
+
+
+def test_2d_space_keeps_only_line_matrices_until_asked():
+    space = assemble(2, 3, 2)
+    l2_project(space, lambda x, y: np.sin(np.pi * x) * y)
+    spectral(space)
+    assert "mass" not in vars(space) and "stiffness" not in vars(space)
+    assert space.mass.shape == (space.dof_count, space.dof_count)
+
+
 def test_l2_project_zero():
     space = assemble(1, 6, 2)
     assert np.allclose(l2_project(space, lambda x: 0.0 * x), 0.0, atol=1e-15)
@@ -139,8 +166,8 @@ def _fe_callable(space, coeffs):
         return g
     # 2D tensor-product: coefficient index i * line_dof + j pairs the i-th
     # basis function in x with the j-th in y
-    line_dof = space._line.dof_count
-    n, p = space._line.n, space._line.degree
+    line_dof = space.line_mass.shape[0]
+    n, p = space.n, space.degree
 
     def basis_1d(x):
         vals = np.zeros(line_dof)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
-from stheat.fem import FemSpace, assemble, l2_project
+from stheat.fem import FemSpace, assemble, l2_project, load_vector
 from stheat.problems import (
     ProblemSpec,
     problem_1d_lowreg,
     problem_1d_smooth,
+    problem_2d_smooth,
     problem_impulse,
 )
 from stheat.solver import (
@@ -15,6 +18,7 @@ from stheat.solver import (
     assemble_load,
     crank_nicolson,
     global_layout,
+    impulse_loads,
     interval_moments,
     reconstruct_u2,
     run_decomposed,
@@ -208,7 +212,6 @@ def test_interval_moments_constant_forcing():
                           initial=None, final_time=1.0)
     space = assemble(1, 4, 1)
     m = interval_moments(problem, space, TimePartition([0.0, 0.2, 0.7]), 1, 1, 2)
-    from stheat.fem import load_vector
     assert m.shape == (1, 3, space.dof_count)
     assert np.allclose(m[0].sum(axis=0), load_vector(space, lambda x: np.ones_like(x)), atol=1e-13)
 
@@ -269,3 +272,91 @@ def test_nonuniform_partition_march():
     sol = run_decomposed(problem, space, part, q=0)
     ref = solve_global(problem, space, part, q=0)
     assert np.allclose(sol.u2, ref.u2, atol=1e-10)
+
+
+# -- modal march against the reference solvers --------------------------------
+
+def _march_interval_by_interval(problem, space, partition, q):
+    """Reference: the dense interval march, one LocalBlockSystem.step per
+    interval, in FE coordinates throughout; returns (u1, u2)."""
+    N, dof = partition.num_intervals, space.dof_count
+    jumps = impulse_loads(problem, space, partition)
+    moments = interval_moments(problem, space, partition, q)
+    u1 = np.empty((N, q + 1, dof))
+    u2 = np.zeros((N + 1, dof))
+    if problem.initial is not None:
+        u2[0] = scipy.linalg.cho_solve(space.mass_cho(), load_vector(space, problem.initial))
+    systems = {}
+    for i in range(N):
+        k = float(partition.widths[i])
+        if k not in systems:
+            systems[k] = LocalBlockSystem(space, k, q)
+        u1[i], u2[i + 1] = systems[k].step(u2[i], moments[i], jumps.get(i + 1))
+    return u1, u2
+
+
+def _relative_gap(sol, u1, u2):
+    """Largest entry gap between sol and the reference (u1, u2), relative to
+    the largest reference entry of either component, as in criterion 09.
+    (u2 alone can be orders smaller than u1 when k lambda is large, and
+    every solver computes it from u1 with a cancellation of that size.)"""
+    scale = max(np.abs(u1).max(), np.abs(u2).max(), 1e-300)
+    return max(np.abs(sol.u1 - u1).max(), np.abs(sol.u2 - u2).max()) / scale
+
+
+def _decay(dimension):
+    if dimension == 1:
+        initial = lambda x: np.sin(np.pi * x) + 0.3 * np.sin(4.0 * np.pi * x)
+    else:
+        initial = lambda x, y: np.sin(np.pi * x) * np.sin(2.0 * np.pi * y) + x * y
+    return ProblemSpec(name="decay", dimension=dimension, rhs=None, initial=initial,
+                       final_time=1.0)
+
+
+_THREE_WIDTHS = TimePartition([0.0, 0.1, 0.25, 0.3, 0.6, 0.65, 1.0])
+
+
+@pytest.mark.parametrize("problem,space_args,partition,q", [
+    (problem_1d_smooth(), (1, 6, 2), make_uniform_partition(1.0, 8), 0),
+    (problem_1d_smooth(), (1, 5, 3), make_uniform_partition(1.0, 5), 1),
+    (problem_1d_smooth(), (1, 4, 1), make_uniform_partition(1.0, 3), 2),
+    (problem_1d_smooth(), (1, 5, 2), _THREE_WIDTHS, 0),
+    (problem_1d_lowreg(0.5), (1, 4, 2), _THREE_WIDTHS, 1),
+    (problem_1d_lowreg(0.5), (1, 5, 2), make_uniform_partition(1.0, 3), 1),  # kink inside
+    (problem_impulse(lambda x: np.sin(np.pi * x), 0.5), (1, 5, 2),
+     make_uniform_partition(1.0, 4), 0),
+    (problem_impulse(lambda x: x * (1.0 - x), 0.5), (1, 4, 2),
+     make_uniform_partition(1.0, 6), 1),
+    (_decay(1), (1, 6, 2), make_uniform_partition(1.0, 7), 0),
+    (_decay(2), (2, 3, 2), make_uniform_partition(1.0, 4), 0),
+    (problem_2d_smooth(), (2, 3, 2), make_uniform_partition(1.0, 4), 0),
+    (problem_2d_smooth(), (2, 3, 1), _THREE_WIDTHS, 1),
+])
+def test_modal_march_matches_references(problem, space_args, partition, q):
+    """run_decomposed (modal) equals the dense interval march and the coupled
+    solve, and with q = 0 and no forcing the Crank-Nicolson iterates."""
+    space = assemble(*space_args)
+    sol = run_decomposed(problem, space, partition, q)
+    assert _relative_gap(sol, *_march_interval_by_interval(problem, space, partition, q)) <= 1e-12
+    ref = solve_global(problem, space, partition, q)
+    assert _relative_gap(sol, ref.u1, ref.u2) <= 1e-12
+    if q == 0 and problem.rhs is None and not problem.impulses:
+        W = crank_nicolson(problem, space, partition)
+        assert np.abs(sol.u2 - W).max() <= 1e-12 * np.abs(W).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(dimension=st.sampled_from([1, 2]), n=st.integers(2, 4), p=st.integers(1, 3),
+       q=st.integers(0, 2),
+       widths=st.lists(st.sampled_from([0.5, 1.0, 1.5, 3.0]), min_size=1, max_size=6))
+def test_modal_march_property(dimension, n, p, q, widths):
+    """Random small spaces and partitions, repeated widths included: the modal
+    march equals the interval march and the coupled solve."""
+    nodes = np.concatenate([[0.0], np.cumsum(widths)]) / np.sum(widths)
+    partition = TimePartition(nodes)
+    problem = problem_1d_lowreg(0.5) if dimension == 1 else problem_2d_smooth()
+    space = assemble(dimension, n, p)
+    sol = run_decomposed(problem, space, partition, q)
+    assert _relative_gap(sol, *_march_interval_by_interval(problem, space, partition, q)) <= 1e-12
+    ref = solve_global(problem, space, partition, q)
+    assert _relative_gap(sol, ref.u1, ref.u2) <= 1e-12
