@@ -71,18 +71,21 @@ def error_norms(solution, problem):
 
     err1_sq = 0.0
     for lo, hi in chunks(0, part.num_intervals, (q + 4) * space.grid_size(nq)):
-        owner, t, tau, wt = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
-        coeffs = np.einsum("mg,gmd->gd", trial.eval_all(tau), solution.u1[owner])  # (nt, dof)
+        t, tau, wt = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
+        P = trial.eval_all(tau.ravel()).T.reshape(*t.shape, q + 1)
+        coeffs = np.matmul(P, solution.u1[lo:hi]).reshape(t.size, -1)   # (nt, dof)
         if space.dimension == 1:
-            ge = problem.exact.grad(x[None, :], t[:, None])
-            sp = ((coeffs @ D - ge) ** 2) @ w
+            sq = coeffs @ D
+            sq -= problem.exact.grad(x[None, :], t.reshape(-1, 1))
+            sp = np.square(sq, out=sq) @ w
         else:
             d = B.shape[0]
             Cm = coeffs.reshape(-1, d, d)
-            ex, ey = problem.exact.grad(x[None, :, None], x[None, None, :], t[:, None, None])
-            sq = (D.T @ Cm @ B - ex) ** 2 + (B.T @ Cm @ D - ey) ** 2   # (nt, nx, ny)
+            ex, ey = problem.exact.grad(x[None, :, None], x[None, None, :], t.reshape(-1, 1, 1))
+            sq = (D.T @ Cm @ B - ex) ** 2   # (nt, nx, ny)
+            sq += (B.T @ Cm @ D - ey) ** 2
             sp = np.einsum("gab,a,b->g", sq, w, w)
-        err1_sq += float(wt @ sp)
+        err1_sq += float(wt.ravel() @ sp)
 
     # Nodal error of U2 against the projected exact trace.  The projection
     # realizes the exact trace in the discrete H = V_h, matching the
@@ -129,13 +132,13 @@ def _banded(blocks):
     return ab
 
 
+# LAPACK's banded Cholesky behind scipy.linalg.cholesky_banded, without its checks.
+_pbtrf, = scipy.linalg.get_lapack_funcs(("pbtrf",), dtype=np.float64)
+
+
 def _definite(ab):
     """Whether the lower banded matrix ab is positive definite."""
-    try:
-        scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        return False
-    return True
+    return _pbtrf(ab, lower=1)[1] == 0
 
 
 def _top(A, G):
@@ -158,8 +161,9 @@ def _top(A, G):
 
 
 def _mode_matrices(space, partition, q):
-    """Per spatial mode of (K, M), the banded matrices (BB, GX, GC) over the
-    time-ordered test layout (node, interiors, node, ...).
+    """Per distinct eigenvalue of (K, M), the banded matrices (BB, GX, GC)
+    over the time-ordered test layout (node, interiors, node, ...).  Modes
+    sharing an eigenvalue (lam_i + lam_j = lam_j + lam_i in 2D) share them.
 
     In the M-orthonormal eigenbasis M -> 1, K -> lambda and M K^-1 M ->
     1/lambda, so interval i contributes with mu = k_i lambda: the projected
@@ -172,7 +176,7 @@ def _mode_matrices(space, partition, q):
     Lq = rb.L[:, : q + 1]
     odd = 2.0 * np.arange(q + 1) + 1.0
     proj = (Lq / odd) @ Lq.T
-    for lam in fem.spectral(space).eigenvalues:
+    for lam in np.unique(fem.spectral(space).eigenvalues):
         mu = partition.widths[:, None, None] * lam
         b = mu * rb.G - rb.D
         BB = _banded((b * (odd / mu)) @ b.transpose(0, 2, 1))
@@ -233,9 +237,9 @@ def stability_check(solution, problem, c_s):
     if problem.rhs is not None:
         per_item = (q + 4) * space.grid_size(space.degree + 2)
         for lo, hi in chunks(0, part.num_intervals, per_item):
-            _, t, _, w = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
-            f = dec.modal_loads(fem.load_vector(space, problem.rhs, t=t).T)
-            f_sq += float(w @ ((f * f) @ (1.0 / lam)))
+            t, _, w = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
+            f = dec.modal_loads(fem.load_vector(space, problem.rhs, t=t.ravel()).T)
+            f_sq += float(w.ravel() @ ((f * f) @ (1.0 / lam)))
     lhs = u1_sq + u2N_sq
     rhs = c_s ** 2 * f_sq + u0_sq
     return {

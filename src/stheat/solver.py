@@ -35,12 +35,13 @@ matrix per mode and distinct width) and r = D[q+1] - mu G[q+1]:
 with b, zeta and a2 in modal coordinates (V^T load, V^T M u2).
 """
 
+import functools
+
 import numpy as np
 import scipy.linalg
 
 from . import fem
-from .timegrid import (ReferenceBlocks, TemporalBasis, chunks, legendre_eval,
-                       quadrature_nodes, sum_by_interval)
+from .timegrid import ReferenceBlocks, TemporalBasis, chunks, legendre_eval, quadrature_nodes
 
 
 class SpaceTimeSolution:
@@ -140,13 +141,19 @@ def interval_moments(problem, space, partition, q, lo=0, hi=None):
     out = np.zeros((hi - lo, q + 2, space.dof_count))
     if problem.rhs is None:
         return out
-    test = TemporalBasis(q + 1, "nodal-lagrange")
+    test = _test_basis(q)
     for a, b in _load_chunks(space, lo, hi, q + 3):
-        owner, t, tau, w = quadrature_nodes(partition, a, b, q + 3, problem.time_breakpoints)
-        loads = fem.load_vector(space, problem.rhs, t=t)               # (dof, nt)
-        basis = test.eval_all(tau) * (w / partition.widths[owner])     # (q+2, nt)
-        out[a - lo: b - lo] = sum_by_interval(owner, basis.T[:, :, None] * loads.T[:, None, :])
+        t, tau, w = quadrature_nodes(partition, a, b, q + 3, problem.time_breakpoints)
+        loads = fem.load_vector(space, problem.rhs, t=t.ravel()).reshape(-1, *t.shape)
+        basis = test.eval_all(tau.ravel()).reshape(-1, *t.shape) * (w / partition.widths[a:b, None])
+        np.matmul(basis.transpose(1, 0, 2), loads.transpose(1, 2, 0), out=out[a - lo: b - lo])
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _test_basis(q):
+    """The test basis of interval_moments, built once per degree."""
+    return TemporalBasis(q + 1, "nodal-lagrange")
 
 
 def _initial_coefficients(problem, space):
@@ -367,8 +374,9 @@ def crank_nicolson(problem, space, partition):
     factors = {}
     for lo, hi in _load_chunks(space, 0, N, 4):
         if problem.rhs is not None:
-            owner, t, _, w = quadrature_nodes(partition, lo, hi, 4, problem.time_breakpoints)
-            forcing = sum_by_interval(owner, (fem.load_vector(space, problem.rhs, t=t) * w).T)
+            t, _, w = quadrature_nodes(partition, lo, hi, 4, problem.time_breakpoints)
+            loads = fem.load_vector(space, problem.rhs, t=t.ravel()).reshape(-1, *t.shape)
+            forcing = np.matmul(loads.transpose(1, 0, 2), w[:, :, None])[..., 0]
         for i in range(lo, hi):
             k = float(partition.widths[i])
             if k not in factors:

@@ -7,8 +7,12 @@ polynomials at Gauss-Lobatto points (test side, so the endpoint values of a
 test function are single coefficients).  Everything here is exact polynomial
 arithmetic up to round-off.  Every space-time integral of the package (load
 moments, error norms, the stability bound) takes its time nodes from
-quadrature_nodes, one chunk of intervals at a time.
+quadrature_nodes, one chunk of intervals at a time, in a regular
+(interval, slot) layout: row i holds the Gauss nodes of one interval, so an
+integral over each interval is a contraction over the slot axis.
 """
+
+import functools
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -59,17 +63,17 @@ class QuadratureRule:
         self.points = points
         self.weights = weights
 
-    @property
-    def npoints(self):
-        return self.points.size
 
-
+@functools.lru_cache(maxsize=None)
 def gauss_rule(n):
-    """Gauss-Legendre rule with n points on [0,1]; exact for degree <= 2n-1."""
+    """Gauss-Legendre rule with n points on [0,1]; exact for degree <= 2n-1.
+    Built once per point count, so its arrays are shared and read-only."""
     if n < 1:
         raise ValueError("need at least one quadrature point")
     x, w = npleg.leggauss(int(n))
-    return QuadratureRule(0.5 * (x + 1.0), 0.5 * w)
+    rule = QuadratureRule(0.5 * (x + 1.0), 0.5 * w)
+    rule.points.flags.writeable = rule.weights.flags.writeable = False
+    return rule
 
 
 def lobatto_points(m):
@@ -167,27 +171,26 @@ def quadrature_nodes(partition, lo, hi, npoints, breakpoints=()):
 
     Each interval is cut at the breakpoints that lie strictly inside it (so a
     kink of the integrand does not degrade accuracy) and every segment gets
-    the npoints-point Gauss rule.  Returns flat arrays (interval, t, tau,
-    weight): the owning interval, the physical time, its reference
-    coordinate (t - a)/k on the owning interval [a, a + k], and the physical
-    weight.  Nodes are ordered by time, so each interval's nodes are
-    contiguous.
+    the npoints-point Gauss rule.  Returns (t, tau, weight) of shape
+    (hi-lo, slots): row i holds the physical times, their reference
+    coordinates (t - a)/k on interval lo+i = [a, a + k], and the physical
+    weights, in time order.  slots is npoints times the largest segment
+    count in the chunk; a shorter row is padded with weight 0 at copies of
+    its own first Gauss nodes, never at an interval end or a cut.
     """
     rule = gauss_rule(npoints)
     nodes = partition.nodes[lo:hi + 1]
     cuts = [b for b in breakpoints if nodes[0] < b < nodes[-1] and b not in nodes]
     pts = np.union1d(nodes, cuts)
-    s0, ds = pts[:-1], np.diff(pts)
-    owner = np.repeat(lo + np.searchsorted(nodes, s0, side="right") - 1, rule.npoints)
-    t = (s0[:, None] + ds[:, None] * rule.points).ravel()
-    weight = (ds[:, None] * rule.weights).ravel()
-    tau = (t - partition.nodes[owner]) / partition.widths[owner]
-    return owner, t, tau, weight
-
-
-def sum_by_interval(owner, values):
-    """Sum the rows of values (one per quadrature node) over each owning interval."""
-    return np.add.reduceat(values, np.flatnonzero(np.diff(owner, prepend=-1)), axis=0)
+    seg0, seg = pts[:-1], np.diff(pts)
+    first = np.searchsorted(pts, nodes)   # the segment each node starts
+    slots = np.arange(np.diff(first).max())
+    live = slots < np.diff(first)[:, None]
+    pick = first[:-1, None] + slots * live   # a pad repeats its row's first segment
+    t = (seg0[pick][..., None] + seg[pick][..., None] * rule.points).reshape(hi - lo, -1)
+    weight = ((live * seg[pick])[..., None] * rule.weights).reshape(hi - lo, -1)
+    tau = (t - nodes[:-1, None]) / partition.widths[lo:hi, None]
+    return t, tau, weight
 
 
 def legendre_eval(coeffs, interval, t):

@@ -19,7 +19,8 @@ from stheat.problems import (
     problem_2d_smooth,
     problem_impulse,
 )
-from stheat.solver import assemble_bilinear, global_layout, run_decomposed
+from stheat import timegrid
+from stheat.solver import assemble_bilinear, global_layout, interval_moments, run_decomposed
 from stheat.timegrid import (
     ReferenceBlocks,
     TemporalBasis,
@@ -345,9 +346,10 @@ def _stability_dense_reference(solution, problem, c_s):
     f_sq = 0.0
     per_item = (q + 4) * space.grid_size(space.degree + 2)
     for lo, hi in chunks(0, part.num_intervals, per_item):
-        _, t, _, w = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
-        loads = load_vector(space, problem.rhs, t=t)
-        f_sq += float(w @ np.sum(loads * scipy.linalg.cho_solve(stiffness_cho, loads), axis=0))
+        t, _, w = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
+        loads = load_vector(space, problem.rhs, t=t.ravel())
+        f_sq += float(w.ravel() @ np.sum(loads * scipy.linalg.cho_solve(stiffness_cho, loads),
+                                         axis=0))
     return {"u1_L2V_sq": u1_sq, "u2_final_H_sq": u2N_sq, "f_dual_sq": f_sq, "u0_H_sq": u0_sq,
             "lhs": u1_sq + u2N_sq, "rhs": c_s ** 2 * f_sq + u0_sq}
 
@@ -364,3 +366,28 @@ def test_stability_check_matches_dense_reference(problem, space_args, N, q):
     ref = _stability_dense_reference(sol, problem, 1.7)
     for key, value in ref.items():
         assert report[key] == pytest.approx(value, rel=1e-12, abs=1e-300), key
+
+
+def test_quadrature_is_chunk_invariant(monkeypatch):
+    """Loads, error norms and the stability terms do not depend on the chunk
+    size.  N = 9 puts the kink of heat1d-lowreg (t = 1/2) inside interval 4:
+    in one chunk every row but interval 4 carries pad slots, while chunks of
+    2-3 intervals pad only the rows that share a chunk with interval 4."""
+    problem = problem_1d_lowreg(0.5)
+    space, part, q = assemble(1, 4, 2), make_uniform_partition(1.0, 9), 1
+    sol = run_decomposed(problem, space, part, q)
+
+    def quadratures():
+        errors = error_norms(sol, problem)
+        stability = stability_check(sol, problem, 1.7)
+        return (interval_moments(problem, space, part, q),
+                np.array([errors.err_u1_L2V, *errors.per_node]),
+                np.array([v for v in stability.values() if not isinstance(v, bool)]))
+
+    monkeypatch.setattr(timegrid, "CHUNK_VALUES", 1 << 40)
+    whole = quadratures()
+    monkeypatch.setattr(timegrid, "CHUNK_VALUES", 2 * (q + 4) * space.grid_size(space.degree + 4))
+    assert len(timegrid.chunks(0, part.num_intervals, (q + 3) * space.grid_size(space.degree + 2))) == 3
+    for one, many in zip(whole, quadratures()):
+        assert np.all(np.isfinite(many))
+        assert np.abs(many - one).max() <= 1e-13 * np.abs(one).max()

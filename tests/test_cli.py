@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -248,3 +250,16 @@ def test_run_level_2d_never_forms_dense_matrices(monkeypatch):
     assert row["err_u1_L2V"] > 0.0 and row["diagnostics"]["stability"]["satisfied"]
     assert len(spaces) == 1
     assert "mass" not in vars(spaces[0]) and "stiffness" not in vars(spaces[0])
+
+
+def test_python_m_stheat_runs_without_runpy_warning(tmp_path):
+    cfg = _write_config(tmp_path, dict(SMALL_RUN, levels=[2]))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stheat.cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "stheat", "run", cfg, "--quiet",
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert (tmp_path / "out" / "rates.csv").exists()

@@ -11,15 +11,13 @@ from stheat.timegrid import (
     lobatto_points,
     make_uniform_partition,
     quadrature_nodes,
-    sum_by_interval,
 )
 
 
 def _moment(f, phi, nodes, npoints, breakpoints=()):
     """int f(s) phi(s) ds over each interval of the partition, by the kernel."""
-    owner, t, _, w = quadrature_nodes(TimePartition(nodes), 0, len(nodes) - 1, npoints,
-                                      breakpoints)
-    return sum_by_interval(owner, w * f(t) * phi(t))
+    t, _, w = quadrature_nodes(TimePartition(nodes), 0, len(nodes) - 1, npoints, breakpoints)
+    return np.sum(w * f(t) * phi(t), axis=1)
 
 
 def test_uniform_partition_nodes():
@@ -131,13 +129,32 @@ def test_moment_kink_splitting_is_exact():
 
 def test_quadrature_nodes_layout():
     part = TimePartition([0.0, 0.1, 0.35, 0.4, 1.0])
-    owner, t, tau, w = quadrature_nodes(part, 1, 4, 2, breakpoints=(0.2, 0.4, 0.7, 5.0))
-    # interval 1 and 3 are cut once (0.2, 0.7); 0.4 is a node, 5.0 outside
-    assert owner.tolist() == [1, 1, 1, 1, 2, 2, 3, 3, 3, 3]
-    assert np.all(np.diff(t) > 0)
-    assert np.allclose(t, part.nodes[owner] + tau * part.widths[owner], atol=1e-15)
+    t, tau, w = quadrature_nodes(part, 1, 4, 2, breakpoints=(0.2, 0.4, 0.7, 5.0))
+    # interval 1 and 3 are cut once (0.2, 0.7); 0.4 is a node, 5.0 outside;
+    # interval 2 fills its 2 Gauss nodes and pads 2 slots
+    assert t.shape == tau.shape == w.shape == (3, 4)
+    a, k = part.nodes[1:4, None], part.widths[1:4, None]
+    assert np.allclose(t, a + k * tau, atol=1e-15)
     assert np.all((tau > 0.0) & (tau < 1.0))
-    assert np.allclose(sum_by_interval(owner, w), part.widths[1:4], atol=1e-15)
+    assert np.allclose(w.sum(axis=1), part.widths[1:4], atol=1e-15)
+    live = w > 0.0
+    assert live.sum(axis=1).tolist() == [4, 2, 4]
+    assert np.all(np.diff(t[0]) > 0) and np.all(np.diff(t[2]) > 0)
+    assert np.all(w[1, 2:] == 0.0) and np.all(np.diff(t[1, :2]) > 0)
+    # each pad repeats a real node of its own row
+    for row_t, row_live in zip(t, live):
+        assert np.all(np.isin(row_t[~row_live], row_t[row_live]))
+    # no node sits on a cut
+    assert not np.any(np.isin(t, (0.2, 0.7)))
+
+
+def test_gauss_rule_is_cached_and_read_only():
+    rule = gauss_rule(4)
+    assert gauss_rule(4) is rule
+    with pytest.raises(ValueError):
+        rule.points[0] = 0.5
+    with pytest.raises(ValueError):
+        rule.weights[0] = 0.5
 
 
 def test_chunks_cover_the_range():
