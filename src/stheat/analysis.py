@@ -75,16 +75,21 @@ def error_norms(solution, problem):
         P = trial.eval_all(tau.ravel()).T.reshape(*t.shape, q + 1)
         coeffs = np.matmul(P, solution.u1[lo:hi]).reshape(t.size, -1)   # (nt, dof)
         if space.dimension == 1:
-            sq = coeffs @ D
+            sq = fem.gather(D, coeffs)
             sq -= problem.exact.grad(x[None, :], t.reshape(-1, 1))
             sp = np.square(sq, out=sq) @ w
         else:
-            d = B.shape[0]
+            d = space.line_mass.shape[0]
             Cm = coeffs.reshape(-1, d, d)
-            ex, ey = problem.exact.grad(x[None, :, None], x[None, None, :], t.reshape(-1, 1, 1))
-            sq = (D.T @ Cm @ B - ex) ** 2   # (nt, nx, ny)
-            sq += (B.T @ Cm @ D - ey) ** 2
-            sp = np.einsum("gab,a,b->g", sq, w, w)
+            # D^T C B and B^T C D one axis at a time, as (nt, ny, nx) arrays
+            sq = fem.gather(D, fem.gather(B, Cm).swapaxes(1, 2))
+            uy = fem.gather(B, fem.gather(D, Cm).swapaxes(1, 2))
+            ex, ey = problem.exact.grad(x[None, None, :], x[None, :, None], t.reshape(-1, 1, 1))
+            sq -= ex
+            uy -= ey
+            sq *= sq
+            sq += np.square(uy, out=uy)
+            sp = (sq @ w) @ w
         err1_sq += float(wt.ravel() @ sp)
 
     # Nodal error of U2 against the projected exact trace.  The projection

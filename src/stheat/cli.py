@@ -2,7 +2,7 @@
 
 Config schema (flat JSON object):
   problem         str    "heat1d-smooth", "heat2d-smooth", "heat1d-lowreg", "impulse"
-  q               int    temporal trial degree, default 0
+  q               int    temporal trial degree 0..9 (MAX_TRIAL_DEGREE), default 0
   p               int    spatial degree 1..3, default 2
   levels          list   spatial refinements n, nonempty, strictly increasing
   coupling_c      float  time step law k = c * h^gamma, default 1.0
@@ -38,7 +38,7 @@ from .analysis import (DiagnosticsReport, cfl_constant, cs_constant,
 from .fem import assemble
 from .problems import problem_by_id, validate_residual
 from .solver import run_decomposed
-from .timegrid import make_uniform_partition
+from .timegrid import MAX_TRIAL_DEGREE, make_uniform_partition
 
 OUT_DIR_ENV = "STHEAT_OUT_DIR"
 
@@ -95,8 +95,9 @@ class ExperimentConfig:
             raise ConfigError("levels must be integers >= 2")
         if list(self.levels) != sorted(set(self.levels)):
             raise ConfigError("levels must be strictly increasing")
-        if self.q < 0:
-            raise ConfigError("q must be >= 0")
+        if not 0 <= self.q <= MAX_TRIAL_DEGREE:
+            raise ConfigError("q must lie in 0..%d: the Lagrange test basis of a higher "
+                              "degree is not accurate in double precision" % MAX_TRIAL_DEGREE)
         if self.p not in (1, 2, 3):
             raise ConfigError("p must be 1, 2 or 3")
         if self.coupling_c <= 0 or self.coupling_gamma <= 0:
@@ -154,7 +155,11 @@ def level_geometry(cfg, idx, final_time):
         return n, cfg.explicit_N[idx]
     h = 1.0 / n
     k_target = cfg.coupling_c * h ** cfg.coupling_gamma
-    return n, max(1, int(round(final_time / k_target)))
+    steps = final_time / k_target if k_target > 0.0 else math.inf
+    if not math.isfinite(steps):
+        raise ConfigError("level n=%d: the step law k = %g * h^%g gives no finite "
+                          "interval count" % (n, cfg.coupling_c, cfg.coupling_gamma))
+    return n, max(1, int(round(steps)))
 
 
 def level_bytes(dimension, n, p, q, N):
@@ -179,6 +184,18 @@ def check_memory(cfg, count):
         if need > available:
             raise ConfigError("level n=%d, N=%d needs at least %.3g GB, more than the "
                               "%.3g GB of physical memory" % (n, N, need / 1e9, available / 1e9))
+
+
+def check_step_sizes(cfg):
+    """Raise ConfigError if errors are on and two levels share an interval
+    count: equal step sizes k leave no rate to fit in log k."""
+    if not cfg.errors or len(cfg.levels) < 2:
+        return
+    final_time = problem_by_id(cfg.problem, cfg.epsilon).final_time
+    counts = [level_geometry(cfg, idx, final_time)[1] for idx in range(len(cfg.levels))]
+    if len(set(counts)) < len(counts):
+        raise ConfigError("levels %s get interval counts %s; rates need a distinct step "
+                          "size on every level" % (list(cfg.levels), counts))
 
 
 def run_level(cfg, idx, problem):
@@ -368,6 +385,8 @@ def main(argv=None):
     try:
         cfg = _load_config(args.config)
         check_memory(cfg, len(cfg.levels) if args.command == "run" else 1)
+        if args.command == "run":
+            check_step_sizes(cfg)
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG

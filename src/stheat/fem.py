@@ -11,6 +11,13 @@ spatial operation works through them and the M-orthonormal eigenbasis of
 
 are formed only on first access, by the reference solvers.
 
+Spatial quadrature is element-local: local degree r of element e is line
+node e*p + r, so loads (_scatter) and point values (gather) contract each
+element with the (nq, p+1) tables of the reference element (element_tables),
+one axis at a time in 2D (sum factorization), at a cost per time linear in
+the DOF count.  Only assemble forms dense (dof, n*nq) tables, which keeps
+the rounding of M and K.
+
 Coefficient vectors in 2D are flattened row-major: entry i*d + j multiplies
 phi_i(xi) * phi_j(eta) where d is the 1D DOF count.
 """
@@ -37,7 +44,6 @@ class FemSpace:
         self.line_mass = line_mass
         self.line_stiffness = line_stiffness
         self.dof_count = line_mass.shape[0] ** max(dimension, 1)
-        self._tables = {}
         self._mass_cho = None
         self._spectral = None
 
@@ -79,14 +85,13 @@ class FemSpace:
     def line_tables(self, nq):
         """(x, w, B, D) for the 1D factor mesh with nq Gauss points per element.
 
-        x, w: global quadrature points/weights on (0,1); B, D: values and
-        x-derivatives of the interior basis functions there, shape (dof, npts).
+        x, w: global quadrature points/weights on (0,1), element-major, shape
+        (n*nq,); B, D: values and x-derivatives of the p+1 local basis
+        functions of one element at its nq points, shape (nq, p+1).
         """
         if self.n is None:
             raise ValueError("no mesh attached to this space")
-        if nq not in self._tables:
-            self._tables[nq] = _build_line_tables(self.n, self.degree, nq)
-        return self._tables[nq]
+        return _line_tables(self.n, self.degree, nq)
 
     def grid_size(self, nq):
         """Points of the spatial quadrature grid of line_tables(nq); 1 without a mesh."""
@@ -143,32 +148,29 @@ class SpectralDecomposition:
         return self._apply(a, self.eigenvectors.T)
 
 
-def _build_line_tables(n, p, nq):
-    rule = gauss_rule(nq)
-    h = 1.0 / n
-    # physical points and weights, element-major
-    x = (np.arange(n)[:, None] + rule.points[None, :]).ravel() * h
-    w = np.tile(rule.weights * h, n)
-    ref_nodes = np.arange(p + 1) / p
-    coeff = lagrange_coefficient_matrix(ref_nodes)  # (p+1, p+1), column j = basis j
-    powers = np.vander(rule.points, p + 1, increasing=True)
-    vals = powers @ coeff                            # (nq, p+1)
+@functools.lru_cache(maxsize=None)
+def element_tables(p, nq):
+    """Values and d/dxi of the p+1 Lagrange basis functions on [0,1]
+    (equispaced nodes) at the nq Gauss points, (nq, p+1) each; built once
+    per (p, nq), so the arrays are shared and read-only."""
+    coeff = lagrange_coefficient_matrix(np.arange(p + 1) / p)  # column j = basis j
+    powers = np.vander(gauss_rule(nq).points, p + 1, increasing=True)
     dcoef = np.zeros_like(coeff)
     for j in range(p + 1):
         der = np.polynomial.polynomial.polyder(coeff[:, j])
         dcoef[: der.size, j] = der
-    dvals = (powers @ dcoef) / h                     # d/dx, (nq, p+1)
-    dof = n * p - 1
-    B = np.zeros((dof, n * nq))
-    D = np.zeros((dof, n * nq))
-    for e in range(n):
-        cols = slice(e * nq, (e + 1) * nq)
-        for r in range(p + 1):
-            g = e * p + r
-            if 1 <= g <= dof:
-                B[g - 1, cols] += vals[:, r]
-                D[g - 1, cols] += dvals[:, r]
-    return x, w, B, D
+    vals, dvals = powers @ coeff, powers @ dcoef
+    vals.flags.writeable = dvals.flags.writeable = False
+    return vals, dvals
+
+
+def _line_tables(n, p, nq):
+    rule = gauss_rule(nq)
+    h = 1.0 / n
+    x = (np.arange(n)[:, None] + rule.points[None, :]).ravel() * h
+    w = np.tile(rule.weights * h, n)
+    vals, dvals = element_tables(p, nq)
+    return x, w, vals, dvals / h
 
 
 def assemble(dimension, n, p):
@@ -179,7 +181,17 @@ def assemble(dimension, n, p):
         raise ValueError("polynomial degree must be 1, 2 or 3, got %r" % (p,))
     if n < 2:
         raise ValueError("need at least 2 elements per side, got %r" % (n,))
-    x, w, B, D = _build_line_tables(n, p, p + 1)  # exact for the degree-2p integrands
+    # M and K are products of the dense (dof, n*nq) basis tables, exact for
+    # the degree-2p integrands; the element-local form would move them by an ulp.
+    _, w, vals, dvals = _line_tables(n, p, p + 1)
+    e = np.arange(n)
+    B = np.zeros((n * p + 1, n, p + 1))
+    D = np.zeros_like(B)
+    for r in range(p + 1):
+        B[e * p + r, e] = vals[:, r]
+        D[e * p + r, e] = dvals[:, r]
+    B = B[1:-1].reshape(n * p - 1, -1)
+    D = D[1:-1].reshape(n * p - 1, -1)
     M = (B * w) @ B.T
     K = (D * w) @ D.T
     M = 0.5 * (M + M.T)
@@ -187,30 +199,66 @@ def assemble(dimension, n, p):
     return FemSpace(dimension, n, p, M, K)
 
 
+def _scatter(table, f):
+    """Contract the last axis of f, the n*nq points of a line, element by
+    element with the local table (nq, p+1) and sum into the n*p - 1 interior
+    nodes.  The lines are laid end to end as one flat array of n*p nodes
+    each: degrees r < p of element e fill node e*p + r, and degree p adds
+    into the next node p places on, which for the last element is node 0
+    of the next line (or a spare slot), dropped with the boundary."""
+    nq, p = table.shape[0], table.shape[1] - 1
+    lead, n = f.shape[:-1], f.shape[-1] // nq
+    f = f.reshape(-1, nq)
+    nodes = np.empty(f.shape[0] * p + 1)
+    np.matmul(f, table[:, :p], out=nodes[:-1].reshape(-1, p))
+    nodes[-1] = 0.0
+    nodes[p::p] += f @ table[:, p]
+    return nodes[:-1].reshape(lead + (n * p,))[..., 1:]
+
+
+def gather(table, c):
+    """Values at the n*nq points of a line from the interior-node
+    coefficients on the last axis of c, the transpose of _scatter: nodes
+    e*p .. e*p + p of element e times the local table (nq, p+1).  In the
+    flat layout of _scatter node n*p of a line is node 0 of the next, zero
+    like it, so the p+1 windows are strided slices of one array."""
+    nq, p = table.shape[0], table.shape[1] - 1
+    lead, n = c.shape[:-1], (c.shape[-1] + 1) // p
+    rows = c.size // c.shape[-1] * n
+    nodes = np.zeros(rows * p + 1)
+    nodes[:-1].reshape(lead + (n * p,))[..., 1:] = c
+    win = np.empty((p + 1, rows))
+    for r in range(p + 1):
+        win[r] = nodes[r:r + rows * p:p]
+    return (win.T @ table.T).reshape(lead + (n * nq,))
+
+
 def load_vector(space, g, nq=None, t=None):
     """Vector of inner products (g, phi_a) by element-wise Gauss quadrature.
 
     1D: g(x) vectorized over arrays.  2D: g(x, y) with broadcasting
     (evaluated on the tensor quadrature grid).  Given an array of times t,
-    g takes t as its last argument, broadcasting over a trailing time axis,
-    and the result has shape (dof, len(t)): one load vector per time.
+    g takes t as its last argument, broadcasting over a leading time axis,
+    and the result has shape (dof, len(t)): one load vector per time, the
+    transpose of a C-ordered (len(t), dof) array.
     """
     if nq is None:
         nq = space.degree + 2
     x, w, B, _ = space.line_tables(nq)
-    grid = (x,) if space.dimension == 1 else (x[:, None], x[None, :])
-    shape = (x.size,) * space.dimension
-    if t is None:
-        vals = g(*grid)
-    else:
+    args = (x,) if space.dimension == 1 else (x[:, None], x[None, :])
+    lead = ()
+    if t is not None:
         t = np.asarray(t, dtype=float)
-        vals = g(*(c[..., None] for c in grid), t)
-        shape += t.shape
-    out = np.broadcast_to(np.asarray(vals, dtype=float), shape)
-    Bw = B * w
-    for axis in range(space.dimension):
-        out = np.moveaxis(np.tensordot(Bw, out, axes=(1, axis)), 0, axis)
-    return out.reshape((space.dof_count,) + shape[space.dimension:])
+        lead = t.shape
+        args += (t.reshape(lead + (1,) * space.dimension),)
+    Bw = B * w[:nq, None]
+    # no name keeps g's values: they are freed once the first axis is summed
+    out = _scatter(Bw, np.broadcast_to(np.asarray(g(*args), dtype=float),
+                                       lead + (x.size,) * space.dimension))
+    if space.dimension == 2:
+        out = _scatter(Bw, out.swapaxes(-1, -2)).swapaxes(-1, -2)
+    # contiguous rows per time, so that callers' products make no copy of their own
+    return np.moveaxis(np.ascontiguousarray(out.reshape(lead + (space.dof_count,))), -1, 0)
 
 
 def l2_project(space, g, nq=None):

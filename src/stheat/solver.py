@@ -144,9 +144,9 @@ def interval_moments(problem, space, partition, q, lo=0, hi=None):
     test = _test_basis(q)
     for a, b in _load_chunks(space, lo, hi, q + 3):
         t, tau, w = quadrature_nodes(partition, a, b, q + 3, problem.time_breakpoints)
-        loads = fem.load_vector(space, problem.rhs, t=t.ravel()).reshape(-1, *t.shape)
+        loads = fem.load_vector(space, problem.rhs, t=t.ravel()).T.reshape(*t.shape, -1)
         basis = test.eval_all(tau.ravel()).reshape(-1, *t.shape) * (w / partition.widths[a:b, None])
-        np.matmul(basis.transpose(1, 0, 2), loads.transpose(1, 2, 0), out=out[a - lo: b - lo])
+        np.matmul(basis.transpose(1, 0, 2), loads, out=out[a - lo: b - lo])
     return out
 
 
@@ -375,8 +375,8 @@ def crank_nicolson(problem, space, partition):
     for lo, hi in _load_chunks(space, 0, N, 4):
         if problem.rhs is not None:
             t, _, w = quadrature_nodes(partition, lo, hi, 4, problem.time_breakpoints)
-            loads = fem.load_vector(space, problem.rhs, t=t.ravel()).reshape(-1, *t.shape)
-            forcing = np.matmul(loads.transpose(1, 0, 2), w[:, :, None])[..., 0]
+            loads = fem.load_vector(space, problem.rhs, t=t.ravel()).T.reshape(*t.shape, -1)
+            forcing = np.matmul(w[:, None, :], loads)[:, 0]
         for i in range(lo, hi):
             k = float(partition.widths[i])
             if k not in factors:

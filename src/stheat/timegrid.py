@@ -91,11 +91,20 @@ def lobatto_points(m):
     return 0.5 * (pts + 1.0)
 
 
+# Largest trial degree q that the monomial form of the Lagrange test basis
+# (degree q+1, lagrange_coefficient_matrix) supports.  Its Vandermonde solve
+# loses about a digit per degree: the identities sum_j G[j,0] = 1 and
+# sum_j D[j,m] = 0 of ReferenceBlocks hold to 6e-11 at q = 9 and to only
+# 1e-9 at q = 10, and at q = 40 the error norms are off by orders of magnitude.
+MAX_TRIAL_DEGREE = 9
+
+
 def lagrange_coefficient_matrix(nodes):
     """Monomial coefficients of the Lagrange basis on the given nodes.
 
     Column j holds the coefficients of the polynomial that is 1 at nodes[j]
-    and 0 at the others, lowest order first.
+    and 0 at the others, lowest order first.  Accurate up to the degree of
+    MAX_TRIAL_DEGREE + 1.
     """
     nodes = np.asarray(nodes, dtype=float)
     m = nodes.size

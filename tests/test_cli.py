@@ -2,14 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stheat.cli
 from stheat.cli import (
     EXIT_CONFIG,
     EXIT_NO_EXACT,
     EXIT_OK,
+    EXIT_SOLVER,
     EXIT_UNWRITABLE,
     ConfigError,
     ExperimentConfig,
@@ -233,6 +236,72 @@ def test_main_rejects_levels_beyond_physical_memory(tmp_path, monkeypatch, capsy
     assert main([command, cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
     assert "physical memory" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("payload", [
+    {"problem": "heat1d-smooth", "levels": [4, 8], "coupling_c": 1e300},   # both N = 1
+    {"problem": "heat1d-smooth", "levels": [3, 5], "explicit_N": [1, 1], "diagnostics": True},
+])
+def test_main_rejects_levels_with_equal_steps(tmp_path, monkeypatch, capsys, payload):
+    """With errors on, a rate needs distinct step sizes; two levels with the
+    same N exit 2 before any level is built."""
+    monkeypatch.setattr(stheat.cli, "assemble", None)   # must never be reached
+    cfg = _write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert "distinct step size" in capsys.readouterr().err
+    assert not out.exists()
+    # without errors there is no rate to fit, and the same levels run
+    monkeypatch.undo()
+    cfg = _write_config(tmp_path, dict(payload, errors=False, diagnostics=False))
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("q", [10, 40])
+def test_main_rejects_trial_degree_past_the_bound(tmp_path, capsys, q):
+    cfg = _write_config(tmp_path, dict(SMALL_RUN, levels=[2], q=q))
+    assert main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_CONFIG
+    assert "q must lie in 0..9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("law", [{"coupling_gamma": 1e300}, {"coupling_c": 1e-310}])
+def test_main_rejects_step_law_without_finite_interval_count(tmp_path, law):
+    """k = c h^gamma underflows to 0, or T/k overflows: exit 2, not a traceback."""
+    cfg = _write_config(tmp_path, dict(SMALL_RUN, **law))
+    assert main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_CONFIG
+
+
+_RANDOM_CONFIG = st.fixed_dictionaries(
+    {
+        "problem": st.sampled_from(["heat1d-smooth", "heat2d-smooth", "heat1d-lowreg",
+                                    "impulse", "advection"]),
+        # mostly strictly increasing, as a valid config needs
+        "levels": st.one_of(st.lists(st.integers(2, 4), min_size=1, max_size=3, unique=True)
+                            .map(sorted), st.lists(st.integers(1, 4), max_size=3)),
+    },
+    optional={
+        "q": st.sampled_from([0, 1, 2, -1, 10, 40]),
+        "p": st.sampled_from([1, 2, 3, 0, 4]),
+        "coupling_c": st.sampled_from([0.5, 1.0, 4.0, 1e300, -1.0, 5e-324, 1e-300]),
+        "coupling_gamma": st.sampled_from([0.5, 1.0, 2.0, 0.0, 1e300]),
+        "explicit_N": st.lists(st.integers(0, 6), min_size=1, max_size=3),
+        "epsilon": st.sampled_from([0.1, 0.5, 0.0, 1.5]),
+        "errors": st.booleans(),
+        "diagnostics": st.booleans(),
+    })
+
+
+@settings(max_examples=25, deadline=None)
+@given(payload=_RANDOM_CONFIG)
+def test_main_random_configs_exit_with_a_documented_code(payload):
+    """Small random configs, valid or not, end in a documented exit code;
+    main never raises, so `python -m stheat run` never prints a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w") as handle:
+            json.dump(payload, handle)
+        code = main(["run", cfg, "--out", os.path.join(tmp, "out"), "--quiet"])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_NO_EXACT, EXIT_UNWRITABLE)
 
 
 def test_run_level_2d_never_forms_dense_matrices(monkeypatch):

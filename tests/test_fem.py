@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stheat.fem import (
     FemSpace,
     assemble,
+    gather,
     l2_project,
     load_vector,
     spectral,
 )
+from reference import dense_line_tables
 
 
 def test_p1_two_elements_matrices():
@@ -221,7 +224,7 @@ def test_l2_project_sine_third_order():
 
 
 def _l2_error_1d(space, coeffs, g):
-    x, w, B, _ = space.line_tables(space.degree + 3)
+    x, w, B, _ = dense_line_tables(space.n, space.degree, space.degree + 3)
     vals = coeffs @ B
     diff = vals - g(x)
     return float(np.sqrt(np.sum(w * diff ** 2)))
@@ -272,6 +275,47 @@ def test_load_vector_time_axis_broadcasts_time_independent_values():
     batched = load_vector(space, lambda x, s: np.ones_like(x), t=np.linspace(0.0, 1.0, 5))
     assert batched.shape == (space.dof_count, 5)
     assert np.allclose(batched, load_vector(space, np.ones_like)[:, None], atol=1e-15)
+
+
+def _assert_close(value, reference):
+    assert value.shape == reference.shape
+    assert np.abs(value - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(dimension=st.sampled_from([1, 2]), n=st.integers(2, 9), p=st.integers(1, 3),
+       nq=st.integers(1, 7), times=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_element_local_kernels_match_dense_tables(dimension, n, p, nq, times, seed):
+    """load_vector (one time or a batch of times) and the gradient of error_norms'
+    U1 term, evaluated element by element, against the dense (dof, n*nq) tables."""
+    space = assemble(dimension, n, p)
+    x, w, B, D = dense_line_tables(n, p, nq)
+    _, w_local, B_local, D_local = space.line_tables(nq)
+    assert np.array_equal(w_local, w)
+    rng = np.random.default_rng(seed)
+    a, b, c = rng.uniform(-4.0, 4.0, 3)
+    t = rng.uniform(0.0, 1.0, times)
+    Bw = B * w
+    if dimension == 1:
+        g = lambda x, s=0.0: np.cos(a * x + b) * (1.0 + c * s) + x * s
+        dense = lambda s: Bw @ g(x, s)
+    else:
+        g = lambda x, y, s=0.0: np.cos(a * x + b * y * y + c) * (1.0 + c * s) + x * s
+        dense = lambda s: (Bw @ g(x[:, None], x[None, :], s) @ Bw.T).ravel()
+    _assert_close(load_vector(space, g, nq=nq), dense(0.0))
+    if times:
+        _assert_close(load_vector(space, g, nq=nq, t=t), np.stack([dense(s) for s in t], axis=1))
+
+    d = space.line_mass.shape[0]
+    coeffs = rng.standard_normal((times + 1,) + (d,) * dimension)
+    if dimension == 1:
+        _assert_close(gather(D_local, coeffs), coeffs @ D)
+    else:
+        # the x- and y-derivatives as error_norms forms them, as (nt, ny, nx) arrays
+        ux = gather(D_local, gather(B_local, coeffs).swapaxes(1, 2))
+        uy = gather(B_local, gather(D_local, coeffs).swapaxes(1, 2))
+        _assert_close(ux, (D.T @ coeffs @ B).swapaxes(1, 2))
+        _assert_close(uy, (B.T @ coeffs @ D).swapaxes(1, 2))
 
 
 def test_from_matrices_scalar_surrogate():

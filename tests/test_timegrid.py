@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stheat.timegrid import (
+    MAX_TRIAL_DEGREE,
     QuadratureRule,
     ReferenceBlocks,
     TemporalBasis,
@@ -176,6 +177,17 @@ def test_reference_blocks_row_sums():
         expected[0] = 1.0
         assert np.allclose(colsum_G, expected, atol=1e-13)
         assert np.allclose(rb.D.sum(axis=0), 0.0, atol=1e-13)
+
+
+def test_reference_blocks_identities_hold_up_to_the_degree_bound():
+    """The row-sum identities sum_j G[j,0] = 1 and sum_j D[j,m] = 0 for every
+    trial degree a config may ask for; the monomial Lagrange basis loses
+    about a digit per degree, so the tolerance is 1e-10 (6e-11 at q = 9)."""
+    assert MAX_TRIAL_DEGREE == 9
+    for q in range(MAX_TRIAL_DEGREE + 1):
+        rb = ReferenceBlocks(q)
+        assert abs(rb.G[:, 0].sum() - 1.0) <= 1e-10, q
+        assert np.abs(rb.D.sum(axis=0)).max() <= 1e-10, q
 
 
 def test_reference_blocks_q0_values():
