@@ -103,7 +103,7 @@ def error_norms(solution, problem):
     per_node = np.empty(nodes.size)
     for lo, hi in chunks(0, nodes.size, space.grid_size(nq)):
         trace = fem.load_vector(space, problem.exact.u, nq=nq, t=nodes[lo:hi])
-        diff = dec.modal_coefficients(solution.u2[lo:hi]) - dec.modal_loads(trace.T)
+        diff = dec.modal_coefficients(solution.u2[lo:hi]) - dec.modal_loads(trace)
         per_node[lo:hi] = np.sqrt(np.sum(diff * diff, axis=1))
 
     return ErrorReport(
@@ -243,7 +243,7 @@ def stability_check(solution, problem, c_s):
         per_item = (q + 4) * space.grid_size(space.degree + 2)
         for lo, hi in chunks(0, part.num_intervals, per_item):
             t, _, w = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
-            f = dec.modal_loads(fem.load_vector(space, problem.rhs, t=t.ravel()).T)
+            f = dec.modal_loads(fem.load_vector(space, problem.rhs, t=t.ravel()))
             f_sq += float(w.ravel() @ ((f * f) @ (1.0 / lam)))
     lhs = u1_sq + u2N_sq
     rhs = c_s ** 2 * f_sq + u0_sq

@@ -96,8 +96,8 @@ class ExperimentConfig:
         if list(self.levels) != sorted(set(self.levels)):
             raise ConfigError("levels must be strictly increasing")
         if not 0 <= self.q <= MAX_TRIAL_DEGREE:
-            raise ConfigError("q must lie in 0..%d: the Lagrange test basis of a higher "
-                              "degree is not accurate in double precision" % MAX_TRIAL_DEGREE)
+            raise ConfigError("q must lie in 0..%d: the memory pre-flight does not count the "
+                              "per-mode (q+1)^2 inverses of a higher degree" % MAX_TRIAL_DEGREE)
         if self.p not in (1, 2, 3):
             raise ConfigError("p must be 1, 2 or 3")
         if self.coupling_c <= 0 or self.coupling_gamma <= 0:

@@ -239,8 +239,7 @@ def load_vector(space, g, nq=None, t=None):
     1D: g(x) vectorized over arrays.  2D: g(x, y) with broadcasting
     (evaluated on the tensor quadrature grid).  Given an array of times t,
     g takes t as its last argument, broadcasting over a leading time axis,
-    and the result has shape (dof, len(t)): one load vector per time, the
-    transpose of a C-ordered (len(t), dof) array.
+    and the result has shape (len(t), dof): one load vector per time.
     """
     if nq is None:
         nq = space.degree + 2
@@ -257,8 +256,8 @@ def load_vector(space, g, nq=None, t=None):
                                        lead + (x.size,) * space.dimension))
     if space.dimension == 2:
         out = _scatter(Bw, out.swapaxes(-1, -2)).swapaxes(-1, -2)
-    # contiguous rows per time, so that callers' products make no copy of their own
-    return np.moveaxis(np.ascontiguousarray(out.reshape(lead + (space.dof_count,))), -1, 0)
+    # one contiguous row per time for the callers' products; _scatter's slice is not
+    return np.ascontiguousarray(out.reshape(lead + (space.dof_count,)))
 
 
 def l2_project(space, g, nq=None):

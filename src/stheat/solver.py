@@ -41,7 +41,7 @@ import numpy as np
 import scipy.linalg
 
 from . import fem
-from .timegrid import ReferenceBlocks, TemporalBasis, chunks, legendre_eval, quadrature_nodes
+from .timegrid import ReferenceBlocks, TemporalBasis, chunks, quadrature_nodes
 
 
 class SpaceTimeSolution:
@@ -70,8 +70,9 @@ class SpaceTimeSolution:
 
     def u1_at(self, i, t):
         """Coefficient vector of U1 at time t inside interval i."""
-        a, b = self.partition.nodes[i], self.partition.nodes[i + 1]
-        return legendre_eval(self.u1[i], (a, b), t)
+        tau = (np.atleast_1d(np.asarray(t, dtype=float)) - self.partition.nodes[i]) \
+            / self.partition.widths[i]
+        return TemporalBasis(self.q, "legendre").eval_all(tau).T @ self.u1[i]
 
 
 class LocalBlockSystem:
@@ -144,7 +145,7 @@ def interval_moments(problem, space, partition, q, lo=0, hi=None):
     test = _test_basis(q)
     for a, b in _load_chunks(space, lo, hi, q + 3):
         t, tau, w = quadrature_nodes(partition, a, b, q + 3, problem.time_breakpoints)
-        loads = fem.load_vector(space, problem.rhs, t=t.ravel()).T.reshape(*t.shape, -1)
+        loads = fem.load_vector(space, problem.rhs, t=t.ravel()).reshape(*t.shape, -1)
         basis = test.eval_all(tau.ravel()).reshape(-1, *t.shape) * (w / partition.widths[a:b, None])
         np.matmul(basis.transpose(1, 0, 2), loads, out=out[a - lo: b - lo])
     return out
@@ -375,7 +376,7 @@ def crank_nicolson(problem, space, partition):
     for lo, hi in _load_chunks(space, 0, N, 4):
         if problem.rhs is not None:
             t, _, w = quadrature_nodes(partition, lo, hi, 4, problem.time_breakpoints)
-            loads = fem.load_vector(space, problem.rhs, t=t.ravel()).T.reshape(*t.shape, -1)
+            loads = fem.load_vector(space, problem.rhs, t=t.ravel()).reshape(*t.shape, -1)
             forcing = np.matmul(w[:, None, :], loads)[:, 0]
         for i in range(lo, hi):
             k = float(partition.widths[i])

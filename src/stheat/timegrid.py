@@ -4,12 +4,14 @@ The time discretization works interval by interval.  On the reference
 interval [0,1] two bases appear: shifted Legendre polynomials (trial side,
 orthogonal, so interval mass matrices are diagonal) and nodal Lagrange
 polynomials at Gauss-Lobatto points (test side, so the endpoint values of a
-test function are single coefficients).  Everything here is exact polynomial
-arithmetic up to round-off.  Every space-time integral of the package (load
-moments, error norms, the stability bound) takes its time nodes from
-quadrature_nodes, one chunk of intervals at a time, in a regular
-(interval, slot) layout: row i holds the Gauss nodes of one interval, so an
-integral over each interval is a contraction over the slot axis.
+test function are single coefficients).  Both are held as rows of
+shifted-Legendre coefficients, so the reference blocks that couple them are
+closed-form products of those rows, exact up to round-off.  Every space-time
+integral of the package (load moments, error norms, the stability bound)
+takes its time nodes from quadrature_nodes, one chunk of intervals at a
+time, in a regular (interval, slot) layout: row i holds the Gauss nodes of
+one interval, so an integral over each interval is a contraction over the
+slot axis.
 """
 
 import functools
@@ -91,11 +93,9 @@ def lobatto_points(m):
     return 0.5 * (pts + 1.0)
 
 
-# Largest trial degree q that the monomial form of the Lagrange test basis
-# (degree q+1, lagrange_coefficient_matrix) supports.  Its Vandermonde solve
-# loses about a digit per degree: the identities sum_j G[j,0] = 1 and
-# sum_j D[j,m] = 0 of ReferenceBlocks hold to 6e-11 at q = 9 and to only
-# 1e-9 at q = 10, and at q = 40 the error norms are off by orders of magnitude.
+# Largest trial degree q a config may ask for.  No shipped config needs more,
+# and run_decomposed keeps (q+1)^2 inverses per spatial mode and distinct width
+# that the memory pre-flight does not count.
 MAX_TRIAL_DEGREE = 9
 
 
@@ -103,8 +103,10 @@ def lagrange_coefficient_matrix(nodes):
     """Monomial coefficients of the Lagrange basis on the given nodes.
 
     Column j holds the coefficients of the polynomial that is 1 at nodes[j]
-    and 0 at the others, lowest order first.  Accurate up to the degree of
-    MAX_TRIAL_DEGREE + 1.
+    and 0 at the others, lowest order first.  Used only for the spatial
+    element tables (degree p <= 3), where its Vandermonde is harmless.  Built
+    from lagrange_legendre instead, M and K move by an ulp, and with them the
+    error norms (the low-regularity nodal error by 2.6e-7 relative).
     """
     nodes = np.asarray(nodes, dtype=float)
     m = nodes.size
@@ -112,8 +114,15 @@ def lagrange_coefficient_matrix(nodes):
     return np.linalg.solve(V, np.eye(m))
 
 
+def lagrange_legendre(nodes):
+    """Shifted-Legendre coefficients of the Lagrange basis on nodes in [0,1]:
+    row j holds those of the polynomial that is 1 at nodes[j] and 0 at the others."""
+    return np.linalg.inv(npleg.legvander(2.0 * np.asarray(nodes) - 1.0, len(nodes) - 1)).T
+
+
 class TemporalBasis:
-    """Polynomial basis of the given degree on [0,1].
+    """Polynomial basis of the given degree on [0,1], as rows of
+    shifted-Legendre coefficients.
 
     kind='legendre' gives shifted Legendre polynomials (orthogonal,
     int_0^1 P_m^2 = 1/(2m+1)); kind='nodal-lagrange' gives the Lagrange basis
@@ -127,41 +136,17 @@ class TemporalBasis:
         if kind not in ("legendre", "nodal-lagrange"):
             raise ValueError("unknown basis kind %r" % (kind,))
         self.degree = int(degree)
-        self.kind = kind
         if kind == "nodal-lagrange":
             self.nodes = lobatto_points(self.degree + 1)
-            self._coeffs = lagrange_coefficient_matrix(self.nodes)
+            self.coeffs = lagrange_legendre(self.nodes)
         else:
             self.nodes = None
-            self._coeffs = None
-
-    @property
-    def size(self):
-        return self.degree + 1
+            self.coeffs = np.eye(self.degree + 1)
 
     def eval_all(self, tau):
-        """Values of all basis functions; shape (size, len(tau))."""
+        """Values of all basis functions; shape (degree+1, len(tau))."""
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        if self.kind == "legendre":
-            # legvander returns (npts, size) on [-1,1]
-            return npleg.legvander(2.0 * tau - 1.0, self.degree).T
-        powers = np.vander(tau, self.size, increasing=True)  # (npts, size)
-        return (powers @ self._coeffs).T
-
-    def deriv_all(self, tau):
-        """Derivatives d/dtau of all basis functions; shape (size, len(tau))."""
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        out = np.empty((self.size, tau.size))
-        if self.kind == "legendre":
-            for m in range(self.size):
-                coeff = np.zeros(m + 1)
-                coeff[m] = 1.0
-                out[m] = 2.0 * npleg.legval(2.0 * tau - 1.0, npleg.legder(coeff))
-            return out
-        for j in range(self.size):
-            dcoef = np.polynomial.polynomial.polyder(self._coeffs[:, j])
-            out[j] = np.polynomial.polynomial.polyval(tau, dcoef)
-        return out
+        return self.coeffs @ npleg.legvander(2.0 * tau - 1.0, self.degree).T
 
 
 # Values (spatial points times quadrature times) in one block of a batched
@@ -202,18 +187,6 @@ def quadrature_nodes(partition, lo, hi, npoints, breakpoints=()):
     return t, tau, weight
 
 
-def legendre_eval(coeffs, interval, t):
-    """Evaluate a shifted-Legendre expansion on [a,b] at times t.
-
-    coeffs has shape (q+1,) or (q+1, d); result matches the trailing shape.
-    """
-    a, b = float(interval[0]), float(interval[1])
-    tau = (np.atleast_1d(np.asarray(t, dtype=float)) - a) / (b - a)
-    coeffs = np.asarray(coeffs)
-    vals = TemporalBasis(coeffs.shape[0] - 1, "legendre").eval_all(tau)
-    return np.tensordot(vals, coeffs, axes=(0, 0))
-
-
 class ReferenceBlocks:
     """Reference-interval couplings between trial degree q and test degree q+1.
 
@@ -232,20 +205,13 @@ class ReferenceBlocks:
 
     def __init__(self, q):
         self.q = int(q)
-        trial = TemporalBasis(q, "legendre")
-        test = TemporalBasis(q + 1, "nodal-lagrange")
-        full = TemporalBasis(q + 1, "legendre")
-        rule = gauss_rule(q + 3)
-        tau, w = rule.points, rule.weights
-        tv = trial.eval_all(tau)          # (q+1, npts)
-        xv = test.eval_all(tau)           # (q+2, npts)
-        xd = test.deriv_all(tau)          # (q+2, npts)
-        fv = full.eval_all(tau)           # (q+2, npts)
-        self.D = (xd * w) @ tv.T
-        self.G = (xv * w) @ tv.T
-        self.E = (xd * w) @ xd.T
-        self.GL2 = (xv * w) @ xv.T
-        # l_j = sum_r L[j,r] P_r with int P_r^2 = 1/(2r+1)
-        self.L = ((xv * w) @ fv.T) * (2.0 * np.arange(q + 2) + 1.0)
-        self.trial = trial
-        self.test = test
+        # int_0^1 P_r P_s = delta_rs / (2r+1), so each block is a product of
+        # coefficient rows weighted by s_r = 1/(2r+1); d/dtau = 2 d/dx on [-1,1]
+        s = 1.0 / (2.0 * np.arange(q + 2) + 1.0)
+        L = lagrange_legendre(lobatto_points(q + 2))
+        Ld = 2.0 * npleg.legder(L, axis=1)              # (q+2, q+1)
+        self.G = L[:, : q + 1] * s[: q + 1]
+        self.D = Ld * s[: q + 1]
+        self.GL2 = (L * s) @ L.T
+        self.E = (Ld * s[: q + 1]) @ Ld.T
+        self.L = L

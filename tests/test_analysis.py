@@ -231,6 +231,8 @@ def test_diagnostics_match_dense_oracle(space_args, partition, q):
     (None, 1, 0, 1e-8),       # scalar space
     ((1, 4, 1), 4, 0, 1e-6),
     ((1, 3, 1), 2, 1, 1e-6),
+    ((1, 3, 2), 3, 6, 1e-12),
+    ((1, 4, 3), 4, 9, 1e-12),
 ])
 def test_infsup_constants_are_one(space_args, N, q, tol):
     space = (FemSpace.from_matrices([[1.0]], [[1.0]])
@@ -349,8 +351,8 @@ def _stability_dense_reference(solution, problem, c_s):
     for lo, hi in chunks(0, part.num_intervals, per_item):
         t, _, w = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
         loads = load_vector(space, problem.rhs, t=t.ravel())
-        f_sq += float(w.ravel() @ np.sum(loads * scipy.linalg.cho_solve(stiffness_cho, loads),
-                                         axis=0))
+        f_sq += float(w.ravel() @ np.sum(loads * scipy.linalg.cho_solve(stiffness_cho, loads.T).T,
+                                         axis=1))
     return {"u1_L2V_sq": u1_sq, "u2_final_H_sq": u2N_sq, "f_dual_sq": f_sq, "u0_H_sq": u0_sq,
             "lhs": u1_sq + u2N_sq, "rhs": c_s ** 2 * f_sq + u0_sq}
 

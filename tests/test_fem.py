@@ -266,15 +266,15 @@ def test_load_vector_time_axis_matches_per_time_loads(dimension):
         g = lambda x, y, s: np.sin(np.pi * x) * y * np.cos(3.0 * s) + x * s
         per_time = [load_vector(space, lambda x, y: g(x, y, s)) for s in t]
     batched = load_vector(space, g, t=t)
-    assert batched.shape == (space.dof_count, t.size)
-    assert np.allclose(batched, np.stack(per_time, axis=1), rtol=0.0, atol=1e-15)
+    assert batched.shape == (t.size, space.dof_count)
+    assert np.allclose(batched, np.stack(per_time), rtol=0.0, atol=1e-15)
 
 
 def test_load_vector_time_axis_broadcasts_time_independent_values():
     space = assemble(1, 4, 1)
     batched = load_vector(space, lambda x, s: np.ones_like(x), t=np.linspace(0.0, 1.0, 5))
-    assert batched.shape == (space.dof_count, 5)
-    assert np.allclose(batched, load_vector(space, np.ones_like)[:, None], atol=1e-15)
+    assert batched.shape == (5, space.dof_count)
+    assert np.allclose(batched, load_vector(space, np.ones_like), atol=1e-15)
 
 
 def _assert_close(value, reference):
@@ -304,7 +304,7 @@ def test_element_local_kernels_match_dense_tables(dimension, n, p, nq, times, se
         dense = lambda s: (Bw @ g(x[:, None], x[None, :], s) @ Bw.T).ravel()
     _assert_close(load_vector(space, g, nq=nq), dense(0.0))
     if times:
-        _assert_close(load_vector(space, g, nq=nq, t=t), np.stack([dense(s) for s in t], axis=1))
+        _assert_close(load_vector(space, g, nq=nq, t=t), np.stack([dense(s) for s in t]))
 
     d = space.line_mass.shape[0]
     coeffs = rng.standard_normal((times + 1,) + (d,) * dimension)

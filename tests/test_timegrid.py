@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reference import quadrature_reference_blocks
 from stheat.timegrid import (
     MAX_TRIAL_DEGREE,
     QuadratureRule,
@@ -180,14 +181,24 @@ def test_reference_blocks_row_sums():
 
 
 def test_reference_blocks_identities_hold_up_to_the_degree_bound():
-    """The row-sum identities sum_j G[j,0] = 1 and sum_j D[j,m] = 0 for every
-    trial degree a config may ask for; the monomial Lagrange basis loses
-    about a digit per degree, so the tolerance is 1e-10 (6e-11 at q = 9)."""
+    """The row-sum identities sum_j G[j,0] = 1 and sum_j D[j,m] = 0 hold to
+    rounding for every trial degree a config may ask for."""
     assert MAX_TRIAL_DEGREE == 9
     for q in range(MAX_TRIAL_DEGREE + 1):
         rb = ReferenceBlocks(q)
-        assert abs(rb.G[:, 0].sum() - 1.0) <= 1e-10, q
-        assert np.abs(rb.D.sum(axis=0)).max() <= 1e-10, q
+        assert abs(rb.G[:, 0].sum() - 1.0) <= 1e-14, q
+        assert np.abs(rb.D.sum(axis=0)).max() <= 1e-14, q
+
+
+@pytest.mark.parametrize("q", range(MAX_TRIAL_DEGREE + 1))
+def test_reference_blocks_match_the_quadrature_oracle(q):
+    """The closed-form blocks against Gauss quadrature of the Lagrange
+    product formula, each to 1e-13 of its largest entry."""
+    rb = ReferenceBlocks(q)
+    for name, want in zip(("D", "G", "E", "GL2", "L"), quadrature_reference_blocks(q)):
+        got = getattr(rb, name)
+        assert got.shape == want.shape, name
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (name, q)
 
 
 def test_reference_blocks_q0_values():
