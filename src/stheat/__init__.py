@@ -20,7 +20,6 @@ from .fem import (
     SpectralDecomposition,
     assemble,
     spectral,
-    l2_project,
     load_vector,
 )
 from .problems import (
@@ -38,13 +37,9 @@ from .solver import (
     LocalBlockSystem,
     interval_moments,
     run_decomposed,
-    solve_global,
-    crank_nicolson,
-    reconstruct_u2,
 )
 from .analysis import (
     ErrorReport,
-    DiagnosticsReport,
     error_norms,
     fit_rate,
     infsup_discrete,

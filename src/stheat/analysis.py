@@ -31,26 +31,7 @@ from .timegrid import ReferenceBlocks, TemporalBasis, chunks, quadrature_nodes
 class ErrorReport:
     err_u1_L2V: float
     err_u2_nodal_max: float
-    err_u2_nodal_final: float
     per_node: np.ndarray
-
-    def to_dict(self):
-        return {
-            "err_u1_L2V": self.err_u1_L2V,
-            "err_u2_nodal_max": self.err_u2_nodal_max,
-            "err_u2_nodal_final": self.err_u2_nodal_final,
-        }
-
-
-@dataclass
-class DiagnosticsReport:
-    c_B: float
-    C_B: float
-    c_S: float
-    C_CFL: float
-
-    def to_dict(self):
-        return {"c_B": self.c_B, "C_B": self.C_B, "c_S": self.c_S, "C_CFL": self.C_CFL}
 
 
 def error_norms(solution, problem):
@@ -109,7 +90,6 @@ def error_norms(solution, problem):
     return ErrorReport(
         err_u1_L2V=float(np.sqrt(err1_sq)),
         err_u2_nodal_max=float(per_node.max()),
-        err_u2_nodal_final=float(per_node[-1]),
         per_node=per_node,
     )
 

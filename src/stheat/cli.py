@@ -33,8 +33,8 @@ import sys
 
 import numpy as np
 
-from .analysis import (DiagnosticsReport, cfl_constant, cs_constant,
-                       error_norms, fit_rate, infsup_discrete, stability_check)
+from .analysis import (cfl_constant, cs_constant, error_norms, fit_rate,
+                       infsup_discrete, stability_check)
 from .fem import assemble
 from .problems import problem_by_id, validate_residual
 from .solver import run_decomposed
@@ -96,8 +96,8 @@ class ExperimentConfig:
         if list(self.levels) != sorted(set(self.levels)):
             raise ConfigError("levels must be strictly increasing")
         if not 0 <= self.q <= MAX_TRIAL_DEGREE:
-            raise ConfigError("q must lie in 0..%d: the memory pre-flight does not count the "
-                              "per-mode (q+1)^2 inverses of a higher degree" % MAX_TRIAL_DEGREE)
+            raise ConfigError("q must lie in 0..%d: no shipped config needs a higher degree, and "
+                              "the march is untested above it" % MAX_TRIAL_DEGREE)
         if self.p not in (1, 2, 3):
             raise ConfigError("p must be 1, 2 or 3")
         if self.coupling_c <= 0 or self.coupling_gamma <= 0:
@@ -163,9 +163,15 @@ def level_geometry(cfg, idx, final_time):
 
 
 def level_bytes(dimension, n, p, q, N):
-    """Lower bound on the memory of a level: its solution arrays,
-    (2N(q+1)+1) * dof doubles with dof = (np-1)^dimension."""
-    return (2 * N * (q + 1) + 1) * (n * p - 1) ** dimension * 8
+    """Lower bound on the memory of a level: what run_decomposed holds at
+    once, counted for one interval width and a load chunk of one interval.
+
+    In rows of dof = (np-1)^dimension doubles: u1 and u2, N(q+1) + N+1; the
+    per-mode (q+1)x(q+1) inverses and their gather over the chunk,
+    2(q+1)^2; the chunk's modal load moments and forced part, (q+2) + (q+1).
+    """
+    rows = N * (q + 2) + 1 + 2 * (q + 1) ** 2 + 2 * q + 3
+    return rows * (n * p - 1) ** dimension * 8
 
 
 def physical_memory():
@@ -219,9 +225,7 @@ def level_diagnostics(problem, space, partition, q, solution=None):
     the stability bound."""
     c_B, C_B = infsup_discrete(space, partition, q)
     c_S = cs_constant(space, partition, q)
-    report = DiagnosticsReport(c_B=c_B, C_B=C_B, c_S=c_S,
-                               C_CFL=cfl_constant(space, partition.k_max))
-    block = report.to_dict()
+    block = {"c_B": c_B, "C_B": C_B, "c_S": c_S, "C_CFL": cfl_constant(space, partition.k_max)}
     if solution is not None and not problem.impulses and problem.rhs is not None:
         block["stability"] = stability_check(solution, problem, c_S)
     return block

@@ -47,20 +47,6 @@ class FemSpace:
         self._mass_cho = None
         self._spectral = None
 
-    @classmethod
-    def from_matrices(cls, mass, stiffness):
-        """Abstract space given directly by its matrices (no mesh attached).
-
-        Used for checks on hand-written matrices, such as one spatial mode;
-        mesh-based operations such as load_vector are unavailable on the
-        result.
-        """
-        mass = np.atleast_2d(np.asarray(mass, dtype=float))
-        stiffness = np.atleast_2d(np.asarray(stiffness, dtype=float))
-        if mass.shape != stiffness.shape or mass.shape[0] != mass.shape[1]:
-            raise ValueError("mass and stiffness must be square and of equal shape")
-        return cls(0, None, None, mass, stiffness)
-
     @functools.cached_property
     def mass(self):
         """Dense mass matrix; in 2D kron(M, M), formed on first access."""
@@ -258,13 +244,6 @@ def load_vector(space, g, nq=None, t=None):
         out = _scatter(Bw, out.swapaxes(-1, -2)).swapaxes(-1, -2)
     # one contiguous row per time for the callers' products; _scatter's slice is not
     return np.ascontiguousarray(out.reshape(lead + (space.dof_count,)))
-
-
-def l2_project(space, g, nq=None):
-    """Coefficients of the L2-orthogonal projection of g onto the space:
-    M^-1 load = V V^T load."""
-    dec = spectral(space)
-    return dec.coefficients(dec.modal_loads(load_vector(space, g, nq=nq)))
 
 
 def spectral(space):

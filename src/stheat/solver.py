@@ -9,9 +9,12 @@ points per interval).  Testing the form
     sum_i int_{I_i} <U1, -dX/dt + A X> ds + <U2, X(T)>
         = sum_i int_{I_i} <f, X> ds + <u0, X(0)> + sum_j <zeta_j, X(t_j)>
 
-against all X yields one square linear system (solve_global).  Each
-interval's interior test functions only see that interval, so the system is
-an interval-by-interval march.
+against all X yields one square linear system.  Each interval's interior
+test functions only see that interval, so the system is an
+interval-by-interval march.  run_decomposed, below, is the one solver; the
+coupled one-shot solve of the whole system (solve_global in
+tests/reference.py) and the dense step LocalBlockSystem are references the
+tests compare it against.
 
 On interval [a, a+k] with U1 = sum_m c_m P_m(tau), tau = (s-a)/k, testing
 with X = l_j(tau) v gives for j = 0 .. q+1
@@ -21,7 +24,7 @@ with X = l_j(tau) v gives for j = 0 .. q+1
 
 where b_j = int_0^1 load(f(a + k tau)) l_j(tau) dtau.  The rows j <= q close
 over the c_m alone; the last row then yields u2_out through a mass solve
-(LocalBlockSystem.step, the dense reference).
+(LocalBlockSystem.step).
 
 run_decomposed marches in the M-orthonormal eigenbasis of (K, M), where
 M -> 1 and K -> lambda, so the equations split into one scalar problem per
@@ -52,7 +55,7 @@ class SpaceTimeSolution:
     datum and u2[N] the final-time component.
     """
 
-    def __init__(self, q, partition, space, u1, u2, problem=None):
+    def __init__(self, q, partition, space, u1, u2):
         u1 = np.asarray(u1, dtype=float)
         u2 = np.asarray(u2, dtype=float)
         N = partition.num_intervals
@@ -66,18 +69,15 @@ class SpaceTimeSolution:
         self.space = space
         self.u1 = u1
         self.u2 = u2
-        self.problem = problem
-
-    def u1_at(self, i, t):
-        """Coefficient vector of U1 at time t inside interval i."""
-        tau = (np.atleast_1d(np.asarray(t, dtype=float)) - self.partition.nodes[i]) \
-            / self.partition.widths[i]
-        return TemporalBasis(self.q, "legendre").eval_all(tau).T @ self.u1[i]
 
 
 class LocalBlockSystem:
     """Dense factorized interval system for one width k (reused across
-    intervals): the reference step in FE coordinates."""
+    intervals): the reference step in FE coordinates.
+
+    Only the tests step with it (tests/reference.py); it stays in the
+    package because perfbench's solver.factor and solver.march hooks name it.
+    """
 
     def __init__(self, space, k, q):
         if k <= 0.0:
@@ -157,12 +157,6 @@ def _test_basis(q):
     return TemporalBasis(q + 1, "nodal-lagrange")
 
 
-def _initial_coefficients(problem, space):
-    if problem.initial is None:
-        return np.zeros(space.dof_count)
-    return fem.l2_project(space, problem.initial)
-
-
 def impulse_loads(problem, space, partition):
     """Load vectors of the impulses keyed by their node index."""
     if not problem.impulses:
@@ -221,169 +215,4 @@ def run_decomposed(problem, space, partition, q):
         u1[lo:hi] = dec.coefficients(forced + inv_t[w, :, 0] * u2[lo:hi, None, :])
         u2[lo:hi] = dec.coefficients(u2[lo:hi])
     u2[N] = dec.coefficients(u2[N])
-    return SpaceTimeSolution(q, partition, space, u1, u2, problem=problem)
-
-
-# -- global coupled formulation ---------------------------------------------
-
-def global_layout(N, q, dof):
-    """Index layout of the coupled solve.
-
-    Trial vector: intervals outer, Legendre mode inner, then the final-trace
-    block; trial_slice(i, m) and u2_slice address them.  Test vector: one
-    block per partition node followed by per-interval interior blocks;
-    test_slice(i, j) addresses the block of local Lagrange function j on
-    interval i (j = 0 and j = q+1 land on the shared node blocks).
-    """
-    nblocks = N * (q + 1) + 1
-
-    def trial_slice(i, m):
-        s = (i * (q + 1) + m) * dof
-        return slice(s, s + dof)
-
-    u2_slice = slice(N * (q + 1) * dof, nblocks * dof)
-
-    def node_block(j):
-        return j
-
-    def interior_block(i, l):
-        return (N + 1) + i * q + (l - 1)
-
-    def test_slice(i, j):
-        if j == 0:
-            b = node_block(i)
-        elif j == q + 1:
-            b = node_block(i + 1)
-        else:
-            b = interior_block(i, j)
-        return slice(b * dof, (b + 1) * dof)
-
-    dim = nblocks * dof
-    return dim, trial_slice, u2_slice, test_slice, node_block
-
-
-def assemble_bilinear(space, partition, q):
-    """Dense matrix of the space-time form; rows test, columns trial."""
-    N = partition.num_intervals
-    dof = space.dof_count
-    dim, trial_slice, u2_slice, test_slice, node_block = global_layout(N, q, dof)
-    rb = ReferenceBlocks(q)
-    M, K = space.mass, space.stiffness
-    B = np.zeros((dim, dim))
-    for i in range(N):
-        k = float(partition.widths[i])
-        for j in range(q + 2):
-            rows = test_slice(i, j)
-            for m in range(q + 1):
-                B[rows, trial_slice(i, m)] += -rb.D[j, m] * M + k * rb.G[j, m] * K
-    rows = slice(node_block(N) * dof, (node_block(N) + 1) * dof)
-    B[rows, u2_slice] += M
-    return B
-
-
-def assemble_load(problem, space, partition, q):
-    """Dense load functional vector matching assemble_bilinear's test layout."""
-    N = partition.num_intervals
-    dof = space.dof_count
-    dim, _, _, test_slice, node_block = global_layout(N, q, dof)
-    F = np.zeros(dim)
-    moments = interval_moments(problem, space, partition, q)
-    for i in range(N):
-        k = float(partition.widths[i])
-        for j in range(q + 2):
-            F[test_slice(i, j)] += k * moments[i, j]
-    if problem.initial is not None:
-        s = node_block(0) * dof
-        F[s: s + dof] += fem.load_vector(space, problem.initial)
-    for idx, vec in impulse_loads(problem, space, partition).items():
-        s = node_block(idx) * dof
-        F[s: s + dof] += vec
-    return F
-
-
-def solve_global(problem, space, partition, q):
-    """Solve the coupled space-time system in one shot.
-
-    Intended for small configurations (splitting checks); the
-    production path is run_decomposed.
-    """
-    N = partition.num_intervals
-    dof = space.dof_count
-    dim = (N * (q + 1) + 1) * dof
-    if dim > 6000:
-        raise ValueError("global solve limited to 6000 unknowns, got %d" % dim)
-    B = assemble_bilinear(space, partition, q)
-    F = assemble_load(problem, space, partition, q)
-    try:
-        x = scipy.linalg.solve(B, F)
-    except scipy.linalg.LinAlgError as exc:
-        raise RuntimeError("global space-time system is singular") from exc
-    _, trial_slice, u2_slice, _, _ = global_layout(N, q, dof)
-    u1 = np.empty((N, q + 1, dof))
-    for i in range(N):
-        for m in range(q + 1):
-            u1[i, m] = x[trial_slice(i, m)]
-    u2 = np.zeros((N + 1, dof))   # interior nodes are reconstructed below
-    u2[0] = _initial_coefficients(problem, space)
-    u2[N] = x[u2_slice]
-    sol = SpaceTimeSolution(q, partition, space, u1, u2, problem=problem)
-    for n in range(1, N):
-        sol.u2[n] = reconstruct_u2(sol, n)
-    return sol
-
-
-def reconstruct_u2(solution, n):
-    """Nodal component U2 at node n, rebuilt from U1 on interval n-1.
-
-    Applies the last test equation of that interval (the one ending at node
-    n), so it needs the problem data for the load moments.
-    """
-    if n == 0:
-        raise ValueError("U2 at node 0 is the projected initial datum, not reconstructible")
-    if solution.problem is None:
-        raise ValueError("reconstruction needs the problem attached to the solution")
-    part, space, q = solution.partition, solution.space, solution.q
-    if not (1 <= n <= part.num_intervals):
-        raise ValueError("node index %d outside partition" % (n,))
-    i = n - 1
-    k = float(part.widths[i])
-    rb = ReferenceBlocks(q)
-    moments = interval_moments(solution.problem, space, part, q, i, n)[0]
-    jumps = impulse_loads(solution.problem, space, part)
-    bottom = k * moments[q + 1]
-    if n in jumps:
-        bottom = bottom + jumps[n]
-    for m in range(q + 1):
-        bottom += rb.D[q + 1, m] * (space.mass @ solution.u1[i, m]) \
-            - k * rb.G[q + 1, m] * (space.stiffness @ solution.u1[i, m])
-    return scipy.linalg.cho_solve(space.mass_cho(), bottom)
-
-
-def crank_nicolson(problem, space, partition):
-    """Reference primal solver: trapezoidal step with exact-in-quadrature loads.
-
-    Returns the (N+1, dof) array of nodal iterates W; the load of step i is
-    int_{I_i} load(f) ds by 4-point Gauss.  Impulse forcing is not supported
-    here.
-    """
-    if problem.impulses:
-        raise ValueError("Crank-Nicolson reference path does not take impulses")
-    N = partition.num_intervals
-    M, K = space.mass, space.stiffness
-    W = np.empty((N + 1, space.dof_count))
-    W[0] = _initial_coefficients(problem, space)
-    factors = {}
-    for lo, hi in _load_chunks(space, 0, N, 4):
-        if problem.rhs is not None:
-            t, _, w = quadrature_nodes(partition, lo, hi, 4, problem.time_breakpoints)
-            loads = fem.load_vector(space, problem.rhs, t=t.ravel()).reshape(*t.shape, -1)
-            forcing = np.matmul(w[:, None, :], loads)[:, 0]
-        for i in range(lo, hi):
-            k = float(partition.widths[i])
-            if k not in factors:
-                factors[k] = scipy.linalg.cho_factor(M + 0.5 * k * K)
-            rhs = (M - 0.5 * k * K) @ W[i]
-            if problem.rhs is not None:
-                rhs = rhs + forcing[i - lo]
-            W[i + 1] = scipy.linalg.cho_solve(factors[k], rhs)
-    return W
+    return SpaceTimeSolution(q, partition, space, u1, u2)

@@ -93,9 +93,8 @@ def lobatto_points(m):
     return 0.5 * (pts + 1.0)
 
 
-# Largest trial degree q a config may ask for.  No shipped config needs more,
-# and run_decomposed keeps (q+1)^2 inverses per spatial mode and distinct width
-# that the memory pre-flight does not count.
+# Largest trial degree q a config may ask for: no shipped config needs more,
+# and the march is untested above it.
 MAX_TRIAL_DEGREE = 9
 
 

@@ -26,8 +26,9 @@ from stheat.problems import (
     problem_1d_smooth,
     problem_2d_smooth,
 )
-from stheat.solver import crank_nicolson, run_decomposed, solve_global
+from stheat.solver import run_decomposed
 from stheat.timegrid import make_uniform_partition
+from reference import crank_nicolson, solve_global
 
 
 def _report(num, ok, detail):

@@ -10,7 +10,7 @@ from stheat.analysis import (
     infsup_discrete,
     stability_check,
 )
-from stheat.fem import FemSpace, assemble, load_vector
+from stheat.fem import assemble, load_vector
 from stheat.problems import (
     ExactSolution,
     ProblemSpec,
@@ -20,7 +20,7 @@ from stheat.problems import (
     problem_impulse,
 )
 from stheat import timegrid
-from stheat.solver import assemble_bilinear, global_layout, interval_moments, run_decomposed
+from stheat.solver import interval_moments, run_decomposed
 from stheat.timegrid import (
     ReferenceBlocks,
     TemporalBasis,
@@ -30,7 +30,7 @@ from stheat.timegrid import (
     make_uniform_partition,
     quadrature_nodes,
 )
-from reference import dense_line_tables
+from reference import assemble_bilinear, dense_line_tables, from_matrices, global_layout
 
 
 def test_fit_rate_recovers_exact_power_law():
@@ -157,22 +157,21 @@ def test_scheme_reproduces_trial_space_solutions():
 def _dense_gram_trial(space, partition, q):
     """Gram of the trial norm: ||y1||_{L2(V)}^2 + ||y2||_H^2, block diagonal."""
     N, dof = partition.num_intervals, space.dof_count
-    dim, trial_slice, u2_slice, _, _ = global_layout(N, q, dof)
-    G = np.zeros((dim, dim))
-    for i in range(N):
-        k = float(partition.widths[i])
-        for m in range(q + 1):
-            s = trial_slice(i, m)
-            G[s, s] = (k / (2 * m + 1)) * space.stiffness
-    G[u2_slice, u2_slice] = space.mass
-    return G
+    trial, _ = global_layout(N, q)
+    nb = N * (q + 1) + 1
+    G = np.zeros((nb, dof, nb, dof))
+    for i, k in enumerate(partition.widths):
+        for m, b in enumerate(trial[i]):
+            G[b, :, b] = (k / (2 * m + 1)) * space.stiffness
+    G[nb - 1, :, nb - 1] = space.mass
+    return G.reshape(nb * dof, nb * dof)
 
 
 def _dense_gram_test(space, partition, q, projected):
     """Gram of the test norm sum_i int_{I_i} (||dX/dt||_{H^-1}^2 + ||Y||_V^2)
     + ||X(0)||_H^2 with Y = Pi_q X when projected, Y = X otherwise."""
     N, dof = partition.num_intervals, space.dof_count
-    dim, _, _, test_slice, node_block = global_layout(N, q, dof)
+    _, test = global_layout(N, q)
     rb = ReferenceBlocks(q)
     if projected:
         Lq = rb.L[:, : q + 1]
@@ -181,16 +180,14 @@ def _dense_gram_test(space, partition, q, projected):
         vterm = rb.GL2
     dualM = space.mass @ scipy.linalg.solve(space.stiffness, space.mass)
     dualM = 0.5 * (dualM + dualM.T)
-    G = np.zeros((dim, dim))
-    for i in range(N):
-        k = float(partition.widths[i])
-        for j in range(q + 2):
-            for jp in range(q + 2):
-                G[test_slice(i, j), test_slice(i, jp)] += (
-                    (rb.E[j, jp] / k) * dualM + k * vterm[j, jp] * space.stiffness)
-    s = node_block(0) * dof
-    G[s:s + dof, s:s + dof] += space.mass
-    return G
+    nb = N * (q + 1) + 1
+    G = np.zeros((nb, dof, nb, dof))
+    for i, k in enumerate(partition.widths):
+        for j, row in enumerate(test[i]):
+            for jp, col in enumerate(test[i]):
+                G[row, :, col] += (rb.E[j, jp] / k) * dualM + k * vterm[j, jp] * space.stiffness
+    G[0, :, 0] += space.mass
+    return G.reshape(nb * dof, nb * dof)
 
 
 def _dense_diagnostics(space, partition, q):
@@ -235,7 +232,7 @@ def test_diagnostics_match_dense_oracle(space_args, partition, q):
     ((1, 4, 3), 4, 9, 1e-12),
 ])
 def test_infsup_constants_are_one(space_args, N, q, tol):
-    space = (FemSpace.from_matrices([[1.0]], [[1.0]])
+    space = (from_matrices([[1.0]], [[1.0]])
              if space_args is None else assemble(*space_args))
     c_B, C_B = infsup_discrete(space, make_uniform_partition(1.0, N), q)
     assert c_B == pytest.approx(1.0, abs=tol)
@@ -253,7 +250,7 @@ def test_cs_constant_matches_two_by_two_closed_form():
     Gc = m * e00 + k * kap * GL2 + (m * m / (k * kap)) * E
     Gd = m * e00 + k * kap * proj + (m * m / (k * kap)) * E
     ref = float(np.sqrt(scipy.linalg.eigh(Gc, Gd, eigvals_only=True)[-1]))
-    space = FemSpace.from_matrices([[m]], [[kap]])
+    space = from_matrices([[m]], [[kap]])
     got = cs_constant(space, make_uniform_partition(k, 1), 0)
     assert got == pytest.approx(ref, abs=1e-10)
 

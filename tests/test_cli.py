@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,9 @@ from stheat.cli import (
     run_level,
 )
 from stheat.fem import assemble
-from stheat.problems import problem_2d_smooth
+from stheat.problems import problem_2d_smooth, problem_by_id
+from stheat.solver import run_decomposed
+from stheat.timegrid import make_uniform_partition
 
 SMALL_RUN = {
     "problem": "heat1d-smooth",
@@ -218,17 +221,38 @@ def test_experiment_config_is_frozen():
 
 
 def test_level_bytes_counts_the_solution_arrays():
-    # 1D p=2, n=4: dof 7; q=0, N=10: u1 has 10 rows, u2 11, bound 21 rows
-    assert level_bytes(1, 4, 2, 0, 10) == 21 * 7 * 8
+    # rows of dof doubles: u1 N(q+1), u2 N+1, inverses and their gather
+    # 2(q+1)^2, chunk moments and forced part (q+2) + (q+1)
+    # 1D p=2, n=4: dof 7; q=0, N=10
+    assert level_bytes(1, 4, 2, 0, 10) == (10 + 11 + 2 + 3) * 7 * 8
     # 2D p=2, n=64: dof 127^2; q=1, N=4096
-    assert level_bytes(2, 64, 2, 1, 4096) == (2 * 4096 * 2 + 1) * 127 ** 2 * 8
-    assert level_bytes(1, 8, 3, 2, 1) == 7 * 23 * 8
+    assert level_bytes(2, 64, 2, 1, 4096) == (8192 + 4097 + 8 + 5) * 127 ** 2 * 8
+    assert level_bytes(1, 8, 3, 2, 1) == (3 + 2 + 18 + 7) * 23 * 8
+
+
+@pytest.mark.parametrize("problem_id,n,p,q,N", [
+    ("heat2d-smooth", 24, 3, 9, 2),      # the per-mode inverses dominate
+    ("heat1d-smooth", 64, 2, 0, 4096),   # the solution arrays dominate
+])
+def test_level_bytes_tracks_the_march_peak(problem_id, n, p, q, N):
+    """The pre-flight's bound is at least 0.8 times the traced peak of
+    run_decomposed on a freshly assembled level."""
+    problem = problem_by_id(problem_id)
+    space = assemble(problem.dimension, n, p)
+    partition = make_uniform_partition(problem.final_time, N)
+    tracemalloc.start()
+    try:
+        run_decomposed(problem, space, partition, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert level_bytes(problem.dimension, n, p, q, N) >= 0.8 * peak
 
 
 @pytest.mark.parametrize("command", ["run", "diagnose"])
 def test_main_rejects_levels_beyond_physical_memory(tmp_path, monkeypatch, capsys, command):
     """The pre-flight exits 2 before any level is built.  The memory probe is
-    turned down to 64 bytes, below the smallest level's 72 (n=2, N=4, dof 1)."""
+    turned down to 64 bytes, below the smallest level's 112 (n=2, N=4, dof 1)."""
     monkeypatch.setattr(stheat.cli, "physical_memory", lambda: 64)
     monkeypatch.setattr(stheat.cli, "assemble", None)   # must never be reached
     cfg = _write_config(tmp_path, SMALL_RUN)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stheat.fem import assemble, l2_project, spectral
+from stheat.fem import assemble, spectral
 from stheat.problems import (
     ExactSolution,
     ProblemSpec,
@@ -14,6 +14,7 @@ from stheat.problems import (
 )
 from stheat.solver import run_decomposed
 from stheat.timegrid import make_uniform_partition
+from reference import l2_project
 
 
 @pytest.mark.parametrize("make", [problem_1d_smooth, problem_2d_smooth, problem_1d_lowreg])

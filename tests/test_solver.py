@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from stheat.fem import FemSpace, assemble, l2_project, load_vector
+from stheat.fem import assemble, load_vector
 from stheat.problems import (
     ProblemSpec,
     problem_1d_lowreg,
@@ -11,22 +10,18 @@ from stheat.problems import (
     problem_2d_smooth,
     problem_impulse,
 )
-from stheat.solver import (
-    LocalBlockSystem,
-    SpaceTimeSolution,
+from stheat.solver import LocalBlockSystem, SpaceTimeSolution, interval_moments, run_decomposed
+from stheat.timegrid import CHUNK_VALUES, TimePartition, make_uniform_partition
+from reference import (
     assemble_bilinear,
     assemble_load,
     crank_nicolson,
-    global_layout,
-    impulse_loads,
-    interval_moments,
-    reconstruct_u2,
-    run_decomposed,
+    from_matrices,
+    march_interval_by_interval,
     solve_global,
 )
-from stheat.timegrid import CHUNK_VALUES, TimePartition, make_uniform_partition
 
-SCALAR = FemSpace.from_matrices([[1.0]], [[1.0]])
+SCALAR = from_matrices([[1.0]], [[1.0]])
 
 
 def test_scalar_step_free_decay():
@@ -75,7 +70,7 @@ def test_q0_step_equals_hand_assembled_equations():
 def test_unconditional_contraction_for_all_step_sizes():
     """|u2_out| < |u2_in| for free decay at any ratio of k to the eigenvalue."""
     for lam in (1e-4, 1.0, 1e4):
-        space = FemSpace.from_matrices([[1.0]], [[lam]])
+        space = from_matrices([[1.0]], [[lam]])
         for k in (1e-3, 1.0, 1e3):
             _, out = LocalBlockSystem(space, k, 0).step(np.array([1.0]))
             assert np.isfinite(out[0])
@@ -146,13 +141,7 @@ def test_galerkin_residual_of_decomposed_solution():
     part = make_uniform_partition(1.0, 3)
     q = 1
     sol = run_decomposed(problem, space, part, q)
-    N, dof = part.num_intervals, space.dof_count
-    dim, trial_slice, u2_slice, _, _ = global_layout(N, q, dof)
-    x = np.zeros(dim)
-    for i in range(N):
-        for m in range(q + 1):
-            x[trial_slice(i, m)] = sol.u1[i, m]
-    x[u2_slice] = sol.u2[N]
+    x = np.concatenate([sol.u1.ravel(), sol.u2[-1]])   # trial layout: U1 by interval, then U2(T)
     B = assemble_bilinear(space, part, q)
     F = assemble_load(problem, space, part, q)
     resid = B @ x - F
@@ -176,26 +165,6 @@ def test_crank_nicolson_rejects_impulses():
     space = assemble(1, 4, 1)
     with pytest.raises(ValueError):
         crank_nicolson(problem, space, make_uniform_partition(1.0, 4))
-
-
-def test_reconstruct_u2_consistency():
-    problem = problem_1d_smooth()
-    space = assemble(1, 4, 2)
-    part = make_uniform_partition(1.0, 4)
-    sol = run_decomposed(problem, space, part, q=1)
-    for n in range(1, 5):
-        rebuilt = reconstruct_u2(sol, n)
-        assert np.allclose(rebuilt, sol.u2[n], atol=1e-12)
-
-
-def test_reconstruct_u2_rejects_node_zero():
-    problem = problem_1d_smooth()
-    space = assemble(1, 3, 1)
-    sol = run_decomposed(problem, space, make_uniform_partition(1.0, 2), q=0)
-    with pytest.raises(ValueError):
-        reconstruct_u2(sol, 0)
-    with pytest.raises(ValueError):
-        reconstruct_u2(sol, 5)
 
 
 def test_interval_moments_shape_and_zero_rhs():
@@ -236,19 +205,6 @@ def test_interval_moments_chunk_invariance():
     assert np.abs(whole - single).max() <= 1e-13 * np.abs(single).max()
 
 
-def test_u1_at_evaluates_the_legendre_expansion():
-    problem = problem_1d_smooth()
-    space = assemble(1, 3, 1)
-    part = make_uniform_partition(1.0, 2)
-    sol = run_decomposed(problem, space, part, q=1)
-    # midpoint of interval 0: P0 = 1, P1(1/2 shifted) = 0
-    mid = sol.u1_at(0, 0.25)
-    assert np.allclose(mid, sol.u1[0, 0], atol=1e-13)
-    # right endpoint: P0 + P1
-    right = sol.u1_at(0, 0.5)
-    assert np.allclose(right, sol.u1[0, 0] + sol.u1[0, 1], atol=1e-13)
-
-
 def test_solution_shape_validation():
     part = make_uniform_partition(1.0, 2)
     space = assemble(1, 3, 1)
@@ -275,25 +231,6 @@ def test_nonuniform_partition_march():
 
 
 # -- modal march against the reference solvers --------------------------------
-
-def _march_interval_by_interval(problem, space, partition, q):
-    """Reference: the dense interval march, one LocalBlockSystem.step per
-    interval, in FE coordinates throughout; returns (u1, u2)."""
-    N, dof = partition.num_intervals, space.dof_count
-    jumps = impulse_loads(problem, space, partition)
-    moments = interval_moments(problem, space, partition, q)
-    u1 = np.empty((N, q + 1, dof))
-    u2 = np.zeros((N + 1, dof))
-    if problem.initial is not None:
-        u2[0] = scipy.linalg.cho_solve(space.mass_cho(), load_vector(space, problem.initial))
-    systems = {}
-    for i in range(N):
-        k = float(partition.widths[i])
-        if k not in systems:
-            systems[k] = LocalBlockSystem(space, k, q)
-        u1[i], u2[i + 1] = systems[k].step(u2[i], moments[i], jumps.get(i + 1))
-    return u1, u2
-
 
 def _relative_gap(sol, u1, u2):
     """Largest entry gap between sol and the reference (u1, u2), relative to
@@ -337,7 +274,7 @@ def test_modal_march_matches_references(problem, space_args, partition, q):
     solve, and with q = 0 and no forcing the Crank-Nicolson iterates."""
     space = assemble(*space_args)
     sol = run_decomposed(problem, space, partition, q)
-    assert _relative_gap(sol, *_march_interval_by_interval(problem, space, partition, q)) <= 1e-12
+    assert _relative_gap(sol, *march_interval_by_interval(problem, space, partition, q)) <= 1e-12
     ref = solve_global(problem, space, partition, q)
     assert _relative_gap(sol, ref.u1, ref.u2) <= 1e-12
     if q == 0 and problem.rhs is None and not problem.impulses:
@@ -357,6 +294,6 @@ def test_modal_march_property(dimension, n, p, q, widths):
     problem = problem_1d_lowreg(0.5) if dimension == 1 else problem_2d_smooth()
     space = assemble(dimension, n, p)
     sol = run_decomposed(problem, space, partition, q)
-    assert _relative_gap(sol, *_march_interval_by_interval(problem, space, partition, q)) <= 1e-12
+    assert _relative_gap(sol, *march_interval_by_interval(problem, space, partition, q)) <= 1e-12
     ref = solve_global(problem, space, partition, q)
     assert _relative_gap(sol, ref.u1, ref.u2) <= 1e-12
