@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from stheat import analysis
 from stheat.analysis import (
+    _mode_matrices,
+    _top,
     cfl_constant,
     cs_constant,
     error_norms,
@@ -206,15 +209,17 @@ def _dense_diagnostics(space, partition, q):
 
 _NONUNIFORM = TimePartition([0.0, 0.1, 0.25, 0.3, 0.6, 0.65, 1.0])
 
-
-@pytest.mark.parametrize("space_args,partition,q", [
+_DENSE_CASES = [
     ((1, 5, 2), make_uniform_partition(1.0, 6), 0),
     ((1, 4, 3), make_uniform_partition(1.0, 5), 1),
     ((1, 4, 1), make_uniform_partition(0.5, 3), 2),
     ((2, 3, 2), make_uniform_partition(1.0, 4), 0),
     ((1, 6, 1), _NONUNIFORM, 0),
     ((1, 3, 2), _NONUNIFORM, 1),
-])
+]
+
+
+@pytest.mark.parametrize("space_args,partition,q", _DENSE_CASES)
 def test_diagnostics_match_dense_oracle(space_args, partition, q):
     space = assemble(*space_args)
     c_B, C_B, c_S = _dense_diagnostics(space, partition, q)
@@ -222,6 +227,55 @@ def test_diagnostics_match_dense_oracle(space_args, partition, q):
     assert got_b == pytest.approx(c_B, rel=1e-12)
     assert got_B == pytest.approx(C_B, rel=1e-12)
     assert cs_constant(space, partition, q) == pytest.approx(c_S, rel=1e-12)
+
+
+@pytest.mark.parametrize("space_args,partition,q", _DENSE_CASES + [
+    ((1, 32, 2), make_uniform_partition(1.0, 1024), 0),
+    ((2, 8, 2), make_uniform_partition(1.0, 64), 0),
+])
+def test_pruned_maxima_match_every_mode(space_args, partition, q):
+    """The floors only skip modes: the constants equal the maxima of every
+    mode's own top eigenvalue, bisected without a floor.  c_B and C_B sit
+    near 1, where a bisection started from another bracket may settle a few
+    ulps away."""
+    space = assemble(*space_args)
+    lo, hi = zip(*((_top(GX, BB), _top(BB, GX))
+                   for BB, GX in _mode_matrices(space, partition, q, "BB")))
+    top_s = max(_top(GC, GX) for GC, GX in _mode_matrices(space, partition, q, "GC"))
+    c_B, C_B = infsup_discrete(space, partition, q)
+    assert c_B == pytest.approx(np.sqrt(1.0 / max(lo)), abs=1e-12)
+    assert C_B == pytest.approx(np.sqrt(max(hi)), abs=1e-12)
+    assert cs_constant(space, partition, q) == np.sqrt(top_s)
+
+
+def test_indefinite_gram_raises_after_the_maximum_is_set():
+    """Modes are visited largest eigenvalue first, so lambda = -1 comes after
+    lambda = 4 has set every maximum; its Gram check must still run."""
+    space = from_matrices(np.eye(2), np.diag([4.0, -1.0]))
+    part = make_uniform_partition(1.0, 2)
+    for diagnostic in (cs_constant, infsup_discrete):
+        with pytest.raises(RuntimeError, match="norm Gram matrix is not positive definite"):
+            diagnostic(space, part, 0)
+    # G = [[1, 2], [2, 1]] is indefinite though 2 G - A = 1.5 I is definite
+    G, A = np.array([[1.0, 1.0], [2.0, 0.0]]), np.array([[0.5, 0.5], [4.0, 0.0]])
+    with pytest.raises(RuntimeError, match="norm Gram matrix is not positive definite"):
+        _top(A, G, 2.0)
+
+
+def test_floors_bound_the_factorization_count(monkeypatch):
+    """63 distinct eigenvalues: bisecting every mode takes about 57 (c_S) and
+    108 (c_B, C_B) banded factorizations per eigenvalue; with the floors a
+    mode below the maxima takes 2 and 4."""
+    space = assemble(1, 32, 2)
+    part = make_uniform_partition(1.0, 1024)
+    calls = []
+    definite = analysis._definite
+    monkeypatch.setattr(analysis, "_definite", lambda ab: calls.append(1) or definite(ab))
+    cs_constant(space, part, 0)
+    assert len(calls) <= 4 * 63
+    calls.clear()
+    infsup_discrete(space, part, 0)
+    assert len(calls) <= 16 * 63
 
 
 @pytest.mark.parametrize("space_args,N,q,tol", [
