@@ -19,9 +19,13 @@ per-pair rates in the last two columns), loglog.csv (plot-ready k-vs-error
 pairs), summary.json (fitted rates, expected orders, pass flags; rates and
 flags need at least two levels).  The
 `diagnose` subcommand writes diagnostics.json instead.  The directory is
-taken from --out if given, else the STHEAT_OUT_DIR environment variable,
-else the config.  Floats are written with 17 significant digits and JSON
-keys are sorted, so reruns of the same config are byte-identical.
+--out if given, else the config's out_dir.  Floats are written with 17
+significant digits and JSON keys are sorted, so reruns of the same config
+are byte-identical.
+
+Before any level is built, the pre-flight checks every level the command
+builds against physical memory and, on a run with errors, that the levels
+have distinct step sizes.  main maps each failure to its exit code.
 """
 
 import argparse
@@ -38,9 +42,7 @@ from .analysis import (cfl_constant, cs_constant, error_norms, fit_rate,
 from .fem import assemble
 from .problems import problem_by_id, validate_residual
 from .solver import run_decomposed
-from .timegrid import MAX_TRIAL_DEGREE, make_uniform_partition
-
-OUT_DIR_ENV = "STHEAT_OUT_DIR"
+from .timegrid import CHUNK_VALUES, MAX_TRIAL_DEGREE, make_uniform_partition
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -141,13 +143,6 @@ def parse_config(text):
     return cfg
 
 
-def config_to_dict(cfg):
-    out = dataclasses.asdict(cfg)
-    out["levels"] = list(cfg.levels)
-    out["explicit_N"] = None if cfg.explicit_N is None else list(cfg.explicit_N)
-    return out
-
-
 def level_geometry(cfg, idx, final_time):
     """Interval count for refinement level idx under the coupling law."""
     n = cfg.levels[idx]
@@ -164,14 +159,24 @@ def level_geometry(cfg, idx, final_time):
 
 def level_bytes(dimension, n, p, q, N):
     """Lower bound on the memory of a level: what run_decomposed holds at
-    once, counted for one interval width and a load chunk of one interval.
+    its peak, counted for one interval width.
 
-    In rows of dof = (np-1)^dimension doubles: u1 and u2, N(q+1) + N+1; the
-    per-mode (q+1)x(q+1) inverses and their gather over the chunk,
-    2(q+1)^2; the chunk's modal load moments and forced part, (q+2) + (q+1).
+    In doubles: the line eigenbasis V and M V, 2(np-1)^2.  In rows of
+    dof = (np-1)^dimension doubles: u1 and u2, N(q+1) + N+1; the per-mode
+    inverses, r, alpha, mu and eigenvalues, (q+1)^2 + q+4; one interval's
+    load moments, q+2.  On top, the larger of two passing peaks: the
+    quadrature values of the largest load chunk, (q+3)(n(p+2))^dimension
+    per interval, which load_vector holds (2p+3)/(p+2) times over (the
+    values, the scattered nodes and the last-column product); or the
+    gather of the inverses over one interval, (q+1)^2 rows.
     """
-    rows = N * (q + 2) + 1 + 2 * (q + 1) ** 2 + 2 * q + 3
-    return rows * (n * p - 1) ** dimension * 8
+    line = n * p - 1
+    dof = line ** dimension
+    values = (q + 3) * (n * (p + 2)) ** dimension
+    block = min(N, max(1, CHUNK_VALUES // values)) * values
+    rows = N * (q + 2) + 1 + (q + 1) ** 2 + 2 * q + 6
+    return 8 * (2 * line ** 2 + rows * dof
+                + max(block * (2 * p + 3) // (p + 2), (q + 1) ** 2 * dof))
 
 
 def physical_memory():
@@ -179,38 +184,36 @@ def physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def check_memory(cfg, count):
-    """Raise ConfigError if one of the first count levels cannot fit in
-    physical memory; runs before any level allocates."""
-    problem = problem_by_id(cfg.problem, cfg.epsilon)
+def preflight(cfg, problem, count):
+    """Raise ConfigError, before any level allocates, if one of the first
+    count levels cannot fit in physical memory, or if errors are on and two
+    of them share an interval count: equal step sizes k leave no rate to fit
+    in log k."""
     available = physical_memory()
+    counts = []
     for idx in range(count):
         n, N = level_geometry(cfg, idx, problem.final_time)
         need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N)
         if need > available:
             raise ConfigError("level n=%d, N=%d needs at least %.3g GB, more than the "
                               "%.3g GB of physical memory" % (n, N, need / 1e9, available / 1e9))
-
-
-def check_step_sizes(cfg):
-    """Raise ConfigError if errors are on and two levels share an interval
-    count: equal step sizes k leave no rate to fit in log k."""
-    if not cfg.errors or len(cfg.levels) < 2:
-        return
-    final_time = problem_by_id(cfg.problem, cfg.epsilon).final_time
-    counts = [level_geometry(cfg, idx, final_time)[1] for idx in range(len(cfg.levels))]
-    if len(set(counts)) < len(counts):
+        counts.append(N)
+    if cfg.errors and len(set(counts)) < len(counts):
         raise ConfigError("levels %s get interval counts %s; rates need a distinct step "
                           "size on every level" % (list(cfg.levels), counts))
 
 
-def run_level(cfg, idx, problem):
-    """Solve one refinement level; returns a result dict."""
+def _build_level(cfg, idx, problem):
+    """Space and time partition of refinement level idx."""
     n, N = level_geometry(cfg, idx, problem.final_time)
-    space = assemble(problem.dimension, n, cfg.p)
-    partition = make_uniform_partition(problem.final_time, N)
+    return assemble(problem.dimension, n, cfg.p), make_uniform_partition(problem.final_time, N)
+
+
+def run_level(cfg, idx, problem):
+    """Solve one refinement level; returns its row of summary.json."""
+    space, partition = _build_level(cfg, idx, problem)
     solution = run_decomposed(problem, space, partition, cfg.q)
-    row = {"n": n, "N": N, "h": space.h, "k": partition.k_max}
+    row = {"n": space.n, "N": partition.num_intervals, "h": space.h, "k": partition.k_max}
     if cfg.errors:
         report = error_norms(solution, problem)
         row["err_u1_L2V"] = report.err_u1_L2V
@@ -231,8 +234,8 @@ def level_diagnostics(problem, space, partition, q, solution=None):
     return block
 
 
-def _fmt(value):
-    return "%.17g" % float(value)
+def _cell(value):
+    return "" if value is None else "%.17g" % float(value)
 
 
 def _pair_rates(ks, errs):
@@ -248,79 +251,53 @@ def emit_report(cfg, rows, out_dir):
     Fitted rates and pass flags need at least two levels with errors; a
     single level is reported without them.  Returns the summary.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    with_errors = all("err_u1_L2V" in r for r in rows) and rows
-    summary = {"config": config_to_dict(cfg), "levels": []}
-    for row in rows:
-        entry = {k: row[k] for k in ("n", "N", "h", "k")}
-        if "err_u1_L2V" in row:
-            entry["err_u1_L2V"] = row["err_u1_L2V"]
-            entry["err_u2_nodal_max"] = row["err_u2_nodal_max"]
-        if "diagnostics" in row:
-            entry["diagnostics"] = row["diagnostics"]
-        summary["levels"].append(entry)
-
-    lines = ["N,h,k,err_u1_L2V,err_u2_nodal_max,rate_u1,rate_u2"]
-    log_lines = ["k,err_u1_L2V,err_u2_nodal_max"]
-    if with_errors:
-        ks = [r["k"] for r in rows]
-        e1 = [r["err_u1_L2V"] for r in rows]
-        e2 = [r["err_u2_nodal_max"] for r in rows]
+    summary = {"config": dataclasses.asdict(cfg), "levels": rows}
+    ks = [r["k"] for r in rows]
+    e1 = [r.get("err_u1_L2V") for r in rows]
+    e2 = [r.get("err_u2_nodal_max") for r in rows]
+    r1 = r2 = [None] * len(rows)
+    if cfg.errors:
         r1, r2 = _pair_rates(ks, e1), _pair_rates(ks, e2)
-        for i, row in enumerate(rows):
-            lines.append(",".join([
-                str(row["N"]), _fmt(row["h"]), _fmt(row["k"]), _fmt(e1[i]), _fmt(e2[i]),
-                "" if r1[i] is None else _fmt(r1[i]),
-                "" if r2[i] is None else _fmt(r2[i])]))
-            log_lines.append(",".join([_fmt(ks[i]), _fmt(e1[i]), _fmt(e2[i])]))
         expected = {"u1": cfg.q + 1, "u2": 2 * (cfg.q + 1)}
         summary["expected"] = expected
         if len(rows) > 1:
             fitted = {"u1": fit_rate(list(zip(ks, e1))), "u2": fit_rate(list(zip(ks, e2)))}
-            summary["rates"] = {
-                "fitted": fitted,
-                "per_pair_u1": r1[1:],
-                "per_pair_u2": r2[1:],
-            }
+            summary["rates"] = {"fitted": fitted, "per_pair_u1": r1[1:], "per_pair_u2": r2[1:]}
             summary["pass"] = {
                 key: bool(expected[key] - 0.35 <= fitted[key] <= expected[key] + 0.65)
                 for key in ("u1", "u2")
             }
-    else:
-        for row in rows:
-            lines.append(",".join([str(row["N"]), _fmt(row["h"]), _fmt(row["k"]), "", "", "", ""]))
-
-    _write_text(os.path.join(out_dir, "rates.csv"), "\n".join(lines) + "\n")
-    _write_text(os.path.join(out_dir, "loglog.csv"), "\n".join(log_lines) + "\n")
-    _write_text(os.path.join(out_dir, "summary.json"),
-                json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    lines = ["N,h,k,err_u1_L2V,err_u2_nodal_max,rate_u1,rate_u2"]
+    log_lines = ["k,err_u1_L2V,err_u2_nodal_max"]
+    for row, *cells in zip(rows, e1, e2, r1, r2):
+        lines.append(",".join([str(row["N"])] + [_cell(v) for v in [row["h"], row["k"]] + cells]))
+        if cfg.errors:
+            log_lines.append(",".join(_cell(v) for v in [row["k"]] + cells[:2]))
+    _write(out_dir, {"rates.csv": "\n".join(lines) + "\n",
+                     "loglog.csv": "\n".join(log_lines) + "\n",
+                     "summary.json": summary})
     return summary
 
 
-def _write_text(path, text):
-    with open(path, "w") as handle:
-        handle.write(text)
+def _write(out_dir, files):
+    """Write each name: content of files into out_dir, creating it; content
+    that is not text is written as JSON with sorted keys."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, content in files.items():
+        if not isinstance(content, str):
+            content = json.dumps(content, sort_keys=True, indent=2) + "\n"
+        with open(os.path.join(out_dir, name), "w") as handle:
+            handle.write(content)
 
 
-def _resolve_out_dir(cfg, cli_out):
-    if cli_out:
-        return cli_out
-    return os.environ.get(OUT_DIR_ENV) or cfg.out_dir
+def run_experiment(cfg, problem, out_dir, quiet=False):
+    """Solve every level of cfg and write its artifacts to out_dir.
 
-
-def run_experiment(cfg, out_dir, quiet=False):
-    problem = problem_by_id(cfg.problem, cfg.epsilon)
-    if cfg.errors and problem.exact is None:
-        print("error: problem %r has no exact solution; set errors=false" % cfg.problem,
-              file=sys.stderr)
-        return EXIT_NO_EXACT
-    try:
-        if problem.exact is not None:
-            validate_residual(problem, seed=cfg.seed)
-        rows = [run_level(cfg, i, problem) for i in range(len(cfg.levels))]
-    except (np.linalg.LinAlgError, RuntimeError, ValueError) as exc:
-        print("error: solver failure: %s" % exc, file=sys.stderr)
-        return EXIT_SOLVER
+    Raises the solver failures and OSError that main maps to exit codes.
+    """
+    if problem.exact is not None:
+        validate_residual(problem, seed=cfg.seed)
+    rows = [run_level(cfg, i, problem) for i in range(len(cfg.levels))]
     if not quiet:
         for row in rows:
             msg = "n=%-4d N=%-6d k=%.3e" % (row["n"], row["N"], row["k"])
@@ -328,40 +305,22 @@ def run_experiment(cfg, out_dir, quiet=False):
                 msg += "  err_u1=%.6e  err_u2=%.6e" % (
                     row["err_u1_L2V"], row["err_u2_nodal_max"])
             print(msg)
-    try:
-        summary = emit_report(cfg, rows, out_dir)
-    except OSError as exc:
-        print("error: cannot write %r: %s" % (out_dir, exc), file=sys.stderr)
-        return EXIT_UNWRITABLE
+    summary = emit_report(cfg, rows, out_dir)
     if not quiet and "rates" in summary:
         fitted, expected = summary["rates"]["fitted"], summary["expected"]
         print("fitted rates: u1 %.4f (expected %d), u2 %.4f (expected %d)"
               % (fitted["u1"], expected["u1"], fitted["u2"], expected["u2"]))
-    return EXIT_OK
 
 
-def run_diagnose(cfg, out_dir, quiet=False):
-    problem = problem_by_id(cfg.problem, cfg.epsilon)
-    try:
-        n, N = level_geometry(cfg, 0, problem.final_time)
-        space = assemble(problem.dimension, n, cfg.p)
-        block = level_diagnostics(problem, space,
-                                  make_uniform_partition(problem.final_time, N), cfg.q)
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
-        print("error: solver failure: %s" % exc, file=sys.stderr)
-        return EXIT_SOLVER
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_text(os.path.join(out_dir, "diagnostics.json"),
-                    json.dumps({"config": config_to_dict(cfg), "diagnostics": block},
-                               sort_keys=True, indent=2) + "\n")
-    except OSError as exc:
-        print("error: cannot write %r: %s" % (out_dir, exc), file=sys.stderr)
-        return EXIT_UNWRITABLE
+def run_diagnose(cfg, problem, out_dir, quiet=False):
+    """Constants of the first level of cfg, written to out_dir/diagnostics.json."""
+    space, partition = _build_level(cfg, 0, problem)
+    block = level_diagnostics(problem, space, partition, cfg.q)
+    _write(out_dir, {"diagnostics.json": {"config": dataclasses.asdict(cfg), "diagnostics": block}})
     if not quiet:
-        print("c_B=%.12f C_B=%.12f c_S=%.6f C_CFL=%.6f (n=%d, N=%d)"
-              % (block["c_B"], block["C_B"], block["c_S"], block["C_CFL"], n, N))
-    return EXIT_OK
+        print("c_B=%.12f C_B=%.12f c_S=%.6f C_CFL=%.6f (n=%d, N=%d)" % (
+            block["c_B"], block["C_B"], block["c_S"], block["C_CFL"],
+            space.n, partition.num_intervals))
 
 
 def _load_config(path):
@@ -386,19 +345,28 @@ def main(argv=None):
     diag_p.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
+    run = args.command == "run"
+    out_dir = args.out
     try:
         cfg = _load_config(args.config)
-        check_memory(cfg, len(cfg.levels) if args.command == "run" else 1)
-        if args.command == "run":
-            check_step_sizes(cfg)
+        problem = problem_by_id(cfg.problem, cfg.epsilon)
+        preflight(cfg, problem, len(cfg.levels) if run else 1)
+        if run and cfg.errors and problem.exact is None:
+            print("error: problem %r has no exact solution; set errors=false" % cfg.problem,
+                  file=sys.stderr)
+            return EXIT_NO_EXACT
+        out_dir = args.out or cfg.out_dir
+        (run_experiment if run else run_diagnose)(cfg, problem, out_dir, quiet=args.quiet)
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-
-    out_dir = _resolve_out_dir(cfg, args.out)
-    if args.command == "run":
-        return run_experiment(cfg, out_dir, quiet=args.quiet)
-    return run_diagnose(cfg, out_dir, quiet=args.quiet)
+    except (np.linalg.LinAlgError, RuntimeError, ValueError) as exc:
+        print("error: solver failure: %s" % exc, file=sys.stderr)
+        return EXIT_SOLVER
+    except OSError as exc:
+        print("error: cannot write %r: %s" % (out_dir, exc), file=sys.stderr)
+        return EXIT_UNWRITABLE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

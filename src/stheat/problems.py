@@ -174,14 +174,9 @@ def validate_residual(problem, num_points=20, tol=1e-8, seed=0):
         if any(abs(t - b) < margin for b in problem.time_breakpoints):
             continue
         count += 1
-        if problem.dimension == 1:
-            x = rng.uniform(0.0, 1.0)
-            r = problem.exact.du_dt(x, t) - problem.exact.laplacian(x, t)
-            f = problem.rhs(x, t) if problem.rhs is not None else 0.0
-        else:
-            x, y = rng.uniform(0.0, 1.0, size=2)
-            r = problem.exact.du_dt(x, y, t) - problem.exact.laplacian(x, y, t)
-            f = problem.rhs(x, y, t) if problem.rhs is not None else 0.0
+        x = rng.uniform(0.0, 1.0, size=problem.dimension)
+        r = problem.exact.du_dt(*x, t) - problem.exact.laplacian(*x, t)
+        f = problem.rhs(*x, t) if problem.rhs is not None else 0.0
         rel = abs(float(r - f)) / max(1.0, abs(float(f)))
         worst = max(worst, rel)
     if worst > tol:

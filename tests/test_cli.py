@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -17,7 +18,6 @@ from stheat.cli import (
     EXIT_UNWRITABLE,
     ConfigError,
     ExperimentConfig,
-    config_to_dict,
     level_bytes,
     level_geometry,
     main,
@@ -47,7 +47,7 @@ def _write_config(tmp_path, payload, name="cfg.json"):
 
 def test_parse_config_round_trip():
     cfg = parse_config(json.dumps(SMALL_RUN))
-    again = parse_config(json.dumps(config_to_dict(cfg)))
+    again = parse_config(json.dumps(dataclasses.asdict(cfg)))
     assert again == cfg
     assert cfg.levels == (2, 3)
     assert cfg.errors is True
@@ -165,18 +165,18 @@ def test_single_level_run_writes_artifacts_without_rates(tmp_path):
     assert summary["levels"][0]["err_u1_L2V"] > 0.0
 
 
-def test_out_dir_environment_override(tmp_path, monkeypatch):
-    cfg_payload = dict(SMALL_RUN, out_dir=str(tmp_path / "from_config"))
-    cfg = _write_config(tmp_path, cfg_payload)
-    env_out = tmp_path / "from_env"
+@pytest.mark.parametrize("command", ["run", "diagnose"])
+def test_out_flag_beats_config_out_dir(tmp_path, monkeypatch, command):
+    """The output directory is --out, else out_dir; the environment plays no part."""
+    artifact = "summary.json" if command == "run" else "diagnostics.json"
+    config_out, cli_out, env_out = (tmp_path / d for d in ("from_config", "from_cli", "from_env"))
+    cfg = _write_config(tmp_path, dict(SMALL_RUN, out_dir=str(config_out)))
     monkeypatch.setenv("STHEAT_OUT_DIR", str(env_out))
-    assert main(["run", cfg, "--quiet"]) == EXIT_OK
-    assert (env_out / "summary.json").exists()
-    assert not (tmp_path / "from_config").exists()
-    # explicit --out beats the environment
-    cli_out = tmp_path / "from_cli"
-    assert main(["run", cfg, "--out", str(cli_out), "--quiet"]) == EXIT_OK
-    assert (cli_out / "summary.json").exists()
+    assert main([command, cfg, "--out", str(cli_out), "--quiet"]) == EXIT_OK
+    assert (cli_out / artifact).exists() and not config_out.exists()
+    assert main([command, cfg, "--quiet"]) == EXIT_OK
+    assert (config_out / artifact).exists()
+    assert not env_out.exists()
 
 
 def test_diagnose_writes_constants(tmp_path):
@@ -221,18 +221,23 @@ def test_experiment_config_is_frozen():
 
 
 def test_level_bytes_counts_the_solution_arrays():
-    # rows of dof doubles: u1 N(q+1), u2 N+1, inverses and their gather
-    # 2(q+1)^2, chunk moments and forced part (q+2) + (q+1)
-    # 1D p=2, n=4: dof 7; q=0, N=10
-    assert level_bytes(1, 4, 2, 0, 10) == (10 + 11 + 2 + 3) * 7 * 8
-    # 2D p=2, n=64: dof 127^2; q=1, N=4096
-    assert level_bytes(2, 64, 2, 1, 4096) == (8192 + 4097 + 8 + 5) * 127 ** 2 * 8
-    assert level_bytes(1, 8, 3, 2, 1) == (3 + 2 + 18 + 7) * 23 * 8
+    # doubles: the line eigenbasis 2(np-1)^2; rows of dof doubles: u1 N(q+1),
+    # u2 N+1, inverses, r, alpha, mu and eigenvalues (q+1)^2 + q+4, one
+    # interval's moments q+2; then the larger of a load chunk's quadrature
+    # values times (2p+3)/(p+2) and the inverses' gather (q+1)^2 rows
+    # 1D p=2, n=4: dof 7; q=0, N=10: one chunk of 10 intervals of 3*16 values
+    assert level_bytes(1, 4, 2, 0, 10) == (2 * 7 ** 2 + (10 + 11 + 5 + 2) * 7 + 480 * 7 // 4) * 8
+    # 2D p=2, n=64: dof 127^2; q=1, N=4096: one interval of 4*256^2 values a chunk
+    assert level_bytes(2, 64, 2, 1, 4096) == (
+        2 * 127 ** 2 + (8192 + 4097 + 9 + 3) * 127 ** 2 + 4 * 256 ** 2 * 7 // 4) * 8
+    # 1D p=3, n=8, q=9, N=1: the gather of the 10x10 inverses beats the 480 values
+    assert level_bytes(1, 8, 3, 9, 1) == (2 * 23 ** 2 + (10 + 2 + 113 + 11) * 23 + 100 * 23) * 8
 
 
 @pytest.mark.parametrize("problem_id,n,p,q,N", [
     ("heat2d-smooth", 24, 3, 9, 2),      # the per-mode inverses dominate
     ("heat1d-smooth", 64, 2, 0, 4096),   # the solution arrays dominate
+    ("heat2d-smooth", 48, 3, 0, 2),      # one interval's load block dominates
 ])
 def test_level_bytes_tracks_the_march_peak(problem_id, n, p, q, N):
     """The pre-flight's bound is at least 0.8 times the traced peak of
@@ -252,7 +257,7 @@ def test_level_bytes_tracks_the_march_peak(problem_id, n, p, q, N):
 @pytest.mark.parametrize("command", ["run", "diagnose"])
 def test_main_rejects_levels_beyond_physical_memory(tmp_path, monkeypatch, capsys, command):
     """The pre-flight exits 2 before any level is built.  The memory probe is
-    turned down to 64 bytes, below the smallest level's 112 (n=2, N=4, dof 1)."""
+    turned down to 64 bytes, below the smallest level's 1104 (n=2, N=4, dof 1)."""
     monkeypatch.setattr(stheat.cli, "physical_memory", lambda: 64)
     monkeypatch.setattr(stheat.cli, "assemble", None)   # must never be reached
     cfg = _write_config(tmp_path, SMALL_RUN)
@@ -315,16 +320,18 @@ _RANDOM_CONFIG = st.fixed_dictionaries(
     })
 
 
+@pytest.mark.parametrize("command", ["run", "diagnose"])
 @settings(max_examples=25, deadline=None)
 @given(payload=_RANDOM_CONFIG)
-def test_main_random_configs_exit_with_a_documented_code(payload):
+def test_main_random_configs_exit_with_a_documented_code(command, payload):
     """Small random configs, valid or not, end in a documented exit code;
-    main never raises, so `python -m stheat run` never prints a traceback."""
+    main never raises, so `python -m stheat run` or `diagnose` never prints
+    a traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "cfg.json")
         with open(cfg, "w") as handle:
             json.dump(payload, handle)
-        code = main(["run", cfg, "--out", os.path.join(tmp, "out"), "--quiet"])
+        code = main([command, cfg, "--out", os.path.join(tmp, "out"), "--quiet"])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_NO_EXACT, EXIT_UNWRITABLE)
 
 
