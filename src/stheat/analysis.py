@@ -123,7 +123,10 @@ def _banded(blocks):
     return ab
 
 
-# LAPACK's banded Cholesky behind scipy.linalg.cholesky_banded, without its checks.
+# LAPACK's banded Cholesky behind scipy.linalg.cholesky_banded, without its checks;
+# the one scipy routine a run calls, and only for diagnostics.  Looked up at
+# import: a lazy lookup would move scipy.linalg's import (about 0.2 s on a
+# 2-core machine) from start-up into the first diagnosed level.
 _pbtrf, = scipy.linalg.get_lapack_funcs(("pbtrf",), dtype=np.float64)
 
 

@@ -158,25 +158,32 @@ def level_geometry(cfg, idx, final_time):
 
 
 def level_bytes(dimension, n, p, q, N):
-    """Lower bound on the memory of a level: what run_decomposed holds at
-    its peak, counted for one interval width.
+    """Lower bound on the memory of a level: the larger of the peaks of
+    assemble and of run_decomposed, the latter counted for one interval width.
 
-    In doubles: the line eigenbasis V and M V, 2(np-1)^2.  In rows of
-    dof = (np-1)^dimension doubles: u1 and u2, N(q+1) + N+1; the per-mode
-    inverses, r, alpha, mu and eigenvalues, (q+1)^2 + q+4; one interval's
-    load moments, q+2.  On top, the larger of two passing peaks: the
-    quadrature values of the largest load chunk, (q+3)(n(p+2))^dimension
-    per interval, which load_vector holds (2p+3)/(p+2) times over (the
-    values, the scattered nodes and the last-column product); or the
-    gather of the inverses over one interval, (q+1)^2 rows.
+    assemble holds three dense tables of (np+1) n(p+1) doubles at once (B, D
+    and a weighted product) beside M and K, 2(np-1)^2 doubles, in 1D and 2D
+    alike; for p = 1 that is about four times the eigenbasis.
+
+    run_decomposed holds, in doubles: the line eigenbasis V and M V,
+    2(np-1)^2.  In rows of dof = (np-1)^dimension doubles: u1 and u2,
+    N(q+1) + N+1; the per-mode inverses, r, alpha, mu and eigenvalues,
+    (q+1)^2 + q+4; one interval's load moments, q+2.  On top, the larger of
+    two passing peaks: the quadrature values of the largest load chunk,
+    (q+3)(n(p+2))^dimension per interval, which load_vector holds
+    (2p+3)/(p+2) times over (the values, the scattered nodes and the
+    last-column product); or the gather of the inverses over one interval,
+    (q+1)^2 rows.  spectral's own passing peak, four (np-1)^2 doubles, stays
+    below the assembly peak.
     """
     line = n * p - 1
     dof = line ** dimension
+    assembly = 3 * (n * p + 1) * n * (p + 1) + 2 * line ** 2
     values = (q + 3) * (n * (p + 2)) ** dimension
     block = min(N, max(1, CHUNK_VALUES // values)) * values
     rows = N * (q + 2) + 1 + (q + 1) ** 2 + 2 * q + 6
-    return 8 * (2 * line ** 2 + rows * dof
-                + max(block * (2 * p + 3) // (p + 2), (q + 1) ** 2 * dof))
+    march = 2 * line ** 2 + rows * dof + max(block * (2 * p + 3) // (p + 2), (q + 1) ** 2 * dof)
+    return 8 * max(assembly, march)
 
 
 def physical_memory():

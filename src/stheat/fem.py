@@ -5,7 +5,10 @@ uniform mesh of n elements, boundary DOFs eliminated.  The 2D space on the
 unit square is the tensor product of the 1D space with itself.  A space
 keeps only the 1D mass and stiffness matrices (M, K) of the line; every
 spatial operation works through them and the M-orthonormal eigenbasis of
-(K, M) computed once on the line (spectral).  The dense 2D matrices
+(K, M) computed once on the line (spectral) with numpy's LAPACK: numpy and
+scipy each load their own OpenBLAS, whose thread pools compete for the cores
+when one run calls both, so scipy is left to the diagnostics.  The dense 2D
+matrices
 
     M2 = kron(M, M),    K2 = kron(K, M) + kron(M, K)
 
@@ -25,7 +28,6 @@ phi_i(xi) * phi_j(eta) where d is the 1D DOF count.
 import functools
 
 import numpy as np
-import scipy.linalg
 
 from .timegrid import gauss_rule, lagrange_coefficient_matrix
 
@@ -44,7 +46,6 @@ class FemSpace:
         self.line_mass = line_mass
         self.line_stiffness = line_stiffness
         self.dof_count = line_mass.shape[0] ** max(dimension, 1)
-        self._mass_cho = None
         self._spectral = None
 
     @functools.cached_property
@@ -84,12 +85,6 @@ class FemSpace:
         if self.n is None:
             return 1
         return (self.n * nq) ** self.dimension
-
-    def mass_cho(self):
-        """Cholesky factor of the dense mass matrix (reference solvers only)."""
-        if self._mass_cho is None:
-            self._mass_cho = scipy.linalg.cho_factor(self.mass)
-        return self._mass_cho
 
     def __repr__(self):
         return "FemSpace(dim=%r, n=%r, p=%r, dof=%d)" % (
@@ -247,8 +242,17 @@ def load_vector(space, g, nq=None, t=None):
 
 
 def spectral(space):
-    """Eigendecomposition of (K, M), solved once on the line and cached on the space."""
+    """Eigendecomposition of (K, M), solved once on the line and cached on the space.
+
+    With M = L L^T, the pencil reduces to the symmetric C = L^-1 K L^-T,
+    whose eigenvectors Y give V = L^-T Y.  numpy's Cholesky, inverse and
+    eigh keep the run on numpy's OpenBLAS alone (module docstring); the
+    eigenvalues agree with scipy.linalg.eigh(K, M) to about 1e-12 relative.
+    """
     if space._spectral is None:
-        vals, vecs = scipy.linalg.eigh(space.line_stiffness, space.line_mass)
-        space._spectral = SpectralDecomposition(space.dimension, vals, vecs, space.line_mass)
+        M = space.line_mass
+        Linv = np.linalg.inv(np.linalg.cholesky(M))
+        C = Linv @ space.line_stiffness @ Linv.T
+        vals, Y = np.linalg.eigh(0.5 * (C + C.T))
+        space._spectral = SpectralDecomposition(space.dimension, vals, Linv.T @ Y, M)
     return space._spectral

@@ -41,7 +41,6 @@ with b, zeta and a2 in modal coordinates (V^T load, V^T M u2).
 import functools
 
 import numpy as np
-import scipy.linalg
 
 from . import fem
 from .timegrid import ReferenceBlocks, TemporalBasis, chunks, quadrature_nodes
@@ -77,9 +76,13 @@ class LocalBlockSystem:
 
     Only the tests step with it (tests/reference.py); it stays in the
     package because perfbench's solver.factor and solver.march hooks name it.
+    It factors with scipy, imported here: the modules of a run import no
+    scipy (stheat.fem module docstring).
     """
 
     def __init__(self, space, k, q):
+        import scipy.linalg
+
         if k <= 0.0:
             raise ValueError("interval width must be positive")
         self.space = space
@@ -90,6 +93,8 @@ class LocalBlockSystem:
         top_D = self.blocks.D[: q + 1]
         top_G = self.blocks.G[: q + 1]
         A = np.kron(-top_D, M) + self.k * np.kron(top_G, K)
+        mass_cho = scipy.linalg.cho_factor(M)
+        self._mass_solve = lambda rhs: scipy.linalg.cho_solve(mass_cho, rhs)
         try:
             if q == 0:
                 # A = M + (k/2) K is symmetric positive definite
@@ -121,7 +126,7 @@ class LocalBlockSystem:
         D_last, G_last = self.blocks.D[q + 1], self.blocks.G[q + 1]
         for m in range(q + 1):
             bottom += D_last[m] * (space.mass @ c[m]) - k * G_last[m] * (space.stiffness @ c[m])
-        u2_out = scipy.linalg.cho_solve(space.mass_cho(), bottom)
+        u2_out = self._mass_solve(bottom)
         return c, u2_out
 
 

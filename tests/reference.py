@@ -17,7 +17,9 @@ stheat.solver.run_decomposed.  This module holds the dense oracles:
     timegrid.ReferenceBlocks by Gauss quadrature, the oracle for their
     closed form in Legendre coefficients;
   * from_matrices and l2_project: an abstract space given by its matrices
-    (one spatial mode, say) and the L2 projection onto a space.
+    (one spatial mode, say) and the L2 projection onto a space;
+  * mass_cho: the Cholesky factor of a space's dense mass matrix, for the
+    mass solves of the dense oracles.
 """
 
 import numpy as np
@@ -40,6 +42,11 @@ def from_matrices(mass, stiffness):
     if mass.shape != stiffness.shape or mass.shape[0] != mass.shape[1]:
         raise ValueError("mass and stiffness must be square and of equal shape")
     return FemSpace(0, None, None, mass, stiffness)
+
+
+def mass_cho(space):
+    """scipy.linalg.cho_factor of the dense mass matrix of the space."""
+    return scipy.linalg.cho_factor(space.mass)
 
 
 def l2_project(space, g):
@@ -179,7 +186,7 @@ def solve_global(problem, space, partition, q):
             bottom[n - 1] += vec
     u2 = np.empty((N + 1, dof))
     u2[0] = 0.0 if problem.initial is None else l2_project(space, problem.initial)
-    u2[1:N] = scipy.linalg.cho_solve(space.mass_cho(), bottom.T).T
+    u2[1:N] = scipy.linalg.cho_solve(mass_cho(space), bottom.T).T
     u2[N] = x[-1]
     return SpaceTimeSolution(q, partition, space, u1, u2)
 
@@ -193,7 +200,7 @@ def march_interval_by_interval(problem, space, partition, q):
     u1 = np.empty((N, q + 1, dof))
     u2 = np.zeros((N + 1, dof))
     if problem.initial is not None:
-        u2[0] = scipy.linalg.cho_solve(space.mass_cho(), load_vector(space, problem.initial))
+        u2[0] = scipy.linalg.cho_solve(mass_cho(space), load_vector(space, problem.initial))
     systems = {}
     for i in range(N):
         k = float(partition.widths[i])

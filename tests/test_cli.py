@@ -9,7 +9,10 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stheat.analysis
 import stheat.cli
+import stheat.fem
+import stheat.solver
 from stheat.cli import (
     EXIT_CONFIG,
     EXIT_NO_EXACT,
@@ -137,6 +140,24 @@ def test_run_outputs_are_deterministic(tmp_path):
     assert _read_artifacts(out1) == _read_artifacts(out2)
 
 
+def test_run_without_diagnostics_calls_no_scipy(tmp_path, monkeypatch):
+    """fem and solver import no scipy, and only the diagnostics call the one
+    scipy routine of the package, analysis._pbtrf: a run without them stays
+    on numpy's OpenBLAS."""
+    assert "scipy" not in vars(stheat.fem) and "scipy" not in vars(stheat.solver)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy's banded Cholesky called")
+
+    monkeypatch.setattr(stheat.analysis, "_pbtrf", refuse)
+    payload = {"problem": "heat1d-smooth", "q": 1, "p": 2, "levels": [4, 8], "errors": True}
+    cfg = _write_config(tmp_path, dict(payload, diagnostics=False))
+    assert main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_OK
+    cfg = _write_config(tmp_path, dict(payload, diagnostics=True))
+    with pytest.raises(AssertionError, match="banded Cholesky"):
+        main(["run", cfg, "--out", str(tmp_path / "diag"), "--quiet"])
+
+
 def test_rates_csv_layout(tmp_path):
     cfg = _write_config(tmp_path, SMALL_RUN)
     out = str(tmp_path / "out")
@@ -252,6 +273,31 @@ def test_level_bytes_tracks_the_march_peak(problem_id, n, p, q, N):
     finally:
         tracemalloc.stop()
     assert level_bytes(problem.dimension, n, p, q, N) >= 0.8 * peak
+
+
+@pytest.mark.parametrize("n,p", [(400, 1), (200, 3)])
+def test_level_bytes_tracks_the_assembly_peak(n, p):
+    """On a 1D level with one interval, assemble's dense tables, not the
+    march, set the memory: the bound is at least 0.8 times its traced peak."""
+    tracemalloc.start()
+    try:
+        assemble(1, n, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert level_bytes(1, n, p, 0, 1) >= 0.8 * peak
+
+
+def test_preflight_refuses_a_level_that_only_assembly_overflows(monkeypatch):
+    """1D p=1, n=15000, one interval: the march needs about 3.6 GB, but
+    assemble's tables 14.4 GB, so an 8 GB machine refuses the level before
+    it is built.  Nothing is assembled at that size."""
+    monkeypatch.setattr(stheat.cli, "physical_memory", lambda: 8 * 1024 ** 3)
+    payload = {"problem": "heat1d-smooth", "p": 1, "levels": [15000], "explicit_N": [1]}
+    cfg = parse_config(json.dumps(payload))
+    assert level_bytes(1, 15000, 1, 0, 1) > 8 * 1024 ** 3
+    with pytest.raises(ConfigError, match="physical memory"):
+        stheat.cli.preflight(cfg, problem_by_id("heat1d-smooth"), 1)
 
 
 @pytest.mark.parametrize("command", ["run", "diagnose"])

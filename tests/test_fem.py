@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from stheat.fem import assemble, gather, load_vector, spectral
@@ -90,6 +91,27 @@ def test_spectral_mass_orthonormal():
     dec = spectral(space)
     gram = dec.eigenvectors.T @ space.mass @ dec.eigenvectors
     assert np.allclose(gram, np.eye(space.dof_count), atol=1e-10)
+
+
+@pytest.mark.parametrize("dimension,n,p", [
+    (1, 2, 1), (1, 128, 1), (1, 64, 2), (1, 128, 2), (1, 96, 3), (1, 128, 3), (2, 32, 2),
+])
+def test_spectral_matches_scipy_generalized_eigh(dimension, n, p):
+    """The Cholesky reduction on numpy's LAPACK gives the eigenvalues of
+    scipy.linalg.eigh(K, M) to 1e-10 relative, and eigenvectors that meet
+    the same orthonormality and residual bounds as scipy's."""
+    space = assemble(dimension, n, p)
+    M, K = space.line_mass, space.line_stiffness
+    dec = spectral(space)
+    ref_vals, ref_vecs = scipy.linalg.eigh(K, M)
+    ref = ref_vals if dimension == 1 else (ref_vals[:, None] + ref_vals[None, :]).ravel()
+    assert np.max(np.abs(dec.eigenvalues - ref) / ref) < 1e-10
+    vals = dec.eigenvalues
+    if dimension == 2:   # the line's lam_i, exactly, from the diagonal lam_i + lam_i
+        vals = vals[:: M.shape[0] + 1] / 2.0
+    for lam, V in ((vals, dec.eigenvectors), (ref_vals, ref_vecs)):
+        assert np.max(np.abs(V.T @ M @ V - np.eye(M.shape[0]))) < 1e-13
+        assert np.max(np.abs(K @ V - M @ V * lam)) / lam[-1] < 1e-15
 
 
 def test_spectral_2d_is_the_tensor_product_of_the_line():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,22 @@ from reference import l2_project
 @pytest.mark.parametrize("make", [problem_1d_smooth, problem_2d_smooth, problem_1d_lowreg])
 def test_manufactured_residual_spot_check(make):
     assert validate_residual(make(), num_points=40, tol=1e-9) <= 1e-9
+
+
+@pytest.mark.parametrize("make", [problem_1d_smooth, problem_2d_smooth, problem_1d_lowreg])
+def test_residual_spot_check_catches_a_wrong_time_derivative(make):
+    """An exact solution whose du_dt is off by 1 % fails the check."""
+    problem = make()
+    du_dt = problem.exact.du_dt
+    wrong = dataclasses.replace(problem.exact, du_dt=lambda *args: 1.01 * du_dt(*args))
+    with pytest.raises(ValueError, match="residual"):
+        validate_residual(dataclasses.replace(problem, exact=wrong))
+
+
+def test_lowreg_residual_compares_independent_forms():
+    """The low-regularity rhs is not du_dt - lap evaluated again, which
+    would make the residual exactly 0.0: it is rounding, not nothing."""
+    assert 0.0 < validate_residual(problem_1d_lowreg(), num_points=40) <= 1e-14
 
 
 def test_residual_pinned_point_1d():
