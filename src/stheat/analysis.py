@@ -21,7 +21,12 @@ eigenvalue), so the running maximum is a floor: a mode that cannot beat it
 costs one factorization besides its Gram check.  Modes are visited largest
 eigenvalue first, which set the c_S maximum on the first mode in every case
 measured; c_B^-2 and C_B^2 are 1 to rounding on every mode, so only the few
-modes that beat the maximum by rounding are bisected.
+modes that beat the maximum by rounding are bisected, from a bracket grown
+out of the floor, in 4 to 10 factorizations each.  The banded matrices come
+from bands built once per level, so a mode costs a few elementwise array
+operations besides its factorizations.  On 1D n=32, N=1024, p=2, q=0 (63
+distinct eigenvalues) c_B and C_B take 278 factorizations and c_S 196; on
+2D n=32, N=1024 they take 0.42 s and 0.21 s on a 2-core machine.
 """
 
 from dataclasses import dataclass
@@ -30,7 +35,7 @@ import numpy as np
 import scipy.linalg
 
 from . import fem
-from .timegrid import ReferenceBlocks, TemporalBasis, chunks, quadrature_nodes
+from .timegrid import TemporalBasis, chunks, quadrature_nodes, reference_blocks
 
 
 @dataclass
@@ -140,15 +145,20 @@ def _top(A, G, floor=0.0):
     diagonal, or floor if that is larger: bisection, to the last bit, on
     whether sigma G - A is positive definite.  G is checked first, so an
     indefinite Gram raises whatever the floor; then one factorization of
-    floor G - A settles a pencil that cannot exceed the floor."""
+    floor G - A settles a pencil that cannot exceed the floor.  The bracket
+    grows from the anchor (the floor, or the largest diagonal Rayleigh
+    quotient if that is larger) in gaps of 4, 64, 1024, ... ulps times the
+    anchor, so a top a few ulps above it costs a few factorizations."""
     if not _definite(G):
         raise RuntimeError("norm Gram matrix is not positive definite")
     if floor > 0.0 and _definite(floor * G - A):
         return floor
-    lo = max(floor, float(np.max(A[0] / G[0])))  # Rayleigh quotient of a unit vector
-    hi = 2.0 * lo
+    anchor = max(floor, float(np.max(A[0] / G[0])))  # Rayleigh quotient of a unit vector
+    lo, gap = anchor, 4.0 * np.finfo(float).eps * anchor
+    hi = anchor + gap
     while not _definite(hi * G - A):
-        lo, hi = hi, 2.0 * hi
+        lo, gap = hi, 16.0 * gap
+        hi = anchor + gap
     while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
         if _definite(mid * G - A):
@@ -169,29 +179,43 @@ def _mode_matrices(space, partition, q, other):
     test Gram GX = E/mu + mu Pi, the true test Gram GC = E/mu + mu GL2, and
     BB = b GY^-1 b^T with b = mu G - D and the trial Gram GY = mu/(2m+1).
     The node-0 term ||X(0)||_H^2 adds 1 to both Grams; the final trace adds
-    1 to BB at node N.  The largest eigenvalue comes first: it set the c_S
-    maximum in every case measured, so the floor of _top settles every later
-    mode in one factorization.  Correctness does not depend on the order.
+    1 to BB at node N.  The banded sum over intervals is linear, so the
+    lambda-free bands are built once per call, and each eigenvalue combines
+    them elementwise, with no matrix product per eigenvalue: with
+    W = diag(2m+1) = mu GY^-1,
+
+        GX = band(E/k)/lam + lam band(k Pi),  GC = band(E/k)/lam + lam band(k GL2),
+        BB = lam band(k G W G^T) - band(G W D^T + D W G^T) + band(D W D^T/k)/lam.
+
+    The largest eigenvalue comes first: it set the c_S maximum in every case
+    measured, so the floor of _top settles every later mode in one
+    factorization.  Correctness does not depend on the order.
     """
-    rb = ReferenceBlocks(q)
+    rb = reference_blocks(q)
+    k = partition.widths[:, None, None]
     Lq = rb.L[:, : q + 1]
     odd = 2.0 * np.arange(q + 1) + 1.0
-    proj = (Lq / odd) @ Lq.T
-
-    def gram(mu, V):
-        G = _banded(rb.E / mu + mu * V)
-        G[0, 0] += 1.0
-        return G
+    dual = _banded(rb.E / k)
+    proj = _banded(k * ((Lq / odd) @ Lq.T))
+    if other == "BB":
+        GW, DW = rb.G * odd, rb.D * odd
+        cross = GW @ rb.D.T
+        gg = _banded(k * (GW @ rb.G.T))
+        gd = _banded(np.broadcast_to(cross + cross.T, (k.size, q + 2, q + 2)))
+        dd = _banded((DW @ rb.D.T) / k)
+    else:
+        true = _banded(k * rb.GL2)
 
     for lam in np.unique(fem.spectral(space).eigenvalues)[::-1]:
-        mu = partition.widths[:, None, None] * lam
+        GX = dual / lam + lam * proj
+        GX[0, 0] += 1.0
         if other == "BB":
-            b = mu * rb.G - rb.D
-            S = _banded((b * (odd / mu)) @ b.transpose(0, 2, 1))
+            S = lam * gg - gd + dd / lam
             S[0, -1] += 1.0
         else:
-            S = gram(mu, rb.GL2)
-        yield S, gram(mu, proj)
+            S = dual / lam + lam * true
+            S[0, 0] += 1.0
+        yield S, GX
 
 
 def infsup_discrete(space, partition, q):

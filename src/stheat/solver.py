@@ -43,7 +43,7 @@ import functools
 import numpy as np
 
 from . import fem
-from .timegrid import ReferenceBlocks, TemporalBasis, chunks, quadrature_nodes
+from .timegrid import TemporalBasis, chunks, quadrature_nodes, reference_blocks
 
 
 class SpaceTimeSolution:
@@ -88,7 +88,7 @@ class LocalBlockSystem:
         self.space = space
         self.k = float(k)
         self.q = int(q)
-        self.blocks = ReferenceBlocks(q)
+        self.blocks = reference_blocks(q)
         M, K = space.mass, space.stiffness
         top_D = self.blocks.D[: q + 1]
         top_G = self.blocks.G[: q + 1]
@@ -191,7 +191,7 @@ def run_decomposed(problem, space, partition, q):
     N = partition.num_intervals
     dof = space.dof_count
     dec = fem.spectral(space)
-    rb = ReferenceBlocks(q)
+    rb = reference_blocks(q)
     widths, width_of = np.unique(partition.widths, return_inverse=True)
     mu = widths[:, None, None, None] * dec.eigenvalues[:, None, None]  # (widths, modes, 1, 1)
     inv = np.linalg.inv(mu * rb.G[: q + 1] - rb.D[: q + 1])            # (widths, modes, q+1, q+1)

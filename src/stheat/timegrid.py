@@ -214,3 +214,13 @@ class ReferenceBlocks:
         self.GL2 = (L * s) @ L.T
         self.E = (Ld * s[: q + 1]) @ Ld.T
         self.L = L
+
+
+@functools.lru_cache(maxsize=None)
+def reference_blocks(q):
+    """ReferenceBlocks(q), built once per degree, so its arrays are shared
+    and read-only."""
+    rb = ReferenceBlocks(q)
+    for block in (rb.D, rb.G, rb.E, rb.GL2, rb.L):
+        block.flags.writeable = False
+    return rb

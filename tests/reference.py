@@ -16,6 +16,9 @@ stheat.solver.run_decomposed.  This module holds the dense oracles:
   * quadrature_reference_blocks: the temporal couplings of
     timegrid.ReferenceBlocks by Gauss quadrature, the oracle for their
     closed form in Legendre coefficients;
+  * per_mode_bands: the banded diagnostic matrices built afresh for every
+    eigenvalue from mu = k lambda, the oracle for analysis._mode_matrices,
+    which combines bands built once per level;
   * from_matrices and l2_project: an abstract space given by its matrices
     (one spatial mode, say) and the L2 projection onto a space;
   * mass_cho: the Cholesky factor of a space's dense mass matrix, for the
@@ -25,6 +28,7 @@ stheat.solver.run_decomposed.  This module holds the dense oracles:
 import numpy as np
 import scipy.linalg
 
+from stheat.analysis import _banded
 from stheat.fem import FemSpace, load_vector, spectral
 from stheat.solver import (LocalBlockSystem, SpaceTimeSolution, impulse_loads,
                            interval_moments)
@@ -228,3 +232,29 @@ def crank_nicolson(problem, space, partition):
         W[i + 1] = scipy.linalg.solve(M + 0.5 * k * K, (M - 0.5 * k * K) @ W[i] + forcing[i],
                                       assume_a="pos")
     return W
+
+
+def per_mode_bands(space, partition, q, other):
+    """The banded pairs (S, GX) of analysis._mode_matrices, per distinct
+    eigenvalue, largest first, each built from its own interval blocks:
+    GX = E/mu + mu Pi, GC = E/mu + mu GL2 and BB = b (2m+1)/mu b^T with
+    b = mu G - D, mu = k_i lambda, plus the node-0 and node-N terms."""
+    rb = ReferenceBlocks(q)
+    Lq = rb.L[:, : q + 1]
+    odd = 2.0 * np.arange(q + 1) + 1.0
+    proj = (Lq / odd) @ Lq.T
+
+    def gram(mu, V):
+        G = _banded(rb.E / mu + mu * V)
+        G[0, 0] += 1.0
+        return G
+
+    for lam in np.unique(spectral(space).eigenvalues)[::-1]:
+        mu = partition.widths[:, None, None] * lam
+        if other == "BB":
+            b = mu * rb.G - rb.D
+            S = _banded((b * (odd / mu)) @ b.transpose(0, 2, 1))
+            S[0, -1] += 1.0
+        else:
+            S = gram(mu, rb.GL2)
+        yield S, gram(mu, proj)

@@ -13,7 +13,7 @@ from stheat.analysis import (
     infsup_discrete,
     stability_check,
 )
-from stheat.fem import assemble, load_vector
+from stheat.fem import assemble, load_vector, spectral
 from stheat.problems import (
     ExactSolution,
     ProblemSpec,
@@ -34,7 +34,7 @@ from stheat.timegrid import (
     quadrature_nodes,
 )
 from reference import (assemble_bilinear, dense_line_tables, from_matrices, global_layout,
-                       mass_cho)
+                       mass_cho, per_mode_bands)
 
 
 def test_fit_rate_recovers_exact_power_law():
@@ -264,20 +264,63 @@ def test_indefinite_gram_raises_after_the_maximum_is_set():
         _top(A, G, 2.0)
 
 
-def test_floors_bound_the_factorization_count(monkeypatch):
-    """63 distinct eigenvalues: bisecting every mode takes about 57 (c_S) and
-    108 (c_B, C_B) banded factorizations per eigenvalue; with the floors a
-    mode below the maxima takes 2 and 4."""
-    space = assemble(1, 32, 2)
-    part = make_uniform_partition(1.0, 1024)
+@pytest.mark.parametrize("other", ["BB", "GC"])
+@pytest.mark.parametrize("partition", [make_uniform_partition(1.0, 5), _NONUNIFORM],
+                         ids=["uniform", "nonuniform"])
+@pytest.mark.parametrize("q", [0, 1, 3, 9])
+@pytest.mark.parametrize("space_args", [(1, 5, 2), (2, 3, 2)], ids=["1d", "2d"])
+def test_level_bands_match_per_mode_construction(space_args, q, partition, other):
+    """The bands built once per level and combined per eigenvalue equal the
+    bands built afresh for every eigenvalue, each to 1e-13 of its largest entry."""
+    space = assemble(*space_args)
+    got = list(_mode_matrices(space, partition, q, other))
+    want = list(per_mode_bands(space, partition, q, other))
+    assert len(got) == len(want) == np.unique(spectral(space).eigenvalues).size
+    for pair, ref in zip(got, want):
+        for band, oracle in zip(pair, ref):
+            assert band.shape == oracle.shape
+            assert np.abs(band - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+def _counting_definite(monkeypatch):
     calls = []
     definite = analysis._definite
     monkeypatch.setattr(analysis, "_definite", lambda ab: calls.append(1) or definite(ab))
+    return calls
+
+
+def test_floors_bound_the_factorization_count(monkeypatch):
+    """63 distinct eigenvalues: with the floors a mode below the maxima takes
+    2 (c_S) and 4 (c_B, C_B) banded factorizations, and a top a few ulps above
+    its anchor a few more (278 in all for c_B and C_B)."""
+    space = assemble(1, 32, 2)
+    part = make_uniform_partition(1.0, 1024)
+    calls = _counting_definite(monkeypatch)
     cs_constant(space, part, 0)
     assert len(calls) <= 4 * 63
     calls.clear()
     infsup_discrete(space, part, 0)
-    assert len(calls) <= 16 * 63
+    assert len(calls) <= 5 * 63
+
+
+def test_top_from_floors_below_a_closed_form_top(monkeypatch):
+    """Pencil (A, I) with A = tridiag(-c, 1, -c) of size n: its top is
+    1 + 2c cos(pi/(n+1)).  From floors at 0, 1 and 8 ulps below it and 1e-6
+    below it, _top lands within 4 ulps.  From 8 ulps below, the first gap (4
+    ulps for a top just above 1) falls short and the second overshoots by
+    about 56 ulps, so the Gram check, the floor check, two bracket checks and
+    six bisections make 10 factorizations."""
+    n, c = 40, 0.01
+    top = 1.0 + 2.0 * c * np.cos(np.pi / (n + 1))
+    ulp = np.spacing(top)
+    A = np.vstack([np.ones(n), np.full(n, -c)])   # lower banded; A[1, -1] is unused
+    G = np.vstack([np.ones(n), np.zeros(n)])
+    calls = _counting_definite(monkeypatch)
+    for floor in (0.0, top - ulp, top - 8 * ulp, top * (1.0 - 1e-6)):
+        calls.clear()
+        assert abs(_top(A, G, floor) - top) <= 4 * ulp, floor
+        if floor == top - 8 * ulp:
+            assert len(calls) <= 10
 
 
 @pytest.mark.parametrize("space_args,N,q,tol", [

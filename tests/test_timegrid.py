@@ -13,6 +13,7 @@ from stheat.timegrid import (
     lobatto_points,
     make_uniform_partition,
     quadrature_nodes,
+    reference_blocks,
 )
 
 
@@ -157,6 +158,15 @@ def test_gauss_rule_is_cached_and_read_only():
         rule.points[0] = 0.5
     with pytest.raises(ValueError):
         rule.weights[0] = 0.5
+
+
+def test_reference_blocks_are_cached_and_read_only():
+    rb = reference_blocks(2)
+    assert reference_blocks(2) is rb
+    for name in ("D", "G", "E", "GL2", "L"):
+        with pytest.raises(ValueError):
+            getattr(rb, name)[0, 0] = 0.5
+        assert np.array_equal(getattr(rb, name), getattr(ReferenceBlocks(2), name))
 
 
 def test_chunks_cover_the_range():
