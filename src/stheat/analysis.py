@@ -32,7 +32,6 @@ distinct eigenvalues) c_B and C_B take 278 factorizations and c_S 196; on
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import fem
 from .timegrid import TemporalBasis, chunks, quadrature_nodes, reference_blocks
@@ -129,10 +128,22 @@ def _banded(blocks):
 
 
 # LAPACK's banded Cholesky behind scipy.linalg.cholesky_banded, without its checks;
-# the one scipy routine a run calls, and only for diagnostics.  Looked up at
-# import: a lazy lookup would move scipy.linalg's import (about 0.2 s on a
-# 2-core machine) from start-up into the first diagnosed level.
-_pbtrf, = scipy.linalg.get_lapack_funcs(("pbtrf",), dtype=np.float64)
+# the one scipy routine a run calls, and only for diagnostics.  load_pbtrf binds
+# it on first call, importing scipy.linalg (about 0.2 s on a 2-core machine);
+# cli calls it for a config with diagnostics and for `diagnose`, so the import
+# lands in start-up, not in the first level, and a run without diagnostics
+# never imports scipy.  _definite reads the global, with no call per
+# factorization.
+_pbtrf = None
+
+
+def load_pbtrf():
+    """Import scipy.linalg and bind LAPACK's pbtrf, once; raises ImportError
+    if scipy cannot be imported."""
+    global _pbtrf
+    if _pbtrf is None:
+        import scipy.linalg
+        _pbtrf, = scipy.linalg.get_lapack_funcs(("pbtrf",), dtype=np.float64)
 
 
 def _definite(ab):
@@ -191,6 +202,7 @@ def _mode_matrices(space, partition, q, other):
     measured, so the floor of _top settles every later mode in one
     factorization.  Correctness does not depend on the order.
     """
+    load_pbtrf()
     rb = reference_blocks(q)
     k = partition.widths[:, None, None]
     Lq = rb.L[:, : q + 1]

@@ -26,6 +26,11 @@ are byte-identical.
 Before any level is built, the pre-flight checks every level the command
 builds against physical memory and, on a run with errors, that the levels
 have distinct step sizes.  main maps each failure to its exit code.
+
+scipy serves only the diagnostics.  parse_config imports it for a config
+with diagnostics, and main for `diagnose`, so the import happens before any
+level; a run without diagnostics never imports it.  Where scipy cannot be
+imported, those two exit 2 with "diagnostics need scipy: ...".
 """
 
 import argparse
@@ -38,7 +43,7 @@ import sys
 import numpy as np
 
 from .analysis import (cfl_constant, cs_constant, error_norms, fit_rate,
-                       infsup_discrete, stability_check)
+                       infsup_discrete, load_pbtrf, stability_check)
 from .fem import assemble
 from .problems import problem_by_id, validate_residual
 from .solver import run_decomposed
@@ -115,7 +120,10 @@ _CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def parse_config(text):
-    """Parse the JSON text of a config file into an ExperimentConfig."""
+    """Parse the JSON text of a config file into an ExperimentConfig.
+
+    A config with diagnostics also imports scipy here (analysis.load_pbtrf),
+    before any level, and raises ConfigError if it cannot."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -140,7 +148,17 @@ def parse_config(text):
         problem_by_id(cfg.problem, cfg.epsilon)
     except (KeyError, ValueError) as exc:
         raise ConfigError(str(exc))
+    if cfg.diagnostics:
+        _require_scipy()
     return cfg
+
+
+def _require_scipy():
+    """Import the diagnostics' scipy routine now, before any level."""
+    try:
+        load_pbtrf()
+    except ImportError as exc:
+        raise ConfigError("diagnostics need scipy: %s" % exc)
 
 
 def level_geometry(cfg, idx, final_time):
@@ -157,9 +175,10 @@ def level_geometry(cfg, idx, final_time):
     return n, max(1, int(round(steps)))
 
 
-def level_bytes(dimension, n, p, q, N):
+def level_bytes(dimension, n, p, q, N, widths=1):
     """Lower bound on the memory of a level: the larger of the peaks of
-    assemble and of run_decomposed, the latter counted for one interval width.
+    assemble and of run_decomposed, whose partition has the given number of
+    distinct interval widths.
 
     assemble holds three dense tables of (np+1) n(p+1) doubles at once (B, D
     and a weighted product) beside M and K, 2(np-1)^2 doubles, in 1D and 2D
@@ -167,21 +186,21 @@ def level_bytes(dimension, n, p, q, N):
 
     run_decomposed holds, in doubles: the line eigenbasis V and M V,
     2(np-1)^2.  In rows of dof = (np-1)^dimension doubles: u1 and u2,
-    N(q+1) + N+1; the per-mode inverses, r, alpha, mu and eigenvalues,
-    (q+1)^2 + q+4; one interval's load moments, q+2.  On top, the larger of
-    two passing peaks: the quadrature values of the largest load chunk,
-    (q+3)(n(p+2))^dimension per interval, which load_vector holds
-    (2p+3)/(p+2) times over (the values, the scattered nodes and the
-    last-column product); or the gather of the inverses over one interval,
-    (q+1)^2 rows.  spectral's own passing peak, four (np-1)^2 doubles, stays
-    below the assembly peak.
+    N(q+1) + N+1; the per-mode inverses, r, alpha and mu, (q+1)^2 + q+3
+    per distinct width; the eigenvalues, 1; one interval's load moments,
+    q+2.  On top, the larger of two passing peaks: the quadrature values of
+    the largest load chunk, (q+3)(n(p+2))^dimension per interval, which
+    load_vector holds (2p+3)/(p+2) times over (the values, the scattered
+    nodes and the last-column product); or the gather of the inverses over
+    one interval, (q+1)^2 rows.  spectral's own passing peak, four (np-1)^2
+    doubles, stays below the assembly peak.
     """
     line = n * p - 1
     dof = line ** dimension
     assembly = 3 * (n * p + 1) * n * (p + 1) + 2 * line ** 2
     values = (q + 3) * (n * (p + 2)) ** dimension
     block = min(N, max(1, CHUNK_VALUES // values)) * values
-    rows = N * (q + 2) + 1 + (q + 1) ** 2 + 2 * q + 6
+    rows = N * (q + 2) + 1 + widths * ((q + 1) ** 2 + q + 3) + q + 3
     march = 2 * line ** 2 + rows * dof + max(block * (2 * p + 3) // (p + 2), (q + 1) ** 2 * dof)
     return 8 * max(assembly, march)
 
@@ -201,6 +220,9 @@ def preflight(cfg, problem, count):
     for idx in range(count):
         n, N = level_geometry(cfg, idx, problem.final_time)
         need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N)
+        if need <= available:   # N is then small enough to build the partition
+            widths = len(set(make_uniform_partition(problem.final_time, N).widths.tolist()))
+            need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N, widths)
         if need > available:
             raise ConfigError("level n=%d, N=%d needs at least %.3g GB, more than the "
                               "%.3g GB of physical memory" % (n, N, need / 1e9, available / 1e9))
@@ -356,6 +378,8 @@ def main(argv=None):
     out_dir = args.out
     try:
         cfg = _load_config(args.config)
+        if not run:
+            _require_scipy()   # parse_config requires it only for a config with diagnostics
         problem = problem_by_id(cfg.problem, cfg.epsilon)
         preflight(cfg, problem, len(cfg.levels) if run else 1)
         if run and cfg.errors and problem.exact is None:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+import numpy.random   # validate_residual's generator; np.random alone loads it inside a run
 
 
 @dataclass(frozen=True)

@@ -173,8 +173,8 @@ def quadrature_nodes(partition, lo, hi, npoints, breakpoints=()):
     """
     rule = gauss_rule(npoints)
     nodes = partition.nodes[lo:hi + 1]
-    cuts = [b for b in breakpoints if nodes[0] < b < nodes[-1] and b not in nodes]
-    pts = np.union1d(nodes, cuts)
+    cuts = {b for b in breakpoints if nodes[0] < b < nodes[-1] and b not in nodes}
+    pts = np.sort(np.concatenate((nodes, list(cuts))))
     seg0, seg = pts[:-1], np.diff(pts)
     first = np.searchsorted(pts, nodes)   # the segment each node starts
     slots = np.arange(np.diff(first).max())

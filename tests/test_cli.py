@@ -11,8 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 import stheat.analysis
 import stheat.cli
-import stheat.fem
-import stheat.solver
 from stheat.cli import (
     EXIT_CONFIG,
     EXIT_NO_EXACT,
@@ -140,22 +138,82 @@ def test_run_outputs_are_deterministic(tmp_path):
     assert _read_artifacts(out1) == _read_artifacts(out2)
 
 
-def test_run_without_diagnostics_calls_no_scipy(tmp_path, monkeypatch):
-    """fem and solver import no scipy, and only the diagnostics call the one
-    scipy routine of the package, analysis._pbtrf: a run without them stays
-    on numpy's OpenBLAS."""
-    assert "scipy" not in vars(stheat.fem) and "scipy" not in vars(stheat.solver)
+def _python(*args):
+    """Run a fresh interpreter with args, importing stheat from this tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stheat.cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+# Prints the numpy and scipy modules that main loads after parse_config;
+# asserts that parse_config loads scipy.linalg exactly for a config with diagnostics.
+IMPORT_GUARD = """
+import sys
+from stheat.cli import main, parse_config
+def loaded():
+    return {m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")}
+cfg = parse_config(open(sys.argv[1]).read())
+assert cfg.diagnostics == ("scipy.linalg" in sys.modules), sorted(loaded())
+before = loaded()
+assert main(["run", sys.argv[1], "--out", sys.argv[2], "--quiet"]) == 0
+print(" ".join(sorted(loaded() - before)))
+"""
+
+
+def test_run_imports_scipy_only_for_diagnostics(tmp_path, monkeypatch):
+    """A run without diagnostics never imports scipy, and with them imports
+    it in parse_config; either way, no numpy or scipy module loads inside
+    the run.  pytest's own process holds scipy already, so each config runs
+    in a fresh interpreter.  The diagnostics do call analysis._pbtrf."""
+    payload = {"problem": "heat1d-smooth", "q": 1, "p": 2, "levels": [4, 8], "errors": True}
+    for diagnostics in (False, True):
+        cfg = _write_config(tmp_path, dict(payload, diagnostics=diagnostics))
+        done = _python("-c", IMPORT_GUARD, cfg, str(tmp_path / str(diagnostics)))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "", "modules loaded inside the run: " + done.stdout
 
     def refuse(*args, **kwargs):
         raise AssertionError("scipy's banded Cholesky called")
 
     monkeypatch.setattr(stheat.analysis, "_pbtrf", refuse)
-    payload = {"problem": "heat1d-smooth", "q": 1, "p": 2, "levels": [4, 8], "errors": True}
-    cfg = _write_config(tmp_path, dict(payload, diagnostics=False))
-    assert main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_OK
     cfg = _write_config(tmp_path, dict(payload, diagnostics=True))
     with pytest.raises(AssertionError, match="banded Cholesky"):
         main(["run", cfg, "--out", str(tmp_path / "diag"), "--quiet"])
+
+
+# main with scipy unimportable; with --no-level first, building a level fails the run.
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+import stheat.cli
+args = sys.argv[1:]
+if args[0] == "--no-level":
+    def refuse(*_):
+        raise AssertionError("a level was built")
+    stheat.cli._build_level, args = refuse, args[1:]
+sys.exit(stheat.cli.main(args))
+"""
+
+
+def test_missing_scipy_exits_2_before_any_level(tmp_path):
+    """Without scipy, run with diagnostics and diagnose exit 2 with one line
+    before any level is built; a run without diagnostics writes the same
+    artifacts as with scipy."""
+    payload = {"problem": "heat1d-smooth", "q": 1, "p": 2, "levels": [4, 8]}
+    plain = _write_config(tmp_path, payload, "plain.json")
+    diag = _write_config(tmp_path, dict(payload, diagnostics=True), "diag.json")
+    for argv in (["run", diag], ["diagnose", plain]):
+        done = _python("-c", NO_SCIPY, "--no-level", *argv, "--out", str(tmp_path / "no"))
+        assert done.returncode == EXIT_CONFIG, done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: diagnostics need scipy: "), lines
+    assert not (tmp_path / "no").exists()
+    done = _python("-c", NO_SCIPY, "run", plain, "--out", str(tmp_path / "a"), "--quiet")
+    assert done.returncode == EXIT_OK, done.stderr
+    assert main(["run", plain, "--out", str(tmp_path / "b"), "--quiet"]) == EXIT_OK
+    assert _read_artifacts(str(tmp_path / "a")) == _read_artifacts(str(tmp_path / "b"))
 
 
 def test_rates_csv_layout(tmp_path):
@@ -243,9 +301,10 @@ def test_experiment_config_is_frozen():
 
 def test_level_bytes_counts_the_solution_arrays():
     # doubles: the line eigenbasis 2(np-1)^2; rows of dof doubles: u1 N(q+1),
-    # u2 N+1, inverses, r, alpha, mu and eigenvalues (q+1)^2 + q+4, one
-    # interval's moments q+2; then the larger of a load chunk's quadrature
-    # values times (2p+3)/(p+2) and the inverses' gather (q+1)^2 rows
+    # u2 N+1, inverses, r, alpha and mu (q+1)^2 + q+3 per distinct width,
+    # eigenvalues 1, one interval's moments q+2; then the larger of a load
+    # chunk's quadrature values times (2p+3)/(p+2) and the inverses' gather
+    # (q+1)^2 rows
     # 1D p=2, n=4: dof 7; q=0, N=10: one chunk of 10 intervals of 3*16 values
     assert level_bytes(1, 4, 2, 0, 10) == (2 * 7 ** 2 + (10 + 11 + 5 + 2) * 7 + 480 * 7 // 4) * 8
     # 2D p=2, n=64: dof 127^2; q=1, N=4096: one interval of 4*256^2 values a chunk
@@ -253,16 +312,21 @@ def test_level_bytes_counts_the_solution_arrays():
         2 * 127 ** 2 + (8192 + 4097 + 9 + 3) * 127 ** 2 + 4 * 256 ** 2 * 7 // 4) * 8
     # 1D p=3, n=8, q=9, N=1: the gather of the 10x10 inverses beats the 480 values
     assert level_bytes(1, 8, 3, 9, 1) == (2 * 23 ** 2 + (10 + 2 + 113 + 11) * 23 + 100 * 23) * 8
+    # the inverses, r, alpha and mu once per distinct width: 3 widths of (q+1)^2 + q+3 rows
+    assert level_bytes(1, 4, 2, 0, 10, 3) == (
+        2 * 7 ** 2 + (10 + 11 + 3 * 4 + 1 + 2) * 7 + 480 * 7 // 4) * 8
 
 
 @pytest.mark.parametrize("problem_id,n,p,q,N", [
     ("heat2d-smooth", 24, 3, 9, 2),      # the per-mode inverses dominate
     ("heat1d-smooth", 64, 2, 0, 4096),   # the solution arrays dominate
     ("heat2d-smooth", 48, 3, 0, 2),      # one interval's load block dominates
+    ("heat2d-smooth", 24, 3, 9, 100),    # 8 distinct widths, each with its inverses
 ])
 def test_level_bytes_tracks_the_march_peak(problem_id, n, p, q, N):
-    """The pre-flight's bound is at least 0.8 times the traced peak of
-    run_decomposed on a freshly assembled level."""
+    """The pre-flight's bound, counting the partition's distinct interval
+    widths, is at least 0.8 times the traced peak of run_decomposed on a
+    freshly assembled level."""
     problem = problem_by_id(problem_id)
     space = assemble(problem.dimension, n, p)
     partition = make_uniform_partition(problem.final_time, N)
@@ -272,7 +336,20 @@ def test_level_bytes_tracks_the_march_peak(problem_id, n, p, q, N):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert level_bytes(problem.dimension, n, p, q, N) >= 0.8 * peak
+    widths = len(set(partition.widths.tolist()))
+    assert level_bytes(problem.dimension, n, p, q, N, widths) >= 0.8 * peak
+
+
+def test_preflight_counts_every_interval_width(monkeypatch):
+    """2D p=3, q=9, n=24, N=100: linspace gives 8 distinct widths, and their
+    inverses push the level past a memory that one width would fit in."""
+    problem = problem_by_id("heat2d-smooth")
+    one, eight = (level_bytes(2, 24, 3, 9, 100, w) for w in (1, 8))
+    assert len(set(make_uniform_partition(problem.final_time, 100).widths.tolist())) == 8
+    monkeypatch.setattr(stheat.cli, "physical_memory", lambda: (one + eight) // 2)
+    payload = {"problem": "heat2d-smooth", "p": 3, "q": 9, "levels": [24], "explicit_N": [100]}
+    with pytest.raises(ConfigError, match="physical memory"):
+        stheat.cli.preflight(parse_config(json.dumps(payload)), problem, 1)
 
 
 @pytest.mark.parametrize("n,p", [(400, 1), (200, 3)])
@@ -400,12 +477,7 @@ def test_run_level_2d_never_forms_dense_matrices(monkeypatch):
 
 def test_python_m_stheat_runs_without_runpy_warning(tmp_path):
     cfg = _write_config(tmp_path, dict(SMALL_RUN, levels=[2]))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(stheat.cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-m", "stheat", "run", cfg, "--quiet",
-                           "--out", str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = _python("-m", "stheat", "run", cfg, "--quiet", "--out", str(tmp_path / "out"))
     assert done.returncode == EXIT_OK, done.stderr
     assert "RuntimeWarning" not in done.stderr
     assert (tmp_path / "out" / "rates.csv").exists()
