@@ -17,16 +17,18 @@ into one problem per spatial mode, banded in time with bandwidth q+1, so the
 first two constants are exact on any level: per mode, each extreme
 eigenvalue is found by bisection on banded Cholesky factorizations.  Each
 constant is a maximum over modes (c_B^-2, C_B^2 and c_S^2 of a pencil's top
-eigenvalue), so the running maximum is a floor: a mode that cannot beat it
-costs one factorization besides its Gram check.  Modes are visited largest
-eigenvalue first, which set the c_S maximum on the first mode in every case
-measured; c_B^-2 and C_B^2 are 1 to rounding on every mode, so only the few
-modes that beat the maximum by rounding are bisected, from a bracket grown
-out of the floor, in 4 to 10 factorizations each.  The banded matrices come
-from bands built once per level, so a mode costs a few elementwise array
+eigenvalue), so diagnostic_constants computes all three in one pass over the
+modes, each running maximum a floor: a mode checks its two Grams once and
+costs one factorization per constant that it cannot beat.  Modes are
+visited largest eigenvalue first, which set the c_S maximum on the first
+mode in every case measured; c_B^-2 and C_B^2 are 1 to rounding on every
+mode, so only the few modes that beat the maximum by rounding are bisected,
+from a bracket grown out of the floor, in 4 to 10 factorizations each.  The
+bands are built once per level, so a mode costs a few elementwise array
 operations besides its factorizations.  On 1D n=32, N=1024, p=2, q=0 (63
-distinct eigenvalues) c_B and C_B take 278 factorizations and c_S 196; on
-2D n=32, N=1024 they take 0.42 s and 0.21 s on a 2-core machine.
+distinct eigenvalues) the pass takes 411 factorizations (126 Gram checks,
+79 for c_B, 73 for C_B, 133 for c_S); on 2D n=32, N=1024 it takes 0.4-0.5 s
+on a 2-core machine.
 """
 
 from dataclasses import dataclass
@@ -153,15 +155,13 @@ def _definite(ab):
 
 def _top(A, G, floor=0.0):
     """Largest eigenvalue of the banded pencil (A, G), A with a positive
-    diagonal, or floor if that is larger: bisection, to the last bit, on
-    whether sigma G - A is positive definite.  G is checked first, so an
-    indefinite Gram raises whatever the floor; then one factorization of
-    floor G - A settles a pencil that cannot exceed the floor.  The bracket
-    grows from the anchor (the floor, or the largest diagonal Rayleigh
-    quotient if that is larger) in gaps of 4, 64, 1024, ... ulps times the
-    anchor, so a top a few ulps above it costs a few factorizations."""
-    if not _definite(G):
-        raise RuntimeError("norm Gram matrix is not positive definite")
+    diagonal and G positive definite (the caller has checked it), or floor
+    if that is larger: bisection, to the last bit, on whether sigma G - A is
+    positive definite.  One factorization of floor G - A settles a pencil
+    that cannot exceed the floor.  The bracket grows from the anchor (the
+    floor, or the largest diagonal Rayleigh quotient if that is larger) in
+    gaps of 4, 64, 1024, ... ulps times the anchor, so a top a few ulps
+    above it costs a few factorizations."""
     if floor > 0.0 and _definite(floor * G - A):
         return floor
     anchor = max(floor, float(np.max(A[0] / G[0])))  # Rayleigh quotient of a unit vector
@@ -179,20 +179,20 @@ def _top(A, G, floor=0.0):
     return hi
 
 
-def _mode_matrices(space, partition, q, other):
-    """Per distinct eigenvalue of (K, M), largest first, the banded pair
-    (S, GX) over the time-ordered test layout (node, interiors, node, ...),
-    S being BB for other="BB" and GC for other="GC".  Modes sharing an
-    eigenvalue (lam_i + lam_j = lam_j + lam_i in 2D) share them.
+def _mode_matrices(space, partition, q):
+    """Per distinct eigenvalue of (K, M), largest first, the banded triple
+    (GX, BB, GC) over the time-ordered test layout (node, interiors, node,
+    ...).  Modes sharing an eigenvalue (lam_i + lam_j = lam_j + lam_i in 2D)
+    share them.
 
     In the M-orthonormal eigenbasis M -> 1, K -> lambda and M K^-1 M ->
     1/lambda, so interval i contributes with mu = k_i lambda: the projected
     test Gram GX = E/mu + mu Pi, the true test Gram GC = E/mu + mu GL2, and
     BB = b GY^-1 b^T with b = mu G - D and the trial Gram GY = mu/(2m+1).
-    The node-0 term ||X(0)||_H^2 adds 1 to both Grams; the final trace adds
-    1 to BB at node N.  The banded sum over intervals is linear, so the
-    lambda-free bands are built once per call, and each eigenvalue combines
-    them elementwise, with no matrix product per eigenvalue: with
+    The node-0 term ||X(0)||_H^2 adds 1 to both test Grams; the final trace
+    adds 1 to BB at node N.  The banded sum over intervals is linear, so the
+    six lambda-free bands are built once per call, and each eigenvalue
+    combines them elementwise, with no matrix product per eigenvalue: with
     W = diag(2m+1) = mu GY^-1,
 
         GX = band(E/k)/lam + lam band(k Pi),  GC = band(E/k)/lam + lam band(k GL2),
@@ -207,49 +207,49 @@ def _mode_matrices(space, partition, q, other):
     k = partition.widths[:, None, None]
     Lq = rb.L[:, : q + 1]
     odd = 2.0 * np.arange(q + 1) + 1.0
+    GW, DW = rb.G * odd, rb.D * odd
+    cross = GW @ rb.D.T
     dual = _banded(rb.E / k)
     proj = _banded(k * ((Lq / odd) @ Lq.T))
-    if other == "BB":
-        GW, DW = rb.G * odd, rb.D * odd
-        cross = GW @ rb.D.T
-        gg = _banded(k * (GW @ rb.G.T))
-        gd = _banded(np.broadcast_to(cross + cross.T, (k.size, q + 2, q + 2)))
-        dd = _banded((DW @ rb.D.T) / k)
-    else:
-        true = _banded(k * rb.GL2)
+    true = _banded(k * rb.GL2)
+    gg = _banded(k * (GW @ rb.G.T))
+    gd = _banded(np.broadcast_to(cross + cross.T, (k.size, q + 2, q + 2)))
+    dd = _banded((DW @ rb.D.T) / k)
 
     for lam in np.unique(fem.spectral(space).eigenvalues)[::-1]:
-        GX = dual / lam + lam * proj
+        dual_lam = dual / lam
+        GX = dual_lam + lam * proj
         GX[0, 0] += 1.0
-        if other == "BB":
-            S = lam * gg - gd + dd / lam
-            S[0, -1] += 1.0
-        else:
-            S = dual / lam + lam * true
-            S[0, 0] += 1.0
-        yield S, GX
+        GC = dual_lam + lam * true
+        GC[0, 0] += 1.0
+        BB = lam * gg - gd + dd / lam
+        BB[0, -1] += 1.0
+        yield GX, BB, GC
+
+
+def diagnostic_constants(space, partition, q):
+    """(c_B, C_B, c_S) in one pass over the modes: each mode checks its Grams
+    GX and BB once, then c_B^-2, C_B^2 and c_S^2, the top eigenvalues of the
+    pencils (GX, BB), (BB, GX) and (GC, GX), are running maxima, each passed
+    to _top as its floor."""
+    inv_lo = hi = top = 0.0
+    for GX, BB, GC in _mode_matrices(space, partition, q):
+        if not (_definite(GX) and _definite(BB)):
+            raise RuntimeError("norm Gram matrix is not positive definite")
+        inv_lo = _top(GX, BB, inv_lo)
+        hi = _top(BB, GX, hi)
+        top = _top(GC, GX, top)
+    return float(np.sqrt(1.0 / inv_lo)), float(np.sqrt(hi)), float(np.sqrt(top))
 
 
 def infsup_discrete(space, partition, q):
-    """Extreme singular values (c_B, C_B) of the norm-normalized form: the
-    extreme square roots of the pencil (B GY^-1 B^T, GX) over all modes.
-    c_B^-2 and C_B^2 are running maxima of top eigenvalues, each passed to
-    _top as its floor."""
-    inv_lo, hi = 0.0, 0.0
-    for BB, GX in _mode_matrices(space, partition, q, "BB"):
-        inv_lo = _top(GX, BB, inv_lo)
-        hi = _top(BB, GX, hi)
-    return float(np.sqrt(1.0 / inv_lo)), float(np.sqrt(hi))
+    """Extreme singular values (c_B, C_B) of the norm-normalized form."""
+    return diagnostic_constants(space, partition, q)[:2]
 
 
 def cs_constant(space, partition, q):
-    """Equivalence constant between the true and projected test norms: the
-    square root of the top eigenvalue of (GC, GX) over all modes, a running
-    maximum passed to _top as its floor."""
-    top = 0.0
-    for GC, GX in _mode_matrices(space, partition, q, "GC"):
-        top = _top(GC, GX, top)
-    return float(np.sqrt(top))
+    """Equivalence constant c_S between the true and projected test norms."""
+    return diagnostic_constants(space, partition, q)[2]
 
 
 def cfl_constant(space, k_max):

@@ -12,7 +12,7 @@ Config schema (flat JSON object):
   errors          bool   compute error norms (requires an exact solution), default true
   diagnostics     bool   emit inf-sup / c_S / CFL / stability per level, default false
   out_dir         str    output directory, default "results"
-  seed            int    seed of the residual spot check, default 0
+  seed            int    seed of the residual spot check, >= 0, default 0
 
 Artifacts written to the output directory: rates.csv (one row per level,
 per-pair rates in the last two columns), loglog.csv (plot-ready k-vs-error
@@ -24,8 +24,9 @@ significant digits and JSON keys are sorted, so reruns of the same config
 are byte-identical.
 
 Before any level is built, the pre-flight checks every level the command
-builds against physical memory and, on a run with errors, that the levels
-have distinct step sizes.  main maps each failure to its exit code.
+builds against physical memory and for impulses off its nodes, and on a run
+with errors that the levels have distinct step sizes.  main maps each
+failure to its exit code.
 
 scipy serves only the diagnostics.  parse_config imports it for a config
 with diagnostics, and main for `diagnose`, so the import happens before any
@@ -42,11 +43,11 @@ import sys
 
 import numpy as np
 
-from .analysis import (cfl_constant, cs_constant, error_norms, fit_rate,
-                       infsup_discrete, load_pbtrf, stability_check)
+from .analysis import (cfl_constant, diagnostic_constants, error_norms, fit_rate,
+                       load_pbtrf, stability_check)
 from .fem import assemble
 from .problems import problem_by_id, validate_residual
-from .solver import run_decomposed
+from .solver import impulse_nodes, run_decomposed
 from .timegrid import CHUNK_VALUES, MAX_TRIAL_DEGREE, make_uniform_partition
 
 EXIT_OK = 0
@@ -87,6 +88,8 @@ class ExperimentConfig:
         for name in ("q", "p", "seed"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError("%s must be an integer" % name)
+        if self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
         for name in ("coupling_c", "coupling_gamma", "epsilon"):
             if not _is_real(getattr(self, name)):
                 raise ConfigError("%s must be a finite number" % name)
@@ -212,20 +215,25 @@ def physical_memory():
 
 def preflight(cfg, problem, count):
     """Raise ConfigError, before any level allocates, if one of the first
-    count levels cannot fit in physical memory, or if errors are on and two
-    of them share an interval count: equal step sizes k leave no rate to fit
-    in log k."""
+    count levels cannot fit in physical memory or has an impulse off its
+    nodes, or if errors are on and two of them share an interval count:
+    equal step sizes k leave no rate to fit in log k."""
     available = physical_memory()
     counts = []
     for idx in range(count):
         n, N = level_geometry(cfg, idx, problem.final_time)
         need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N)
         if need <= available:   # N is then small enough to build the partition
-            widths = len(set(make_uniform_partition(problem.final_time, N).widths.tolist()))
+            partition = make_uniform_partition(problem.final_time, N)
+            widths = len(set(partition.widths.tolist()))
             need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N, widths)
         if need > available:
             raise ConfigError("level n=%d, N=%d needs at least %.3g GB, more than the "
                               "%.3g GB of physical memory" % (n, N, need / 1e9, available / 1e9))
+        try:
+            impulse_nodes(problem, partition)
+        except ValueError as exc:
+            raise ConfigError("level n=%d, N=%d: %s" % (n, N, exc))
         counts.append(N)
     if cfg.errors and len(set(counts)) < len(counts):
         raise ConfigError("levels %s get interval counts %s; rates need a distinct step "
@@ -255,8 +263,7 @@ def run_level(cfg, idx, problem):
 def level_diagnostics(problem, space, partition, q, solution=None):
     """Inf-sup, c_S and CFL constants of a level; with its solution, also
     the stability bound."""
-    c_B, C_B = infsup_discrete(space, partition, q)
-    c_S = cs_constant(space, partition, q)
+    c_B, C_B, c_S = diagnostic_constants(space, partition, q)
     block = {"c_B": c_B, "C_B": C_B, "c_S": c_S, "C_CFL": cfl_constant(space, partition.k_max)}
     if solution is not None and not problem.impulses and problem.rhs is not None:
         block["stability"] = stability_check(solution, problem, c_S)

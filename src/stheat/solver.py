@@ -38,12 +38,10 @@ matrix per mode and distinct width) and r = D[q+1] - mu G[q+1]:
 with b, zeta and a2 in modal coordinates (V^T load, V^T M u2).
 """
 
-import functools
-
 import numpy as np
 
 from . import fem
-from .timegrid import TemporalBasis, chunks, quadrature_nodes, reference_blocks
+from .timegrid import chunks, quadrature_nodes, reference_blocks
 
 
 class SpaceTimeSolution:
@@ -147,7 +145,7 @@ def interval_moments(problem, space, partition, q, lo=0, hi=None):
     out = np.zeros((hi - lo, q + 2, space.dof_count))
     if problem.rhs is None:
         return out
-    test = _test_basis(q)
+    test = reference_blocks(q).test
     for a, b in _load_chunks(space, lo, hi, q + 3):
         t, tau, w = quadrature_nodes(partition, a, b, q + 3, problem.time_breakpoints)
         loads = fem.load_vector(space, problem.rhs, t=t.ravel()).reshape(*t.shape, -1)
@@ -156,27 +154,24 @@ def interval_moments(problem, space, partition, q, lo=0, hi=None):
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _test_basis(q):
-    """The test basis of interval_moments, built once per degree."""
-    return TemporalBasis(q + 1, "nodal-lagrange")
+def impulse_nodes(problem, partition):
+    """Partition node index of each impulse time, in order; raises ValueError
+    for a time that is no interior or final node, to 1e-12 max(1, T)."""
+    nodes = partition.nodes
+    tol = 1e-12 * max(1.0, partition.final_time)
+    found = [int(np.argmin(np.abs(nodes - t_star))) for t_star, _ in problem.impulses]
+    for idx, (t_star, _) in zip(found, problem.impulses):
+        if abs(nodes[idx] - t_star) > tol or idx == 0:
+            raise ValueError("impulse time %g does not coincide with an interior or final "
+                             "partition node" % (t_star,))
+    return found
 
 
 def impulse_loads(problem, space, partition):
     """Load vectors of the impulses keyed by their node index."""
-    if not problem.impulses:
-        return {}
-    nodes = partition.nodes
-    tol = 1e-12 * max(1.0, partition.final_time)
     loads = {}
-    for t_star, zeta in problem.impulses:
-        idx = int(np.argmin(np.abs(nodes - t_star)))
-        if abs(nodes[idx] - t_star) > tol or idx == 0:
-            raise ValueError(
-                "impulse time %g does not coincide with an interior or final "
-                "partition node" % (t_star,))
-        vec = fem.load_vector(space, zeta)
-        loads[idx] = loads.get(idx, 0.0) + vec
+    for idx, (_, zeta) in zip(impulse_nodes(problem, partition), problem.impulses):
+        loads[idx] = loads.get(idx, 0.0) + fem.load_vector(space, zeta)
     return loads
 
 

@@ -82,13 +82,10 @@ def lobatto_points(m):
     """m Gauss-Lobatto points on [0,1] (endpoints included), m >= 2."""
     if m < 2:
         raise ValueError("Lobatto rule needs at least the two endpoints")
-    if m == 2:
-        interior = np.empty(0)
-    else:
-        # interior points are the roots of P'_{m-1}
-        coeffs = np.zeros(m)
-        coeffs[m - 1] = 1.0
-        interior = npleg.legroots(npleg.legder(coeffs))
+    # interior points are the roots of P'_{m-1} (none for m = 2)
+    coeffs = np.zeros(m)
+    coeffs[m - 1] = 1.0
+    interior = npleg.legroots(npleg.legder(coeffs))
     pts = np.concatenate(([-1.0], np.sort(interior), [1.0]))
     return 0.5 * (pts + 1.0)
 
@@ -196,7 +193,7 @@ class ReferenceBlocks:
       G[j, m]   = int l_j * P_m
       E[i, j]   = int dl_i/dtau * dl_j/dtau
       GL2[i, j] = int l_i * l_j
-      L[j, r]   = coefficient of P_r in l_j (r = 0..q+1)
+      L[j, r]   = coefficient of P_r in l_j (r = 0..q+1), the rows of test
 
     These scale to a physical interval of width k by the chain rule; the
     solver and the norm Gram matrices are assembled from them.
@@ -207,7 +204,8 @@ class ReferenceBlocks:
         # int_0^1 P_r P_s = delta_rs / (2r+1), so each block is a product of
         # coefficient rows weighted by s_r = 1/(2r+1); d/dtau = 2 d/dx on [-1,1]
         s = 1.0 / (2.0 * np.arange(q + 2) + 1.0)
-        L = lagrange_legendre(lobatto_points(q + 2))
+        self.test = TemporalBasis(q + 1, "nodal-lagrange")
+        L = self.test.coeffs
         Ld = 2.0 * npleg.legder(L, axis=1)              # (q+2, q+1)
         self.G = L[:, : q + 1] * s[: q + 1]
         self.D = Ld * s[: q + 1]

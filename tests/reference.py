@@ -234,11 +234,11 @@ def crank_nicolson(problem, space, partition):
     return W
 
 
-def per_mode_bands(space, partition, q, other):
-    """The banded pairs (S, GX) of analysis._mode_matrices, per distinct
-    eigenvalue, largest first, each built from its own interval blocks:
-    GX = E/mu + mu Pi, GC = E/mu + mu GL2 and BB = b (2m+1)/mu b^T with
-    b = mu G - D, mu = k_i lambda, plus the node-0 and node-N terms."""
+def per_mode_bands(space, partition, q):
+    """The banded triples (GX, BB, GC) of analysis._mode_matrices, per
+    distinct eigenvalue, largest first, each built from its own interval
+    blocks: GX = E/mu + mu Pi, BB = b (2m+1)/mu b^T with b = mu G - D and
+    GC = E/mu + mu GL2, mu = k_i lambda, plus the node-0 and node-N terms."""
     rb = ReferenceBlocks(q)
     Lq = rb.L[:, : q + 1]
     odd = 2.0 * np.arange(q + 1) + 1.0
@@ -251,10 +251,7 @@ def per_mode_bands(space, partition, q, other):
 
     for lam in np.unique(spectral(space).eigenvalues)[::-1]:
         mu = partition.widths[:, None, None] * lam
-        if other == "BB":
-            b = mu * rb.G - rb.D
-            S = _banded((b * (odd / mu)) @ b.transpose(0, 2, 1))
-            S[0, -1] += 1.0
-        else:
-            S = gram(mu, rb.GL2)
-        yield S, gram(mu, proj)
+        b = mu * rb.G - rb.D
+        BB = _banded((b * (odd / mu)) @ b.transpose(0, 2, 1))
+        BB[0, -1] += 1.0
+        yield gram(mu, proj), BB, gram(mu, rb.GL2)

@@ -8,6 +8,7 @@ from stheat.analysis import (
     _top,
     cfl_constant,
     cs_constant,
+    diagnostic_constants,
     error_norms,
     fit_rate,
     infsup_discrete,
@@ -241,13 +242,14 @@ def test_pruned_maxima_match_every_mode(space_args, partition, q):
     near 1, where a bisection started from another bracket may settle a few
     ulps away."""
     space = assemble(*space_args)
-    lo, hi = zip(*((_top(GX, BB), _top(BB, GX))
-                   for BB, GX in _mode_matrices(space, partition, q, "BB")))
-    top_s = max(_top(GC, GX) for GC, GX in _mode_matrices(space, partition, q, "GC"))
-    c_B, C_B = infsup_discrete(space, partition, q)
-    assert c_B == pytest.approx(np.sqrt(1.0 / max(lo)), abs=1e-12)
-    assert C_B == pytest.approx(np.sqrt(max(hi)), abs=1e-12)
-    assert cs_constant(space, partition, q) == np.sqrt(top_s)
+    lo, hi, top_s = map(max, zip(*((_top(GX, BB), _top(BB, GX), _top(GC, GX))
+                                   for GX, BB, GC in _mode_matrices(space, partition, q))))
+    c_B, C_B, c_S = diagnostic_constants(space, partition, q)
+    assert c_B == pytest.approx(np.sqrt(1.0 / lo), abs=1e-12)
+    assert C_B == pytest.approx(np.sqrt(hi), abs=1e-12)
+    assert c_S == np.sqrt(top_s)
+    assert (c_B, C_B) == infsup_discrete(space, partition, q)
+    assert c_S == cs_constant(space, partition, q)
 
 
 def test_indefinite_gram_raises_after_the_maximum_is_set():
@@ -255,31 +257,33 @@ def test_indefinite_gram_raises_after_the_maximum_is_set():
     lambda = 4 has set every maximum; its Gram check must still run."""
     space = from_matrices(np.eye(2), np.diag([4.0, -1.0]))
     part = make_uniform_partition(1.0, 2)
-    for diagnostic in (cs_constant, infsup_discrete):
+    for diagnostic in (diagnostic_constants, cs_constant, infsup_discrete):
         with pytest.raises(RuntimeError, match="norm Gram matrix is not positive definite"):
             diagnostic(space, part, 0)
-    # G = [[1, 2], [2, 1]] is indefinite though 2 G - A = 1.5 I is definite
-    G, A = np.array([[1.0, 1.0], [2.0, 0.0]]), np.array([[0.5, 0.5], [4.0, 0.0]])
-    with pytest.raises(RuntimeError, match="norm Gram matrix is not positive definite"):
-        _top(A, G, 2.0)
 
 
-@pytest.mark.parametrize("other", ["BB", "GC"])
+_TRIPLE = ("GX", "BB", "GC")
+
+
+@pytest.mark.parametrize("matrix", _TRIPLE)
 @pytest.mark.parametrize("partition", [make_uniform_partition(1.0, 5), _NONUNIFORM],
                          ids=["uniform", "nonuniform"])
 @pytest.mark.parametrize("q", [0, 1, 3, 9])
 @pytest.mark.parametrize("space_args", [(1, 5, 2), (2, 3, 2)], ids=["1d", "2d"])
-def test_level_bands_match_per_mode_construction(space_args, q, partition, other):
-    """The bands built once per level and combined per eigenvalue equal the
-    bands built afresh for every eigenvalue, each to 1e-13 of its largest entry."""
+def test_level_bands_match_per_mode_construction(space_args, q, partition, matrix):
+    """Each matrix of the triple (GX, BB, GC), built from bands made once per
+    level and combined per eigenvalue, equals the one built afresh for every
+    eigenvalue, to 1e-13 of its largest entry."""
     space = assemble(*space_args)
-    got = list(_mode_matrices(space, partition, q, other))
-    want = list(per_mode_bands(space, partition, q, other))
+    got = list(_mode_matrices(space, partition, q))
+    want = list(per_mode_bands(space, partition, q))
     assert len(got) == len(want) == np.unique(spectral(space).eigenvalues).size
-    for pair, ref in zip(got, want):
-        for band, oracle in zip(pair, ref):
-            assert band.shape == oracle.shape
-            assert np.abs(band - oracle).max() <= 1e-13 * np.abs(oracle).max()
+    pick = _TRIPLE.index(matrix)
+    for triple, ref in zip(got, want):
+        assert len(triple) == len(ref) == 3
+        band, oracle = triple[pick], ref[pick]
+        assert band.shape == oracle.shape
+        assert np.abs(band - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
 def _counting_definite(monkeypatch):
@@ -291,16 +295,14 @@ def _counting_definite(monkeypatch):
 
 def test_floors_bound_the_factorization_count(monkeypatch):
     """63 distinct eigenvalues: with the floors a mode below the maxima takes
-    2 (c_S) and 4 (c_B, C_B) banded factorizations, and a top a few ulps above
-    its anchor a few more (278 in all for c_B and C_B)."""
+    5 banded factorizations in the pass (its two Gram checks and one floor
+    check per constant), and a top a few ulps above its anchor a few more
+    (411 in all)."""
     space = assemble(1, 32, 2)
     part = make_uniform_partition(1.0, 1024)
     calls = _counting_definite(monkeypatch)
-    cs_constant(space, part, 0)
-    assert len(calls) <= 4 * 63
-    calls.clear()
-    infsup_discrete(space, part, 0)
-    assert len(calls) <= 5 * 63
+    diagnostic_constants(space, part, 0)
+    assert len(calls) <= 7 * 63
 
 
 def test_top_from_floors_below_a_closed_form_top(monkeypatch):
@@ -308,8 +310,8 @@ def test_top_from_floors_below_a_closed_form_top(monkeypatch):
     1 + 2c cos(pi/(n+1)).  From floors at 0, 1 and 8 ulps below it and 1e-6
     below it, _top lands within 4 ulps.  From 8 ulps below, the first gap (4
     ulps for a top just above 1) falls short and the second overshoots by
-    about 56 ulps, so the Gram check, the floor check, two bracket checks and
-    six bisections make 10 factorizations."""
+    about 56 ulps, so the floor check, two bracket checks and six bisections
+    make 9 factorizations; the Gram check is the caller's."""
     n, c = 40, 0.01
     top = 1.0 + 2.0 * c * np.cos(np.pi / (n + 1))
     ulp = np.spacing(top)
@@ -320,7 +322,7 @@ def test_top_from_floors_below_a_closed_form_top(monkeypatch):
         calls.clear()
         assert abs(_top(A, G, floor) - top) <= 4 * ulp, floor
         if floor == top - 8 * ulp:
-            assert len(calls) <= 10
+            assert len(calls) <= 9
 
 
 @pytest.mark.parametrize("space_args,N,q,tol", [

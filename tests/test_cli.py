@@ -65,6 +65,7 @@ def test_parse_config_round_trip():
     lambda d: d.update(frobnicate=True),
     lambda d: d.pop("problem"),
     lambda d: d.update(explicit_N=[4]),  # must match len(levels)
+    lambda d: d.update(seed=-1),  # numpy's default_rng takes no negative seed
 ])
 def test_parse_config_rejections(mutate):
     payload = dict(SMALL_RUN)
@@ -214,6 +215,28 @@ def test_missing_scipy_exits_2_before_any_level(tmp_path):
     assert done.returncode == EXIT_OK, done.stderr
     assert main(["run", plain, "--out", str(tmp_path / "b"), "--quiet"]) == EXIT_OK
     assert _read_artifacts(str(tmp_path / "a")) == _read_artifacts(str(tmp_path / "b"))
+
+
+def test_impulse_off_the_nodes_exits_2_before_any_level(tmp_path, capsys, monkeypatch):
+    """The pre-flight refuses an impulse time that is no node of a level, in
+    one line naming the level, before any level is built: run checks every
+    level, diagnose level 0 only, as for memory."""
+    def refuse(*_):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(stheat.cli, "_build_level", refuse)
+    payload = {"problem": "impulse", "levels": [4, 8], "errors": False}
+    out = tmp_path / "out"
+    for command, counts, level in (("run", [4, 5], "n=8, N=5"), ("diagnose", [5, 4], "n=4, N=5")):
+        cfg = _write_config(tmp_path, dict(payload, explicit_N=counts))
+        assert main([command, cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: level %s: impulse time 0.5 does not" % level), lines
+    assert not out.exists()
+    monkeypatch.undo()
+    cfg = _write_config(tmp_path, dict(payload, explicit_N=[4, 5]))
+    assert main(["diagnose", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
 
 
 def test_rates_csv_layout(tmp_path):

@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,6 +53,32 @@ def test_scalar_two_steps_match_trapezoidal_squares():
     _, out2 = system.step(out1)
     assert out1[0] == pytest.approx(0.6, abs=1e-14)
     assert out2[0] == pytest.approx(0.36, abs=1e-14)
+
+
+def _diagonal_pade(mu, n):
+    """R(mu) = P(-mu)/P(mu), the (n, n) Pade approximant of exp(-mu), with
+    P(z) = sum_j (2n-j)! n! / ((2n)! j! (n-j)!) z^j."""
+    c = [factorial(2 * n - j) * factorial(n) / (factorial(2 * n) * factorial(j) * factorial(n - j))
+         for j in range(n + 1)]
+    P = np.polynomial.polynomial.polyval
+    return P(-mu, c) / P(mu, c)
+
+
+@pytest.mark.parametrize("q", range(10))
+def test_nodal_amplification_is_the_diagonal_pade_approximant(q):
+    """Without forcing, one interval of width k maps the nodal component by
+    alpha(mu), mu = k lambda, which is the (q+1, q+1) Pade approximant of
+    exp(-mu): the stability function of (q+1)-stage Gauss collocation.  One
+    DOF (lambda = 12) and one interval of width mu/lambda per mu.  The bound
+    is absolute: R crosses 0, where a relative one means nothing."""
+    space = assemble(1, 2, 1)
+    lam = space.stiffness[0, 0] / space.mass[0, 0]
+    assert lam == pytest.approx(12.0, rel=1e-14)
+    for mu in np.logspace(-3.0, 4.0, 60):
+        problem = ProblemSpec(name="decay", dimension=1, rhs=None,
+                              initial=lambda x: np.sin(np.pi * x), final_time=mu / lam)
+        u2 = run_decomposed(problem, space, make_uniform_partition(mu / lam, 1), q).u2
+        assert abs(u2[1, 0] / u2[0, 0] - _diagonal_pade(mu, q + 1)) <= 4e-15, mu
 
 
 def test_q0_step_equals_hand_assembled_equations():
