@@ -25,10 +25,7 @@ mode in every case measured; c_B^-2 and C_B^2 are 1 to rounding on every
 mode, so only the few modes that beat the maximum by rounding are bisected,
 from a bracket grown out of the floor, in 4 to 10 factorizations each.  The
 bands are built once per level, so a mode costs a few elementwise array
-operations besides its factorizations.  On 1D n=32, N=1024, p=2, q=0 (63
-distinct eigenvalues) the pass takes 411 factorizations (126 Gram checks,
-79 for c_B, 73 for C_B, 133 for c_S); on 2D n=32, N=1024 it takes 0.4-0.5 s
-on a 2-core machine.
+operations besides its factorizations (README: counts and timings).
 """
 
 from dataclasses import dataclass
@@ -53,12 +50,13 @@ def error_norms(solution, problem):
     discrete gradients with the exact gradient at spatial quadrature points
     (p+4 Gauss points per element, q+4 per time segment), the nodal part
     integrates (U2 - u(., t_n))^2 directly.  Both stream over chunks of
-    intervals and nodes.
+    intervals and nodes; the V part takes u1 to FE coefficients first, as a
+    modal sum would cancel the leading digits of a fine level's error.
     """
     if problem.exact is None:
         raise ValueError("error computation requires an exact solution")
     space, part, q = solution.space, solution.partition, solution.q
-    nq = space.degree + 4
+    dec, nq = fem.spectral(space), space.degree + 4
     x, w, B, D = space.line_tables(nq)
     trial = TemporalBasis(q, "legendre")
 
@@ -66,7 +64,7 @@ def error_norms(solution, problem):
     for lo, hi in chunks(0, part.num_intervals, (q + 4) * space.grid_size(nq)):
         t, tau, wt = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
         P = trial.eval_all(tau.ravel()).T.reshape(*t.shape, q + 1)
-        coeffs = np.matmul(P, solution.u1[lo:hi]).reshape(t.size, -1)   # (nt, dof)
+        coeffs = np.matmul(P, dec.coefficients(solution.u1[lo:hi])).reshape(t.size, -1)
         if space.dimension == 1:
             sq = fem.gather(D, coeffs)
             sq -= problem.exact.grad(x[None, :], t.reshape(-1, 1))
@@ -89,14 +87,14 @@ def error_norms(solution, problem):
     # realizes the exact trace in the discrete H = V_h, matching the
     # semidiscrete superconvergence statement; measuring against u itself
     # would re-add the best-approximation floor ~ h^(p+1) that the nodal
-    # component cannot beat.  In the M-orthonormal eigenbasis the H norm is
-    # the Euclidean one and the projection of a load vector is V^T load.
-    dec = fem.spectral(space)
+    # component cannot beat.  In the M-orthonormal eigenbasis, where u2
+    # lives, the H norm is the Euclidean one and the projection of a load
+    # vector is V^T load.
     nodes = part.nodes
     per_node = np.empty(nodes.size)
     for lo, hi in chunks(0, nodes.size, space.grid_size(nq)):
         trace = fem.load_vector(space, problem.exact.u, nq=nq, t=nodes[lo:hi])
-        diff = dec.modal_coefficients(solution.u2[lo:hi]) - dec.modal_loads(trace)
+        diff = solution.u2[lo:hi] - dec.modal_loads(trace)
         per_node[lo:hi] = np.sqrt(np.sum(diff * diff, axis=1))
 
     return ErrorReport(
@@ -131,11 +129,8 @@ def _banded(blocks):
 
 # LAPACK's banded Cholesky behind scipy.linalg.cholesky_banded, without its checks;
 # the one scipy routine a run calls, and only for diagnostics.  load_pbtrf binds
-# it on first call, importing scipy.linalg (about 0.2 s on a 2-core machine);
-# cli calls it for a config with diagnostics and for `diagnose`, so the import
-# lands in start-up, not in the first level, and a run without diagnostics
-# never imports scipy.  _definite reads the global, with no call per
-# factorization.
+# it, importing scipy.linalg (about 0.2 s); cli calls it in start-up (module
+# docstring there), and _definite reads the global with no call per factorization.
 _pbtrf = None
 
 
@@ -161,13 +156,17 @@ def _top(A, G, floor=0.0):
     that cannot exceed the floor.  The bracket grows from the anchor (the
     floor, or the largest diagonal Rayleigh quotient if that is larger) in
     gaps of 4, 64, 1024, ... ulps times the anchor, so a top a few ulps
-    above it costs a few factorizations."""
+    above it costs a few factorizations.  A G that is not positive definite
+    raises RuntimeError before sigma G overflows (pbtrf passes inf/NaN)."""
     if floor > 0.0 and _definite(floor * G - A):
         return floor
-    anchor = max(floor, float(np.max(A[0] / G[0])))  # Rayleigh quotient of a unit vector
-    lo, gap = anchor, 4.0 * np.finfo(float).eps * anchor
+    anchor = float(max(floor, np.max(A[0] / G[0])))  # Rayleigh quotient of a unit vector
+    lo, gap = anchor, anchor * 2.0 ** -50   # 4 ulps, in Python floats: no overflow warning
     hi = anchor + gap
     while not _definite(hi * G - A):
+        if not 0.0 < 32.0 * hi * (1.0 + float(np.abs(G).max())) < np.finfo(float).max:
+            raise RuntimeError("pencil has no finite top eigenvalue: "
+                               "norm Gram matrix is not positive definite")
         lo, gap = hi, 16.0 * gap
         hi = anchor + gap
     while lo < 0.5 * (lo + hi) < hi:
@@ -216,13 +215,16 @@ def _mode_matrices(space, partition, q):
     gd = _banded(np.broadcast_to(cross + cross.T, (k.size, q + 2, q + 2)))
     dd = _banded((DW @ rb.D.T) / k)
 
+    # one temporary band at a time: 11 to 13 bands in all (cli.level_bytes)
     for lam in np.unique(fem.spectral(space).eigenvalues)[::-1]:
-        dual_lam = dual / lam
-        GX = dual_lam + lam * proj
+        GX = dual / lam
+        GC = GX + lam * true
+        GX += lam * proj
         GX[0, 0] += 1.0
-        GC = dual_lam + lam * true
         GC[0, 0] += 1.0
-        BB = lam * gg - gd + dd / lam
+        BB = lam * gg
+        BB -= gd
+        BB += dd / lam
         BB[0, -1] += 1.0
         yield GX, BB, GC
 
@@ -263,8 +265,8 @@ def stability_check(solution, problem, c_s):
 
     Returns a dict with lhs = ||U1||_{L2(V)}^2 + ||U2^(N)||_H^2 and
     rhs = c_s^2 ||f||_{L2(H^-1)}^2 + ||u0||_H^2, all realized on V_h; the
-    f term uses q+4 Gauss points per time segment.  In the M-orthonormal
-    eigenbasis of (K, M), with a = V^T M u, ||u||_H^2 = sum a^2 and
+    f term uses q+4 Gauss points per time segment.  In the modal
+    coordinates a = V^T M u of the solution, ||u||_H^2 = sum a^2 and
     ||u||_V^2 = sum lambda a^2, and a load vector f has
     ||f||_{H^-1}^2 = sum (V^T f)^2 / lambda, so no solve is needed.
     """
@@ -274,12 +276,8 @@ def stability_check(solution, problem, c_s):
     dec = fem.spectral(space)
     lam = dec.eigenvalues
     scale = part.widths[:, None] / (2.0 * np.arange(q + 1) + 1.0)   # k / (2m+1)
-    u1_sq = 0.0
-    for lo, hi in chunks(0, part.num_intervals, (q + 1) * space.dof_count):
-        a = dec.modal_coefficients(solution.u1[lo:hi])
-        u1_sq += float(np.sum(scale[lo:hi] * ((a * a) @ lam)))
-    u2N_sq, u0_sq = (float(np.sum(a * a))
-                     for a in dec.modal_coefficients(solution.u2[[-1, 0]]))
+    u1_sq = float(np.einsum("im,imd,imd,d->", scale, solution.u1, solution.u1, lam))
+    u2N_sq, u0_sq = (float(np.sum(a * a)) for a in solution.u2[[-1, 0]])
     f_sq = 0.0
     if problem.rhs is not None:
         per_item = (q + 4) * space.grid_size(space.degree + 2)

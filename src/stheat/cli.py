@@ -178,34 +178,40 @@ def level_geometry(cfg, idx, final_time):
     return n, max(1, int(round(steps)))
 
 
-def level_bytes(dimension, n, p, q, N, widths=1):
-    """Lower bound on the memory of a level: the larger of the peaks of
-    assemble and of run_decomposed, whose partition has the given number of
-    distinct interval widths.
+def level_bytes(dimension, n, p, q, N, widths=1, diagnostics=False):
+    """Lower bound on the memory of a level of `run`: the largest of the
+    peaks of assemble, of run_decomposed, whose partition has the given
+    number of distinct interval widths, and of the diagnostics, if any.
 
     assemble holds three dense tables of (np+1) n(p+1) doubles at once (B, D
     and a weighted product) beside M and K, 2(np-1)^2 doubles, in 1D and 2D
     alike; for p = 1 that is about four times the eigenbasis.
 
-    run_decomposed holds, in doubles: the line eigenbasis V and M V,
-    2(np-1)^2.  In rows of dof = (np-1)^dimension doubles: u1 and u2,
-    N(q+1) + N+1; the per-mode inverses, r, alpha and mu, (q+1)^2 + q+3
-    per distinct width; the eigenvalues, 1; one interval's load moments,
-    q+2.  On top, the larger of two passing peaks: the quadrature values of
-    the largest load chunk, (q+3)(n(p+2))^dimension per interval, which
-    load_vector holds (2p+3)/(p+2) times over (the values, the scattered
-    nodes and the last-column product); or the gather of the inverses over
-    one interval, (q+1)^2 rows.  spectral's own passing peak, four (np-1)^2
-    doubles, stays below the assembly peak.
+    A level keeps, in doubles: the line eigenbasis V, (np-1)^2; the
+    partition's nodes and widths, 2N+1; and the solution in rows of
+    dof = (np-1)^dimension doubles, N(q+2)+1 (u1 and u2).  run_decomposed
+    adds its width index, N; in rows: the per-mode inverses, r, alpha and
+    mu, (q+1)^2 + q+3 per distinct width; the eigenvalues, 1; one interval's
+    load moments, q+2.  On top, the larger of two passing peaks: the
+    quadrature values of the largest load chunk, (q+3)(n(p+2))^dimension per
+    interval, which load_vector holds (2p+3)/(p+2) times over (the values,
+    the scattered nodes and the last-column product); or the gather of the
+    inverses over one interval, (q+1)^2 rows.  spectral's own passing peak,
+    four (np-1)^2 doubles, stays below the assembly peak.
+
+    The diagnostics add eleven time bands of (q+2)(N(q+1)+1) doubles: six
+    built once per level, and a mode's three and two temporaries.
     """
     line = n * p - 1
     dof = line ** dimension
     assembly = 3 * (n * p + 1) * n * (p + 1) + 2 * line ** 2
+    kept = line ** 2 + 2 * N + 1 + (N * (q + 2) + 1) * dof
     values = (q + 3) * (n * (p + 2)) ** dimension
     block = min(N, max(1, CHUNK_VALUES // values)) * values
-    rows = N * (q + 2) + 1 + widths * ((q + 1) ** 2 + q + 3) + q + 3
-    march = 2 * line ** 2 + rows * dof + max(block * (2 * p + 3) // (p + 2), (q + 1) ** 2 * dof)
-    return 8 * max(assembly, march)
+    rows = widths * ((q + 1) ** 2 + q + 3) + q + 3
+    march = kept + N + rows * dof + max(block * (2 * p + 3) // (p + 2), (q + 1) ** 2 * dof)
+    bands = 11 * (q + 2) * (N * (q + 1) + 1) if diagnostics else 0
+    return 8 * max(assembly, march, kept + bands)
 
 
 def physical_memory():
@@ -213,20 +219,23 @@ def physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def preflight(cfg, problem, count):
-    """Raise ConfigError, before any level allocates, if one of the first
-    count levels cannot fit in physical memory or has an impulse off its
-    nodes, or if errors are on and two of them share an interval count:
-    equal step sizes k leave no rate to fit in log k."""
+def preflight(cfg, problem, run):
+    """Raise ConfigError, before any level allocates, if a level that the
+    command builds (all on `run`, level 0 on `diagnose`) cannot fit in
+    physical memory, diagnostics included, or has an impulse off its nodes,
+    or if errors are on and two of them share an interval count: equal step
+    sizes k leave no rate to fit in log k."""
     available = physical_memory()
+    diagnostics = cfg.diagnostics or not run
     counts = []
-    for idx in range(count):
+    for idx in range(len(cfg.levels) if run else 1):
         n, N = level_geometry(cfg, idx, problem.final_time)
-        need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N)
+        need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N, 1, diagnostics)
         if need <= available:   # N is then small enough to build the partition
             partition = make_uniform_partition(problem.final_time, N)
-            widths = len(set(partition.widths.tolist()))
-            need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N, widths)
+            k = np.sort(partition.widths)   # np.unique would import numpy.ma here, in the run
+            widths = 1 + np.count_nonzero(k[1:] != k[:-1])
+            need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N, widths, diagnostics)
         if need > available:
             raise ConfigError("level n=%d, N=%d needs at least %.3g GB, more than the "
                               "%.3g GB of physical memory" % (n, N, need / 1e9, available / 1e9))
@@ -371,14 +380,12 @@ def main(argv=None):
     parser = argparse.ArgumentParser(prog="stheat",
                                      description="space-time heat experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
-    run_p = sub.add_parser("run", help="run a convergence experiment")
-    run_p.add_argument("config")
-    run_p.add_argument("--out", default=None, help="output directory override")
-    run_p.add_argument("--quiet", action="store_true")
-    diag_p = sub.add_parser("diagnose", help="inf-sup / c_S / CFL constants only")
-    diag_p.add_argument("config")
-    diag_p.add_argument("--out", default=None)
-    diag_p.add_argument("--quiet", action="store_true")
+    for name, text in (("run", "run a convergence experiment"),
+                       ("diagnose", "inf-sup / c_S / CFL constants only")):
+        command = sub.add_parser(name, help=text)
+        command.add_argument("config")
+        command.add_argument("--out", default=None, help="output directory override")
+        command.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
     run = args.command == "run"
@@ -388,7 +395,7 @@ def main(argv=None):
         if not run:
             _require_scipy()   # parse_config requires it only for a config with diagnostics
         problem = problem_by_id(cfg.problem, cfg.epsilon)
-        preflight(cfg, problem, len(cfg.levels) if run else 1)
+        preflight(cfg, problem, run)
         if run and cfg.errors and problem.exact is None:
             print("error: problem %r has no exact solution; set errors=false" % cfg.problem,
                   file=sys.stderr)

@@ -8,8 +8,8 @@ spatial operation works through them and the M-orthonormal eigenbasis of
 (K, M) computed once on the line (spectral) with numpy's LAPACK: numpy and
 scipy each load their own OpenBLAS, whose thread pools compete for the cores
 when one run calls both, so scipy is left to the diagnostics, and a run
-without them never imports it (analysis.load_pbtrf).  The dense 2D
-matrices
+without them never imports it (analysis.load_pbtrf).  Space-time
+solutions stay in that eigenbasis (stheat.solver).  The dense 2D matrices
 
     M2 = kron(M, M),    K2 = kron(K, M) + kron(M, K)
 
@@ -98,14 +98,14 @@ class SpectralDecomposition:
     eigenvectors is the matrix V of the line.  In 2D the eigenvectors are the
     products V[:, i](xi) V[:, j](eta) with eigenvalues lam_i + lam_j, indexed
     i*d + j like the coefficients; they are applied as V^T X V and never
-    formed.  Modal coordinates are V^T f for a load vector f and V^T M u for
-    a coefficient vector u; both map arrays whose last axis is the DOF axis.
+    formed.  The solution is kept in modal coordinates a = V^T M u, a load
+    vector f enters as V^T f, and values in space need u = V a; both maps
+    act on the last axis.
     """
 
-    def __init__(self, dimension, line_eigenvalues, eigenvectors, line_mass):
+    def __init__(self, dimension, line_eigenvalues, eigenvectors):
         self.dimension = max(dimension, 1)
         self.eigenvectors = eigenvectors
-        self._mass_vectors = line_mass @ eigenvectors
         if self.dimension == 2:
             line_eigenvalues = (line_eigenvalues[:, None] + line_eigenvalues[None, :]).ravel()
         self.eigenvalues = line_eigenvalues
@@ -120,10 +120,6 @@ class SpectralDecomposition:
     def modal_loads(self, f):
         """V^T f for load vectors f."""
         return self._apply(f, self.eigenvectors)
-
-    def modal_coefficients(self, u):
-        """V^T M u for coefficient vectors u."""
-        return self._apply(u, self._mass_vectors)
 
     def coefficients(self, a):
         """V a: the coefficient vectors of modal coordinates a."""
@@ -251,9 +247,8 @@ def spectral(space):
     eigenvalues agree with scipy.linalg.eigh(K, M) to about 1e-12 relative.
     """
     if space._spectral is None:
-        M = space.line_mass
-        Linv = np.linalg.inv(np.linalg.cholesky(M))
+        Linv = np.linalg.inv(np.linalg.cholesky(space.line_mass))
         C = Linv @ space.line_stiffness @ Linv.T
         vals, Y = np.linalg.eigh(0.5 * (C + C.T))
-        space._spectral = SpectralDecomposition(space.dimension, vals, Linv.T @ Y, M)
+        space._spectral = SpectralDecomposition(space.dimension, vals, Linv.T @ Y)
     return space._spectral

@@ -35,7 +35,7 @@ matrix per mode and distinct width) and r = D[q+1] - mu G[q+1]:
     a2_out = alpha a2_in + g,   alpha = r A^-1 e_0,
     g = k b_{q+1} + zeta + r A^-1 (k b_top),
 
-with b, zeta and a2 in modal coordinates (V^T load, V^T M u2).
+with b and zeta in modal coordinates V^T load, and u1 and u2 in a = V^T M u.
 """
 
 import numpy as np
@@ -49,7 +49,8 @@ class SpaceTimeSolution:
 
     u1 has shape (N, q+1, dof) holding shifted-Legendre coefficients of U1 on
     each interval; u2 has shape (N+1, dof) with u2[0] the projected initial
-    datum and u2[N] the final-time component.
+    datum and u2[N] the final-time component, both in the modal coordinates
+    a = V^T M u of fem.spectral, where the H = V_h norm is the Euclidean one.
     """
 
     def __init__(self, q, partition, space, u1, u2):
@@ -179,9 +180,8 @@ def run_decomposed(problem, space, partition, q):
     """March the scheme mode by mode (module docstring), one load chunk at a time.
 
     Each chunk's load moments go to modal coordinates, its forced parts and
-    recurrence terms are formed for all its intervals at once, the scalar
-    recurrence runs over its intervals for all modes together, and its u1
-    and u2 go back to FE coefficients before the next chunk.
+    recurrence terms are formed for all its intervals at once, and the
+    scalar recurrence runs over its intervals for all modes together.
     """
     N = partition.num_intervals
     dof = space.dof_count
@@ -197,7 +197,7 @@ def run_decomposed(problem, space, partition, q):
     jumps = {i: dec.modal_loads(v) for i, v in impulse_loads(problem, space, partition).items()}
 
     u1 = np.empty((N, q + 1, dof))
-    u2 = np.empty((N + 1, dof))   # modal coordinates until converted
+    u2 = np.empty((N + 1, dof))
     u2[0] = 0.0 if problem.initial is None else dec.modal_loads(
         fem.load_vector(space, problem.initial))
     for lo, hi in _load_chunks(space, 0, N, q + 3):
@@ -212,7 +212,5 @@ def run_decomposed(problem, space, partition, q):
         a = alpha[w]
         for j in range(hi - lo):
             u2[lo + j + 1] = a[j] * u2[lo + j] + g[j]
-        u1[lo:hi] = dec.coefficients(forced + inv_t[w, :, 0] * u2[lo:hi, None, :])
-        u2[lo:hi] = dec.coefficients(u2[lo:hi])
-    u2[N] = dec.coefficients(u2[N])
+        np.add(forced, inv_t[w, :, 0] * u2[lo:hi, None, :], out=u1[lo:hi])
     return SpaceTimeSolution(q, partition, space, u1, u2)

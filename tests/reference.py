@@ -11,6 +11,9 @@ stheat.solver.run_decomposed.  This module holds the dense oracles:
     FE coordinates throughout;
   * crank_nicolson: the trapezoidal iteration, which the nodal component
     reproduces for q = 0 without forcing;
+
+the three solve in FE coordinates and return modal ones (modal), like
+run_decomposed;
   * dense_line_tables: the basis tables of the 1D factor mesh as dense
     (dof, n*nq) matrices, the oracle for the element-local contraction;
   * quadrature_reference_blocks: the temporal couplings of
@@ -21,6 +24,8 @@ stheat.solver.run_decomposed.  This module holds the dense oracles:
     which combines bands built once per level;
   * from_matrices and l2_project: an abstract space given by its matrices
     (one spatial mode, say) and the L2 projection onto a space;
+  * modal: the modal coordinates V^T M u of FE coefficients u, the one
+    place where the oracles' FE results meet the package's modal ones;
   * mass_cho: the Cholesky factor of a space's dense mass matrix, for the
     mass solves of the dense oracles.
 """
@@ -58,6 +63,12 @@ def l2_project(space, g):
     M^-1 load = V V^T load."""
     dec = spectral(space)
     return dec.coefficients(dec.modal_loads(load_vector(space, g)))
+
+
+def modal(space, u):
+    """V^T M u, the modal coordinates of the FE coefficients on the last
+    axis of u, by the dense mass matrix."""
+    return spectral(space).modal_loads(u @ space.mass)
 
 
 def dense_line_tables(n, p, nq):
@@ -169,7 +180,8 @@ def assemble_load(problem, space, partition, q):
 
 
 def solve_global(problem, space, partition, q):
-    """Solve the coupled space-time system in one shot.
+    """Solve the coupled space-time system in one shot, in FE coordinates;
+    returns the solution in modal coordinates, like run_decomposed.
 
     Its unknowns are U1 and the final trace.  U2 at node 0 is the projected
     initial datum, and at an interior node n it comes from the last test
@@ -192,12 +204,12 @@ def solve_global(problem, space, partition, q):
     u2[0] = 0.0 if problem.initial is None else l2_project(space, problem.initial)
     u2[1:N] = scipy.linalg.cho_solve(mass_cho(space), bottom.T).T
     u2[N] = x[-1]
-    return SpaceTimeSolution(q, partition, space, u1, u2)
+    return SpaceTimeSolution(q, partition, space, modal(space, u1), modal(space, u2))
 
 
 def march_interval_by_interval(problem, space, partition, q):
     """The dense interval march, one LocalBlockSystem.step per interval, in
-    FE coordinates throughout; returns (u1, u2)."""
+    FE coordinates throughout; returns (u1, u2) in modal coordinates."""
     N, dof = partition.num_intervals, space.dof_count
     jumps = impulse_loads(problem, space, partition)
     moments = interval_moments(problem, space, partition, q)
@@ -211,12 +223,13 @@ def march_interval_by_interval(problem, space, partition, q):
         if k not in systems:
             systems[k] = LocalBlockSystem(space, k, q)
         u1[i], u2[i + 1] = systems[k].step(u2[i], moments[i], jumps.get(i + 1))
-    return u1, u2
+    return modal(space, u1), modal(space, u2)
 
 
 def crank_nicolson(problem, space, partition):
-    """Trapezoidal iterates W, shape (N+1, dof), with the load of step i the
-    integral of load(f) over interval i by 4-point Gauss; no impulses."""
+    """Trapezoidal iterates W, shape (N+1, dof), in modal coordinates, with
+    the load of step i the integral of load(f) over interval i by 4-point
+    Gauss; no impulses."""
     if problem.impulses:
         raise ValueError("the Crank-Nicolson reference does not take impulses")
     N, dof = partition.num_intervals, space.dof_count
@@ -231,7 +244,7 @@ def crank_nicolson(problem, space, partition):
     for i, k in enumerate(partition.widths):
         W[i + 1] = scipy.linalg.solve(M + 0.5 * k * K, (M - 0.5 * k * K) @ W[i] + forcing[i],
                                       assume_a="pos")
-    return W
+    return modal(space, W)
 
 
 def per_mode_bands(space, partition, q):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -80,8 +82,10 @@ def test_error_norms_requires_exact_solution():
 
 
 def _error_norms_one_point_at_a_time(sol, problem):
-    """Reference: (err_u1_L2V, per-node errors), one time point per step."""
+    """Reference: (err_u1_L2V, per-node errors), one time point per step, in
+    FE coordinates."""
     space, part, q = sol.space, sol.partition, sol.q
+    u1, u2 = (spectral(space).coefficients(u) for u in (sol.u1, sol.u2))
     x, w, B, D = dense_line_tables(space.n, space.degree, space.degree + 4)
     rule, trial = gauss_rule(q + 4), TemporalBasis(q, "legendre")
     err1_sq = 0.0
@@ -91,7 +95,7 @@ def _error_norms_one_point_at_a_time(sol, problem):
         for s0, s1 in zip([a] + cuts, cuts + [b]):
             for tau, wt in zip(rule.points, rule.weights):
                 t = s0 + (s1 - s0) * tau
-                c = trial.eval_all((t - a) / (b - a))[:, 0] @ sol.u1[i]
+                c = trial.eval_all((t - a) / (b - a))[:, 0] @ u1[i]
                 if space.dimension == 1:
                     sp = np.sum(w * (D.T @ c - problem.exact.grad(x, t)) ** 2)
                 else:
@@ -107,7 +111,7 @@ def _error_norms_one_point_at_a_time(sol, problem):
             load = (B * w) @ problem.exact.u(x, t)
         else:
             load = ((B * w) @ problem.exact.u(x[:, None], x[None, :], t) @ (B * w).T).ravel()
-        diff = sol.u2[n] - scipy.linalg.cho_solve(cho, load)
+        diff = u2[n] - scipy.linalg.cho_solve(cho, load)
         per_node.append(np.sqrt(diff @ space.mass @ diff))
     return np.sqrt(err1_sq), np.array(per_node)
 
@@ -260,6 +264,23 @@ def test_indefinite_gram_raises_after_the_maximum_is_set():
     for diagnostic in (diagnostic_constants, cs_constant, infsup_discrete):
         with pytest.raises(RuntimeError, match="norm Gram matrix is not positive definite"):
             diagnostic(space, part, 0)
+
+
+def test_top_raises_on_a_pencil_without_a_finite_top():
+    """_top ends with RuntimeError, and no overflow warning, on a Gram that
+    is not positive definite: G = diag(1, -1, 1) against A = I, whose
+    bracket once overflowed into a non-finite band that pbtrf calls definite
+    (so _top returned inf), and the lambda = -1 mode above, whose bracket
+    once grew forever."""
+    A = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])   # lower banded
+    G = np.array([[1.0, -1.0, 1.0], [0.0, 0.0, 0.0]])
+    space = from_matrices(np.eye(2), np.diag([4.0, -1.0]))
+    GX, BB, GC = list(_mode_matrices(space, make_uniform_partition(1.0, 2), 0))[-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pencil in ((A, G), (GX, BB), (BB, GX), (GC, GX)):
+            with pytest.raises(RuntimeError, match="no finite top eigenvalue"):
+                _top(*pencil)
 
 
 _TRIPLE = ("GX", "BB", "GC")
@@ -432,17 +453,18 @@ def test_stability_check_rejects_impulses():
 
 
 def _stability_dense_reference(solution, problem, c_s):
-    """Reference: the stability terms from the dense matrices, with a
-    Cholesky solve against K for the H^-1 norm of f."""
+    """Reference: the stability terms from the dense matrices in FE
+    coordinates, with a Cholesky solve against K for the H^-1 norm of f."""
     space, part, q = solution.space, solution.partition, solution.q
+    u1, u2 = (spectral(space).coefficients(u) for u in (solution.u1, solution.u2))
     u1_sq = 0.0
     for i in range(part.num_intervals):
         k = float(part.widths[i])
         for m in range(q + 1):
-            c = solution.u1[i, m]
+            c = u1[i, m]
             u1_sq += (k / (2 * m + 1)) * float(c @ space.stiffness @ c)
-    u2N_sq = float(solution.u2[-1] @ space.mass @ solution.u2[-1])
-    u0_sq = float(solution.u2[0] @ space.mass @ solution.u2[0])
+    u2N_sq = float(u2[-1] @ space.mass @ u2[-1])
+    u0_sq = float(u2[0] @ space.mass @ u2[0])
     stiffness_cho = scipy.linalg.cho_factor(space.stiffness)
     f_sq = 0.0
     per_item = (q + 4) * space.grid_size(space.degree + 2)

@@ -6,11 +6,13 @@ import sys
 import tempfile
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import stheat.analysis
 import stheat.cli
+from stheat.analysis import load_pbtrf
 from stheat.cli import (
     EXIT_CONFIG,
     EXIT_NO_EXACT,
@@ -20,6 +22,7 @@ from stheat.cli import (
     ConfigError,
     ExperimentConfig,
     level_bytes,
+    level_diagnostics,
     level_geometry,
     main,
     parse_config,
@@ -323,21 +326,32 @@ def test_experiment_config_is_frozen():
 
 
 def test_level_bytes_counts_the_solution_arrays():
-    # doubles: the line eigenbasis 2(np-1)^2; rows of dof doubles: u1 N(q+1),
-    # u2 N+1, inverses, r, alpha and mu (q+1)^2 + q+3 per distinct width,
+    # doubles: the line eigenbasis (np-1)^2; the partition's nodes and widths
+    # and the march's width index 3N+1; rows of dof doubles: u1 N(q+1), u2
+    # N+1, inverses, r, alpha and mu (q+1)^2 + q+3 per distinct width,
     # eigenvalues 1, one interval's moments q+2; then the larger of a load
     # chunk's quadrature values times (2p+3)/(p+2) and the inverses' gather
     # (q+1)^2 rows
     # 1D p=2, n=4: dof 7; q=0, N=10: one chunk of 10 intervals of 3*16 values
-    assert level_bytes(1, 4, 2, 0, 10) == (2 * 7 ** 2 + (10 + 11 + 5 + 2) * 7 + 480 * 7 // 4) * 8
+    assert level_bytes(1, 4, 2, 0, 10) == (
+        7 ** 2 + 31 + (10 + 11 + 5 + 2) * 7 + 480 * 7 // 4) * 8
     # 2D p=2, n=64: dof 127^2; q=1, N=4096: one interval of 4*256^2 values a chunk
     assert level_bytes(2, 64, 2, 1, 4096) == (
-        2 * 127 ** 2 + (8192 + 4097 + 9 + 3) * 127 ** 2 + 4 * 256 ** 2 * 7 // 4) * 8
+        127 ** 2 + 12289 + (8192 + 4097 + 9 + 3) * 127 ** 2 + 4 * 256 ** 2 * 7 // 4) * 8
     # 1D p=3, n=8, q=9, N=1: the gather of the 10x10 inverses beats the 480 values
-    assert level_bytes(1, 8, 3, 9, 1) == (2 * 23 ** 2 + (10 + 2 + 113 + 11) * 23 + 100 * 23) * 8
+    assert level_bytes(1, 8, 3, 9, 1) == (23 ** 2 + 4 + (10 + 2 + 113 + 11) * 23 + 100 * 23) * 8
     # the inverses, r, alpha and mu once per distinct width: 3 widths of (q+1)^2 + q+3 rows
     assert level_bytes(1, 4, 2, 0, 10, 3) == (
-        2 * 7 ** 2 + (10 + 11 + 3 * 4 + 1 + 2) * 7 + 480 * 7 // 4) * 8
+        7 ** 2 + 31 + (10 + 11 + 3 * 4 + 1 + 2) * 7 + 480 * 7 // 4) * 8
+
+
+def test_level_bytes_counts_the_diagnostic_bands():
+    # with diagnostics: what a level keeps, (np-1)^2 + 2N+1 doubles and
+    # N(q+2)+1 rows, plus eleven bands of (q+2)(N(q+1)+1) doubles
+    # 1D p=1, n=2: dof 1; q=9, N=2000: the bands beat the march
+    kept = 1 + 4001 + 22001
+    assert level_bytes(1, 2, 1, 9, 2000, 1, True) == (kept + 11 * 11 * 20001) * 8
+    assert level_bytes(1, 2, 1, 9, 2000, 1, False) < 0.05 * level_bytes(1, 2, 1, 9, 2000, 1, True)
 
 
 @pytest.mark.parametrize("problem_id,n,p,q,N", [
@@ -359,8 +373,48 @@ def test_level_bytes_tracks_the_march_peak(problem_id, n, p, q, N):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    widths = len(set(partition.widths.tolist()))
+    widths = np.unique(partition.widths).size
     assert level_bytes(problem.dimension, n, p, q, N, widths) >= 0.8 * peak
+
+
+@pytest.mark.parametrize("problem_id,n,p,q,N", [
+    ("heat1d-smooth", 2, 1, 9, 2000),    # one mode: the bands of q = 9
+    ("heat1d-smooth", 2, 1, 1, 20000),   # one mode, many intervals
+    ("heat1d-smooth", 8, 3, 9, 500),     # 23 modes
+    ("heat2d-smooth", 4, 1, 1, 2000),    # 9 modes, 6 distinct eigenvalues
+])
+def test_level_bytes_tracks_the_diagnostics_peak(problem_id, n, p, q, N):
+    """With diagnostics the pre-flight's bound is at least 0.8 times the
+    traced peak of a level of `run`: the march, then the diagnostics and the
+    stability check beside the solution."""
+    problem = problem_by_id(problem_id)
+    space = assemble(problem.dimension, n, p)
+    partition = make_uniform_partition(problem.final_time, N)
+    load_pbtrf()
+    tracemalloc.start()
+    try:
+        solution = run_decomposed(problem, space, partition, q)
+        level_diagnostics(problem, space, partition, q, solution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert level_bytes(problem.dimension, n, p, q, N, 1, True) >= 0.8 * peak
+
+
+def test_preflight_stays_below_the_level_it_checks():
+    """1D p=1, n=2 (one unknown), N = 10^6: the pre-flight's own traced
+    peak, the partition and its distinct widths, stays below the bound it
+    computes for the level."""
+    problem = problem_by_id("heat1d-smooth")
+    payload = {"problem": "heat1d-smooth", "p": 1, "levels": [2], "explicit_N": [1000000]}
+    cfg = parse_config(json.dumps(payload))
+    tracemalloc.start()
+    try:
+        stheat.cli.preflight(cfg, problem, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < level_bytes(1, 2, 1, 0, 1000000)
 
 
 def test_preflight_counts_every_interval_width(monkeypatch):
@@ -368,11 +422,11 @@ def test_preflight_counts_every_interval_width(monkeypatch):
     inverses push the level past a memory that one width would fit in."""
     problem = problem_by_id("heat2d-smooth")
     one, eight = (level_bytes(2, 24, 3, 9, 100, w) for w in (1, 8))
-    assert len(set(make_uniform_partition(problem.final_time, 100).widths.tolist())) == 8
+    assert np.unique(make_uniform_partition(problem.final_time, 100).widths).size == 8
     monkeypatch.setattr(stheat.cli, "physical_memory", lambda: (one + eight) // 2)
     payload = {"problem": "heat2d-smooth", "p": 3, "q": 9, "levels": [24], "explicit_N": [100]}
     with pytest.raises(ConfigError, match="physical memory"):
-        stheat.cli.preflight(parse_config(json.dumps(payload)), problem, 1)
+        stheat.cli.preflight(parse_config(json.dumps(payload)), problem, True)
 
 
 @pytest.mark.parametrize("n,p", [(400, 1), (200, 3)])
@@ -397,13 +451,34 @@ def test_preflight_refuses_a_level_that_only_assembly_overflows(monkeypatch):
     cfg = parse_config(json.dumps(payload))
     assert level_bytes(1, 15000, 1, 0, 1) > 8 * 1024 ** 3
     with pytest.raises(ConfigError, match="physical memory"):
-        stheat.cli.preflight(cfg, problem_by_id("heat1d-smooth"), 1)
+        stheat.cli.preflight(cfg, problem_by_id("heat1d-smooth"), True)
+
+
+def test_diagnose_refuses_a_level_that_only_its_bands_overflow(tmp_path, monkeypatch, capsys):
+    """1D p=1, n=2, q=9, N=10^6: the march fits in 0.2 GB, but the
+    diagnostics' bands need 9.7 GB, so `diagnose` on an 8 GB machine exits
+    2 before the level is built; so does a run with diagnostics, and a run
+    without them passes the pre-flight."""
+    monkeypatch.setattr(stheat.cli, "physical_memory", lambda: 8 * 1024 ** 3)
+    payload = {"problem": "heat1d-smooth", "p": 1, "q": 9, "levels": [2],
+               "explicit_N": [1000000], "errors": False}
+    assert level_bytes(1, 2, 1, 9, 1000000) < 0.25e9
+    assert level_bytes(1, 2, 1, 9, 1000000, 1, True) > 9.5e9
+    problem = problem_by_id("heat1d-smooth")
+    stheat.cli.preflight(parse_config(json.dumps(payload)), problem, True)
+    monkeypatch.setattr(stheat.cli, "assemble", None)   # must never be reached
+    for command, diagnostics in (("diagnose", False), ("run", True)):
+        cfg = _write_config(tmp_path, dict(payload, diagnostics=diagnostics))
+        out = tmp_path / command
+        assert main([command, cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "diagnose"])
 def test_main_rejects_levels_beyond_physical_memory(tmp_path, monkeypatch, capsys, command):
     """The pre-flight exits 2 before any level is built.  The memory probe is
-    turned down to 64 bytes, below the smallest level's 1104 (n=2, N=4, dof 1)."""
+    turned down to 64 bytes, below the smallest level's 1200 (n=2, N=4, dof 1)."""
     monkeypatch.setattr(stheat.cli, "physical_memory", lambda: 64)
     monkeypatch.setattr(stheat.cli, "assemble", None)   # must never be reached
     cfg = _write_config(tmp_path, SMALL_RUN)

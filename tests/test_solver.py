@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stheat.fem import assemble, load_vector
+from stheat.fem import assemble, load_vector, spectral
 from stheat.problems import (
     ProblemSpec,
     problem_1d_lowreg,
@@ -169,7 +169,8 @@ def test_galerkin_residual_of_decomposed_solution():
     part = make_uniform_partition(1.0, 3)
     q = 1
     sol = run_decomposed(problem, space, part, q)
-    x = np.concatenate([sol.u1.ravel(), sol.u2[-1]])   # trial layout: U1 by interval, then U2(T)
+    fe = spectral(space).coefficients
+    x = np.concatenate([fe(sol.u1).ravel(), fe(sol.u2[-1])])   # U1 by interval, then U2(T)
     B = assemble_bilinear(space, part, q)
     F = assemble_load(problem, space, part, q)
     resid = B @ x - F
