@@ -3,8 +3,8 @@
 The diagnostics realize three constants of the discretization:
 
   * infsup_discrete: extreme singular values of the space-time form after
-    normalizing trial and test sides by their natural norms (both are 1 for
-    this pair of spaces);
+    normalizing trial and test sides by their natural norms, both 1 by an
+    identity of the reference blocks (timegrid.ReferenceBlocks.check_isometry);
   * cs_constant: the norm-equivalence constant between the true test norm
     (with ||X||_V) and the computable one (with ||Pi_q X||_V), obtained as a
     generalized eigenvalue between the two Gram matrices;
@@ -12,20 +12,11 @@ The diagnostics realize three constants of the discretization:
     keeps cs_constant uniform under refinement.
 
 Dual norms on V_h are spectral: ||w||_{H^-1}^2 = w^T M K^-1 M w.  In the
-M-orthonormal eigenbasis of (K, M) the form and both Gram matrices split
-into one problem per spatial mode, banded in time with bandwidth q+1, so the
-first two constants are exact on any level: per mode, each extreme
-eigenvalue is found by bisection on banded Cholesky factorizations.  Each
-constant is a maximum over modes (c_B^-2, C_B^2 and c_S^2 of a pencil's top
-eigenvalue), so diagnostic_constants computes all three in one pass over the
-modes, each running maximum a floor: a mode checks its two Grams once and
-costs one factorization per constant that it cannot beat.  Modes are
-visited largest eigenvalue first, which set the c_S maximum on the first
-mode in every case measured; c_B^-2 and C_B^2 are 1 to rounding on every
-mode, so only the few modes that beat the maximum by rounding are bisected,
-from a bracket grown out of the floor, in 4 to 10 factorizations each.  The
-bands are built once per level, so a mode costs a few elementwise array
-operations besides its factorizations (README: counts and timings).
+M-orthonormal eigenbasis of (K, M) both Gram matrices split into one
+problem per spatial mode, a sum of interval blocks in time that depend on an
+interval only through mu = k lambda, so c_S is exact on any level:
+diagnostic_constants condenses the blocks to the nodes and tests
+definiteness by a pivot recurrence (README: method, counts and timings).
 """
 
 from dataclasses import dataclass
@@ -116,132 +107,133 @@ def fit_rate(pairs):
     return float(np.polyfit(logk, loge, 1)[0])
 
 
-def _banded(blocks):
-    """Lower banded storage of the sum of the interval blocks (N, q+2, q+2),
-    block i covering the time-ordered positions i(q+1) .. i(q+1)+q+1."""
-    N, s, _ = blocks.shape
-    ab = np.zeros((s, N * (s - 1) + 1))
-    for r in range(s):
-        for c in range(r + 1):
-            ab[r - c, c:c + N * (s - 1):s - 1] += blocks[:, r, c]
-    return ab
+def _grams(q, mu):
+    """Interval blocks of the test Grams GX = E/mu + mu Pi and GC = E/mu +
+    mu GL2 at mu = k lambda (any shape), each of shape mu.shape + (q+2, q+2),
+    with Pi the Gram of the projection onto degree q, rows and columns in
+    elimination order: the q interiors, then the left and the right node.
+    The node-0 term ||X(0)||_H^2 adds 1 to both."""
+    rb = reference_blocks(q)
+    Lq = rb.L[:, : q + 1]
+    order = np.ix_(np.r_[1:q + 1, 0, q + 1], np.r_[1:q + 1, 0, q + 1])
+    proj = (Lq / (2.0 * np.arange(q + 1) + 1.0)) @ Lq.T
+    mu = np.asarray(mu)[..., None, None]
+    dual = rb.E[order] / mu
+    return dual + mu * proj[order], dual + mu * rb.GL2[order]
 
 
-# LAPACK's banded Cholesky behind scipy.linalg.cholesky_banded, without its checks;
-# the one scipy routine a run calls, and only for diagnostics.  load_pbtrf binds
-# it, importing scipy.linalg (about 0.2 s); cli calls it in start-up (module
-# docstring there), and _definite reads the global with no call per factorization.
-_pbtrf = None
+def _condense(A, q):
+    """Eliminate the q interior rows of each block of A in place; returns
+    the nodal Schur complements (c00, c01, c11).  A pivot that is not
+    positive becomes NaN, which fails the pivot recurrence; an overflow,
+    which a positive definite block cannot reach, only deepens a failure."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(q):
+            pivot = np.where(A[..., j, j] > 0.0, A[..., j, j], np.nan)[..., None, None]
+            A[..., j + 1:, j + 1:] -= A[..., j + 1:, j, None] * (A[..., None, j, j + 1:] / pivot)
+    return A[..., q, q], A[..., q, q + 1], A[..., q + 1, q + 1]
 
 
-def load_pbtrf():
-    """Import scipy.linalg and bind LAPACK's pbtrf, once; raises ImportError
-    if scipy cannot be imported."""
-    global _pbtrf
-    if _pbtrf is None:
-        import scipy.linalg
-        _pbtrf, = scipy.linalg.get_lapack_funcs(("pbtrf",), dtype=np.float64)
+def _columns_definite(x0, c00, c01, c11, width_of):
+    """Per column, whether the nodal tridiagonal of the condensed blocks
+    c.. (rows: distinct widths) is positive definite: interval i, of width
+    w = width_of[i], takes the LDL^T pivot of node i to the next,
+
+        d_i = e_i + c00[w],  e_{i+1} = c11[w] - c01[w]^2 / d_i,  e_0 = x0,
+
+    and every d_i and e_N must be positive.  A failed pivot carries NaN on."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = c01 * c01
+        e = x0
+        for w in width_of:
+            d = e + c00[w]
+            e = c11[w] - square[w] / np.where(d > 0.0, d, np.nan)
+        return e > 0.0
 
 
-def _definite(ab):
-    """Whether the lower banded matrix ab is positive definite."""
-    return _pbtrf(ab, lower=1)[1] == 0
+def _pivots_positive(x0, c00, c01, c11, width_of):
+    """_columns_definite for one column, c.. arrays over the distinct
+    widths, run in Python floats."""
+    blocks = [(a, c, b * b) for a, b, c in zip(c00.tolist(), c01.tolist(), c11.tolist())]
+    e = x0
+    for w in width_of:
+        c0, c1, square = blocks[w]
+        d = e + c0
+        if not d > 0.0:
+            return False
+        e = c1 - square / d
+    return e > 0.0
 
 
-def _top(A, G, floor=0.0):
-    """Largest eigenvalue of the banded pencil (A, G), A with a positive
-    diagonal and G positive definite (the caller has checked it), or floor
-    if that is larger: bisection, to the last bit, on whether sigma G - A is
-    positive definite.  One factorization of floor G - A settles a pencil
-    that cannot exceed the floor.  The bracket grows from the anchor (the
-    floor, or the largest diagonal Rayleigh quotient if that is larger) in
-    gaps of 4, 64, 1024, ... ulps times the anchor, so a top a few ulps
-    above it costs a few factorizations.  A G that is not positive definite
-    raises RuntimeError before sigma G overflows (pbtrf passes inf/NaN)."""
-    if floor > 0.0 and _definite(floor * G - A):
+def _mode_top(q, mu, width_of, floor=0.0):
+    """_top of the pencil (GC, GX) of one mode, mu = k lambda per distinct
+    width (GC - GX, a sum of mu (GL2 - Pi), is positive semidefinite).
+    Twice the largest entry of a GX block, plus 1, bounds GX."""
+    GX, GC = _grams(q, mu)
+
+    def definite(sigma):
+        return _pivots_positive(sigma - 1.0, *_condense(sigma * GX - GC, q), width_of)
+
+    return _top(definite, 2.0 * float(np.abs(GX).max()) + 1.0, floor)
+
+
+def _top(definite, scale, floor=0.0):
+    """Largest eigenvalue, at least 1, of a pencil (A, G), or floor if that
+    is larger: bisection, to the last bit, on definite(sigma), whether
+    sigma G - A is positive definite.  One probe settles a pencil that
+    cannot exceed the floor.  The bracket grows from max(floor, 1) in gaps
+    of 4, 64, 1024, ... ulps of it; a G that is not positive definite raises
+    RuntimeError before sigma times scale, a bound on G's entries, overflows."""
+    if floor > 0.0 and definite(floor):
         return floor
-    anchor = float(max(floor, np.max(A[0] / G[0])))  # Rayleigh quotient of a unit vector
+    anchor = max(floor, 1.0)
     lo, gap = anchor, anchor * 2.0 ** -50   # 4 ulps, in Python floats: no overflow warning
     hi = anchor + gap
-    while not _definite(hi * G - A):
-        if not 0.0 < 32.0 * hi * (1.0 + float(np.abs(G).max())) < np.finfo(float).max:
+    while not definite(hi):
+        if not 0.0 < 32.0 * hi * (1.0 + scale) < np.finfo(float).max:
             raise RuntimeError("pencil has no finite top eigenvalue: "
                                "norm Gram matrix is not positive definite")
         lo, gap = hi, 16.0 * gap
         hi = anchor + gap
     while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
-        if _definite(mid * G - A):
+        if definite(mid):
             hi = mid
         else:
             lo = mid
     return hi
 
 
-def _mode_matrices(space, partition, q):
-    """Per distinct eigenvalue of (K, M), largest first, the banded triple
-    (GX, BB, GC) over the time-ordered test layout (node, interiors, node,
-    ...).  Modes sharing an eigenvalue (lam_i + lam_j = lam_j + lam_i in 2D)
-    share them.
-
-    In the M-orthonormal eigenbasis M -> 1, K -> lambda and M K^-1 M ->
-    1/lambda, so interval i contributes with mu = k_i lambda: the projected
-    test Gram GX = E/mu + mu Pi, the true test Gram GC = E/mu + mu GL2, and
-    BB = b GY^-1 b^T with b = mu G - D and the trial Gram GY = mu/(2m+1).
-    The node-0 term ||X(0)||_H^2 adds 1 to both test Grams; the final trace
-    adds 1 to BB at node N.  The banded sum over intervals is linear, so the
-    six lambda-free bands are built once per call, and each eigenvalue
-    combines them elementwise, with no matrix product per eigenvalue: with
-    W = diag(2m+1) = mu GY^-1,
-
-        GX = band(E/k)/lam + lam band(k Pi),  GC = band(E/k)/lam + lam band(k GL2),
-        BB = lam band(k G W G^T) - band(G W D^T + D W G^T) + band(D W D^T/k)/lam.
-
-    The largest eigenvalue comes first: it set the c_S maximum in every case
-    measured, so the floor of _top settles every later mode in one
-    factorization.  Correctness does not depend on the order.
-    """
-    load_pbtrf()
-    rb = reference_blocks(q)
-    k = partition.widths[:, None, None]
-    Lq = rb.L[:, : q + 1]
-    odd = 2.0 * np.arange(q + 1) + 1.0
-    GW, DW = rb.G * odd, rb.D * odd
-    cross = GW @ rb.D.T
-    dual = _banded(rb.E / k)
-    proj = _banded(k * ((Lq / odd) @ Lq.T))
-    true = _banded(k * rb.GL2)
-    gg = _banded(k * (GW @ rb.G.T))
-    gd = _banded(np.broadcast_to(cross + cross.T, (k.size, q + 2, q + 2)))
-    dd = _banded((DW @ rb.D.T) / k)
-
-    # one temporary band at a time: 11 to 13 bands in all (cli.level_bytes)
-    for lam in np.unique(fem.spectral(space).eigenvalues)[::-1]:
-        GX = dual / lam
-        GC = GX + lam * true
-        GX += lam * proj
-        GX[0, 0] += 1.0
-        GC[0, 0] += 1.0
-        BB = lam * gg
-        BB -= gd
-        BB += dd / lam
-        BB[0, -1] += 1.0
-        yield GX, BB, GC
-
-
 def diagnostic_constants(space, partition, q):
-    """(c_B, C_B, c_S) in one pass over the modes: each mode checks its Grams
-    GX and BB once, then c_B^-2, C_B^2 and c_S^2, the top eigenvalues of the
-    pencils (GX, BB), (BB, GX) and (GC, GX), are running maxima, each passed
-    to _top as its floor."""
-    inv_lo = hi = top = 0.0
-    for GX, BB, GC in _mode_matrices(space, partition, q):
-        if not (_definite(GX) and _definite(BB)):
-            raise RuntimeError("norm Gram matrix is not positive definite")
-        inv_lo = _top(GX, BB, inv_lo)
-        hi = _top(BB, GX, hi)
-        top = _top(GC, GX, top)
-    return float(np.sqrt(1.0 / inv_lo)), float(np.sqrt(hi)), float(np.sqrt(top))
+    """(c_B, C_B, c_S) of a level: c_B = C_B = 1 (reference_blocks checks the
+    identity), and c_S^2 the largest top of the pencils (GC, GX) over the
+    distinct eigenvalues of (K, M).  The largest is checked and bisected
+    first; then chunks of modes check every GX and every pencil at that
+    floor, and a mode that beats it is bisected from it."""
+    lam = np.sort(fem.spectral(space).eigenvalues)[::-1]
+    lam = lam[np.append(True, lam[1:] != lam[:-1])]   # np.unique would import numpy.ma here
+    widths, width_of = np.unique(partition.widths, return_inverse=True)
+    width_of = width_of.tolist()
+    gram = "norm Gram matrix is not positive definite"
+    if not _pivots_positive(1.0, *_condense(_grams(q, widths * lam[0])[0], q), width_of):
+        raise RuntimeError(gram)
+    top = _mode_top(q, widths * lam[0], width_of)
+    # a chunk's two Grams, then its blocks A, four arrays of m W (q+2)^2
+    # doubles, stay near CHUNK_VALUES/4 doubles in all
+    for lo, hi in chunks(0, lam.size, 16 * widths.size * (q + 2) ** 2):
+        m = hi - lo
+        GX, GC = _grams(q, widths[:, None] * lam[lo:hi])
+        A = np.empty((widths.size, 2 * m, q + 2, q + 2))   # the Grams, then the pencils at the floor
+        A[:, :m] = GX
+        np.multiply(top, GX, out=A[:, m:])
+        A[:, m:] -= GC
+        del GX, GC
+        ok = _columns_definite(np.repeat([1.0, top - 1.0], m), *_condense(A, q), width_of)
+        if not ok[:m].all():
+            raise RuntimeError(gram)
+        for i in lo + np.flatnonzero(~ok[m:]):
+            top = _mode_top(q, widths * lam[i], width_of, top)
+    return 1.0, 1.0, float(np.sqrt(top))
 
 
 def infsup_discrete(space, partition, q):

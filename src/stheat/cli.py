@@ -28,10 +28,8 @@ builds against physical memory and for impulses off its nodes, and on a run
 with errors that the levels have distinct step sizes.  main maps each
 failure to its exit code.
 
-scipy serves only the diagnostics.  parse_config imports it for a config
-with diagnostics, and main for `diagnose`, so the import happens before any
-level; a run without diagnostics never imports it.  Where scipy cannot be
-imported, those two exit 2 with "diagnostics need scipy: ...".
+No command imports scipy, diagnostics included, and no numpy module loads
+inside main after the package's import, so a level pays for no import.
 """
 
 import argparse
@@ -43,8 +41,7 @@ import sys
 
 import numpy as np
 
-from .analysis import (cfl_constant, diagnostic_constants, error_norms, fit_rate,
-                       load_pbtrf, stability_check)
+from .analysis import cfl_constant, diagnostic_constants, error_norms, fit_rate, stability_check
 from .fem import assemble
 from .problems import problem_by_id, validate_residual
 from .solver import impulse_nodes, run_decomposed
@@ -123,10 +120,7 @@ _CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def parse_config(text):
-    """Parse the JSON text of a config file into an ExperimentConfig.
-
-    A config with diagnostics also imports scipy here (analysis.load_pbtrf),
-    before any level, and raises ConfigError if it cannot."""
+    """Parse the JSON text of a config file into an ExperimentConfig."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -151,17 +145,7 @@ def parse_config(text):
         problem_by_id(cfg.problem, cfg.epsilon)
     except (KeyError, ValueError) as exc:
         raise ConfigError(str(exc))
-    if cfg.diagnostics:
-        _require_scipy()
     return cfg
-
-
-def _require_scipy():
-    """Import the diagnostics' scipy routine now, before any level."""
-    try:
-        load_pbtrf()
-    except ImportError as exc:
-        raise ConfigError("diagnostics need scipy: %s" % exc)
 
 
 def level_geometry(cfg, idx, final_time):
@@ -178,40 +162,46 @@ def level_geometry(cfg, idx, final_time):
     return n, max(1, int(round(steps)))
 
 
-def level_bytes(dimension, n, p, q, N, widths=1, diagnostics=False):
-    """Lower bound on the memory of a level of `run`: the largest of the
-    peaks of assemble, of run_decomposed, whose partition has the given
-    number of distinct interval widths, and of the diagnostics, if any.
-
-    assemble holds three dense tables of (np+1) n(p+1) doubles at once (B, D
-    and a weighted product) beside M and K, 2(np-1)^2 doubles, in 1D and 2D
-    alike; for p = 1 that is about four times the eigenbasis.
-
-    A level keeps, in doubles: the line eigenbasis V, (np-1)^2; the
-    partition's nodes and widths, 2N+1; and the solution in rows of
-    dof = (np-1)^dimension doubles, N(q+2)+1 (u1 and u2).  run_decomposed
-    adds its width index, N; in rows: the per-mode inverses, r, alpha and
-    mu, (q+1)^2 + q+3 per distinct width; the eigenvalues, 1; one interval's
-    load moments, q+2.  On top, the larger of two passing peaks: the
-    quadrature values of the largest load chunk, (q+3)(n(p+2))^dimension per
-    interval, which load_vector holds (2p+3)/(p+2) times over (the values,
-    the scattered nodes and the last-column product); or the gather of the
-    inverses over one interval, (q+1)^2 rows.  spectral's own passing peak,
-    four (np-1)^2 doubles, stays below the assembly peak.
-
-    The diagnostics add eleven time bands of (q+2)(N(q+1)+1) doubles: six
-    built once per level, and a mode's three and two temporaries.
+def level_bytes(dimension, n, p, q, N, widths=1, diagnostics=False, run=True):
+    """Lower bound on the memory of a level: the largest of the peaks of
+    assemble, of run_decomposed (if run), whose partition has the given
+    number of distinct interval widths, and of the diagnostics, if any (the
+    README gives the formula).  assemble holds three dense tables of
+    (np+1) n(p+1) doubles beside M and K.  A level keeps the line eigenbasis,
+    the partition's nodes and widths and, if run, the solution, N(q+2)+1 rows
+    of dof doubles.  run_decomposed adds its width index and per-width
+    inverses and coefficients; on top, for a load chunk of c intervals, the
+    larger of its quadrature values, which load_vector holds (2p+3)/(p+2)
+    times over, beside the test basis at its times, and the gather of its
+    inverses beside its modal moments.  The diagnostics add the eigenvalues
+    and their sorted copy, the width index with its list (5N doubles at the
+    index's peak), four arrays of the interval blocks of a chunk of modes
+    (CHUNK_VALUES/4 doubles at most) and numpy's ufunc buffer, which the
+    elimination's strided updates fill; on `run`, the stability check after
+    them may hold more: its weights k/(2m+1) and two load blocks.
     """
     line = n * p - 1
     dof = line ** dimension
     assembly = 3 * (n * p + 1) * n * (p + 1) + 2 * line ** 2
-    kept = line ** 2 + 2 * N + 1 + (N * (q + 2) + 1) * dof
-    values = (q + 3) * (n * (p + 2)) ** dimension
-    block = min(N, max(1, CHUNK_VALUES // values)) * values
-    rows = widths * ((q + 1) ** 2 + q + 3) + q + 3
-    march = kept + N + rows * dof + max(block * (2 * p + 3) // (p + 2), (q + 1) ** 2 * dof)
-    bands = 11 * (q + 2) * (N * (q + 1) + 1) if diagnostics else 0
-    return 8 * max(assembly, march, kept + bands)
+    kept = march = line ** 2 + 2 * N + 1
+    if run:
+        kept += (N * (q + 2) + 1) * dof
+        values = (q + 3) * (n * (p + 2)) ** dimension
+        c = min(N, max(1, CHUNK_VALUES // values))
+        rows = widths * ((q + 1) ** 2 + q + 3) + q + 3
+        march = kept + N + rows * dof + max(c * values * (2 * p + 3) // (p + 2)
+                                            + 2 * c * (q + 2) * (q + 3),
+                                            c * ((q + 1) ** 2 + q + 2) * dof)
+    diag = 0
+    if diagnostics:
+        modes = line if dimension == 1 else line * (line + 1) // 2
+        per_mode = widths * (q + 2) ** 2
+        chunk = min(modes, max(1, CHUNK_VALUES // (16 * per_mode))) * per_mode
+        diag = 2 * dof + 5 * N + 4 * chunk + np.getbufsize()
+    if diagnostics and run:
+        values = (q + 4) * (n * (p + 2)) ** dimension
+        diag = max(diag, N * (q + 1) + 2 * min(N, max(1, CHUNK_VALUES // values)) * values)
+    return 8 * max(assembly, march, kept + diag)
 
 
 def physical_memory():
@@ -230,12 +220,12 @@ def preflight(cfg, problem, run):
     counts = []
     for idx in range(len(cfg.levels) if run else 1):
         n, N = level_geometry(cfg, idx, problem.final_time)
-        need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N, 1, diagnostics)
+        need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N, 1, diagnostics, run)
         if need <= available:   # N is then small enough to build the partition
             partition = make_uniform_partition(problem.final_time, N)
             k = np.sort(partition.widths)   # np.unique would import numpy.ma here, in the run
             widths = 1 + np.count_nonzero(k[1:] != k[:-1])
-            need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N, widths, diagnostics)
+            need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N, widths, diagnostics, run)
         if need > available:
             raise ConfigError("level n=%d, N=%d needs at least %.3g GB, more than the "
                               "%.3g GB of physical memory" % (n, N, need / 1e9, available / 1e9))
@@ -392,8 +382,6 @@ def main(argv=None):
     out_dir = args.out
     try:
         cfg = _load_config(args.config)
-        if not run:
-            _require_scipy()   # parse_config requires it only for a config with diagnostics
         problem = problem_by_id(cfg.problem, cfg.epsilon)
         preflight(cfg, problem, run)
         if run and cfg.errors and problem.exact is None:

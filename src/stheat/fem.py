@@ -7,9 +7,9 @@ keeps only the 1D mass and stiffness matrices (M, K) of the line; every
 spatial operation works through them and the M-orthonormal eigenbasis of
 (K, M) computed once on the line (spectral) with numpy's LAPACK: numpy and
 scipy each load their own OpenBLAS, whose thread pools compete for the cores
-when one run calls both, so scipy is left to the diagnostics, and a run
-without them never imports it (analysis.load_pbtrf).  Space-time
-solutions stay in that eigenbasis (stheat.solver).  The dense 2D matrices
+when one process calls both, so no command imports scipy; only the test
+references do (solver.LocalBlockSystem among them).  Space-time solutions
+stay in that eigenbasis (stheat.solver).  The dense 2D matrices
 
     M2 = kron(M, M),    K2 = kron(K, M) + kron(M, K)
 

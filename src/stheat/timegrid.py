@@ -213,12 +213,30 @@ class ReferenceBlocks:
         self.E = (Ld * s[: q + 1]) @ Ld.T
         self.L = L
 
+    def check_isometry(self):
+        """Raise RuntimeError unless, with W = diag(2m+1) and Pi = L_q W^-1 L_q^T,
+        G W G^T = Pi, D W D^T = E and G W D^T + D W G^T = diag(-1, 0, ..., 0, 1),
+        each to 1e-13 of its right side's largest entry (the defects stay below
+        2e-16 of it for q <= 15): the identities that make the normalized form
+        an isometry on every mode, so c_B = C_B = 1 (README)."""
+        q = self.q
+        odd = 2.0 * np.arange(q + 1) + 1.0
+        Lq = self.L[:, : q + 1]
+        cross = (self.G * odd) @ self.D.T
+        for name, got, want in (("G W G^T = Pi", (self.G * odd) @ self.G.T, (Lq / odd) @ Lq.T),
+                                ("D W D^T = E", (self.D * odd) @ self.D.T, self.E),
+                                ("G W D^T + D W G^T = diag(-1, 0, ..., 1)", cross + cross.T,
+                                 np.diag(np.r_[-1.0, np.zeros(q), 1.0]))):
+            if not np.abs(got - want).max() <= 1e-13 * np.abs(want).max():
+                raise RuntimeError("reference blocks of q=%d break %s" % (q, name))
+
 
 @functools.lru_cache(maxsize=None)
 def reference_blocks(q):
-    """ReferenceBlocks(q), built once per degree, so its arrays are shared
-    and read-only."""
+    """ReferenceBlocks(q), built and checked (check_isometry) once per
+    degree, so its arrays are shared and read-only."""
     rb = ReferenceBlocks(q)
+    rb.check_isometry()
     for block in (rb.D, rb.G, rb.E, rb.GL2, rb.L):
         block.flags.writeable = False
     return rb

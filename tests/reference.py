@@ -19,9 +19,12 @@ run_decomposed;
   * quadrature_reference_blocks: the temporal couplings of
     timegrid.ReferenceBlocks by Gauss quadrature, the oracle for their
     closed form in Legendre coefficients;
-  * per_mode_bands: the banded diagnostic matrices built afresh for every
-    eigenvalue from mu = k lambda, the oracle for analysis._mode_matrices,
-    which combines bands built once per level;
+  * per_mode_bands, banded_top and banded_constants: the banded diagnostic
+    matrices (GX, BB, GC) built afresh for every eigenvalue from mu = k
+    lambda, and the constants (c_B, C_B, c_S) by bisection on LAPACK's
+    banded Cholesky (pbtrf) of each mode's pencils, the oracle for
+    analysis.diagnostic_constants, which condenses interval blocks and
+    needs no BB;
   * from_matrices and l2_project: an abstract space given by its matrices
     (one spatial mode, say) and the L2 projection onto a space;
   * modal: the modal coordinates V^T M u of FE coefficients u, the one
@@ -33,7 +36,6 @@ run_decomposed;
 import numpy as np
 import scipy.linalg
 
-from stheat.analysis import _banded
 from stheat.fem import FemSpace, load_vector, spectral
 from stheat.solver import (LocalBlockSystem, SpaceTimeSolution, impulse_loads,
                            interval_moments)
@@ -247,10 +249,21 @@ def crank_nicolson(problem, space, partition):
     return modal(space, W)
 
 
+def banded(blocks):
+    """Lower banded storage of the sum of the interval blocks (N, q+2, q+2),
+    block i covering the time-ordered positions i(q+1) .. i(q+1)+q+1."""
+    N, s, _ = blocks.shape
+    ab = np.zeros((s, N * (s - 1) + 1))
+    for r in range(s):
+        for c in range(r + 1):
+            ab[r - c, c:c + N * (s - 1):s - 1] += blocks[:, r, c]
+    return ab
+
+
 def per_mode_bands(space, partition, q):
-    """The banded triples (GX, BB, GC) of analysis._mode_matrices, per
-    distinct eigenvalue, largest first, each built from its own interval
-    blocks: GX = E/mu + mu Pi, BB = b (2m+1)/mu b^T with b = mu G - D and
+    """The banded triples (GX, BB, GC) of the diagnostics, per distinct
+    eigenvalue, largest first, each built from its own interval blocks:
+    GX = E/mu + mu Pi, BB = b (2m+1)/mu b^T with b = mu G - D and
     GC = E/mu + mu GL2, mu = k_i lambda, plus the node-0 and node-N terms."""
     rb = ReferenceBlocks(q)
     Lq = rb.L[:, : q + 1]
@@ -258,13 +271,48 @@ def per_mode_bands(space, partition, q):
     proj = (Lq / odd) @ Lq.T
 
     def gram(mu, V):
-        G = _banded(rb.E / mu + mu * V)
+        G = banded(rb.E / mu + mu * V)
         G[0, 0] += 1.0
         return G
 
     for lam in np.unique(spectral(space).eigenvalues)[::-1]:
         mu = partition.widths[:, None, None] * lam
         b = mu * rb.G - rb.D
-        BB = _banded((b * (odd / mu)) @ b.transpose(0, 2, 1))
+        BB = banded((b * (odd / mu)) @ b.transpose(0, 2, 1))
         BB[0, -1] += 1.0
         yield gram(mu, proj), BB, gram(mu, rb.GL2)
+
+
+_pbtrf, = scipy.linalg.get_lapack_funcs(("pbtrf",), dtype=np.float64)
+
+
+def banded_top(A, G):
+    """Largest eigenvalue of the banded pencil (A, G), A with a positive
+    diagonal: bisection, to the last bit, on whether sigma G - A is
+    positive definite (pbtrf), from the largest diagonal Rayleigh quotient
+    up; raises RuntimeError if G is not positive definite."""
+    def definite(ab):
+        return _pbtrf(ab, lower=1)[1] == 0
+
+    if not definite(G):
+        raise RuntimeError("norm Gram matrix is not positive definite")
+    lo = float(np.max(A[0] / G[0]))
+    hi = 2.0 * lo
+    while not definite(hi * G - A):
+        lo, hi = hi, 2.0 * hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if definite(mid * G - A):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def banded_constants(space, partition, q):
+    """(c_B, C_B, c_S) from every mode's pencils (GX, BB), (BB, GX) and
+    (GC, GX), each bisected on its own."""
+    tops = [(banded_top(GX, BB), banded_top(BB, GX), banded_top(GC, GX))
+            for GX, BB, GC in per_mode_bands(space, partition, q)]
+    inv_lo, hi, top = map(max, zip(*tops))
+    return float(np.sqrt(1.0 / inv_lo)), float(np.sqrt(hi)), float(np.sqrt(top))

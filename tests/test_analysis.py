@@ -6,7 +6,9 @@ import scipy.linalg
 
 from stheat import analysis
 from stheat.analysis import (
-    _mode_matrices,
+    _grams,
+    _mode_top,
+    _pivots_positive,
     _top,
     cfl_constant,
     cs_constant,
@@ -36,8 +38,8 @@ from stheat.timegrid import (
     make_uniform_partition,
     quadrature_nodes,
 )
-from reference import (assemble_bilinear, dense_line_tables, from_matrices, global_layout,
-                       mass_cho, per_mode_bands)
+from reference import (assemble_bilinear, banded, banded_constants, dense_line_tables,
+                       from_matrices, global_layout, mass_cho, per_mode_bands)
 
 
 def test_fit_rate_recovers_exact_power_law():
@@ -236,21 +238,43 @@ def test_diagnostics_match_dense_oracle(space_args, partition, q):
     assert cs_constant(space, partition, q) == pytest.approx(c_S, rel=1e-12)
 
 
+@pytest.mark.parametrize("q", [0, 1, 3, 9])
+@pytest.mark.parametrize("partition", [make_uniform_partition(1.0, 5), _NONUNIFORM],
+                         ids=["uniform", "nonuniform"])
+@pytest.mark.parametrize("space_args", [(1, 4, 2), (2, 2, 2)], ids=["1d", "2d"])
+def test_constants_match_the_banded_and_dense_oracles(space_args, partition, q):
+    """The condensed pass against bisections of each mode's banded pencils
+    on LAPACK's Cholesky and against the assembled space-time matrices, to
+    1e-12; c_B and C_B are exactly 1."""
+    space = assemble(*space_args)
+    got = diagnostic_constants(space, partition, q)
+    assert got[:2] == (1.0, 1.0)
+    for oracle in (banded_constants, _dense_diagnostics):
+        assert got == pytest.approx(oracle(space, partition, q), rel=1e-12)
+
+
+def _top_of(partition, q, lam):
+    """The top eigenvalue of the pencil (GC, GX) of the mode lam, bisected
+    without a floor."""
+    widths, width_of = np.unique(partition.widths, return_inverse=True)
+    return _mode_top(q, widths * lam, width_of.tolist())
+
+
 @pytest.mark.parametrize("space_args,partition,q", _DENSE_CASES + [
     ((1, 32, 2), make_uniform_partition(1.0, 1024), 0),
     ((2, 8, 2), make_uniform_partition(1.0, 64), 0),
 ])
 def test_pruned_maxima_match_every_mode(space_args, partition, q):
-    """The floors only skip modes: the constants equal the maxima of every
-    mode's own top eigenvalue, bisected without a floor.  c_B and C_B sit
-    near 1, where a bisection started from another bracket may settle a few
-    ulps away."""
+    """The floor only skips modes: c_S equals the largest of every mode's
+    own top eigenvalue, bisected without a floor; c_B and C_B equal the
+    banded oracle's, which bisects (GX, BB) and (BB, GX) on every mode, to
+    1e-12 (they sit at 1, where that bisection settles a few ulps away)."""
     space = assemble(*space_args)
-    lo, hi, top_s = map(max, zip(*((_top(GX, BB), _top(BB, GX), _top(GC, GX))
-                                   for GX, BB, GC in _mode_matrices(space, partition, q))))
+    top_s = max(_top_of(partition, q, lam) for lam in np.unique(spectral(space).eigenvalues))
     c_B, C_B, c_S = diagnostic_constants(space, partition, q)
-    assert c_B == pytest.approx(np.sqrt(1.0 / lo), abs=1e-12)
-    assert C_B == pytest.approx(np.sqrt(hi), abs=1e-12)
+    ref_b, ref_B, _ = banded_constants(space, partition, q)
+    assert c_B == pytest.approx(ref_b, abs=1e-12)
+    assert C_B == pytest.approx(ref_B, abs=1e-12)
     assert c_S == np.sqrt(top_s)
     assert (c_B, C_B) == infsup_discrete(space, partition, q)
     assert c_S == cs_constant(space, partition, q)
@@ -258,7 +282,7 @@ def test_pruned_maxima_match_every_mode(space_args, partition, q):
 
 def test_indefinite_gram_raises_after_the_maximum_is_set():
     """Modes are visited largest eigenvalue first, so lambda = -1 comes after
-    lambda = 4 has set every maximum; its Gram check must still run."""
+    lambda = 4 has set the maximum; its Gram check must still run."""
     space = from_matrices(np.eye(2), np.diag([4.0, -1.0]))
     part = make_uniform_partition(1.0, 2)
     for diagnostic in (diagnostic_constants, cs_constant, infsup_discrete):
@@ -268,19 +292,19 @@ def test_indefinite_gram_raises_after_the_maximum_is_set():
 
 def test_top_raises_on_a_pencil_without_a_finite_top():
     """_top ends with RuntimeError, and no overflow warning, on a Gram that
-    is not positive definite: G = diag(1, -1, 1) against A = I, whose
-    bracket once overflowed into a non-finite band that pbtrf calls definite
-    (so _top returned inf), and the lambda = -1 mode above, whose bracket
-    once grew forever."""
-    A = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])   # lower banded
-    G = np.array([[1.0, -1.0, 1.0], [0.0, 0.0, 0.0]])
+    is not positive definite: G = diag(1, -1, 1) against A = I, and the
+    pencil (GC, GX) of the lambda = -1 mode above, whose bracket once grew
+    forever."""
+    def diagonal(sigma):
+        return all(v > 0.0 for v in (sigma - 1.0, -sigma - 1.0, sigma - 1.0))
+
     space = from_matrices(np.eye(2), np.diag([4.0, -1.0]))
-    GX, BB, GC = list(_mode_matrices(space, make_uniform_partition(1.0, 2), 0))[-1]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for pencil in ((A, G), (GX, BB), (BB, GX), (GC, GX)):
-            with pytest.raises(RuntimeError, match="no finite top eigenvalue"):
-                _top(*pencil)
+        with pytest.raises(RuntimeError, match="no finite top eigenvalue"):
+            _top(diagonal, 1.0)
+        with pytest.raises(RuntimeError, match="no finite top eigenvalue"):
+            _top_of(make_uniform_partition(1.0, 2), 0, -1.0)
 
 
 _TRIPLE = ("GX", "BB", "GC")
@@ -292,56 +316,68 @@ _TRIPLE = ("GX", "BB", "GC")
 @pytest.mark.parametrize("q", [0, 1, 3, 9])
 @pytest.mark.parametrize("space_args", [(1, 5, 2), (2, 3, 2)], ids=["1d", "2d"])
 def test_level_bands_match_per_mode_construction(space_args, q, partition, matrix):
-    """Each matrix of the triple (GX, BB, GC), built from bands made once per
-    level and combined per eigenvalue, equals the one built afresh for every
-    eigenvalue, to 1e-13 of its largest entry."""
+    """Each matrix of the oracle's triple (GX, BB, GC), built afresh for every
+    eigenvalue, equals the sum of the interval blocks that the diagnostics
+    condense (_grams, with the node-0 term 1), to 1e-13 of its largest
+    entry.  BB equals GX: the isometry behind c_B = C_B = 1."""
     space = assemble(*space_args)
-    got = list(_mode_matrices(space, partition, q))
     want = list(per_mode_bands(space, partition, q))
-    assert len(got) == len(want) == np.unique(spectral(space).eigenvalues).size
-    pick = _TRIPLE.index(matrix)
-    for triple, ref in zip(got, want):
-        assert len(triple) == len(ref) == 3
-        band, oracle = triple[pick], ref[pick]
+    lam = np.unique(spectral(space).eigenvalues)[::-1]
+    assert len(want) == lam.size
+    back = np.argsort(np.r_[1:q + 1, 0, q + 1])   # _grams' order back to time order
+    for l, triple in zip(lam, want):
+        blocks = _grams(q, partition.widths * l)[1 if matrix == "GC" else 0]
+        band = banded(blocks[:, back[:, None], back])
+        band[0, 0] += 1.0
+        oracle = triple[_TRIPLE.index(matrix)]
         assert band.shape == oracle.shape
         assert np.abs(band - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
-def _counting_definite(monkeypatch):
+def _counting(monkeypatch, name):
     calls = []
-    definite = analysis._definite
-    monkeypatch.setattr(analysis, "_definite", lambda ab: calls.append(1) or definite(ab))
+    function = getattr(analysis, name)
+    monkeypatch.setattr(analysis, name, lambda *args: calls.append(1) or function(*args))
     return calls
 
 
 def test_floors_bound_the_factorization_count(monkeypatch):
-    """63 distinct eigenvalues: with the floors a mode below the maxima takes
-    5 banded factorizations in the pass (its two Gram checks and one floor
-    check per constant), and a top a few ulps above its anchor a few more
-    (411 in all)."""
+    """63 distinct eigenvalues: the largest is checked and bisected in
+    Python floats, in 71 probes of its one mode (its Gram check, 16 bracket
+    checks and 54 bisections), and then one pass over all modes checks
+    every Gram GX and every pencil at that floor; no other mode beats it,
+    so none is bisected.  The banded Cholesky took 411 factorizations."""
     space = assemble(1, 32, 2)
     part = make_uniform_partition(1.0, 1024)
-    calls = _counting_definite(monkeypatch)
+    probes = _counting(monkeypatch, "_pivots_positive")
+    passes = _counting(monkeypatch, "_columns_definite")
     diagnostic_constants(space, part, 0)
-    assert len(calls) <= 7 * 63
+    assert len(passes) == 1
+    assert len(probes) <= 75
 
 
-def test_top_from_floors_below_a_closed_form_top(monkeypatch):
+def test_top_from_floors_below_a_closed_form_top():
     """Pencil (A, I) with A = tridiag(-c, 1, -c) of size n: its top is
-    1 + 2c cos(pi/(n+1)).  From floors at 0, 1 and 8 ulps below it and 1e-6
-    below it, _top lands within 4 ulps.  From 8 ulps below, the first gap (4
-    ulps for a top just above 1) falls short and the second overshoots by
-    about 56 ulps, so the floor check, two bracket checks and six bisections
-    make 9 factorizations; the Gram check is the caller's."""
+    1 + 2c cos(pi/(n+1)).  sigma I - A is the nodal tridiagonal of n-1
+    two-node blocks, the last of its own width to carry the last node's
+    sigma - 1, so the pivot recurrence decides it.  From floors at 0, 1 and
+    8 ulps below the top and 1e-6 below it, _top lands within 4 ulps.  From
+    8 ulps below, the first gap (4 ulps for a top just above 1) falls short
+    and the second overshoots by about 56 ulps, so the floor check, two
+    bracket checks and six bisections make 9 probes."""
     n, c = 40, 0.01
     top = 1.0 + 2.0 * c * np.cos(np.pi / (n + 1))
     ulp = np.spacing(top)
-    A = np.vstack([np.ones(n), np.full(n, -c)])   # lower banded; A[1, -1] is unused
-    G = np.vstack([np.ones(n), np.zeros(n)])
-    calls = _counting_definite(monkeypatch)
+    calls = []
+
+    def definite(sigma):
+        calls.append(1)
+        return _pivots_positive(0.0, np.array([sigma - 1.0] * 2), np.array([c] * 2),
+                                np.array([0.0, sigma - 1.0]), [0] * (n - 2) + [1])
+
     for floor in (0.0, top - ulp, top - 8 * ulp, top * (1.0 - 1e-6)):
         calls.clear()
-        assert abs(_top(A, G, floor) - top) <= 4 * ulp, floor
+        assert abs(_top(definite, 1.0, floor) - top) <= 4 * ulp, floor
         if floor == top - 8 * ulp:
             assert len(calls) <= 9
 

@@ -10,9 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import stheat.analysis
 import stheat.cli
-from stheat.analysis import load_pbtrf
 from stheat.cli import (
     EXIT_CONFIG,
     EXIT_NO_EXACT,
@@ -151,73 +149,57 @@ def _python(*args):
                           env=env, capture_output=True, text=True, timeout=120)
 
 
-# Prints the numpy and scipy modules that main loads after parse_config;
-# asserts that parse_config loads scipy.linalg exactly for a config with diagnostics.
+# Runs main on its arguments and prints the numpy and scipy modules that main
+# loads; asserts that no scipy module is loaded at all.
 IMPORT_GUARD = """
 import sys
-from stheat.cli import main, parse_config
+from stheat.cli import main
 def loaded():
     return {m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")}
-cfg = parse_config(open(sys.argv[1]).read())
-assert cfg.diagnostics == ("scipy.linalg" in sys.modules), sorted(loaded())
 before = loaded()
-assert main(["run", sys.argv[1], "--out", sys.argv[2], "--quiet"]) == 0
+assert main(sys.argv[1:]) == 0
+assert not any(m.split(".")[0] == "scipy" for m in sys.modules), sorted(loaded())
 print(" ".join(sorted(loaded() - before)))
 """
 
 
-def test_run_imports_scipy_only_for_diagnostics(tmp_path, monkeypatch):
-    """A run without diagnostics never imports scipy, and with them imports
-    it in parse_config; either way, no numpy or scipy module loads inside
-    the run.  pytest's own process holds scipy already, so each config runs
-    in a fresh interpreter.  The diagnostics do call analysis._pbtrf."""
+def test_run_and_diagnose_import_no_scipy(tmp_path):
+    """No command imports scipy, with diagnostics or without, and no numpy
+    module loads inside main: a lazy import there (numpy.ma behind
+    np.unique, say) would be paid inside a level.  pytest's own process
+    holds scipy already, so each command runs in a fresh interpreter."""
     payload = {"problem": "heat1d-smooth", "q": 1, "p": 2, "levels": [4, 8], "errors": True}
     for diagnostics in (False, True):
         cfg = _write_config(tmp_path, dict(payload, diagnostics=diagnostics))
-        done = _python("-c", IMPORT_GUARD, cfg, str(tmp_path / str(diagnostics)))
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "", "modules loaded inside the run: " + done.stdout
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("scipy's banded Cholesky called")
-
-    monkeypatch.setattr(stheat.analysis, "_pbtrf", refuse)
-    cfg = _write_config(tmp_path, dict(payload, diagnostics=True))
-    with pytest.raises(AssertionError, match="banded Cholesky"):
-        main(["run", cfg, "--out", str(tmp_path / "diag"), "--quiet"])
+        for command in ("run", "diagnose"):
+            out = str(tmp_path / command / str(diagnostics))
+            done = _python("-c", IMPORT_GUARD, command, cfg, "--out", out, "--quiet")
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.strip() == "", "modules loaded inside main: " + done.stdout
 
 
-# main with scipy unimportable; with --no-level first, building a level fails the run.
+# main with scipy unimportable.
 NO_SCIPY = """
 import sys
 sys.modules["scipy"] = None
-import stheat.cli
-args = sys.argv[1:]
-if args[0] == "--no-level":
-    def refuse(*_):
-        raise AssertionError("a level was built")
-    stheat.cli._build_level, args = refuse, args[1:]
-sys.exit(stheat.cli.main(args))
+from stheat.cli import main
+sys.exit(main(sys.argv[1:]))
 """
 
 
-def test_missing_scipy_exits_2_before_any_level(tmp_path):
-    """Without scipy, run with diagnostics and diagnose exit 2 with one line
-    before any level is built; a run without diagnostics writes the same
-    artifacts as with scipy."""
-    payload = {"problem": "heat1d-smooth", "q": 1, "p": 2, "levels": [4, 8]}
-    plain = _write_config(tmp_path, payload, "plain.json")
-    diag = _write_config(tmp_path, dict(payload, diagnostics=True), "diag.json")
-    for argv in (["run", diag], ["diagnose", plain]):
-        done = _python("-c", NO_SCIPY, "--no-level", *argv, "--out", str(tmp_path / "no"))
-        assert done.returncode == EXIT_CONFIG, done.stderr
-        lines = done.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: diagnostics need scipy: "), lines
-    assert not (tmp_path / "no").exists()
-    done = _python("-c", NO_SCIPY, "run", plain, "--out", str(tmp_path / "a"), "--quiet")
-    assert done.returncode == EXIT_OK, done.stderr
-    assert main(["run", plain, "--out", str(tmp_path / "b"), "--quiet"]) == EXIT_OK
-    assert _read_artifacts(str(tmp_path / "a")) == _read_artifacts(str(tmp_path / "b"))
+def test_runs_and_diagnoses_without_scipy(tmp_path):
+    """With scipy unimportable, a run with diagnostics and diagnose write
+    the same bytes as with scipy loaded."""
+    payload = {"problem": "heat1d-smooth", "q": 1, "p": 2, "levels": [4, 8], "diagnostics": True}
+    cfg = _write_config(tmp_path, payload)
+    for command, names in (("run", ("rates.csv", "loglog.csv", "summary.json")),
+                           ("diagnose", ("diagnostics.json",))):
+        without, with_ = (tmp_path / d / command for d in ("without", "with"))
+        done = _python("-c", NO_SCIPY, command, cfg, "--out", str(without), "--quiet")
+        assert done.returncode == EXIT_OK, done.stderr
+        assert main([command, cfg, "--out", str(with_), "--quiet"]) == EXIT_OK
+        for name in names:
+            assert (without / name).read_bytes() == (with_ / name).read_bytes(), name
 
 
 def test_impulse_off_the_nodes_exits_2_before_any_level(tmp_path, capsys, monkeypatch):
@@ -329,29 +311,44 @@ def test_level_bytes_counts_the_solution_arrays():
     # doubles: the line eigenbasis (np-1)^2; the partition's nodes and widths
     # and the march's width index 3N+1; rows of dof doubles: u1 N(q+1), u2
     # N+1, inverses, r, alpha and mu (q+1)^2 + q+3 per distinct width,
-    # eigenvalues 1, one interval's moments q+2; then the larger of a load
-    # chunk's quadrature values times (2p+3)/(p+2) and the inverses' gather
-    # (q+1)^2 rows
+    # eigenvalues 1, one interval's moments q+2; then, for a load chunk of c
+    # intervals, the larger of its quadrature values times (2p+3)/(p+2)
+    # beside the test basis at its times, 2(q+2)(q+3) an interval, and the
+    # gather of its inverses beside its moments, (q+1)^2 + q+2 rows an interval
     # 1D p=2, n=4: dof 7; q=0, N=10: one chunk of 10 intervals of 3*16 values
     assert level_bytes(1, 4, 2, 0, 10) == (
-        7 ** 2 + 31 + (10 + 11 + 5 + 2) * 7 + 480 * 7 // 4) * 8
+        7 ** 2 + 31 + (10 + 11 + 5 + 2) * 7 + 480 * 7 // 4 + 10 * 2 * 2 * 3) * 8
     # 2D p=2, n=64: dof 127^2; q=1, N=4096: one interval of 4*256^2 values a chunk
     assert level_bytes(2, 64, 2, 1, 4096) == (
-        127 ** 2 + 12289 + (8192 + 4097 + 9 + 3) * 127 ** 2 + 4 * 256 ** 2 * 7 // 4) * 8
+        127 ** 2 + 12289 + (8192 + 4097 + 9 + 3) * 127 ** 2 + 4 * 256 ** 2 * 7 // 4 + 2 * 3 * 4) * 8
     # 1D p=3, n=8, q=9, N=1: the gather of the 10x10 inverses beats the 480 values
-    assert level_bytes(1, 8, 3, 9, 1) == (23 ** 2 + 4 + (10 + 2 + 113 + 11) * 23 + 100 * 23) * 8
+    assert level_bytes(1, 8, 3, 9, 1) == (23 ** 2 + 4 + (10 + 2 + 113 + 11) * 23 + 111 * 23) * 8
     # the inverses, r, alpha and mu once per distinct width: 3 widths of (q+1)^2 + q+3 rows
     assert level_bytes(1, 4, 2, 0, 10, 3) == (
-        7 ** 2 + 31 + (10 + 11 + 3 * 4 + 1 + 2) * 7 + 480 * 7 // 4) * 8
+        7 ** 2 + 31 + (10 + 11 + 3 * 4 + 1 + 2) * 7 + 480 * 7 // 4 + 10 * 2 * 2 * 3) * 8
 
 
 def test_level_bytes_counts_the_diagnostic_bands():
-    # with diagnostics: what a level keeps, (np-1)^2 + 2N+1 doubles and
-    # N(q+2)+1 rows, plus eleven bands of (q+2)(N(q+1)+1) doubles
-    # 1D p=1, n=2: dof 1; q=9, N=2000: the bands beat the march
-    kept = 1 + 4001 + 22001
-    assert level_bytes(1, 2, 1, 9, 2000, 1, True) == (kept + 11 * 11 * 20001) * 8
-    assert level_bytes(1, 2, 1, 9, 2000, 1, False) < 0.05 * level_bytes(1, 2, 1, 9, 2000, 1, True)
+    # the diagnostics add, beside what the level keeps: the eigenvalues and
+    # their sorted copy, 2 rows; the width index and its list, 5N doubles at
+    # the peak of np.unique; four arrays of a chunk's interval blocks, widths
+    # (q+2)^2 values a mode; numpy's ufunc buffer, 8192 doubles.  On a run,
+    # the stability check may hold
+    # more: its weights N(q+1) and two quadrature blocks of (q+4)(n(p+2))^dim
+    # values an interval.  1D p=1, n=2: dof 1, one mode.
+    # q=0, N=10^6: the width index beats the march and the stability check
+    kept, diag = 1 + 2000001, 2 + 5 * 10 ** 6 + 4 * 4 + 8192
+    assert level_bytes(1, 2, 1, 0, 10 ** 6, 1, True) == (kept + 2000001 + diag) * 8
+    # q=9, N=2*10^5: the stability check's weights beat the march, with one
+    # load chunk of 420 intervals of 13*6 values
+    kept = 1 + 400001 + 2200001
+    assert level_bytes(1, 2, 1, 9, 200000, 1, True) == (kept + 2000000 + 2 * 420 * 78) * 8
+    # diagnose keeps no solution and runs no march: at q=9, N=2000 the march
+    # sets a run's memory, and diagnose needs less than an eighth of it
+    diagnose = level_bytes(1, 2, 1, 9, 2000, 1, True, False)
+    assert diagnose == (1 + 4001 + 2 + 10000 + 4 * 121 + 8192) * 8
+    assert level_bytes(1, 2, 1, 9, 2000, 1, True) == level_bytes(1, 2, 1, 9, 2000)
+    assert diagnose < level_bytes(1, 2, 1, 9, 2000) / 8
 
 
 @pytest.mark.parametrize("problem_id,n,p,q,N", [
@@ -378,27 +375,30 @@ def test_level_bytes_tracks_the_march_peak(problem_id, n, p, q, N):
 
 
 @pytest.mark.parametrize("problem_id,n,p,q,N", [
-    ("heat1d-smooth", 2, 1, 9, 2000),    # one mode: the bands of q = 9
+    ("heat1d-smooth", 2, 1, 9, 2000),    # one mode, q = 9
     ("heat1d-smooth", 2, 1, 1, 20000),   # one mode, many intervals
     ("heat1d-smooth", 8, 3, 9, 500),     # 23 modes
     ("heat2d-smooth", 4, 1, 1, 2000),    # 9 modes, 6 distinct eigenvalues
 ])
 def test_level_bytes_tracks_the_diagnostics_peak(problem_id, n, p, q, N):
-    """With diagnostics the pre-flight's bound is at least 0.8 times the
-    traced peak of a level of `run`: the march, then the diagnostics and the
-    stability check beside the solution."""
+    """With diagnostics the pre-flight's bound, counting the partition's
+    distinct interval widths, is at least 0.8 times the traced peak of a
+    level of `run` (the march, then the diagnostics and the stability check
+    beside the solution) and of `diagnose` (the diagnostics alone), each on
+    a freshly assembled level."""
     problem = problem_by_id(problem_id)
-    space = assemble(problem.dimension, n, p)
-    partition = make_uniform_partition(problem.final_time, N)
-    load_pbtrf()
-    tracemalloc.start()
-    try:
-        solution = run_decomposed(problem, space, partition, q)
-        level_diagnostics(problem, space, partition, q, solution)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert level_bytes(problem.dimension, n, p, q, N, 1, True) >= 0.8 * peak
+    for run in (True, False):
+        space = assemble(problem.dimension, n, p)
+        partition = make_uniform_partition(problem.final_time, N)
+        tracemalloc.start()
+        try:
+            solution = run_decomposed(problem, space, partition, q) if run else None
+            level_diagnostics(problem, space, partition, q, solution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        widths = np.unique(partition.widths).size
+        assert level_bytes(problem.dimension, n, p, q, N, widths, True, run) >= 0.8 * peak, run
 
 
 def test_preflight_stays_below_the_level_it_checks():
@@ -455,15 +455,17 @@ def test_preflight_refuses_a_level_that_only_assembly_overflows(monkeypatch):
 
 
 def test_diagnose_refuses_a_level_that_only_its_bands_overflow(tmp_path, monkeypatch, capsys):
-    """1D p=1, n=2, q=9, N=10^6: the march fits in 0.2 GB, but the
-    diagnostics' bands need 9.7 GB, so `diagnose` on an 8 GB machine exits
-    2 before the level is built; so does a run with diagnostics, and a run
+    """1D p=1, n=2, q=0, N=10^6: the march fits in 41 MB, but the
+    diagnostics' width index and its list (5N doubles at np.unique's peak)
+    push `diagnose` to 56 MB, so on a 48 MB machine it exits 2 before the
+    level is built; so does a run with diagnostics (72 MB), and a run
     without them passes the pre-flight."""
-    monkeypatch.setattr(stheat.cli, "physical_memory", lambda: 8 * 1024 ** 3)
-    payload = {"problem": "heat1d-smooth", "p": 1, "q": 9, "levels": [2],
+    monkeypatch.setattr(stheat.cli, "physical_memory", lambda: 48 * 10 ** 6)
+    payload = {"problem": "heat1d-smooth", "p": 1, "q": 0, "levels": [2],
                "explicit_N": [1000000], "errors": False}
-    assert level_bytes(1, 2, 1, 9, 1000000) < 0.25e9
-    assert level_bytes(1, 2, 1, 9, 1000000, 1, True) > 9.5e9
+    assert level_bytes(1, 2, 1, 0, 1000000) < 41e6
+    assert level_bytes(1, 2, 1, 0, 1000000, 1, True, False) > 56e6
+    assert level_bytes(1, 2, 1, 0, 1000000, 1, True) > 72e6
     problem = problem_by_id("heat1d-smooth")
     stheat.cli.preflight(parse_config(json.dumps(payload)), problem, True)
     monkeypatch.setattr(stheat.cli, "assemble", None)   # must never be reached

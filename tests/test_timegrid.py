@@ -211,6 +211,31 @@ def test_reference_blocks_match_the_quadrature_oracle(q):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (name, q)
 
 
+@pytest.mark.parametrize("q", range(MAX_TRIAL_DEGREE + 1))
+def test_reference_blocks_are_an_isometry(q):
+    """The three identities behind c_B = C_B = 1 (W = diag(2m+1)) hold on
+    the quadrature oracle's blocks, to 1e-13 of each right side's largest
+    entry, and check_isometry passes on the closed-form blocks."""
+    D, G, E, GL2, L = quadrature_reference_blocks(q)
+    odd = 2.0 * np.arange(q + 1) + 1.0
+    ends = np.zeros((q + 2, q + 2))
+    ends[0, 0], ends[-1, -1] = -1.0, 1.0
+    cross = (G * odd) @ D.T
+    for got, want in (((G * odd) @ G.T, (L[:, : q + 1] / odd) @ L[:, : q + 1].T),
+                      ((D * odd) @ D.T, E),
+                      (cross + cross.T, ends)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), q
+    ReferenceBlocks(q).check_isometry()
+
+
+@pytest.mark.parametrize("name", ["G", "D", "E", "L"])
+def test_a_perturbed_block_breaks_the_isometry(name):
+    rb = ReferenceBlocks(3)
+    getattr(rb, name)[1, 0] += 1e-9
+    with pytest.raises(RuntimeError, match="reference blocks of q=3 break"):
+        rb.check_isometry()
+
+
 def test_reference_blocks_q0_values():
     rb = ReferenceBlocks(0)
     assert np.allclose(rb.D, [[-1.0], [1.0]], atol=1e-14)
