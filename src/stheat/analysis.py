@@ -1,5 +1,11 @@
 """Error norms, convergence rates, and functional-analytic diagnostics.
 
+The error norms (ErrorNorms) and the two sides of the stability bound
+(StabilitySums) are sums over intervals and nodes, so both accumulate the
+chunks of solver.march as they come, and a run never holds the solution
+whole.  error_norms and stability_check feed them a collected
+SpaceTimeSolution as one chunk.
+
 The diagnostics realize three constants of the discretization:
 
   * infsup_discrete: extreme singular values of the space-time form after
@@ -34,28 +40,74 @@ class ErrorReport:
     per_node: np.ndarray
 
 
-def error_norms(solution, problem):
-    """L2(V) error of U1 and nodal H errors of U2 against the exact solution.
+class _Regroup:
+    """Rows that arrive in order, in blocks of any size, handed on in fixed
+    ranges (a list of timegrid.chunks): a range that two blocks share is
+    held, as a copy, until the block that completes it arrives."""
+
+    def __init__(self, ranges):
+        self._ranges = iter(ranges)
+        self._range = next(self._ranges)
+        self._next = 0
+        self._held = []
+
+    def feed(self, start, rows):
+        """Yield (lo, hi, rows lo..hi-1) for every range completed by rows,
+        which hold rows start.. (those already fed are skipped)."""
+        rows = rows[self._next - start:]
+        while len(rows):
+            lo, hi = self._range
+            part, rows = rows[: hi - self._next], rows[hi - self._next:]
+            self._next += len(part)
+            if self._next < hi:
+                self._held.append(part.copy())
+                return
+            if self._held:
+                part = np.concatenate(self._held + [part])
+                self._held = []
+            yield lo, hi, part
+            self._range = next(self._ranges, None)
+
+
+class ErrorNorms:
+    """L2(V) error of U1 and nodal H errors of U2 against the exact solution,
+    accumulated over the chunks of a march (solver.march).
 
     Both errors integrate the true pointwise difference: the V part compares
     discrete gradients with the exact gradient at spatial quadrature points
     (p+4 Gauss points per element, q+4 per time segment), the nodal part
-    integrates (U2 - u(., t_n))^2 directly.  Both stream over chunks of
-    intervals and nodes; the V part takes u1 to FE coefficients first, as a
+    integrates (U2 - u(., t_n))^2 directly.  Each part takes its own fixed
+    ranges of intervals and nodes, whatever the chunks fed, so the sums do
+    not depend on them; the V part takes u1 to FE coefficients first, as a
     modal sum would cancel the leading digits of a fine level's error.
     """
-    if problem.exact is None:
-        raise ValueError("error computation requires an exact solution")
-    space, part, q = solution.space, solution.partition, solution.q
-    dec, nq = fem.spectral(space), space.degree + 4
-    x, w, B, D = space.line_tables(nq)
-    trial = TemporalBasis(q, "legendre")
 
-    err1_sq = 0.0
-    for lo, hi in chunks(0, part.num_intervals, (q + 4) * space.grid_size(nq)):
-        t, tau, wt = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
-        P = trial.eval_all(tau.ravel()).T.reshape(*t.shape, q + 1)
-        coeffs = np.matmul(P, dec.coefficients(solution.u1[lo:hi])).reshape(t.size, -1)
+    def __init__(self, problem, space, partition, q):
+        if problem.exact is None:
+            raise ValueError("error computation requires an exact solution")
+        self.problem, self.space, self.partition, self.q = problem, space, partition, q
+        self._dec, nq = fem.spectral(space), space.degree + 4
+        self._tables = space.line_tables(nq)
+        self._trial = TemporalBasis(q, "legendre")
+        self._intervals = _Regroup(chunks(0, partition.num_intervals,
+                                          (q + 4) * space.grid_size(nq)))
+        self._nodes = _Regroup(chunks(0, partition.num_intervals + 1, space.grid_size(nq)))
+        self._err1_sq = 0.0
+        self.per_node = np.empty(partition.num_intervals + 1)
+
+    def add(self, lo, hi, u1, u2):
+        """Feed u1 of the intervals lo..hi-1 and u2 of the nodes lo..hi."""
+        for a, b, block in self._intervals.feed(lo, u1):
+            self._err1_sq += self._u1_term(a, b, block)
+        for a, b, block in self._nodes.feed(lo, u2):
+            self._u2_term(a, b, block)
+
+    def _u1_term(self, lo, hi, u1):
+        space, problem, q = self.space, self.problem, self.q
+        x, w, B, D = self._tables
+        t, tau, wt = quadrature_nodes(self.partition, lo, hi, q + 4, problem.time_breakpoints)
+        P = self._trial.eval_all(tau.ravel()).T.reshape(*t.shape, q + 1)
+        coeffs = np.matmul(P, self._dec.coefficients(u1)).reshape(t.size, -1)
         if space.dimension == 1:
             sq = fem.gather(D, coeffs)
             sq -= problem.exact.grad(x[None, :], t.reshape(-1, 1))
@@ -72,27 +124,36 @@ def error_norms(solution, problem):
             sq *= sq
             sq += np.square(uy, out=uy)
             sp = (sq @ w) @ w
-        err1_sq += float(wt.ravel() @ sp)
+        return float(wt.ravel() @ sp)
 
-    # Nodal error of U2 against the projected exact trace.  The projection
-    # realizes the exact trace in the discrete H = V_h, matching the
-    # semidiscrete superconvergence statement; measuring against u itself
-    # would re-add the best-approximation floor ~ h^(p+1) that the nodal
-    # component cannot beat.  In the M-orthonormal eigenbasis, where u2
-    # lives, the H norm is the Euclidean one and the projection of a load
-    # vector is V^T load.
-    nodes = part.nodes
-    per_node = np.empty(nodes.size)
-    for lo, hi in chunks(0, nodes.size, space.grid_size(nq)):
-        trace = fem.load_vector(space, problem.exact.u, nq=nq, t=nodes[lo:hi])
-        diff = solution.u2[lo:hi] - dec.modal_loads(trace)
-        per_node[lo:hi] = np.sqrt(np.sum(diff * diff, axis=1))
+    def _u2_term(self, lo, hi, u2):
+        # Nodal error of U2 against the projected exact trace.  The projection
+        # realizes the exact trace in the discrete H = V_h, matching the
+        # semidiscrete superconvergence statement; measuring against u itself
+        # would re-add the best-approximation floor ~ h^(p+1) that the nodal
+        # component cannot beat.  In the M-orthonormal eigenbasis, where u2
+        # lives, the H norm is the Euclidean one and the projection of a load
+        # vector is V^T load.
+        space = self.space
+        trace = fem.load_vector(space, self.problem.exact.u, nq=space.degree + 4,
+                                t=self.partition.nodes[lo:hi])
+        diff = u2 - self._dec.modal_loads(trace)
+        self.per_node[lo:hi] = np.sqrt(np.sum(diff * diff, axis=1))
 
-    return ErrorReport(
-        err_u1_L2V=float(np.sqrt(err1_sq)),
-        err_u2_nodal_max=float(per_node.max()),
-        per_node=per_node,
-    )
+    def report(self):
+        """The ErrorReport of the chunks fed, which must cover the level."""
+        return ErrorReport(
+            err_u1_L2V=float(np.sqrt(self._err1_sq)),
+            err_u2_nodal_max=float(self.per_node.max()),
+            per_node=self.per_node,
+        )
+
+
+def error_norms(solution, problem):
+    """ErrorNorms of a whole SpaceTimeSolution, fed as one chunk."""
+    errors = ErrorNorms(problem, solution.space, solution.partition, solution.q)
+    errors.add(0, solution.partition.num_intervals, solution.u1, solution.u2)
+    return errors.report()
 
 
 def fit_rate(pairs):
@@ -252,39 +313,63 @@ def cfl_constant(space, k_max):
     return float(k_max) * lam_max
 
 
-def stability_check(solution, problem, c_s):
-    """Evaluate both sides of the discrete stability bound.
+class StabilitySums:
+    """Both sides of the discrete stability bound, accumulated over the
+    chunks of a march (solver.march).
 
-    Returns a dict with lhs = ||U1||_{L2(V)}^2 + ||U2^(N)||_H^2 and
+    lhs = ||U1||_{L2(V)}^2 + ||U2^(N)||_H^2 and
     rhs = c_s^2 ||f||_{L2(H^-1)}^2 + ||u0||_H^2, all realized on V_h; the
     f term uses q+4 Gauss points per time segment.  In the modal
     coordinates a = V^T M u of the solution, ||u||_H^2 = sum a^2 and
     ||u||_V^2 = sum lambda a^2, and a load vector f has
-    ||f||_{H^-1}^2 = sum (V^T f)^2 / lambda, so no solve is needed.
+    ||f||_{H^-1}^2 = sum (V^T f)^2 / lambda, so no solve is needed.  The f
+    term does not depend on the solution: result computes it, after the
+    march.
     """
-    if problem.impulses:
-        raise ValueError("stability bound implemented for impulse-free forcing")
-    space, part, q = solution.space, solution.partition, solution.q
-    dec = fem.spectral(space)
-    lam = dec.eigenvalues
-    scale = part.widths[:, None] / (2.0 * np.arange(q + 1) + 1.0)   # k / (2m+1)
-    u1_sq = float(np.einsum("im,imd,imd,d->", scale, solution.u1, solution.u1, lam))
-    u2N_sq, u0_sq = (float(np.sum(a * a)) for a in solution.u2[[-1, 0]])
-    f_sq = 0.0
-    if problem.rhs is not None:
-        per_item = (q + 4) * space.grid_size(space.degree + 2)
-        for lo, hi in chunks(0, part.num_intervals, per_item):
-            t, _, w = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
-            f = dec.modal_loads(fem.load_vector(space, problem.rhs, t=t.ravel()))
-            f_sq += float(w.ravel() @ ((f * f) @ (1.0 / lam)))
-    lhs = u1_sq + u2N_sq
-    rhs = c_s ** 2 * f_sq + u0_sq
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "u1_L2V_sq": u1_sq,
-        "u2_final_H_sq": u2N_sq,
-        "f_dual_sq": f_sq,
-        "u0_H_sq": u0_sq,
-        "satisfied": bool(lhs <= rhs * (1.0 + 1e-9)),
-    }
+
+    def __init__(self, problem, space, partition, q):
+        if problem.impulses:
+            raise ValueError("stability bound implemented for impulse-free forcing")
+        self.problem, self.space, self.partition, self.q = problem, space, partition, q
+        self._dec = fem.spectral(space)
+        self.u1_sq = 0.0
+        self.u0_sq = self.u2N_sq = None
+
+    def add(self, lo, hi, u1, u2):
+        """Feed u1 of the intervals lo..hi-1 and u2 of the nodes lo..hi."""
+        scale = self.partition.widths[lo:hi, None] / (2.0 * np.arange(self.q + 1) + 1.0)  # k/(2m+1)
+        self.u1_sq += float(np.einsum("im,imd,imd,d->", scale, u1, u1, self._dec.eigenvalues))
+        if lo == 0:
+            self.u0_sq = float(np.sum(u2[0] * u2[0]))
+        if hi == self.partition.num_intervals:
+            self.u2N_sq = float(np.sum(u2[-1] * u2[-1]))
+
+    def result(self, c_s):
+        """The bound of the chunks fed, which must cover the level, with
+        the equivalence constant c_s."""
+        space, part, q, problem, dec = self.space, self.partition, self.q, self.problem, self._dec
+        f_sq = 0.0
+        if problem.rhs is not None:
+            per_item = (q + 4) * space.grid_size(space.degree + 2)
+            for lo, hi in chunks(0, part.num_intervals, per_item):
+                t, _, w = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
+                f = dec.modal_loads(fem.load_vector(space, problem.rhs, t=t.ravel()))
+                f_sq += float(w.ravel() @ ((f * f) @ (1.0 / dec.eigenvalues)))
+        lhs = self.u1_sq + self.u2N_sq
+        rhs = c_s ** 2 * f_sq + self.u0_sq
+        return {
+            "lhs": lhs,
+            "rhs": rhs,
+            "u1_L2V_sq": self.u1_sq,
+            "u2_final_H_sq": self.u2N_sq,
+            "f_dual_sq": f_sq,
+            "u0_H_sq": self.u0_sq,
+            "satisfied": bool(lhs <= rhs * (1.0 + 1e-9)),
+        }
+
+
+def stability_check(solution, problem, c_s):
+    """StabilitySums of a whole SpaceTimeSolution, fed as one chunk."""
+    sums = StabilitySums(problem, solution.space, solution.partition, solution.q)
+    sums.add(0, solution.partition.num_intervals, solution.u1, solution.u2)
+    return sums.result(c_s)

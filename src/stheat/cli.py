@@ -28,6 +28,11 @@ builds against physical memory and for impulses off its nodes, and on a run
 with errors that the levels have distinct step sizes.  main maps each
 failure to its exit code.
 
+A level of `run` streams: run_level feeds each chunk of the march to the
+error norms and, with diagnostics, to the stability sums, and drops it, so
+a level's memory grows with the spatial unknowns and not with N times them
+(level_bytes).
+
 No command imports scipy, diagnostics included, and no numpy module loads
 inside main after the package's import, so a level pays for no import.
 """
@@ -41,10 +46,10 @@ import sys
 
 import numpy as np
 
-from .analysis import cfl_constant, diagnostic_constants, error_norms, fit_rate, stability_check
+from .analysis import ErrorNorms, StabilitySums, cfl_constant, diagnostic_constants, fit_rate
 from .fem import assemble
 from .problems import problem_by_id, validate_residual
-from .solver import impulse_nodes, run_decomposed
+from .solver import impulse_nodes, march
 from .timegrid import CHUNK_VALUES, MAX_TRIAL_DEGREE, make_uniform_partition
 
 EXIT_OK = 0
@@ -162,36 +167,51 @@ def level_geometry(cfg, idx, final_time):
     return n, max(1, int(round(steps)))
 
 
-def level_bytes(dimension, n, p, q, N, widths=1, diagnostics=False, run=True):
+def level_bytes(dimension, n, p, q, N, widths=1, diagnostics=False, run=True, errors=False):
     """Lower bound on the memory of a level: the largest of the peaks of
-    assemble, of run_decomposed (if run), whose partition has the given
-    number of distinct interval widths, and of the diagnostics, if any (the
-    README gives the formula).  assemble holds three dense tables of
-    (np+1) n(p+1) doubles beside M and K.  A level keeps the line eigenbasis,
-    the partition's nodes and widths and, if run, the solution, N(q+2)+1 rows
-    of dof doubles.  run_decomposed adds its width index and per-width
-    inverses and coefficients; on top, for a load chunk of c intervals, the
-    larger of its quadrature values, which load_vector holds (2p+3)/(p+2)
-    times over, beside the test basis at its times, and the gather of its
-    inverses beside its modal moments.  The diagnostics add the eigenvalues
+    assemble, of the march (if run) with the error norms that it feeds (if
+    errors), whose partition has the given number of distinct interval
+    widths, and of the diagnostics, if any (the README gives the formula).
+    No term grows with N dof: a run holds one chunk of its solution at a
+    time.  assemble holds three dense tables of (np+1) n(p+1) doubles beside
+    M and K.  A level keeps M, K and the line eigenbasis, the partition's
+    nodes and widths and, with errors, the per-node errors.  The march adds
+    its width index (5N doubles at the peak of np.unique), its per-width
+    inverses (twice over while they are formed) and coefficients, the
+    eigenvalues and the carried nodal value; on top, for a load chunk of c
+    intervals, the largest of: its quadrature values, which load_vector
+    holds (2p+3)/(p+2) times over, beside the test basis at its times; the
+    gather of its inverses beside its modal moments and forced parts; its
+    solution beside its recurrence terms; and, with errors, its solution
+    beside the rows that the error norms carry over from the chunk before
+    and their quadrature values, held 2 dim times over, beside their FE
+    coefficients at the time points.  The diagnostics add the eigenvalues
     and their sorted copy, the width index with its list (5N doubles at the
     index's peak), four arrays of the interval blocks of a chunk of modes
     (CHUNK_VALUES/4 doubles at most) and numpy's ufunc buffer, which the
-    elimination's strided updates fill; on `run`, the stability check after
-    them may hold more: its weights k/(2m+1) and two load blocks.
+    elimination's strided updates fill; on `run`, the stability bound's f
+    term after the march may hold more: two of its load blocks.
     """
     line = n * p - 1
     dof = line ** dimension
     assembly = 3 * (n * p + 1) * n * (p + 1) + 2 * line ** 2
-    kept = march = line ** 2 + 2 * N + 1
+    kept = march = 3 * line ** 2 + 2 * N + 1
     if run:
-        kept += (N * (q + 2) + 1) * dof
+        kept += (N + 1) * errors
         values = (q + 3) * (n * (p + 2)) ** dimension
         c = min(N, max(1, CHUNK_VALUES // values))
-        rows = widths * ((q + 1) ** 2 + q + 3) + q + 3
-        march = kept + N + rows * dof + max(c * values * (2 * p + 3) // (p + 2)
-                                            + 2 * c * (q + 2) * (q + 3),
-                                            c * ((q + 1) ** 2 + q + 2) * dof)
+        rows = widths * ((q + 1) ** 2 + q + 3) + 2
+        stages = [c * values * (2 * p + 3) // (p + 2) + 2 * c * (q + 2) * (q + 3),
+                  c * ((q + 1) ** 2 + 2 * q + 3) * dof,
+                  (c * (3 * q + 6) + 1) * dof]
+        if errors:
+            grid = (n * (p + 4)) ** dimension
+            ce = min(N, max(1, CHUNK_VALUES // ((q + 4) * grid)))
+            cn = min(N + 1, max(1, CHUNK_VALUES // grid))
+            stages.append((c * (q + 2) + 1 + ce * (q + 1) + cn) * dof
+                          + ce * (q + 4) * (2 * dimension * grid + 2 * dof))
+        march = kept + max(5 * N, N + max(widths * (2 * (q + 1) ** 2 + 1) * dof,
+                                          rows * dof + max(stages)))
     diag = 0
     if diagnostics:
         modes = line if dimension == 1 else line * (line + 1) // 2
@@ -200,7 +220,7 @@ def level_bytes(dimension, n, p, q, N, widths=1, diagnostics=False, run=True):
         diag = 2 * dof + 5 * N + 4 * chunk + np.getbufsize()
     if diagnostics and run:
         values = (q + 4) * (n * (p + 2)) ** dimension
-        diag = max(diag, N * (q + 1) + 2 * min(N, max(1, CHUNK_VALUES // values)) * values)
+        diag = max(diag, 2 * min(N, max(1, CHUNK_VALUES // values)) * values)
     return 8 * max(assembly, march, kept + diag)
 
 
@@ -217,15 +237,17 @@ def preflight(cfg, problem, run):
     sizes k leave no rate to fit in log k."""
     available = physical_memory()
     diagnostics = cfg.diagnostics or not run
+    errors = cfg.errors and run
     counts = []
     for idx in range(len(cfg.levels) if run else 1):
         n, N = level_geometry(cfg, idx, problem.final_time)
-        need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N, 1, diagnostics, run)
+        need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N, 1, diagnostics, run, errors)
         if need <= available:   # N is then small enough to build the partition
             partition = make_uniform_partition(problem.final_time, N)
             k = np.sort(partition.widths)   # np.unique would import numpy.ma here, in the run
             widths = 1 + np.count_nonzero(k[1:] != k[:-1])
-            need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N, widths, diagnostics, run)
+            need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N, widths, diagnostics, run,
+                               errors)
         if need > available:
             raise ConfigError("level n=%d, N=%d needs at least %.3g GB, more than the "
                               "%.3g GB of physical memory" % (n, N, need / 1e9, available / 1e9))
@@ -246,27 +268,38 @@ def _build_level(cfg, idx, problem):
 
 
 def run_level(cfg, idx, problem):
-    """Solve one refinement level; returns its row of summary.json."""
+    """Solve one refinement level; returns its row of summary.json.
+
+    The level's solution is never held whole: every chunk of the march
+    goes to the error norms and, with diagnostics, to the stability sums,
+    and is dropped.  c_S needs only the space and the partition, so the
+    diagnostics come first."""
     space, partition = _build_level(cfg, idx, problem)
-    solution = run_decomposed(problem, space, partition, cfg.q)
     row = {"n": space.n, "N": partition.num_intervals, "h": space.h, "k": partition.k_max}
-    if cfg.errors:
-        report = error_norms(solution, problem)
+    errors = ErrorNorms(problem, space, partition, cfg.q) if cfg.errors else None
+    stability = None
+    if cfg.diagnostics:
+        row["diagnostics"] = block = level_diagnostics(space, partition, cfg.q)
+        if not problem.impulses and problem.rhs is not None:   # what the bound needs
+            stability = StabilitySums(problem, space, partition, cfg.q)
+    sums = [acc for acc in (errors, stability) if acc is not None]
+    for chunk in march(problem, space, partition, cfg.q):
+        for acc in sums:
+            acc.add(*chunk)
+        del chunk   # the next chunk is computed without this one
+    if errors is not None:
+        report = errors.report()
         row["err_u1_L2V"] = report.err_u1_L2V
         row["err_u2_nodal_max"] = report.err_u2_nodal_max
-    if cfg.diagnostics:
-        row["diagnostics"] = level_diagnostics(problem, space, partition, cfg.q, solution)
+    if stability is not None:
+        block["stability"] = stability.result(block["c_S"])
     return row
 
 
-def level_diagnostics(problem, space, partition, q, solution=None):
-    """Inf-sup, c_S and CFL constants of a level; with its solution, also
-    the stability bound."""
+def level_diagnostics(space, partition, q):
+    """Inf-sup, c_S and CFL constants of a level."""
     c_B, C_B, c_S = diagnostic_constants(space, partition, q)
-    block = {"c_B": c_B, "C_B": C_B, "c_S": c_S, "C_CFL": cfl_constant(space, partition.k_max)}
-    if solution is not None and not problem.impulses and problem.rhs is not None:
-        block["stability"] = stability_check(solution, problem, c_S)
-    return block
+    return {"c_B": c_B, "C_B": C_B, "c_S": c_S, "C_CFL": cfl_constant(space, partition.k_max)}
 
 
 def _cell(value):
@@ -350,7 +383,7 @@ def run_experiment(cfg, problem, out_dir, quiet=False):
 def run_diagnose(cfg, problem, out_dir, quiet=False):
     """Constants of the first level of cfg, written to out_dir/diagnostics.json."""
     space, partition = _build_level(cfg, 0, problem)
-    block = level_diagnostics(problem, space, partition, cfg.q)
+    block = level_diagnostics(space, partition, cfg.q)
     _write(out_dir, {"diagnostics.json": {"config": dataclasses.asdict(cfg), "diagnostics": block}})
     if not quiet:
         print("c_B=%.12f C_B=%.12f c_S=%.6f C_CFL=%.6f (n=%d, N=%d)" % (

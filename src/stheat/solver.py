@@ -11,10 +11,13 @@ points per interval).  Testing the form
 
 against all X yields one square linear system.  Each interval's interior
 test functions only see that interval, so the system is an
-interval-by-interval march.  run_decomposed, below, is the one solver; the
-coupled one-shot solve of the whole system (solve_global in
-tests/reference.py) and the dense step LocalBlockSystem are references the
-tests compare it against.
+interval-by-interval march.  march, below, is the one solver: a generator
+that yields the solution one chunk of intervals at a time, so a run never
+holds it whole (cli.run_level feeds each chunk to the error norms and the
+stability sums and drops it).  run_decomposed collects the chunks into a
+SpaceTimeSolution; the coupled one-shot solve of the whole system
+(solve_global in tests/reference.py) and the dense step LocalBlockSystem are
+references the tests compare it against.
 
 On interval [a, a+k] with U1 = sum_m c_m P_m(tau), tau = (s-a)/k, testing
 with X = l_j(tau) v gives for j = 0 .. q+1
@@ -26,7 +29,7 @@ where b_j = int_0^1 load(f(a + k tau)) l_j(tau) dtau.  The rows j <= q close
 over the c_m alone; the last row then yields u2_out through a mass solve
 (LocalBlockSystem.step).
 
-run_decomposed marches in the M-orthonormal eigenbasis of (K, M), where
+march works in the M-orthonormal eigenbasis of (K, M), where
 M -> 1 and K -> lambda, so the equations split into one scalar problem per
 spatial mode.  With mu = k lambda, A = mu G[:q+1] - D[:q+1] (a (q+1)x(q+1)
 matrix per mode and distinct width) and r = D[q+1] - mu G[q+1]:
@@ -45,7 +48,9 @@ from .timegrid import chunks, quadrature_nodes, reference_blocks
 
 
 class SpaceTimeSolution:
-    """Discrete solution pair: U1 per interval, U2 at the nodes.
+    """Discrete solution pair: U1 per interval, U2 at the nodes, the whole
+    march collected by run_decomposed (for the tests and the API; a run
+    consumes the march chunk by chunk and never builds one).
 
     u1 has shape (N, q+1, dof) holding shifted-Legendre coefficients of U1 on
     each interval; u2 has shape (N+1, dof) with u2[0] the projected initial
@@ -176,12 +181,17 @@ def impulse_loads(problem, space, partition):
     return loads
 
 
-def run_decomposed(problem, space, partition, q):
-    """March the scheme mode by mode (module docstring), one load chunk at a time.
+def march(problem, space, partition, q):
+    """March the scheme mode by mode (module docstring), one load chunk at a
+    time: yields (lo, hi, u1[lo:hi], u2[lo:hi+1]) for the chunks of
+    intervals lo..hi-1 in order, u1 of shape (hi-lo, q+1, dof) and u2 of
+    shape (hi-lo+1, dof), in modal coordinates (SpaceTimeSolution).
 
     Each chunk's load moments go to modal coordinates, its forced parts and
     recurrence terms are formed for all its intervals at once, and the
-    scalar recurrence runs over its intervals for all modes together.
+    scalar recurrence runs over its intervals for all modes together,
+    starting from the last nodal value of the chunk before.  Raises
+    ValueError on the first chunk that holds a non-finite entry.
     """
     N = partition.num_intervals
     dof = space.dof_count
@@ -196,9 +206,7 @@ def run_decomposed(problem, space, partition, q):
     r_t = r.transpose(0, 2, 1)
     jumps = {i: dec.modal_loads(v) for i, v in impulse_loads(problem, space, partition).items()}
 
-    u1 = np.empty((N, q + 1, dof))
-    u2 = np.empty((N + 1, dof))
-    u2[0] = 0.0 if problem.initial is None else dec.modal_loads(
+    node = 0.0 if problem.initial is None else dec.modal_loads(
         fem.load_vector(space, problem.initial))
     for lo, hi in _load_chunks(space, 0, N, q + 3):
         w = width_of[lo:hi]
@@ -206,11 +214,31 @@ def run_decomposed(problem, space, partition, q):
         kb *= partition.widths[lo:hi, None, None]
         forced = np.einsum("irsd,isd->ird", inv_t[w], kb[:, : q + 1])
         g = kb[:, q + 1] + np.einsum("ird,ird->id", r_t[w], forced)
+        del kb   # freed before the chunk's solution is allocated (cli.level_bytes)
         for i, zeta in jumps.items():
             if lo < i <= hi:
                 g[i - 1 - lo] += zeta
         a = alpha[w]
+        u2 = np.empty((hi - lo + 1, dof))
+        u2[0] = node
         for j in range(hi - lo):
-            u2[lo + j + 1] = a[j] * u2[lo + j] + g[j]
-        np.add(forced, inv_t[w, :, 0] * u2[lo:hi, None, :], out=u1[lo:hi])
+            u2[j + 1] = a[j] * u2[j] + g[j]
+        u1 = np.empty((hi - lo, q + 1, dof))
+        np.add(forced, inv_t[w, :, 0] * u2[:-1, None, :], out=u1)
+        del forced, g, a
+        if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
+            raise ValueError("solution contains non-finite entries")
+        node = u2[-1].copy()
+        yield lo, hi, u1, u2
+        del u1, u2   # the consumer's references alone keep them past this chunk
+
+
+def run_decomposed(problem, space, partition, q):
+    """The whole solution of march, collected into a SpaceTimeSolution."""
+    N = partition.num_intervals
+    u1 = np.empty((N, q + 1, space.dof_count))
+    u2 = np.empty((N + 1, space.dof_count))
+    for lo, hi, c, a in march(problem, space, partition, q):
+        u1[lo:hi] = c
+        u2[lo:hi + 1] = a
     return SpaceTimeSolution(q, partition, space, u1, u2)

@@ -26,6 +26,8 @@ from stheat.cli import (
     parse_config,
     run_level,
 )
+import stheat.solver
+from stheat.analysis import error_norms, stability_check
 from stheat.fem import assemble
 from stheat.problems import problem_2d_smooth, problem_by_id
 from stheat.solver import run_decomposed
@@ -308,24 +310,45 @@ def test_experiment_config_is_frozen():
 
 
 def test_level_bytes_counts_the_solution_arrays():
-    # doubles: the line eigenbasis (np-1)^2; the partition's nodes and widths
-    # and the march's width index 3N+1; rows of dof doubles: u1 N(q+1), u2
-    # N+1, inverses, r, alpha and mu (q+1)^2 + q+3 per distinct width,
-    # eigenvalues 1, one interval's moments q+2; then, for a load chunk of c
-    # intervals, the larger of its quadrature values times (2p+3)/(p+2)
-    # beside the test basis at its times, 2(q+2)(q+3) an interval, and the
-    # gather of its inverses beside its moments, (q+1)^2 + q+2 rows an interval
+    # doubles: the line matrices M, K and the eigenbasis 3(np-1)^2; the
+    # partition's nodes and widths 2N+1; with errors, the per-node errors
+    # N+1; the march's width index N (5N at the peak of np.unique); rows of
+    # dof doubles: inverses, r, alpha and mu (q+1)^2 + q+3 per distinct
+    # width, eigenvalues and the carried nodal value 2 (while the inverses
+    # are formed, 2(q+1)^2 + 1 per width); then, for a load chunk of c
+    # intervals, the largest of: its quadrature values times (2p+3)/(p+2)
+    # beside the test basis at its times, 2(q+2)(q+3) an interval; the
+    # gather of its inverses beside its moments and forced parts,
+    # (q+1)^2 + 2q+3 rows an interval; its solution beside its recurrence
+    # terms, 3q+6 rows an interval and 1; with errors, its solution
+    # c(q+2)+1 rows beside the rows carried over, ce(q+1) + cn, and the
+    # error norms' values, ce(q+4) times points 2 dim (n(p+4))^dim + 2 dof
+    # (ce intervals and cn nodes a range).  No term grows with N dof.
     # 1D p=2, n=4: dof 7; q=0, N=10: one chunk of 10 intervals of 3*16 values
+    kept = 3 * 7 ** 2 + 21
     assert level_bytes(1, 4, 2, 0, 10) == (
-        7 ** 2 + 31 + (10 + 11 + 5 + 2) * 7 + 480 * 7 // 4 + 10 * 2 * 2 * 3) * 8
-    # 2D p=2, n=64: dof 127^2; q=1, N=4096: one interval of 4*256^2 values a chunk
+        kept + 10 + 6 * 7 + 480 * 7 // 4 + 10 * 2 * 2 * 3) * 8
+    # with errors: ranges of 10 intervals and 11 nodes, 4 * 24 points an interval
+    assert level_bytes(1, 4, 2, 0, 10, 1, False, True, True) == (
+        kept + 11 + 10 + 6 * 7 + (21 + 10 + 11) * 7 + 40 * (2 * 24 + 2 * 7)) * 8
+    # 2D p=2, n=64: dof 127^2; q=1, N=4096: one interval a chunk and a range,
+    # whose 5 * 384^2 values set the level: 28 MB, not the 1.06 GB of its solution
+    kept, dof = 3 * 127 ** 2 + 8193 + 4097, 127 ** 2
+    errors = level_bytes(2, 64, 2, 1, 4096, 1, False, True, True)
+    assert errors == (kept + 4096 + 10 * dof + (4 + 3) * dof + 5 * (4 * 384 ** 2 + 2 * dof)) * 8
+    assert errors < 28e6 < 1.06e9 < 8 * 4097 * 3 * dof
+    # errors off: one interval's 4 * 256^2 load values beat its 10 solution rows
     assert level_bytes(2, 64, 2, 1, 4096) == (
-        127 ** 2 + 12289 + (8192 + 4097 + 9 + 3) * 127 ** 2 + 4 * 256 ** 2 * 7 // 4 + 2 * 3 * 4) * 8
+        kept - 4097 + 4096 + 10 * dof + 4 * 256 ** 2 * 7 // 4 + 2 * 3 * 4) * 8
     # 1D p=3, n=8, q=9, N=1: the gather of the 10x10 inverses beats the 480 values
-    assert level_bytes(1, 8, 3, 9, 1) == (23 ** 2 + 4 + (10 + 2 + 113 + 11) * 23 + 111 * 23) * 8
+    assert level_bytes(1, 8, 3, 9, 1) == (3 * 23 ** 2 + 3 + 1 + 114 * 23 + 121 * 23) * 8
     # the inverses, r, alpha and mu once per distinct width: 3 widths of (q+1)^2 + q+3 rows
     assert level_bytes(1, 4, 2, 0, 10, 3) == (
-        7 ** 2 + 31 + (10 + 11 + 3 * 4 + 1 + 2) * 7 + 480 * 7 // 4 + 10 * 2 * 2 * 3) * 8
+        3 * 7 ** 2 + 21 + 10 + 14 * 7 + 480 * 7 // 4 + 10 * 2 * 2 * 3) * 8
+    # 2D p=3, n=24, q=9, 8 widths: forming the inverses, 8 * 201 rows, sets the level
+    assert level_bytes(2, 24, 3, 9, 100, 8) == (3 * 71 ** 2 + 201 + 100 + 8 * 201 * 71 ** 2) * 8
+    # 1D p=1, n=2 (dof 1), N=10^6: np.unique's 5N sets the level
+    assert level_bytes(1, 2, 1, 0, 10 ** 6) == (3 + 2000001 + 5 * 10 ** 6) * 8
 
 
 def test_level_bytes_counts_the_diagnostic_bands():
@@ -333,45 +356,67 @@ def test_level_bytes_counts_the_diagnostic_bands():
     # their sorted copy, 2 rows; the width index and its list, 5N doubles at
     # the peak of np.unique; four arrays of a chunk's interval blocks, widths
     # (q+2)^2 values a mode; numpy's ufunc buffer, 8192 doubles.  On a run,
-    # the stability check may hold
-    # more: its weights N(q+1) and two quadrature blocks of (q+4)(n(p+2))^dim
-    # values an interval.  1D p=1, n=2: dof 1, one mode.
-    # q=0, N=10^6: the width index beats the march and the stability check
-    kept, diag = 1 + 2000001, 2 + 5 * 10 ** 6 + 4 * 4 + 8192
-    assert level_bytes(1, 2, 1, 0, 10 ** 6, 1, True) == (kept + 2000001 + diag) * 8
-    # q=9, N=2*10^5: the stability check's weights beat the march, with one
-    # load chunk of 420 intervals of 13*6 values
-    kept = 1 + 400001 + 2200001
-    assert level_bytes(1, 2, 1, 9, 200000, 1, True) == (kept + 2000000 + 2 * 420 * 78) * 8
+    # the stability bound's f term after the march may hold more: two
+    # quadrature blocks of (q+4)(n(p+2))^dim values an interval.  1D p=1,
+    # n=2: dof 1, one mode.
+    # q=0, N=10^6: the width index beside the blocks and the buffer beats
+    # the march's width index alone
+    kept, diag = 3 + 2000001, 2 + 5 * 10 ** 6 + 4 * 4 + 8192
+    assert level_bytes(1, 2, 1, 0, 10 ** 6, 1, True) == (kept + diag) * 8
+    assert level_bytes(1, 2, 1, 0, 10 ** 6) == (kept + 5 * 10 ** 6) * 8
+    # q=0, N=1365: the f term, two load blocks of 1365 intervals of 4*6
+    # values, beats the march and the diagnostics
+    assert level_bytes(1, 2, 1, 0, 1365, 1, True) == (3 + 2731 + 2 * 1365 * 24) * 8
     # diagnose keeps no solution and runs no march: at q=9, N=2000 the march
-    # sets a run's memory, and diagnose needs less than an eighth of it
+    # sets a run's memory, and diagnose needs less than a seventh of it
     diagnose = level_bytes(1, 2, 1, 9, 2000, 1, True, False)
-    assert diagnose == (1 + 4001 + 2 + 10000 + 4 * 121 + 8192) * 8
+    assert diagnose == (3 + 4001 + 2 + 10000 + 4 * 121 + 8192) * 8
     assert level_bytes(1, 2, 1, 9, 2000, 1, True) == level_bytes(1, 2, 1, 9, 2000)
-    assert diagnose < level_bytes(1, 2, 1, 9, 2000) / 8
+    assert diagnose < level_bytes(1, 2, 1, 9, 2000) / 7
 
 
-@pytest.mark.parametrize("problem_id,n,p,q,N", [
-    ("heat2d-smooth", 24, 3, 9, 2),      # the per-mode inverses dominate
-    ("heat1d-smooth", 64, 2, 0, 4096),   # the solution arrays dominate
-    ("heat2d-smooth", 48, 3, 0, 2),      # one interval's load block dominates
-    ("heat2d-smooth", 24, 3, 9, 100),    # 8 distinct widths, each with its inverses
-])
-def test_level_bytes_tracks_the_march_peak(problem_id, n, p, q, N):
-    """The pre-flight's bound, counting the partition's distinct interval
-    widths, is at least 0.8 times the traced peak of run_decomposed on a
-    freshly assembled level."""
+def _traced_level(problem_id, n, p, q, N, errors, diagnostics=False):
+    """Traced peak of run_level on a level built inside it, and its number
+    of distinct interval widths."""
     problem = problem_by_id(problem_id)
-    space = assemble(problem.dimension, n, p)
-    partition = make_uniform_partition(problem.final_time, N)
+    cfg = parse_config(json.dumps({"problem": problem_id, "p": p, "q": q, "levels": [n],
+                                   "explicit_N": [N], "errors": errors,
+                                   "diagnostics": diagnostics}))
     tracemalloc.start()
     try:
-        run_decomposed(problem, space, partition, q)
+        run_level(cfg, 0, problem)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    widths = np.unique(partition.widths).size
-    assert level_bytes(problem.dimension, n, p, q, N, widths) >= 0.8 * peak
+    return peak, np.unique(make_uniform_partition(problem.final_time, N).widths).size
+
+
+@pytest.mark.parametrize("problem_id,n,p,q,N,errors", [
+    ("heat2d-smooth", 24, 3, 9, 2, False),     # the per-mode inverses dominate
+    ("heat1d-smooth", 64, 2, 0, 4096, True),   # the error norms' values and the line matrices
+    ("heat2d-smooth", 48, 3, 0, 2, False),     # one interval's load block dominates
+    ("heat2d-smooth", 24, 3, 9, 100, False),   # 8 distinct widths, each with its inverses
+    ("heat2d-smooth", 60, 3, 9, 2, True),      # one interval's error values dominate
+], ids=["heat2d-smooth-24-3-9-2", "heat1d-smooth-64-2-0-4096", "heat2d-smooth-48-3-0-2",
+        "heat2d-smooth-24-3-9-100", "heat2d-smooth-60-3-9-2-errors"])
+def test_level_bytes_tracks_the_march_peak(problem_id, n, p, q, N, errors):
+    """The pre-flight's bound, counting the partition's distinct interval
+    widths, is at least 0.8 times the traced peak of a streamed level
+    (run_level), assembly, march and error norms."""
+    peak, widths = _traced_level(problem_id, n, p, q, N, errors)
+    dimension = problem_by_id(problem_id).dimension
+    assert level_bytes(dimension, n, p, q, N, widths, False, True, errors) >= 0.8 * peak
+
+
+def test_level_memory_is_independent_of_the_interval_count():
+    """1D p=2, n=16, q=0 with errors: from N = 1000 to 16000 the traced peak
+    of run_level grows by at most 64 bytes an interval, what its vectors
+    over the intervals and nodes take (nodes, widths, width index and
+    per-node errors), and by no row of dof doubles an interval."""
+    _traced_level("heat1d-smooth", 16, 2, 0, 10, True)   # caches filled outside the trace
+    small, _ = _traced_level("heat1d-smooth", 16, 2, 0, 1000, True)
+    large, _ = _traced_level("heat1d-smooth", 16, 2, 0, 16000, True)
+    assert large - small <= 64 * 15000
 
 
 @pytest.mark.parametrize("problem_id,n,p,q,N", [
@@ -383,22 +428,21 @@ def test_level_bytes_tracks_the_march_peak(problem_id, n, p, q, N):
 def test_level_bytes_tracks_the_diagnostics_peak(problem_id, n, p, q, N):
     """With diagnostics the pre-flight's bound, counting the partition's
     distinct interval widths, is at least 0.8 times the traced peak of a
-    level of `run` (the march, then the diagnostics and the stability check
-    beside the solution) and of `diagnose` (the diagnostics alone), each on
-    a freshly assembled level."""
+    level of `run` (run_level: the diagnostics, then the march with the
+    error norms and the stability sums) and of `diagnose` (the diagnostics
+    alone), each on a freshly assembled level."""
     problem = problem_by_id(problem_id)
-    for run in (True, False):
-        space = assemble(problem.dimension, n, p)
-        partition = make_uniform_partition(problem.final_time, N)
-        tracemalloc.start()
-        try:
-            solution = run_decomposed(problem, space, partition, q) if run else None
-            level_diagnostics(problem, space, partition, q, solution)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        widths = np.unique(partition.widths).size
-        assert level_bytes(problem.dimension, n, p, q, N, widths, True, run) >= 0.8 * peak, run
+    peak, widths = _traced_level(problem_id, n, p, q, N, True, True)
+    assert level_bytes(problem.dimension, n, p, q, N, widths, True, True, True) >= 0.8 * peak
+    space = assemble(problem.dimension, n, p)
+    partition = make_uniform_partition(problem.final_time, N)
+    tracemalloc.start()
+    try:
+        level_diagnostics(space, partition, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert level_bytes(problem.dimension, n, p, q, N, widths, True, False) >= 0.8 * peak
 
 
 def test_preflight_stays_below_the_level_it_checks():
@@ -419,9 +463,10 @@ def test_preflight_stays_below_the_level_it_checks():
 
 def test_preflight_counts_every_interval_width(monkeypatch):
     """2D p=3, q=9, n=24, N=100: linspace gives 8 distinct widths, and their
-    inverses push the level past a memory that one width would fit in."""
+    inverses push the level, errors on, past a memory that one width would
+    fit in."""
     problem = problem_by_id("heat2d-smooth")
-    one, eight = (level_bytes(2, 24, 3, 9, 100, w) for w in (1, 8))
+    one, eight = (level_bytes(2, 24, 3, 9, 100, w, False, True, True) for w in (1, 8))
     assert np.unique(make_uniform_partition(problem.final_time, 100).widths).size == 8
     monkeypatch.setattr(stheat.cli, "physical_memory", lambda: (one + eight) // 2)
     payload = {"problem": "heat2d-smooth", "p": 3, "q": 9, "levels": [24], "explicit_N": [100]}
@@ -454,18 +499,33 @@ def test_preflight_refuses_a_level_that_only_assembly_overflows(monkeypatch):
         stheat.cli.preflight(cfg, problem_by_id("heat1d-smooth"), True)
 
 
+def test_preflight_accepts_a_2d_level_whose_solution_exceeds_the_memory(monkeypatch):
+    """2D p=2, q=0, n=128 with k = h^2 (N = 16384, dof 255^2), errors on: the
+    whole solution would take 17 GB, but a streamed level holds one chunk
+    of it, and its bound, the error norms' values included, stays below
+    1 GB, so an 8 GB machine accepts it."""
+    monkeypatch.setattr(stheat.cli, "physical_memory", lambda: 8 * 1024 ** 3)
+    cfg = parse_config(json.dumps({"problem": "heat2d-smooth", "p": 2, "q": 0, "levels": [128]}))
+    problem = problem_by_id("heat2d-smooth")
+    assert level_geometry(cfg, 0, problem.final_time) == (128, 16384)
+    assert 8 * (16384 + 16385) * 255 ** 2 > 17e9
+    assert level_bytes(2, 128, 2, 0, 16384, 1, False, True, True) < 1e9
+    stheat.cli.preflight(cfg, problem, True)
+
+
 def test_diagnose_refuses_a_level_that_only_its_bands_overflow(tmp_path, monkeypatch, capsys):
-    """1D p=1, n=2, q=0, N=10^6: the march fits in 41 MB, but the
-    diagnostics' width index and its list (5N doubles at np.unique's peak)
-    push `diagnose` to 56 MB, so on a 48 MB machine it exits 2 before the
-    level is built; so does a run with diagnostics (72 MB), and a run
-    without them passes the pre-flight."""
-    monkeypatch.setattr(stheat.cli, "physical_memory", lambda: 48 * 10 ** 6)
+    """1D p=1, n=2, q=0, N=10^6: the march's width index (5N doubles at
+    np.unique's peak) sets a run at 56.00 MB, and the diagnostics hold the
+    same index beside their blocks and numpy's ufunc buffer, 66 kB more;
+    so on a 56.03 MB machine `diagnose` exits 2 before the level is built,
+    so does a run with diagnostics, and a run without them passes the
+    pre-flight."""
+    monkeypatch.setattr(stheat.cli, "physical_memory", lambda: 56.03e6)
     payload = {"problem": "heat1d-smooth", "p": 1, "q": 0, "levels": [2],
                "explicit_N": [1000000], "errors": False}
-    assert level_bytes(1, 2, 1, 0, 1000000) < 41e6
-    assert level_bytes(1, 2, 1, 0, 1000000, 1, True, False) > 56e6
-    assert level_bytes(1, 2, 1, 0, 1000000, 1, True) > 72e6
+    assert level_bytes(1, 2, 1, 0, 1000000) < 56.01e6
+    assert level_bytes(1, 2, 1, 0, 1000000, 1, True, False) > 56.06e6
+    assert level_bytes(1, 2, 1, 0, 1000000, 1, True) > 56.06e6
     problem = problem_by_id("heat1d-smooth")
     stheat.cli.preflight(parse_config(json.dumps(payload)), problem, True)
     monkeypatch.setattr(stheat.cli, "assemble", None)   # must never be reached
@@ -480,7 +540,8 @@ def test_diagnose_refuses_a_level_that_only_its_bands_overflow(tmp_path, monkeyp
 @pytest.mark.parametrize("command", ["run", "diagnose"])
 def test_main_rejects_levels_beyond_physical_memory(tmp_path, monkeypatch, capsys, command):
     """The pre-flight exits 2 before any level is built.  The memory probe is
-    turned down to 64 bytes, below the smallest level's 1200 (n=2, N=4, dof 1)."""
+    turned down to 64 bytes, below the 3176 of the smallest level of `run`
+    (n=2, N=4, dof 1)."""
     monkeypatch.setattr(stheat.cli, "physical_memory", lambda: 64)
     monkeypatch.setattr(stheat.cli, "assemble", None)   # must never be reached
     cfg = _write_config(tmp_path, SMALL_RUN)
@@ -556,6 +617,64 @@ def test_main_random_configs_exit_with_a_documented_code(command, payload):
             json.dump(payload, handle)
         code = main([command, cfg, "--out", os.path.join(tmp, "out"), "--quiet"])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_NO_EXACT, EXIT_UNWRITABLE)
+
+
+@pytest.mark.parametrize("problem_id,n,p,q,N", [
+    ("heat1d-smooth", 12, 2, 0, 300),
+    ("impulse", 16, 2, 1, 300),        # the jump at t = 1/2, node 150, inside the first chunk
+    ("heat1d-lowreg", 16, 2, 3, 201),  # the kink at t = 1/2, inside interval 100
+    ("heat2d-smooth", 8, 2, 0, 64),
+    ("heat2d-smooth", 7, 2, 1, 40),
+    ("heat2d-smooth", 5, 2, 3, 40),
+])
+def test_streamed_level_matches_the_collected_solution(problem_id, n, p, q, N):
+    """run_level's errors, fed chunk by chunk from the march, equal those of
+    the collected solution bit for bit, and its stability sums agree to
+    1e-14.  Each level marches in several chunks, and some ranges of the
+    error norms span two of them.  The impulse problem has no exact
+    solution, so it borrows heat1d-smooth's: any field compares the paths."""
+    problem = problem_by_id(problem_id)
+    if problem.exact is None:
+        problem = dataclasses.replace(problem, exact=problem_by_id("heat1d-smooth").exact)
+    cfg = parse_config(json.dumps({"problem": problem_id, "p": p, "q": q, "levels": [n],
+                                   "explicit_N": [N], "diagnostics": True}))
+    space, partition = stheat.cli._build_level(cfg, 0, problem)
+    assert len(stheat.solver._load_chunks(space, 0, N, q + 3)) > 1
+    row = run_level(cfg, 0, problem)
+    solution = run_decomposed(problem, space, partition, q)
+    report = error_norms(solution, problem)
+    assert (row["err_u1_L2V"], row["err_u2_nodal_max"]) == (
+        report.err_u1_L2V, report.err_u2_nodal_max)
+    assert ("stability" in row["diagnostics"]) == (not problem.impulses)
+    if not problem.impulses:
+        collected = stability_check(solution, problem, row["diagnostics"]["c_S"])
+        for key, value in row["diagnostics"]["stability"].items():
+            assert value == pytest.approx(collected[key], rel=1e-14, abs=0.0), key
+
+
+def test_a_load_that_turns_nan_exits_3_at_its_chunk(tmp_path, monkeypatch, capsys):
+    """heat1d-smooth with f NaN after T/2, 1D p=2, n=16, q=0, N=1024: `stheat
+    run` exits 3 (EXIT_SOLVER), and only after the error norms have taken
+    every chunk of the march before the one holding T/2 (interval 512)."""
+    smooth = problem_by_id("heat1d-smooth")
+    half = 0.5 * smooth.final_time
+    problem = dataclasses.replace(
+        smooth, rhs=lambda x, t: np.where(t > half, np.nan, smooth.rhs(x, t)))
+    fed = []
+
+    class Recording(stheat.cli.ErrorNorms):
+        def add(self, lo, hi, u1, u2):
+            fed.append((lo, hi))
+            super().add(lo, hi, u1, u2)
+
+    monkeypatch.setattr(stheat.cli, "problem_by_id", lambda pid, epsilon: problem)
+    monkeypatch.setattr(stheat.cli, "ErrorNorms", Recording)
+    cfg = _write_config(tmp_path, {"problem": "heat1d-smooth", "p": 2, "levels": [16],
+                                   "explicit_N": [1024]})
+    assert main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_SOLVER
+    assert "non-finite" in capsys.readouterr().err
+    chunks = stheat.solver._load_chunks(assemble(1, 16, 2), 0, 1024, 3)
+    assert fed == [(lo, hi) for lo, hi in chunks if hi <= 512] and len(fed) == 3
 
 
 def test_run_level_2d_never_forms_dense_matrices(monkeypatch):
