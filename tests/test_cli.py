@@ -68,7 +68,7 @@ def test_parse_config_round_trip():
     lambda d: d.update(frobnicate=True),
     lambda d: d.pop("problem"),
     lambda d: d.update(explicit_N=[4]),  # must match len(levels)
-    lambda d: d.update(seed=-1),  # numpy's default_rng takes no negative seed
+    lambda d: d.update(seed=-1),  # the config rule: seed is a non-negative integer
 ])
 def test_parse_config_rejections(mutate):
     payload = dict(SMALL_RUN)
@@ -152,15 +152,19 @@ def _python(*args):
 
 
 # Runs main on its arguments and prints the numpy and scipy modules that main
-# loads; asserts that no scipy module is loaded at all.
+# loads; asserts that no scipy module is loaded at all, and that numpy.random
+# is loaded neither by the imports nor by main.
 IMPORT_GUARD = """
 import sys
-from stheat.cli import main
+import stheat
+from stheat.cli import parse_config, main
 def loaded():
     return {m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")}
 before = loaded()
+assert "numpy.random" not in before, "imports load numpy.random"
 assert main(sys.argv[1:]) == 0
 assert not any(m.split(".")[0] == "scipy" for m in sys.modules), sorted(loaded())
+assert "numpy.random" not in sys.modules, "main loads numpy.random"
 print(" ".join(sorted(loaded() - before)))
 """
 
@@ -168,8 +172,9 @@ print(" ".join(sorted(loaded() - before)))
 def test_run_and_diagnose_import_no_scipy(tmp_path):
     """No command imports scipy, with diagnostics or without, and no numpy
     module loads inside main: a lazy import there (numpy.ma behind
-    np.unique, say) would be paid inside a level.  pytest's own process
-    holds scipy already, so each command runs in a fresh interpreter."""
+    np.unique, say) would be paid inside a level.  numpy.random (6 MB of
+    RSS) loads neither at import nor in main.  pytest's own process holds
+    scipy already, so each command runs in a fresh interpreter."""
     payload = {"problem": "heat1d-smooth", "q": 1, "p": 2, "levels": [4, 8], "errors": True}
     for diagnostics in (False, True):
         cfg = _write_config(tmp_path, dict(payload, diagnostics=diagnostics))
@@ -669,12 +674,33 @@ def test_a_load_that_turns_nan_exits_3_at_its_chunk(tmp_path, monkeypatch, capsy
 
     monkeypatch.setattr(stheat.cli, "problem_by_id", lambda pid, epsilon: problem)
     monkeypatch.setattr(stheat.cli, "ErrorNorms", Recording)
+    # the spot-check fails this rhs before any level; skip it to reach the march
+    monkeypatch.setattr(stheat.cli, "validate_residual", lambda problem, seed: 0.0)
     cfg = _write_config(tmp_path, {"problem": "heat1d-smooth", "p": 2, "levels": [16],
                                    "explicit_N": [1024]})
     assert main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_SOLVER
     assert "non-finite" in capsys.readouterr().err
     chunks = stheat.solver._load_chunks(assemble(1, 16, 2), 0, 1024, 3)
     assert fed == [(lo, hi) for lo, hi in chunks if hi <= 512] and len(fed) == 3
+
+
+def test_a_nan_rhs_exits_3_before_any_level(tmp_path, monkeypatch, capsys):
+    """The residual spot-check fails a rhs that is NaN for t > 1/2: `stheat
+    run` exits 3 (EXIT_SOLVER) before any level runs, and writes nothing."""
+    smooth = problem_by_id("heat1d-smooth")
+    problem = dataclasses.replace(
+        smooth, rhs=lambda x, t: np.where(t > 0.5, np.nan, smooth.rhs(x, t)))
+
+    def no_level(*args):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(stheat.cli, "problem_by_id", lambda pid, epsilon: problem)
+    monkeypatch.setattr(stheat.cli, "run_level", no_level)
+    cfg = _write_config(tmp_path, SMALL_RUN)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--quiet"]) == EXIT_SOLVER
+    assert "residual nan" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_level_2d_never_forms_dense_matrices(monkeypatch):

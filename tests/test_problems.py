@@ -34,6 +34,29 @@ def test_residual_spot_check_catches_a_wrong_time_derivative(make):
         validate_residual(dataclasses.replace(problem, exact=wrong))
 
 
+def test_residual_spot_check_is_seeded():
+    """The same seed draws the same points; seeds 0 and 1 draw different
+    ones, which the lowreg problem's rounding residual tells apart."""
+    problem = problem_1d_lowreg()
+    first = validate_residual(problem, seed=0)
+    assert validate_residual(problem, seed=0) == first
+    assert validate_residual(problem, seed=1) != first
+
+
+_SMOOTH_RHS = problem_1d_smooth().rhs
+
+
+@pytest.mark.parametrize("rhs", [
+    lambda x, t: np.nan * x,
+    lambda x, t: np.where(t > 0.5, np.nan, _SMOOTH_RHS(x, t)),
+], ids=["everywhere", "after-half"])
+def test_residual_spot_check_fails_on_a_nan_rhs(rhs):
+    """A NaN residual fails like one that is too large, whether the rhs is
+    NaN everywhere or only for t > 1/2."""
+    with pytest.raises(ValueError, match="residual nan"):
+        validate_residual(dataclasses.replace(problem_1d_smooth(), rhs=rhs))
+
+
 def test_lowreg_residual_compares_independent_forms():
     """The low-regularity rhs is not du_dt - lap evaluated again, which
     would make the residual exactly 0.0: it is rounding, not nothing."""
