@@ -2,9 +2,10 @@
 
 The error norms (ErrorNorms) and the two sides of the stability bound
 (StabilitySums) are sums over intervals and nodes, so both accumulate the
-chunks of solver.march as they come, and a run never holds the solution
+chunks of solver.march as they come, splitting a chunk where they need
+smaller blocks but never merging two, and a run never holds the solution
 whole.  error_norms and stability_check feed them a collected
-SpaceTimeSolution as one chunk.
+SpaceTimeSolution in the same chunks (solver.march_chunks).
 
 The diagnostics realize three constants of the discretization:
 
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
+from .solver import march_chunks
 from .timegrid import TemporalBasis, chunks, quadrature_nodes, reference_blocks
 
 
@@ -40,35 +42,6 @@ class ErrorReport:
     per_node: np.ndarray
 
 
-class _Regroup:
-    """Rows that arrive in order, in blocks of any size, handed on in fixed
-    ranges (a list of timegrid.chunks): a range that two blocks share is
-    held, as a copy, until the block that completes it arrives."""
-
-    def __init__(self, ranges):
-        self._ranges = iter(ranges)
-        self._range = next(self._ranges)
-        self._next = 0
-        self._held = []
-
-    def feed(self, start, rows):
-        """Yield (lo, hi, rows lo..hi-1) for every range completed by rows,
-        which hold rows start.. (those already fed are skipped)."""
-        rows = rows[self._next - start:]
-        while len(rows):
-            lo, hi = self._range
-            part, rows = rows[: hi - self._next], rows[hi - self._next:]
-            self._next += len(part)
-            if self._next < hi:
-                self._held.append(part.copy())
-                return
-            if self._held:
-                part = np.concatenate(self._held + [part])
-                self._held = []
-            yield lo, hi, part
-            self._range = next(self._ranges, None)
-
-
 class ErrorNorms:
     """L2(V) error of U1 and nodal H errors of U2 against the exact solution,
     accumulated over the chunks of a march (solver.march).
@@ -76,10 +49,10 @@ class ErrorNorms:
     Both errors integrate the true pointwise difference: the V part compares
     discrete gradients with the exact gradient at spatial quadrature points
     (p+4 Gauss points per element, q+4 per time segment), the nodal part
-    integrates (U2 - u(., t_n))^2 directly.  Each part takes its own fixed
-    ranges of intervals and nodes, whatever the chunks fed, so the sums do
-    not depend on them; the V part takes u1 to FE coefficients first, as a
-    modal sum would cancel the leading digits of a fine level's error.
+    integrates (U2 - u(., t_n))^2 directly.  The V part splits each chunk
+    fed into ranges of about CHUNK_VALUES quadrature values and takes u1 to
+    FE coefficients first, as a modal sum would cancel the leading digits of
+    a fine level's error; the nodal part takes the chunk's nodes whole.
     """
 
     def __init__(self, problem, space, partition, q):
@@ -89,18 +62,17 @@ class ErrorNorms:
         self._dec, nq = fem.spectral(space), space.degree + 4
         self._tables = space.line_tables(nq)
         self._trial = TemporalBasis(q, "legendre")
-        self._intervals = _Regroup(chunks(0, partition.num_intervals,
-                                          (q + 4) * space.grid_size(nq)))
-        self._nodes = _Regroup(chunks(0, partition.num_intervals + 1, space.grid_size(nq)))
+        self._per_interval = (q + 4) * space.grid_size(nq)
         self._err1_sq = 0.0
         self.per_node = np.empty(partition.num_intervals + 1)
 
     def add(self, lo, hi, u1, u2):
-        """Feed u1 of the intervals lo..hi-1 and u2 of the nodes lo..hi."""
-        for a, b, block in self._intervals.feed(lo, u1):
-            self._err1_sq += self._u1_term(a, b, block)
-        for a, b, block in self._nodes.feed(lo, u2):
-            self._u2_term(a, b, block)
+        """Feed u1 of the intervals lo..hi-1 and u2 of the nodes lo..hi;
+        node hi counts with the chunk that starts there, or with the last."""
+        for a, b in chunks(lo, hi, self._per_interval):
+            self._err1_sq += self._u1_term(a, b, u1[a - lo: b - lo])
+        end = hi + (hi == self.partition.num_intervals)
+        self._u2_term(lo, end, u2[: end - lo])
 
     def _u1_term(self, lo, hi, u1):
         space, problem, q = self.space, self.problem, self.q
@@ -149,11 +121,18 @@ class ErrorNorms:
         )
 
 
+def _feed(sums, solution):
+    """sums (ErrorNorms or StabilitySums) fed a whole SpaceTimeSolution in
+    the chunks of march_chunks, so they equal a streamed level's bit for bit."""
+    for lo, hi in march_chunks(solution.space, solution.partition, solution.q):
+        sums.add(lo, hi, solution.u1[lo:hi], solution.u2[lo:hi + 1])
+    return sums
+
+
 def error_norms(solution, problem):
-    """ErrorNorms of a whole SpaceTimeSolution, fed as one chunk."""
-    errors = ErrorNorms(problem, solution.space, solution.partition, solution.q)
-    errors.add(0, solution.partition.num_intervals, solution.u1, solution.u2)
-    return errors.report()
+    """ErrorNorms of a whole SpaceTimeSolution."""
+    return _feed(ErrorNorms(problem, solution.space, solution.partition, solution.q),
+                 solution).report()
 
 
 def fit_rate(pairs):
@@ -369,7 +348,6 @@ class StabilitySums:
 
 
 def stability_check(solution, problem, c_s):
-    """StabilitySums of a whole SpaceTimeSolution, fed as one chunk."""
-    sums = StabilitySums(problem, solution.space, solution.partition, solution.q)
-    sums.add(0, solution.partition.num_intervals, solution.u1, solution.u2)
-    return sums.result(c_s)
+    """StabilitySums of a whole SpaceTimeSolution."""
+    return _feed(StabilitySums(problem, solution.space, solution.partition, solution.q),
+                 solution).result(c_s)

@@ -183,14 +183,14 @@ def level_bytes(dimension, n, p, q, N, widths=1, diagnostics=False, run=True, er
     holds (2p+3)/(p+2) times over, beside the test basis at its times; the
     gather of its inverses beside its modal moments and forced parts; its
     solution beside its recurrence terms; and, with errors, its solution
-    beside the rows that the error norms carry over from the chunk before
-    and their quadrature values, held 2 dim times over, beside their FE
-    coefficients at the time points.  The diagnostics add the eigenvalues
-    and their sorted copy, the width index with its list (5N doubles at the
-    index's peak), four arrays of the interval blocks of a chunk of modes
-    (CHUNK_VALUES/4 doubles at most) and numpy's ufunc buffer, which the
-    elimination's strided updates fill; on `run`, the stability bound's f
-    term after the march may hold more: two of its load blocks.
+    beside the quadrature values of one range of e <= c of its intervals,
+    held 2 dim times over, and their FE coefficients at the time points.
+    The diagnostics add the eigenvalues and their sorted copy, the width
+    index with its list (5N doubles at the index's peak), four arrays of
+    the interval blocks of a chunk of modes (CHUNK_VALUES/4 doubles at most)
+    and numpy's ufunc buffer, which the elimination's strided updates fill;
+    on `run`, the stability bound's f term after the march may hold more:
+    two of its load blocks.
     """
     line = n * p - 1
     dof = line ** dimension
@@ -206,10 +206,8 @@ def level_bytes(dimension, n, p, q, N, widths=1, diagnostics=False, run=True, er
                   (c * (3 * q + 6) + 1) * dof]
         if errors:
             grid = (n * (p + 4)) ** dimension
-            ce = min(N, max(1, CHUNK_VALUES // ((q + 4) * grid)))
-            cn = min(N + 1, max(1, CHUNK_VALUES // grid))
-            stages.append((c * (q + 2) + 1 + ce * (q + 1) + cn) * dof
-                          + ce * (q + 4) * (2 * dimension * grid + 2 * dof))
+            e = min(c, max(1, CHUNK_VALUES // ((q + 4) * grid)))
+            stages.append((c * (q + 2) + 1) * dof + e * (q + 4) * (2 * dimension * grid + 2 * dof))
         march = kept + max(5 * N, N + max(widths * (2 * (q + 1) ** 2 + 1) * dof,
                                           rows * dof + max(stages)))
     diag = 0
@@ -393,9 +391,9 @@ def run_diagnose(cfg, problem, out_dir, quiet=False):
 
 def _load_config(path):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return parse_config(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config: %s" % exc)
 
 

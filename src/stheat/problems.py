@@ -37,8 +37,8 @@ class ProblemSpec:
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise ValueError("dimension must be 1 or 2")
-        if self.final_time <= 0.0:
-            raise ValueError("final time must be positive")
+        if not 0.0 < self.final_time < np.inf:
+            raise ValueError("final time must be positive and finite")
         for t_star, _ in self.impulses:
             if not (0.0 < t_star <= self.final_time):
                 raise ValueError("impulse time %r outside (0, T]" % (t_star,))

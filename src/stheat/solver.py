@@ -14,10 +14,11 @@ test functions only see that interval, so the system is an
 interval-by-interval march.  march, below, is the one solver: a generator
 that yields the solution one chunk of intervals at a time, so a run never
 holds it whole (cli.run_level feeds each chunk to the error norms and the
-stability sums and drops it).  run_decomposed collects the chunks into a
-SpaceTimeSolution; the coupled one-shot solve of the whole system
-(solve_global in tests/reference.py) and the dense step LocalBlockSystem are
-references the tests compare it against.
+stability sums and drops it).  march_chunks is the only chunk plan of a
+level: the consumers split its chunks and never merge them.  run_decomposed
+collects the chunks into a SpaceTimeSolution; the coupled one-shot solve of
+the whole system (solve_global in tests/reference.py) and the dense step
+LocalBlockSystem are references the tests compare it against.
 
 On interval [a, a+k] with U1 = sum_m c_m P_m(tau), tau = (s-a)/k, testing
 with X = l_j(tau) v gives for j = 0 .. q+1
@@ -134,30 +135,31 @@ class LocalBlockSystem:
         return c, u2_out
 
 
-def _load_chunks(space, lo, hi, npoints):
-    """Interval ranges of lo..hi-1 whose load blocks (load_vector grid points
-    times npoints quadrature times per interval) hold about CHUNK_VALUES values."""
-    return chunks(lo, hi, npoints * space.grid_size(space.degree + 2))
+def march_chunks(space, partition, q):
+    """The chunk plan of a level: consecutive ranges (lo, hi) of its
+    intervals whose load blocks (load_vector grid points times q+3
+    quadrature times per interval) hold about CHUNK_VALUES values.  march
+    solves in these chunks, and error_norms and stability_check feed a
+    collected solution through them, so their sums equal a streamed level's."""
+    return chunks(0, partition.num_intervals, (q + 3) * space.grid_size(space.degree + 2))
 
 
 def interval_moments(problem, space, partition, q, lo=0, hi=None):
-    """Load moments of the intervals lo..hi-1, shape (hi-lo, q+2, dof).
+    """Load moments of the intervals lo..hi-1, shape (hi-lo, q+2, dof), in
+    one quadrature block (march asks for one chunk of march_chunks at a time).
 
     Entry [i-lo, j] is b_j = int_0^1 load(f(a + k tau)) l_j(tau) dtau on
     interval i = [a, a+k].  Quadrature splits at the problem's temporal
     breakpoints so kinks inside an interval do not degrade accuracy.
     """
     hi = partition.num_intervals if hi is None else hi
-    out = np.zeros((hi - lo, q + 2, space.dof_count))
-    if problem.rhs is None:
-        return out
-    test = reference_blocks(q).test
-    for a, b in _load_chunks(space, lo, hi, q + 3):
-        t, tau, w = quadrature_nodes(partition, a, b, q + 3, problem.time_breakpoints)
-        loads = fem.load_vector(space, problem.rhs, t=t.ravel()).reshape(*t.shape, -1)
-        basis = test.eval_all(tau.ravel()).reshape(-1, *t.shape) * (w / partition.widths[a:b, None])
-        np.matmul(basis.transpose(1, 0, 2), loads, out=out[a - lo: b - lo])
-    return out
+    if problem.rhs is None or hi == lo:
+        return np.zeros((hi - lo, q + 2, space.dof_count))
+    t, tau, w = quadrature_nodes(partition, lo, hi, q + 3, problem.time_breakpoints)
+    loads = fem.load_vector(space, problem.rhs, t=t.ravel()).reshape(*t.shape, -1)
+    basis = reference_blocks(q).test.eval_all(tau.ravel()).reshape(-1, *t.shape) * (
+        w / partition.widths[lo:hi, None])
+    return np.matmul(basis.transpose(1, 0, 2), loads)
 
 
 def impulse_nodes(problem, partition):
@@ -182,10 +184,10 @@ def impulse_loads(problem, space, partition):
 
 
 def march(problem, space, partition, q):
-    """March the scheme mode by mode (module docstring), one load chunk at a
-    time: yields (lo, hi, u1[lo:hi], u2[lo:hi+1]) for the chunks of
-    intervals lo..hi-1 in order, u1 of shape (hi-lo, q+1, dof) and u2 of
-    shape (hi-lo+1, dof), in modal coordinates (SpaceTimeSolution).
+    """March the scheme mode by mode (module docstring), one chunk of
+    march_chunks at a time: yields (lo, hi, u1[lo:hi], u2[lo:hi+1]) for the
+    chunks of intervals lo..hi-1 in order, u1 of shape (hi-lo, q+1, dof)
+    and u2 of shape (hi-lo+1, dof), in modal coordinates (SpaceTimeSolution).
 
     Each chunk's load moments go to modal coordinates, its forced parts and
     recurrence terms are formed for all its intervals at once, and the
@@ -193,7 +195,6 @@ def march(problem, space, partition, q):
     starting from the last nodal value of the chunk before.  Raises
     ValueError on the first chunk that holds a non-finite entry.
     """
-    N = partition.num_intervals
     dof = space.dof_count
     dec = fem.spectral(space)
     rb = reference_blocks(q)
@@ -208,7 +209,7 @@ def march(problem, space, partition, q):
 
     node = 0.0 if problem.initial is None else dec.modal_loads(
         fem.load_vector(space, problem.initial))
-    for lo, hi in _load_chunks(space, 0, N, q + 3):
+    for lo, hi in march_chunks(space, partition, q):
         w = width_of[lo:hi]
         kb = dec.modal_loads(interval_moments(problem, space, partition, q, lo, hi))
         kb *= partition.widths[lo:hi, None, None]

@@ -21,12 +21,14 @@ from numpy.polynomial import legendre as npleg
 
 
 class TimePartition:
-    """Strictly increasing time nodes t_0 < t_1 < ... < t_N."""
+    """Strictly increasing finite time nodes t_0 < t_1 < ... < t_N."""
 
     def __init__(self, nodes):
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("a time partition needs at least two nodes")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("time nodes must be finite")
         widths = np.diff(nodes)
         if np.any(widths <= 0.0):
             raise ValueError("time nodes must be strictly increasing")
@@ -45,8 +47,8 @@ class TimePartition:
 
 def make_uniform_partition(T, N):
     """Partition of [0, T] into N equal intervals."""
-    if T <= 0.0:
-        raise ValueError("final time must be positive, got %r" % (T,))
+    if not 0.0 < T < np.inf:
+        raise ValueError("final time must be positive and finite, got %r" % (T,))
     if int(N) != N or N < 1:
         raise ValueError("number of intervals must be a positive integer, got %r" % (N,))
     return TimePartition(np.linspace(0.0, float(T), int(N) + 1))

@@ -145,6 +145,8 @@ def test_problem_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(name="bad", dimension=1, rhs=None, initial=None, final_time=0.0)
     with pytest.raises(ValueError):
+        ProblemSpec(name="bad", dimension=1, rhs=None, initial=None, final_time=np.nan)
+    with pytest.raises(ValueError):
         problem_impulse(lambda x: x, t_star=0.0)
     with pytest.raises(ValueError):
         problem_impulse(lambda x: x, t_star=1.5, final_time=1.0)

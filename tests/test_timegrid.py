@@ -40,7 +40,7 @@ def test_uniform_partition_widths():
     assert np.allclose(part.widths, 0.4)
 
 
-@pytest.mark.parametrize("T,N", [(0.0, 4), (-1.0, 4), (1.0, 0)])
+@pytest.mark.parametrize("T,N", [(0.0, 4), (-1.0, 4), (1.0, 0), (np.nan, 4), (np.inf, 4)])
 def test_uniform_partition_rejects_bad_input(T, N):
     with pytest.raises(ValueError):
         make_uniform_partition(T, N)
@@ -60,6 +60,9 @@ def test_partition_rejects_nonmonotone_nodes():
         TimePartition([0.0, 0.5, 0.5, 1.0])
     with pytest.raises(ValueError):
         TimePartition([0.7])
+    for nodes in ([0.0, np.nan, 1.0], [0.0, 0.5, np.inf]):
+        with pytest.raises(ValueError):
+            TimePartition(nodes)
 
 
 @pytest.mark.parametrize("npts", [1, 2, 3, 5, 8])
