@@ -21,9 +21,12 @@ The diagnostics realize three constants of the discretization:
 Dual norms on V_h are spectral: ||w||_{H^-1}^2 = w^T M K^-1 M w.  In the
 M-orthonormal eigenbasis of (K, M) both Gram matrices split into one
 problem per spatial mode, a sum of interval blocks in time that depend on an
-interval only through mu = k lambda, so c_S is exact on any level:
-diagnostic_constants condenses the blocks to the nodes and tests
-definiteness by a pivot recurrence (README: method, counts and timings).
+interval only through mu = k lambda.  Divided by lambda, the pencil's
+Rayleigh quotient is (a + b)/(a + c) with b >= c >= 0 free of lambda and a
+decreasing in it, so a mode's top eigenvalue does not decrease in lambda and
+c_S is exact on any level from the largest mode alone: diagnostic_constants
+condenses its blocks to the nodes and bisects on a pivot recurrence (README:
+the proof, the method and its cost).
 """
 
 from dataclasses import dataclass
@@ -87,12 +90,16 @@ class ErrorNorms:
         else:
             d = space.line_mass.shape[0]
             Cm = coeffs.reshape(-1, d, d)
-            # D^T C B and B^T C D one axis at a time, as (nt, ny, nx) arrays
-            sq = fem.gather(D, fem.gather(B, Cm).swapaxes(1, 2))
-            uy = fem.gather(B, fem.gather(D, Cm).swapaxes(1, 2))
+            # D^T C B and B^T C D one axis at a time, as (nt, ny, nx) arrays;
+            # each exact component is dropped once subtracted, before the
+            # next discrete one is formed
             ex, ey = problem.exact.grad(x[None, None, :], x[None, :, None], t.reshape(-1, 1, 1))
+            sq = fem.gather(D, fem.gather(B, Cm).swapaxes(1, 2))
             sq -= ex
+            del ex
+            uy = fem.gather(B, fem.gather(D, Cm).swapaxes(1, 2))
             uy -= ey
+            del ey
             sq *= sq
             sq += np.square(uy, out=uy)
             sp = (sq @ w) @ w
@@ -174,26 +181,14 @@ def _condense(A, q):
     return A[..., q, q], A[..., q, q + 1], A[..., q + 1, q + 1]
 
 
-def _columns_definite(x0, c00, c01, c11, width_of):
-    """Per column, whether the nodal tridiagonal of the condensed blocks
-    c.. (rows: distinct widths) is positive definite: interval i, of width
-    w = width_of[i], takes the LDL^T pivot of node i to the next,
+def _pivots_positive(x0, c00, c01, c11, width_of):
+    """Whether the nodal tridiagonal of the condensed blocks c.. (arrays over
+    the distinct widths) is positive definite, in Python floats: interval i,
+    of width w = width_of[i], takes the LDL^T pivot of node i to the next,
 
         d_i = e_i + c00[w],  e_{i+1} = c11[w] - c01[w]^2 / d_i,  e_0 = x0,
 
-    and every d_i and e_N must be positive.  A failed pivot carries NaN on."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        square = c01 * c01
-        e = x0
-        for w in width_of:
-            d = e + c00[w]
-            e = c11[w] - square[w] / np.where(d > 0.0, d, np.nan)
-        return e > 0.0
-
-
-def _pivots_positive(x0, c00, c01, c11, width_of):
-    """_columns_definite for one column, c.. arrays over the distinct
-    widths, run in Python floats."""
+    and every d_i and e_N must be positive."""
     blocks = [(a, c, b * b) for a, b, c in zip(c00.tolist(), c01.tolist(), c11.tolist())]
     e = x0
     for w in width_of:
@@ -205,7 +200,7 @@ def _pivots_positive(x0, c00, c01, c11, width_of):
     return e > 0.0
 
 
-def _mode_top(q, mu, width_of, floor=0.0):
+def _mode_top(q, mu, width_of):
     """_top of the pencil (GC, GX) of one mode, mu = k lambda per distinct
     width (GC - GX, a sum of mu (GL2 - Pi), is positive semidefinite).
     Twice the largest entry of a GX block, plus 1, bounds GX."""
@@ -214,27 +209,23 @@ def _mode_top(q, mu, width_of, floor=0.0):
     def definite(sigma):
         return _pivots_positive(sigma - 1.0, *_condense(sigma * GX - GC, q), width_of)
 
-    return _top(definite, 2.0 * float(np.abs(GX).max()) + 1.0, floor)
+    return _top(definite, 2.0 * float(np.abs(GX).max()) + 1.0)
 
 
-def _top(definite, scale, floor=0.0):
-    """Largest eigenvalue, at least 1, of a pencil (A, G), or floor if that
-    is larger: bisection, to the last bit, on definite(sigma), whether
-    sigma G - A is positive definite.  One probe settles a pencil that
-    cannot exceed the floor.  The bracket grows from max(floor, 1) in gaps
-    of 4, 64, 1024, ... ulps of it; a G that is not positive definite raises
-    RuntimeError before sigma times scale, a bound on G's entries, overflows."""
-    if floor > 0.0 and definite(floor):
-        return floor
-    anchor = max(floor, 1.0)
-    lo, gap = anchor, anchor * 2.0 ** -50   # 4 ulps, in Python floats: no overflow warning
-    hi = anchor + gap
+def _top(definite, scale):
+    """Largest eigenvalue, at least 1, of a pencil (A, G): bisection, to the
+    last bit, on definite(sigma), whether sigma G - A is positive definite.
+    The bracket grows from 1 in gaps of 4, 64, 1024, ... ulps; a G that is
+    not positive definite raises RuntimeError before sigma times scale, a
+    bound on G's entries, overflows."""
+    lo, gap = 1.0, 2.0 ** -50   # 4 ulps, in Python floats: no overflow warning
+    hi = 1.0 + gap
     while not definite(hi):
         if not 0.0 < 32.0 * hi * (1.0 + scale) < np.finfo(float).max:
             raise RuntimeError("pencil has no finite top eigenvalue: "
                                "norm Gram matrix is not positive definite")
         lo, gap = hi, 16.0 * gap
-        hi = anchor + gap
+        hi = 1.0 + gap
     while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
         if definite(mid):
@@ -246,33 +237,15 @@ def _top(definite, scale, floor=0.0):
 
 def diagnostic_constants(space, partition, q):
     """(c_B, C_B, c_S) of a level: c_B = C_B = 1 (reference_blocks checks the
-    identity), and c_S^2 the largest top of the pencils (GC, GX) over the
-    distinct eigenvalues of (K, M).  The largest is checked and bisected
-    first; then chunks of modes check every GX and every pencil at that
-    floor, and a mode that beats it is bisected from it."""
-    lam = np.sort(fem.spectral(space).eigenvalues)[::-1]
-    lam = lam[np.append(True, lam[1:] != lam[:-1])]   # np.unique would import numpy.ma here
+    identity), and c_S^2 the top of the pencil (GC, GX) of the largest
+    eigenvalue of (K, M), which is the largest top over the modes (README:
+    the proof).  GX is positive definite on every mode exactly when every
+    eigenvalue is positive."""
+    lam = fem.spectral(space).eigenvalues
+    if not lam.min() > 0.0:   # NaN fails too
+        raise RuntimeError("norm Gram matrix is not positive definite")
     widths, width_of = np.unique(partition.widths, return_inverse=True)
-    width_of = width_of.tolist()
-    gram = "norm Gram matrix is not positive definite"
-    if not _pivots_positive(1.0, *_condense(_grams(q, widths * lam[0])[0], q), width_of):
-        raise RuntimeError(gram)
-    top = _mode_top(q, widths * lam[0], width_of)
-    # a chunk's two Grams, then its blocks A, four arrays of m W (q+2)^2
-    # doubles, stay near CHUNK_VALUES/4 doubles in all
-    for lo, hi in chunks(0, lam.size, 16 * widths.size * (q + 2) ** 2):
-        m = hi - lo
-        GX, GC = _grams(q, widths[:, None] * lam[lo:hi])
-        A = np.empty((widths.size, 2 * m, q + 2, q + 2))   # the Grams, then the pencils at the floor
-        A[:, :m] = GX
-        np.multiply(top, GX, out=A[:, m:])
-        A[:, m:] -= GC
-        del GX, GC
-        ok = _columns_definite(np.repeat([1.0, top - 1.0], m), *_condense(A, q), width_of)
-        if not ok[:m].all():
-            raise RuntimeError(gram)
-        for i in lo + np.flatnonzero(~ok[m:]):
-            top = _mode_top(q, widths * lam[i], width_of, top)
+    top = _mode_top(q, widths * lam.max(), width_of.tolist())
     return 1.0, 1.0, float(np.sqrt(top))
 
 

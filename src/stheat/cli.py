@@ -128,7 +128,7 @@ def parse_config(text):
     """Parse the JSON text of a config file into an ExperimentConfig."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an integer past int's digit limit
         raise ConfigError("invalid JSON: %s" % exc)
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -185,12 +185,11 @@ def level_bytes(dimension, n, p, q, N, widths=1, diagnostics=False, run=True, er
     solution beside its recurrence terms; and, with errors, its solution
     beside the quadrature values of one range of e <= c of its intervals,
     held 2 dim times over, and their FE coefficients at the time points.
-    The diagnostics add the eigenvalues and their sorted copy, the width
-    index with its list (5N doubles at the index's peak), four arrays of
-    the interval blocks of a chunk of modes (CHUNK_VALUES/4 doubles at most)
-    and numpy's ufunc buffer, which the elimination's strided updates fill;
-    on `run`, the stability bound's f term after the march may hold more:
-    two of its load blocks.
+    The diagnostics add the eigenvalues, the width index with its list (5N
+    doubles at the index's peak) and four arrays of the interval blocks of
+    the one mode they bisect, W (q+2)^2 doubles each; on `run`, the
+    stability bound's f term after the march may hold more: two of its load
+    blocks.
     """
     line = n * p - 1
     dof = line ** dimension
@@ -212,10 +211,7 @@ def level_bytes(dimension, n, p, q, N, widths=1, diagnostics=False, run=True, er
                                           rows * dof + max(stages)))
     diag = 0
     if diagnostics:
-        modes = line if dimension == 1 else line * (line + 1) // 2
-        per_mode = widths * (q + 2) ** 2
-        chunk = min(modes, max(1, CHUNK_VALUES // (16 * per_mode))) * per_mode
-        diag = 2 * dof + 5 * N + 4 * chunk + np.getbufsize()
+        diag = dof + 5 * N + 4 * widths * (q + 2) ** 2
     if diagnostics and run:
         values = (q + 4) * (n * (p + 2)) ** dimension
         diag = max(diag, 2 * min(N, max(1, CHUNK_VALUES // values)) * values)
@@ -225,6 +221,14 @@ def level_bytes(dimension, n, p, q, N, widths=1, diagnostics=False, run=True, er
 def physical_memory():
     """Bytes of physical memory of this machine."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _gigabytes(nbytes):
+    """nbytes / 1e9 to three digits, also for an int past the float range."""
+    if nbytes < 1e300:
+        return "%.3g" % (nbytes / 1e9)
+    from decimal import Decimal   # only a level that no machine holds pays for the import
+    return format(Decimal(nbytes).scaleb(-9), ".3g")
 
 
 def preflight(cfg, problem, run):
@@ -247,8 +251,9 @@ def preflight(cfg, problem, run):
             need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N, widths, diagnostics, run,
                                errors)
         if need > available:
-            raise ConfigError("level n=%d, N=%d needs at least %.3g GB, more than the "
-                              "%.3g GB of physical memory" % (n, N, need / 1e9, available / 1e9))
+            raise ConfigError("level n=%d, N=%d needs at least %s GB, more than the "
+                              "%.3g GB of physical memory" % (n, N, _gigabytes(need),
+                                                             available / 1e9))
         try:
             impulse_nodes(problem, partition)
         except ValueError as exc:

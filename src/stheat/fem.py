@@ -208,6 +208,7 @@ def gather(table, c):
     win = np.empty((p + 1, rows))
     for r in range(p + 1):
         win[r] = nodes[r:r + rows * p:p]
+    del nodes   # only the window is held beside the values
     return (win.T @ table.T).reshape(lead + (n * nq,))
 
 

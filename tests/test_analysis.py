@@ -257,8 +257,7 @@ def test_constants_match_the_banded_and_dense_oracles(space_args, partition, q):
 
 
 def _top_of(partition, q, lam):
-    """The top eigenvalue of the pencil (GC, GX) of the mode lam, bisected
-    without a floor."""
+    """The top eigenvalue of the pencil (GC, GX) of the mode lam."""
     widths, width_of = np.unique(partition.widths, return_inverse=True)
     return _mode_top(q, widths * lam, width_of.tolist())
 
@@ -268,10 +267,10 @@ def _top_of(partition, q, lam):
     ((2, 8, 2), make_uniform_partition(1.0, 64), 0),
 ])
 def test_pruned_maxima_match_every_mode(space_args, partition, q):
-    """The floor only skips modes: c_S equals the largest of every mode's
-    own top eigenvalue, bisected without a floor; c_B and C_B equal the
-    banded oracle's, which bisects (GX, BB) and (BB, GX) on every mode, to
-    1e-12 (they sit at 1, where that bisection settles a few ulps away)."""
+    """c_S equals the largest of every mode's own bisected top eigenvalue;
+    c_B and C_B equal the banded oracle's, which bisects (GX, BB) and
+    (BB, GX) on every mode, to 1e-12 (they sit at 1, where that bisection
+    settles a few ulps away)."""
     space = assemble(*space_args)
     top_s = max(_top_of(partition, q, lam) for lam in np.unique(spectral(space).eigenvalues))
     c_B, C_B, c_S = diagnostic_constants(space, partition, q)
@@ -284,13 +283,18 @@ def test_pruned_maxima_match_every_mode(space_args, partition, q):
 
 
 def test_indefinite_gram_raises_after_the_maximum_is_set():
-    """Modes are visited largest eigenvalue first, so lambda = -1 comes after
-    lambda = 4 has set the maximum; its Gram check must still run."""
+    """lambda = -1 beside lambda = 4: only the largest mode is bisected, and
+    its top is finite, so the check that every eigenvalue is positive must
+    raise."""
     space = from_matrices(np.eye(2), np.diag([4.0, -1.0]))
     part = make_uniform_partition(1.0, 2)
+    assert _top_of(part, 0, 4.0) > 1.0
     for diagnostic in (diagnostic_constants, cs_constant, infsup_discrete):
         with pytest.raises(RuntimeError, match="norm Gram matrix is not positive definite"):
             diagnostic(space, part, 0)
+    nan = from_matrices(np.eye(1), np.array([[np.nan]]))
+    with pytest.raises(RuntimeError, match="norm Gram matrix is not positive definite"):
+        diagnostic_constants(nan, part, 0)
 
 
 def test_top_raises_on_a_pencil_without_a_finite_top():
@@ -344,45 +348,49 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_floors_bound_the_factorization_count(monkeypatch):
-    """63 distinct eigenvalues: the largest is checked and bisected in
-    Python floats, in 71 probes of its one mode (its Gram check, 16 bracket
-    checks and 54 bisections), and then one pass over all modes checks
-    every Gram GX and every pencil at that floor; no other mode beats it,
-    so none is bisected.  The banded Cholesky took 411 factorizations."""
+@pytest.mark.parametrize("q", [0, 1, 3, 9])
+@pytest.mark.parametrize("partition", [make_uniform_partition(1.0, 5), _NONUNIFORM],
+                         ids=["uniform", "nonuniform"])
+@pytest.mark.parametrize("space_args", [(1, 6, 2), (2, 3, 2)], ids=["1d", "2d"])
+def test_mode_tops_do_not_decrease_in_lambda(space_args, partition, q):
+    """Divided by lambda, the Rayleigh quotient of a mode's pencil (GC, GX)
+    is (a + b)/(a + c) with b >= c >= 0 free of lambda and a decreasing in
+    it, so no mode's own bisected top exceeds that of the largest
+    eigenvalue, and c_S is the square root of the latter, bit for bit."""
+    space = assemble(*space_args)
+    lam = np.unique(spectral(space).eigenvalues)
+    top = _top_of(partition, q, lam[-1])
+    assert all(_top_of(partition, q, l) <= top for l in lam[:-1])
+    assert cs_constant(space, partition, q) == np.sqrt(top)
+
+
+def test_one_bisection_bounds_the_factorization_count(monkeypatch):
+    """63 distinct eigenvalues: only the largest mode's pencil is bisected,
+    in Python floats, in at most 70 probes (16 bracket checks and 54
+    bisections).  The banded Cholesky took 411 factorizations."""
     space = assemble(1, 32, 2)
     part = make_uniform_partition(1.0, 1024)
+    modes = _counting(monkeypatch, "_mode_top")
     probes = _counting(monkeypatch, "_pivots_positive")
-    passes = _counting(monkeypatch, "_columns_definite")
     diagnostic_constants(space, part, 0)
-    assert len(passes) == 1
-    assert len(probes) <= 75
+    assert len(modes) == 1
+    assert len(probes) <= 70
 
 
-def test_top_from_floors_below_a_closed_form_top():
+def test_top_of_a_closed_form_pencil():
     """Pencil (A, I) with A = tridiag(-c, 1, -c) of size n: its top is
     1 + 2c cos(pi/(n+1)).  sigma I - A is the nodal tridiagonal of n-1
     two-node blocks, the last of its own width to carry the last node's
-    sigma - 1, so the pivot recurrence decides it.  From floors at 0, 1 and
-    8 ulps below the top and 1e-6 below it, _top lands within 4 ulps.  From
-    8 ulps below, the first gap (4 ulps for a top just above 1) falls short
-    and the second overshoots by about 56 ulps, so the floor check, two
-    bracket checks and six bisections make 9 probes."""
+    sigma - 1, so the pivot recurrence decides it, and _top lands within 4
+    ulps."""
     n, c = 40, 0.01
     top = 1.0 + 2.0 * c * np.cos(np.pi / (n + 1))
-    ulp = np.spacing(top)
-    calls = []
 
     def definite(sigma):
-        calls.append(1)
         return _pivots_positive(0.0, np.array([sigma - 1.0] * 2), np.array([c] * 2),
                                 np.array([0.0, sigma - 1.0]), [0] * (n - 2) + [1])
 
-    for floor in (0.0, top - ulp, top - 8 * ulp, top * (1.0 - 1e-6)):
-        calls.clear()
-        assert abs(_top(definite, 1.0, floor) - top) <= 4 * ulp, floor
-        if floor == top - 8 * ulp:
-            assert len(calls) <= 9
+    assert abs(_top(definite, 1.0) - top) <= 4 * np.spacing(top)
 
 
 @pytest.mark.parametrize("space_args,N,q,tol", [

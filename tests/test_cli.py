@@ -101,9 +101,11 @@ def test_main_rejects_mistyped_config_values(tmp_path, key, value):
 
 
 def test_main_rejects_bad_json(tmp_path):
-    """Text that is no JSON, and bytes that are no UTF-8, are a bad config."""
+    """Text that is no JSON, bytes that are no UTF-8, and an integer past
+    Python's digit limit for int(str) are a bad config."""
     path = tmp_path / "broken.json"
-    for content in (b"{not json", b"\xff\xfe{}"):
+    for content in (b"{not json", b"\xff\xfe{}", b'{"problem": "heat1d-smooth", "levels": [' +
+                    b"1" * 5000 + b"]}"):
         path.write_bytes(content)
         assert main(["run", str(path)]) == EXIT_CONFIG
 
@@ -359,16 +361,15 @@ def test_level_bytes_counts_the_solution_arrays():
 
 
 def test_level_bytes_counts_the_diagnostic_bands():
-    # the diagnostics add, beside what the level keeps: the eigenvalues and
-    # their sorted copy, 2 rows; the width index and its list, 5N doubles at
-    # the peak of np.unique; four arrays of a chunk's interval blocks, widths
-    # (q+2)^2 values a mode; numpy's ufunc buffer, 8192 doubles.  On a run,
-    # the stability bound's f term after the march may hold more: two
-    # quadrature blocks of (q+4)(n(p+2))^dim values an interval.  1D p=1,
-    # n=2: dof 1, one mode.
-    # q=0, N=10^6: the width index beside the blocks and the buffer beats
-    # the march's width index alone
-    kept, diag = 3 + 2000001, 2 + 5 * 10 ** 6 + 4 * 4 + 8192
+    # the diagnostics add, beside what the level keeps: the eigenvalues, 1
+    # row; the width index and its list, 5N doubles at the peak of
+    # np.unique; four arrays of the interval blocks of the one mode they
+    # bisect, widths (q+2)^2 values each.  On a run, the stability bound's f
+    # term after the march may hold more: two quadrature blocks of
+    # (q+4)(n(p+2))^dim values an interval.  1D p=1, n=2: dof 1, one mode.
+    # q=0, N=10^6: the width index beside the eigenvalues and the blocks
+    # beats the march's width index alone
+    kept, diag = 3 + 2000001, 1 + 5 * 10 ** 6 + 4 * 4
     assert level_bytes(1, 2, 1, 0, 10 ** 6, 1, True) == (kept + diag) * 8
     assert level_bytes(1, 2, 1, 0, 10 ** 6) == (kept + 5 * 10 ** 6) * 8
     # q=0, N=1365: the f term, two load blocks of 1365 intervals of 4*6
@@ -377,7 +378,7 @@ def test_level_bytes_counts_the_diagnostic_bands():
     # diagnose keeps no solution and runs no march: at q=9, N=2000 the march
     # sets a run's memory, and diagnose needs less than a seventh of it
     diagnose = level_bytes(1, 2, 1, 9, 2000, 1, True, False)
-    assert diagnose == (3 + 4001 + 2 + 10000 + 4 * 121 + 8192) * 8
+    assert diagnose == (3 + 4001 + 1 + 10000 + 4 * 121) * 8
     assert level_bytes(1, 2, 1, 9, 2000, 1, True) == level_bytes(1, 2, 1, 9, 2000)
     assert diagnose < level_bytes(1, 2, 1, 9, 2000) / 7
 
@@ -522,17 +523,17 @@ def test_preflight_accepts_a_2d_level_whose_solution_exceeds_the_memory(monkeypa
 
 def test_diagnose_refuses_a_level_that_only_its_bands_overflow(tmp_path, monkeypatch, capsys):
     """1D p=1, n=2, q=0, N=10^6: the march's width index (5N doubles at
-    np.unique's peak) sets a run at 56.00 MB, and the diagnostics hold the
-    same index beside their blocks and numpy's ufunc buffer, 66 kB more;
-    so on a 56.03 MB machine `diagnose` exits 2 before the level is built,
-    so does a run with diagnostics, and a run without them passes the
-    pre-flight."""
-    monkeypatch.setattr(stheat.cli, "physical_memory", lambda: 56.03e6)
+    np.unique's peak) sets a run at 56000032 bytes, and the diagnostics hold
+    the same index beside the eigenvalue and their mode's blocks, 136 bytes
+    more; so on a machine of 56000100 bytes `diagnose` exits 2 before the
+    level is built, so does a run with diagnostics, and a run without them
+    passes the pre-flight."""
+    monkeypatch.setattr(stheat.cli, "physical_memory", lambda: 56000100)
     payload = {"problem": "heat1d-smooth", "p": 1, "q": 0, "levels": [2],
                "explicit_N": [1000000], "errors": False}
-    assert level_bytes(1, 2, 1, 0, 1000000) < 56.01e6
-    assert level_bytes(1, 2, 1, 0, 1000000, 1, True, False) > 56.06e6
-    assert level_bytes(1, 2, 1, 0, 1000000, 1, True) > 56.06e6
+    assert level_bytes(1, 2, 1, 0, 1000000) == 56000032
+    assert level_bytes(1, 2, 1, 0, 1000000, 1, True, False) == 56000168
+    assert level_bytes(1, 2, 1, 0, 1000000, 1, True) == 56000168
     problem = problem_by_id("heat1d-smooth")
     stheat.cli.preflight(parse_config(json.dumps(payload)), problem, True)
     monkeypatch.setattr(stheat.cli, "assemble", None)   # must never be reached
@@ -584,11 +585,19 @@ def test_main_rejects_trial_degree_past_the_bound(tmp_path, capsys, q):
     assert "q must lie in 0..9" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("law", [{"coupling_gamma": 1e300}, {"coupling_c": 1e-310}])
+@pytest.mark.parametrize("law", [
+    {"coupling_gamma": 1e300},
+    {"coupling_c": 1e-310},
+    {"levels": [2], "coupling_c": 1e-307},   # N = 4e307: its bytes pass the float range
+    {"levels": [2], "explicit_N": [10 ** 400]},
+])
 def test_main_rejects_step_law_without_finite_interval_count(tmp_path, law):
-    """k = c h^gamma underflows to 0, or T/k overflows: exit 2, not a traceback."""
+    """k = c h^gamma underflows to 0, or T/k overflows, or N is finite but
+    its level's bytes pass the float range: `run` and `diagnose` exit 2, not
+    with a traceback."""
     cfg = _write_config(tmp_path, dict(SMALL_RUN, **law))
-    assert main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_CONFIG
+    for command in ("run", "diagnose"):
+        assert main([command, cfg, "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_CONFIG
 
 
 _RANDOM_CONFIG = st.fixed_dictionaries(
@@ -602,7 +611,7 @@ _RANDOM_CONFIG = st.fixed_dictionaries(
     optional={
         "q": st.sampled_from([0, 1, 2, -1, 10, 40]),
         "p": st.sampled_from([1, 2, 3, 0, 4]),
-        "coupling_c": st.sampled_from([0.5, 1.0, 4.0, 1e300, -1.0, 5e-324, 1e-300]),
+        "coupling_c": st.sampled_from([0.5, 1.0, 4.0, 1e300, -1.0, 5e-324, 1e-300, 1e-307]),
         "coupling_gamma": st.sampled_from([0.5, 1.0, 2.0, 0.0, 1e300]),
         "explicit_N": st.lists(st.integers(0, 6), min_size=1, max_size=3),
         "epsilon": st.sampled_from([0.1, 0.5, 0.0, 1.5]),
