@@ -13,10 +13,10 @@ The diagnostics realize three constants of the discretization:
     normalizing trial and test sides by their natural norms, both 1 by an
     identity of the reference blocks (timegrid.ReferenceBlocks.check_isometry);
   * cs_constant: the norm-equivalence constant between the true test norm
-    (with ||X||_V) and the computable one (with ||Pi_q X||_V), obtained as a
-    generalized eigenvalue between the two Gram matrices;
-  * cfl_constant: k_max * lambda_max(K, M), the quantity whose boundedness
-    keeps cs_constant uniform under refinement.
+    (with ||X||_V) and the computable one (with ||Pi_q X||_V), the square
+    root of the top eigenvalue of the pencil of the two Gram matrices;
+  * cfl_constant: C_CFL = k_max * lambda_max(K, M), which bounds it:
+    c_S^2 <= 1 + C_CFL^2 / (4 (2q+1)(2q+3)).
 
 Dual norms on V_h are spectral: ||w||_{H^-1}^2 = w^T M K^-1 M w.  In the
 M-orthonormal eigenbasis of (K, M) both Gram matrices split into one
@@ -25,8 +25,8 @@ interval only through mu = k lambda.  Divided by lambda, the pencil's
 Rayleigh quotient is (a + b)/(a + c) with b >= c >= 0 free of lambda and a
 decreasing in it, so a mode's top eigenvalue does not decrease in lambda and
 c_S is exact on any level from the largest mode alone: diagnostic_constants
-condenses its blocks to the nodes and bisects on a pivot recurrence (README:
-the proof, the method and its cost).
+condenses its blocks to the nodes and searches the last pivot of their
+recurrence down from the bound (README: the proofs, the method, its cost).
 """
 
 from dataclasses import dataclass
@@ -181,57 +181,73 @@ def _condense(A, q):
     return A[..., q, q], A[..., q, q + 1], A[..., q + 1, q + 1]
 
 
-def _pivots_positive(x0, c00, c01, c11, width_of):
-    """Whether the nodal tridiagonal of the condensed blocks c.. (arrays over
-    the distinct widths) is positive definite, in Python floats: interval i,
-    of width w = width_of[i], takes the LDL^T pivot of node i to the next,
-
-        d_i = e_i + c00[w],  e_{i+1} = c11[w] - c01[w]^2 / d_i,  e_0 = x0,
-
-    and every d_i and e_N must be positive."""
+def _last_pivot(x0, c00, c01, c11, width_of):
+    """The last LDL^T pivot e_N of the nodal tridiagonal of the condensed
+    blocks c.. (arrays over the distinct widths) in Python floats, NaN once
+    an earlier pivot is not positive: interval i, of width w = width_of[i],
+    takes the pivot of node i to the next, d_i = e_i + c00[w] and e_{i+1} =
+    c11[w] - c01[w]^2 / d_i, from e_0 = x0.  It is definite iff e_N > 0."""
     blocks = [(a, c, b * b) for a, b, c in zip(c00.tolist(), c01.tolist(), c11.tolist())]
     e = x0
     for w in width_of:
         c0, c1, square = blocks[w]
         d = e + c0
         if not d > 0.0:
-            return False
+            return np.nan
         e = c1 - square / d
-    return e > 0.0
+    return e
 
 
 def _mode_top(q, mu, width_of):
     """_top of the pencil (GC, GX) of one mode, mu = k lambda per distinct
-    width (GC - GX, a sum of mu (GL2 - Pi), is positive semidefinite).
+    width, below 1 + max(mu)^2 / (4 (2q+1)(2q+3)) (README: the proof).
     Twice the largest entry of a GX block, plus 1, bounds GX."""
     GX, GC = _grams(q, mu)
 
-    def definite(sigma):
-        return _pivots_positive(sigma - 1.0, *_condense(sigma * GX - GC, q), width_of)
+    def last_pivot(sigma):
+        return _last_pivot(sigma - 1.0, *_condense(sigma * GX - GC, q), width_of)
 
-    return _top(definite, 2.0 * float(np.abs(GX).max()) + 1.0)
+    m = float(mu.max())   # m * m: m ** 2 raises OverflowError past 1e154
+    return _top(last_pivot, 1.0 + m * m / (4.0 * (2 * q + 1) * (2 * q + 3)),
+                2.0 * float(np.abs(GX).max()) + 1.0)
 
 
-def _top(definite, scale):
-    """Largest eigenvalue, at least 1, of a pencil (A, G): bisection, to the
-    last bit, on definite(sigma), whether sigma G - A is positive definite.
-    The bracket grows from 1 in gaps of 4, 64, 1024, ... ulps; a G that is
-    not positive definite raises RuntimeError before sigma times scale, a
-    bound on G's entries, overflows."""
-    lo, gap = 1.0, 2.0 ** -50   # 4 ulps, in Python floats: no overflow warning
-    hi = 1.0 + gap
-    while not definite(hi):
+def _top(last_pivot, hi, scale):
+    """Largest eigenvalue, at least 1, of a pencil (A, G), to the last bit:
+    the least float sigma at which last_pivot(sigma), the last LDL^T pivot
+    of sigma G - A (NaN when an earlier one is not positive), is positive,
+    searched down from a bound hi (README: the method).  A bound that fails
+    grows in gaps of 16 max(hi - 1, 4 ulps); a G not positive definite raises
+    RuntimeError before sigma times scale, a bound on G's entries, overflows."""
+    lo, e_lo = 1.0, np.nan
+    while True:
         if not 0.0 < 32.0 * hi * (1.0 + scale) < np.finfo(float).max:
             raise RuntimeError("pencil has no finite top eigenvalue: "
                                "norm Gram matrix is not positive definite")
-        lo, gap = hi, 16.0 * gap
-        hi = 1.0 + gap
+        e_hi = last_pivot(hi)
+        if e_hi > 0.0:
+            break
+        lo, e_lo, hi = hi, e_hi, 1.0 + 16.0 * max(hi - 1.0, 2.0 ** -50)
+    prev = max(hi + 2.0 ** -20 * (hi - lo), float(np.nextafter(hi, np.inf)))
+    e_prev = last_pivot(prev)   # a second definite point, a float or more above hi
+    w3, w2, w1, w_lo, w_hi, side = np.inf, np.inf, np.inf, 1.0, 1.0, 0
     while lo < 0.5 * (lo + hi) < hi:
-        mid = 0.5 * (lo + hi)
-        if definite(mid):
-            hi = mid
+        if -np.inf < e_lo < 0.0:   # regula falsi, Illinois
+            a, b = w_lo * e_lo, w_hi * e_hi
+            x = (lo * b - hi * a) / (b - a)
+        else:   # the secant through the two lowest definite points
+            slope = (e_prev - e_hi) / (prev - hi)
+            x = hi - e_hi / slope if slope > 0.0 else np.nan
+        if not lo < x < hi or hi - lo > 0.5 * w3:   # Brent: bisect
+            x = 0.5 * (lo + hi)
+        w3, w2, w1 = w2, w1, hi - lo   # the bracket's last three widths
+        e = last_pivot(x)
+        if e > 0.0:   # Illinois: an end kept twice in a row has its pivot halved
+            prev, e_prev, hi, e_hi, w_hi = hi, e_hi, x, e, 1.0
+            w_lo, side = (0.5 * w_lo if side > 0 else w_lo), 1
         else:
-            lo = mid
+            lo, e_lo, w_lo = x, e, 1.0
+            w_hi, side = (0.5 * w_hi if side < 0 else w_hi), -1
     return hi
 
 

@@ -25,6 +25,9 @@ run_decomposed;
     banded Cholesky (pbtrf) of each mode's pencils, the oracle for
     analysis.diagnostic_constants, which condenses interval blocks and
     needs no BB;
+  * bisected_top: the top of one mode's pencil (GC, GX) by bisection, to
+    the last bit, on the sign of analysis's last pivot, the oracle for the
+    superlinear search of analysis._top;
   * from_matrices and l2_project: an abstract space given by its matrices
     (one spatial mode, say) and the L2 projection onto a space;
   * modal: the modal coordinates V^T M u of FE coefficients u, the one
@@ -36,6 +39,7 @@ run_decomposed;
 import numpy as np
 import scipy.linalg
 
+from stheat.analysis import _condense, _grams, _last_pivot
 from stheat.fem import FemSpace, load_vector, spectral
 from stheat.solver import (LocalBlockSystem, SpaceTimeSolution, impulse_loads,
                            interval_moments)
@@ -316,3 +320,31 @@ def banded_constants(space, partition, q):
             for GX, BB, GC in per_mode_bands(space, partition, q)]
     inv_lo, hi, top = map(max, zip(*tops))
     return float(np.sqrt(1.0 / inv_lo)), float(np.sqrt(hi)), float(np.sqrt(top))
+
+
+def bisected_top(q, mu, width_of):
+    """Top eigenvalue of the pencil (GC, GX) of one mode, mu = k lambda per
+    distinct width: bisection, to the last bit, on whether the last pivot
+    of sigma GX - GC is positive.  The bracket grows from 1 in gaps of 4,
+    64, 1024, ... ulps; a GX that is not positive definite raises
+    RuntimeError before sigma times a bound on its entries overflows."""
+    GX, GC = _grams(q, mu)
+    scale = 2.0 * float(np.abs(GX).max()) + 1.0
+
+    def definite(sigma):
+        return _last_pivot(sigma - 1.0, *_condense(sigma * GX - GC, q), width_of) > 0.0
+
+    lo, gap = 1.0, 2.0 ** -50
+    hi = 1.0 + gap
+    while not definite(hi):
+        if not 0.0 < 32.0 * hi * (1.0 + scale) < np.finfo(float).max:
+            raise RuntimeError("pencil has no finite top eigenvalue")
+        lo, gap = hi, 16.0 * gap
+        hi = 1.0 + gap
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if definite(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -9,8 +10,9 @@ from stheat.analysis import (
     ErrorNorms,
     StabilitySums,
     _grams,
+    _condense,
+    _last_pivot,
     _mode_top,
-    _pivots_positive,
     _top,
     cfl_constant,
     cs_constant,
@@ -41,8 +43,9 @@ from stheat.timegrid import (
     make_uniform_partition,
     quadrature_nodes,
 )
-from reference import (assemble_bilinear, banded, banded_constants, dense_line_tables,
-                       from_matrices, global_layout, mass_cho, per_mode_bands)
+from reference import (assemble_bilinear, banded, banded_constants, bisected_top,
+                       dense_line_tables, from_matrices, global_layout, mass_cho,
+                       per_mode_bands, quadrature_reference_blocks)
 
 
 def test_fit_rate_recovers_exact_power_law():
@@ -303,15 +306,43 @@ def test_top_raises_on_a_pencil_without_a_finite_top():
     pencil (GC, GX) of the lambda = -1 mode above, whose bracket once grew
     forever."""
     def diagonal(sigma):
-        return all(v > 0.0 for v in (sigma - 1.0, -sigma - 1.0, sigma - 1.0))
+        first, second, last = sigma - 1.0, -sigma - 1.0, sigma - 1.0
+        return last if first > 0.0 and second > 0.0 else np.nan
 
     space = from_matrices(np.eye(2), np.diag([4.0, -1.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match="no finite top eigenvalue"):
-            _top(diagonal, 1.0)
+            _top(diagonal, 2.0, 1.0)
         with pytest.raises(RuntimeError, match="no finite top eigenvalue"):
             _top_of(make_uniform_partition(1.0, 2), 0, -1.0)
+
+
+@pytest.mark.parametrize("lam", [1e150, 1e155, 1e300])
+def test_top_raises_where_the_bound_overflows(lam):
+    """A mode so stiff that sigma GX would overflow at the bound raises the
+    same RuntimeError, with no OverflowError from squaring mu in Python
+    floats (past 1e154) and no numpy overflow warning (from 1e150)."""
+    space = from_matrices(np.eye(1), [[lam]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="no finite top eigenvalue"):
+            diagnostic_constants(space, make_uniform_partition(1.0, 2), 0)
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-8, 1e-12])
+def test_top_where_the_bound_lies_within_an_ulp_of_one(lam):
+    """A mode so soft that C_CFL is below about 1e-5 puts the bound within
+    1e-10 of 1, where 2^-20 of the bracket is less than half an ulp: the
+    first secant's second point still lies a float above the bound (it
+    once coincided with it and divided by zero), and c_S matches the
+    bisection to 1e-12."""
+    part = make_uniform_partition(1.0, 2)
+    _, _, c_S = diagnostic_constants(from_matrices(np.eye(1), [[lam]]), part, 0)
+    assert c_S >= 1.0
+    widths, width_of = np.unique(part.widths, return_inverse=True)
+    top = bisected_top(0, widths * lam, width_of.tolist())
+    assert c_S == pytest.approx(np.sqrt(top), rel=1e-12)
 
 
 _TRIPLE = ("GX", "BB", "GC")
@@ -365,32 +396,115 @@ def test_mode_tops_do_not_decrease_in_lambda(space_args, partition, q):
 
 
 def test_one_bisection_bounds_the_factorization_count(monkeypatch):
-    """63 distinct eigenvalues: only the largest mode's pencil is bisected,
-    in Python floats, in at most 70 probes (16 bracket checks and 54
-    bisections).  The banded Cholesky took 411 factorizations."""
-    space = assemble(1, 32, 2)
-    part = make_uniform_partition(1.0, 1024)
+    """63 distinct eigenvalues: only the largest mode's pencil is searched,
+    in Python floats, in at most 30 probes of the last pivot (the bisection
+    from 1 took 70, the banded Cholesky 411 factorizations); each level of
+    a p=3, q=1 sweep n = 3..11 with k = h^2 takes at most 25."""
     modes = _counting(monkeypatch, "_mode_top")
-    probes = _counting(monkeypatch, "_pivots_positive")
-    diagnostic_constants(space, part, 0)
+    probes = _counting(monkeypatch, "_last_pivot")
+    diagnostic_constants(assemble(1, 32, 2), make_uniform_partition(1.0, 1024), 0)
     assert len(modes) == 1
-    assert len(probes) <= 70
+    assert len(probes) <= 30
+    for n in (3, 4, 6, 8, 11):
+        probes.clear()
+        diagnostic_constants(assemble(1, n, 3), make_uniform_partition(1.0, n * n), 1)
+        assert len(probes) <= 25
 
 
 def test_top_of_a_closed_form_pencil():
     """Pencil (A, I) with A = tridiag(-c, 1, -c) of size n: its top is
-    1 + 2c cos(pi/(n+1)).  sigma I - A is the nodal tridiagonal of n-1
-    two-node blocks, the last of its own width to carry the last node's
-    sigma - 1, so the pivot recurrence decides it, and _top lands within 4
-    ulps."""
+    1 + 2c cos(pi/(n+1)), below 1 + 2c.  sigma I - A is the nodal
+    tridiagonal of n-1 two-node blocks, the last of its own width to carry
+    the last node's sigma - 1, so the last pivot decides it, and _top lands
+    within 4 ulps."""
     n, c = 40, 0.01
     top = 1.0 + 2.0 * c * np.cos(np.pi / (n + 1))
 
-    def definite(sigma):
-        return _pivots_positive(0.0, np.array([sigma - 1.0] * 2), np.array([c] * 2),
-                                np.array([0.0, sigma - 1.0]), [0] * (n - 2) + [1])
+    def last_pivot(sigma):
+        return _last_pivot(0.0, np.array([sigma - 1.0] * 2), np.array([c] * 2),
+                           np.array([0.0, sigma - 1.0]), [0] * (n - 2) + [1])
 
-    assert abs(_top(definite, 1.0) - top) <= 4 * np.spacing(top)
+    assert abs(_top(last_pivot, 1.0 + 2.0 * c, 1.0) - top) <= 4 * np.spacing(top)
+
+
+@pytest.mark.parametrize("last_pivot,root,most", [
+    (lambda sigma: math.log(sigma - 1.0) - 0.3, 1.0 + math.exp(0.3), 14),
+    (lambda sigma: math.exp(50.0 * (sigma - 1.3)) - 2.0, 1.3 + math.log(2.0) / 50.0, 40),
+], ids=["concave", "convex"])
+def test_top_of_a_smooth_last_pivot(last_pivot, root, most):
+    """A concave last pivot, like a pencil's, takes regula falsi with the
+    Illinois halving (19 probes without it).  A convex one holds regula
+    falsi at the lower end, and bisecting when the bracket has not halved
+    in three probes ends the search (134 probes without it).  Either lands
+    on the least float at which the pivot is positive."""
+    probes = []
+    top = _top(lambda sigma: probes.append(1) or last_pivot(sigma), 3.0, 1.0)
+    assert len(probes) <= most
+    assert last_pivot(top) > 0.0 and not last_pivot(np.nextafter(top, 0.0)) > 0.0
+    assert top == pytest.approx(root, rel=1e-15)
+
+
+def _random_level(seed):
+    """(space, partition, q) of a random level: 1D or 2D, q = 0..9, a
+    uniform or a random partition of [0, 1]."""
+    rng = np.random.default_rng(seed)
+    dimension, q = int(rng.integers(1, 3)), int(rng.integers(0, 10))
+    n = int(rng.integers(2, 12 if dimension == 1 else 7))
+    space, N = assemble(dimension, n, int(rng.integers(1, 4))), int(rng.integers(1, 300))
+    if seed % 2:
+        return space, make_uniform_partition(1.0, N), q
+    nodes = np.r_[0.0, np.cumsum(rng.uniform(0.2, 1.0, N))]
+    return space, TimePartition(nodes / nodes[-1]), q
+
+
+def _gap_bound(q, c_cfl):
+    """The proved bound 1 + C_CFL^2 / (4 (2q+1)(2q+3)) on c_S^2."""
+    return 1.0 + c_cfl ** 2 / (4.0 * (2 * q + 1) * (2 * q + 3))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_search_matches_the_bisection_on_random_levels(monkeypatch, seed):
+    """The search from the bound agrees with the bisection from 1 to 1e-12
+    (the pivot test is not monotone within about 1e-14 of the top, so the
+    two land on different floats), its top passes the pivot test and the
+    float below it does not, in at most 72 probes; and c_S^2 is at most
+    1 + C_CFL^2 / (4 (2q+1)(2q+3))."""
+    space, partition, q = _random_level(seed)
+    widths, width_of = np.unique(partition.widths, return_inverse=True)
+    mu, width_of = widths * spectral(space).eigenvalues.max(), width_of.tolist()
+    probes = _counting(monkeypatch, "_last_pivot")
+    top = _mode_top(q, mu, width_of)
+    assert len(probes) <= 72
+    assert top == pytest.approx(bisected_top(q, mu, width_of), rel=1e-12)
+    GX, GC = _grams(q, mu)
+
+    def last_pivot(sigma):
+        return _last_pivot(sigma - 1.0, *_condense(sigma * GX - GC, q), width_of)
+
+    assert last_pivot(top) > 0.0
+    assert not last_pivot(np.nextafter(top, 0.0)) > 0.0
+    assert top <= _gap_bound(q, cfl_constant(space, partition.k_max))
+
+
+def test_gap_constant_of_the_reference_interval():
+    """On the complement of constants, the top of (GL2 - Pi, E) over the
+    reference interval is 1/(4 (2q+1)(2q+3)), with the blocks by quadrature
+    and Pi = G W G^T the Gram of the projection onto degree q: X - Pi_q X is
+    c P_{q+1}, of squared norm c^2/(2q+3), and X' keeps 2(2q+1) c P_q."""
+    for q in range(10):
+        _, G, E, GL2, _ = quadrature_reference_blocks(q)
+        Pi = (G * (2.0 * np.arange(q + 1) + 1.0)) @ G.T
+        Q = scipy.linalg.eigh(E)[1][:, 1:]   # E's range: the constants span its kernel
+        top = scipy.linalg.eigh(Q.T @ (GL2 - Pi) @ Q, Q.T @ E @ Q, eigvals_only=True)[-1]
+        assert 1.0 / top == pytest.approx(4.0 * (2 * q + 1) * (2 * q + 3), rel=1e-12)
+
+
+def test_gap_bound_is_tight_on_a_fine_level():
+    """c_S^2 sits within 0.1 % of its bound on 1D n=32, N=1024, q=0."""
+    space, partition = assemble(1, 32, 2), make_uniform_partition(1.0, 1024)
+    c_S = cs_constant(space, partition, 0)
+    ratio = c_S ** 2 / _gap_bound(0, cfl_constant(space, partition.k_max))
+    assert 0.999 <= ratio <= 1.0
 
 
 @pytest.mark.parametrize("space_args,N,q,tol", [
