@@ -4,8 +4,10 @@ The error norms (ErrorNorms) and the two sides of the stability bound
 (StabilitySums) are sums over intervals and nodes, so both accumulate the
 chunks of solver.march as they come, splitting a chunk where they need
 smaller blocks but never merging two, and a run never holds the solution
-whole.  error_norms and stability_check feed them a collected
-SpaceTimeSolution in the same chunks (solver.march_chunks).
+whole.  Both integrate the exact solution or the right-hand side on each
+chunk's own intervals, so a level takes one pass in one chunk plan
+(solver.march_chunks), in which error_norms and stability_check feed them
+a collected SpaceTimeSolution.
 
 The diagnostics realize three constants of the discretization:
 
@@ -32,10 +34,11 @@ recurrence down from the bound (README: the proofs, the method, its cost).
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import legendre as npleg
 
 from . import fem
 from .solver import march_chunks
-from .timegrid import TemporalBasis, chunks, quadrature_nodes, reference_blocks
+from .timegrid import chunks, quadrature_nodes, reference_blocks
 
 
 @dataclass
@@ -64,7 +67,6 @@ class ErrorNorms:
         self.problem, self.space, self.partition, self.q = problem, space, partition, q
         self._dec, nq = fem.spectral(space), space.degree + 4
         self._tables = space.line_tables(nq)
-        self._trial = TemporalBasis(q, "legendre")
         self._per_interval = (q + 4) * space.grid_size(nq)
         self._err1_sq = 0.0
         self.per_node = np.empty(partition.num_intervals + 1)
@@ -81,7 +83,7 @@ class ErrorNorms:
         space, problem, q = self.space, self.problem, self.q
         x, w, B, D = self._tables
         t, tau, wt = quadrature_nodes(self.partition, lo, hi, q + 4, problem.time_breakpoints)
-        P = self._trial.eval_all(tau.ravel()).T.reshape(*t.shape, q + 1)
+        P = npleg.legvander(2.0 * tau - 1.0, q)   # the Legendre trial basis, (interval, slot, m)
         coeffs = np.matmul(P, self._dec.coefficients(u1)).reshape(t.size, -1)
         if space.dimension == 1:
             sq = fem.gather(D, coeffs)
@@ -286,13 +288,14 @@ class StabilitySums:
     chunks of a march (solver.march).
 
     lhs = ||U1||_{L2(V)}^2 + ||U2^(N)||_H^2 and
-    rhs = c_s^2 ||f||_{L2(H^-1)}^2 + ||u0||_H^2, all realized on V_h; the
-    f term uses q+4 Gauss points per time segment.  In the modal
-    coordinates a = V^T M u of the solution, ||u||_H^2 = sum a^2 and
-    ||u||_V^2 = sum lambda a^2, and a load vector f has
+    rhs = c_s^2 ||f||_{L2(H^-1)}^2 + ||u0||_H^2, all realized on V_h.  In
+    the modal coordinates a = V^T M u of the solution, ||u||_H^2 = sum a^2
+    and ||u||_V^2 = sum lambda a^2, and a load vector f has
     ||f||_{H^-1}^2 = sum (V^T f)^2 / lambda, so no solve is needed.  The f
-    term does not depend on the solution: result computes it, after the
-    march.
+    term does not depend on the solution, but add sums it over the chunk's
+    intervals too, at q+4 Gauss points per time segment, splitting the chunk
+    into ranges of about CHUNK_VALUES load values; a level then takes one
+    pass over its intervals, and result only combines the sums.
     """
 
     def __init__(self, problem, space, partition, q):
@@ -300,37 +303,37 @@ class StabilitySums:
             raise ValueError("stability bound implemented for impulse-free forcing")
         self.problem, self.space, self.partition, self.q = problem, space, partition, q
         self._dec = fem.spectral(space)
-        self.u1_sq = 0.0
+        self._per_interval = (q + 4) * space.grid_size(space.degree + 2)
+        self.u1_sq = self.f_sq = 0.0
         self.u0_sq = self.u2N_sq = None
 
     def add(self, lo, hi, u1, u2):
         """Feed u1 of the intervals lo..hi-1 and u2 of the nodes lo..hi."""
+        dec, problem = self._dec, self.problem
         scale = self.partition.widths[lo:hi, None] / (2.0 * np.arange(self.q + 1) + 1.0)  # k/(2m+1)
-        self.u1_sq += float(np.einsum("im,imd,imd,d->", scale, u1, u1, self._dec.eigenvalues))
+        self.u1_sq += float(np.einsum("im,imd,imd,d->", scale, u1, u1, dec.eigenvalues))
         if lo == 0:
             self.u0_sq = float(np.sum(u2[0] * u2[0]))
         if hi == self.partition.num_intervals:
             self.u2N_sq = float(np.sum(u2[-1] * u2[-1]))
+        if problem.rhs is None:   # f = 0
+            return
+        for a, b in chunks(lo, hi, self._per_interval):
+            t, _, w = quadrature_nodes(self.partition, a, b, self.q + 4, problem.time_breakpoints)
+            f = dec.modal_loads(fem.load_vector(self.space, problem.rhs, t=t.ravel()))
+            self.f_sq += float(w.ravel() @ ((f * f) @ (1.0 / dec.eigenvalues)))
 
     def result(self, c_s):
         """The bound of the chunks fed, which must cover the level, with
         the equivalence constant c_s."""
-        space, part, q, problem, dec = self.space, self.partition, self.q, self.problem, self._dec
-        f_sq = 0.0
-        if problem.rhs is not None:
-            per_item = (q + 4) * space.grid_size(space.degree + 2)
-            for lo, hi in chunks(0, part.num_intervals, per_item):
-                t, _, w = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
-                f = dec.modal_loads(fem.load_vector(space, problem.rhs, t=t.ravel()))
-                f_sq += float(w.ravel() @ ((f * f) @ (1.0 / dec.eigenvalues)))
         lhs = self.u1_sq + self.u2N_sq
-        rhs = c_s ** 2 * f_sq + self.u0_sq
+        rhs = c_s ** 2 * self.f_sq + self.u0_sq
         return {
             "lhs": lhs,
             "rhs": rhs,
             "u1_L2V_sq": self.u1_sq,
             "u2_final_H_sq": self.u2N_sq,
-            "f_dual_sq": f_sq,
+            "f_dual_sq": self.f_sq,
             "u0_H_sq": self.u0_sq,
             "satisfied": bool(lhs <= rhs * (1.0 + 1e-9)),
         }

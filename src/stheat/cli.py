@@ -167,29 +167,22 @@ def level_geometry(cfg, idx, final_time):
     return n, max(1, int(round(steps)))
 
 
-def level_bytes(dimension, n, p, q, N, widths=1, diagnostics=False, run=True, errors=False):
+def level_bytes(dimension, n, p, q, N, widths=1, diagnostics=False, run=True, errors=False,
+                segments=1):
     """Lower bound on the memory of a level: the largest of the peaks of
-    assemble, of the march (if run) with the error norms that it feeds (if
-    errors), whose partition has the given number of distinct interval
-    widths, and of the diagnostics, if any (the README gives the formula).
-    No term grows with N dof: a run holds one chunk of its solution at a
-    time.  assemble holds three dense tables of (np+1) n(p+1) doubles beside
-    M and K.  A level keeps M, K and the line eigenbasis, the partition's
-    nodes and widths and, with errors, the per-node errors.  The march adds
-    its width index (5N doubles at the peak of np.unique), its per-width
-    inverses (twice over while they are formed) and coefficients, the
-    eigenvalues and the carried nodal value; on top, for a load chunk of c
-    intervals, the largest of: its quadrature values, which load_vector
-    holds (2p+3)/(p+2) times over, beside the test basis at its times; the
-    gather of its inverses beside its modal moments and forced parts; its
-    solution beside its recurrence terms; and, with errors, its solution
-    beside the quadrature values of one range of e <= c of its intervals,
-    held 2 dim times over, and their FE coefficients at the time points.
-    The diagnostics add the eigenvalues, the width index with its list (5N
-    doubles at the index's peak) and four arrays of the interval blocks of
-    the one mode they bisect, W (q+2)^2 doubles each; on `run`, the
-    stability bound's f term after the march may hold more: two of its load
-    blocks.
+    assemble, of the march (if run) with the consumers that it feeds (the
+    error norms if errors, the stability sums if diagnostics), and of the
+    diagnostics, if any.  widths counts the partition's distinct interval
+    widths, and segments the most time segments that the quadrature cuts
+    one interval into (it pads every interval of a chunk to those of its
+    most cut one).  No term grows with N dof: a run holds one chunk of its
+    solution at a time.  The march's peak is the largest of its per-chunk
+    stages: the load block, the gather of the inverses, the solution beside
+    its recurrence terms, and the solution beside one range of the error
+    norms or two load blocks of the stability bound's f term; numpy holds
+    two buffers of getbufsize() doubles on top while a problem's function
+    broadcasts over the times.  The README gives the formula and what each
+    term holds.
     """
     line = n * p - 1
     dof = line ** dimension
@@ -197,24 +190,22 @@ def level_bytes(dimension, n, p, q, N, widths=1, diagnostics=False, run=True, er
     kept = march = 3 * line ** 2 + 2 * N + 1
     if run:
         kept += (N + 1) * errors
-        values = (q + 3) * (n * (p + 2)) ** dimension
-        c = min(N, max(1, CHUNK_VALUES // values))
+        points, grid = (n * (p + 2)) ** dimension, (n * (p + 4)) ** dimension
+        c = min(N, max(1, CHUNK_VALUES // ((q + 3) * points)))
         rows = widths * ((q + 1) ** 2 + q + 3) + 2
-        stages = [c * values * (2 * p + 3) // (p + 2) + 2 * c * (q + 2) * (q + 3),
+        solution = (c * (q + 2) + 1) * dof
+        stages = [c * (q + 3) * segments * (points * (2 * p + 3) // (p + 2) + 2 * q + 4),
                   c * ((q + 1) ** 2 + 2 * q + 3) * dof,
                   (c * (3 * q + 6) + 1) * dof]
         if errors:
-            grid = (n * (p + 4)) ** dimension
             e = min(c, max(1, CHUNK_VALUES // ((q + 4) * grid)))
-            stages.append((c * (q + 2) + 1) * dof + e * (q + 4) * (2 * dimension * grid + 2 * dof))
+            stages.append(solution + e * (q + 4) * segments * (2 * dimension * grid + 2 * dof))
+        if diagnostics:
+            f = min(c, max(1, CHUNK_VALUES // ((q + 4) * points)))
+            stages.append(solution + 2 * f * (q + 4) * segments * points)
         march = kept + max(5 * N, N + max(widths * (2 * (q + 1) ** 2 + 1) * dof,
-                                          rows * dof + max(stages)))
-    diag = 0
-    if diagnostics:
-        diag = dof + 5 * N + 4 * widths * (q + 2) ** 2
-    if diagnostics and run:
-        values = (q + 4) * (n * (p + 2)) ** dimension
-        diag = max(diag, 2 * min(N, max(1, CHUNK_VALUES // values)) * values)
+                                          rows * dof + 2 * np.getbufsize() + max(stages)))
+    diag = dof + 5 * N + 4 * widths * (q + 2) ** 2 if diagnostics else 0
     return 8 * max(assembly, march, kept + diag)
 
 
@@ -248,8 +239,11 @@ def preflight(cfg, problem, run):
             partition = make_uniform_partition(problem.final_time, N)
             k = np.sort(partition.widths)   # np.unique would import numpy.ma here, in the run
             widths = 1 + np.count_nonzero(k[1:] != k[:-1])
+            # the quadrature cuts an interval at the kinks off the nodes, at most all of them
+            segments = 1 + sum(0.0 < b < problem.final_time and b not in partition.nodes
+                               for b in problem.time_breakpoints)
             need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N, widths, diagnostics, run,
-                               errors)
+                               errors, segments)
         if need > available:
             raise ConfigError("level n=%d, N=%d needs at least %s GB, more than the "
                               "%.3g GB of physical memory" % (n, N, _gigabytes(need),
@@ -283,7 +277,7 @@ def run_level(cfg, idx, problem):
     stability = None
     if cfg.diagnostics:
         row["diagnostics"] = block = level_diagnostics(space, partition, cfg.q)
-        if not problem.impulses and problem.rhs is not None:   # what the bound needs
+        if not problem.impulses:   # what the bound needs
             stability = StabilitySums(problem, space, partition, cfg.q)
     sums = [acc for acc in (errors, stability) if acc is not None]
     for chunk in march(problem, space, partition, cfg.q):

@@ -15,7 +15,8 @@ interval-by-interval march.  march, below, is the one solver: a generator
 that yields the solution one chunk of intervals at a time, so a run never
 holds it whole (cli.run_level feeds each chunk to the error norms and the
 stability sums and drops it).  march_chunks is the only chunk plan of a
-level: the consumers split its chunks and never merge them.  run_decomposed
+level: the consumers split its chunks, never merge them, and pass over no
+interval after the march.  run_decomposed
 collects the chunks into a SpaceTimeSolution; the coupled one-shot solve of
 the whole system (solve_global in tests/reference.py) and the dense step
 LocalBlockSystem are references the tests compare it against.

@@ -119,27 +119,17 @@ def lagrange_legendre(nodes):
 
 
 class TemporalBasis:
-    """Polynomial basis of the given degree on [0,1], as rows of
-    shifted-Legendre coefficients.
-
-    kind='legendre' gives shifted Legendre polynomials (orthogonal,
-    int_0^1 P_m^2 = 1/(2m+1)); kind='nodal-lagrange' gives the Lagrange basis
-    at the Gauss-Lobatto points, so basis 0 is the only one nonzero at tau=0
-    and basis `degree` the only one nonzero at tau=1.
+    """The test side's Lagrange basis of the given degree on [0,1] at the
+    Gauss-Lobatto points, as rows of shifted-Legendre coefficients: basis 0
+    is the only one nonzero at tau=0 and basis `degree` the only one nonzero
+    at tau=1.  The trial side's shifted Legendre polynomials need no class:
+    their values are npleg.legvander(2 tau - 1, q).
     """
 
-    def __init__(self, degree, kind):
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        if kind not in ("legendre", "nodal-lagrange"):
-            raise ValueError("unknown basis kind %r" % (kind,))
+    def __init__(self, degree):
         self.degree = int(degree)
-        if kind == "nodal-lagrange":
-            self.nodes = lobatto_points(self.degree + 1)
-            self.coeffs = lagrange_legendre(self.nodes)
-        else:
-            self.nodes = None
-            self.coeffs = np.eye(self.degree + 1)
+        self.nodes = lobatto_points(self.degree + 1)
+        self.coeffs = lagrange_legendre(self.nodes)
 
     def eval_all(self, tau):
         """Values of all basis functions; shape (degree+1, len(tau))."""
@@ -206,7 +196,7 @@ class ReferenceBlocks:
         # int_0^1 P_r P_s = delta_rs / (2r+1), so each block is a product of
         # coefficient rows weighted by s_r = 1/(2r+1); d/dtau = 2 d/dx on [-1,1]
         s = 1.0 / (2.0 * np.arange(q + 2) + 1.0)
-        self.test = TemporalBasis(q + 1, "nodal-lagrange")
+        self.test = TemporalBasis(q + 1)
         L = self.test.coeffs
         Ld = 2.0 * npleg.legder(L, axis=1)              # (q+2, q+1)
         self.G = L[:, : q + 1] * s[: q + 1]

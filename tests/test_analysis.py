@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
+import numpy.polynomial.legendre as npleg
 import pytest
 import scipy.linalg
 
@@ -22,6 +24,7 @@ from stheat.analysis import (
     infsup_discrete,
     stability_check,
 )
+from stheat import fem
 from stheat.fem import assemble, load_vector, spectral
 from stheat.problems import (
     ExactSolution,
@@ -33,10 +36,9 @@ from stheat.problems import (
     problem_impulse,
 )
 from stheat import timegrid
-from stheat.solver import interval_moments, march_chunks, run_decomposed
+from stheat.solver import interval_moments, march, march_chunks, run_decomposed
 from stheat.timegrid import (
     ReferenceBlocks,
-    TemporalBasis,
     TimePartition,
     chunks,
     gauss_rule,
@@ -95,7 +97,7 @@ def _error_norms_one_point_at_a_time(sol, problem):
     space, part, q = sol.space, sol.partition, sol.q
     u1, u2 = (spectral(space).coefficients(u) for u in (sol.u1, sol.u2))
     x, w, B, D = dense_line_tables(space.n, space.degree, space.degree + 4)
-    rule, trial = gauss_rule(q + 4), TemporalBasis(q, "legendre")
+    rule = gauss_rule(q + 4)
     err1_sq = 0.0
     for i in range(part.num_intervals):
         a, b = part.nodes[i], part.nodes[i + 1]
@@ -103,7 +105,7 @@ def _error_norms_one_point_at_a_time(sol, problem):
         for s0, s1 in zip([a] + cuts, cuts + [b]):
             for tau, wt in zip(rule.points, rule.weights):
                 t = s0 + (s1 - s0) * tau
-                c = trial.eval_all((t - a) / (b - a))[:, 0] @ u1[i]
+                c = npleg.legvander(2.0 * (t - a) / (b - a) - 1.0, q)[0] @ u1[i]
                 if space.dimension == 1:
                     sp = np.sum(w * (D.T @ c - problem.exact.grad(x, t)) ** 2)
                 else:
@@ -650,6 +652,53 @@ def test_stability_check_matches_dense_reference(problem, space_args, N, q):
     ref = _stability_dense_reference(sol, problem, 1.7)
     for key, value in ref.items():
         assert report[key] == pytest.approx(value, rel=1e-12, abs=1e-300), key
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "random"])
+@pytest.mark.parametrize("q", [0, 1, 2, 5])
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_unforced_scheme_keeps_the_energy_identity(dimension, q, uniform):
+    """With f = 0 the scheme keeps the heat equation's energy identity,
+    2 ||U1||^2_{L2(V)} + ||U2(T)||^2 = ||u0||^2, to rounding (at most 3.2e-15
+    relative measured), and the stability sums show it with no right-hand
+    side.  On [0, 0.05] the final term keeps a fair share of the energy."""
+    if dimension == 1:
+        problem = dataclasses.replace(problem_1d_smooth(), rhs=None, final_time=0.05,
+                                      initial=lambda x: np.sin(np.pi * x) + 3.0 * x * (1.0 - x))
+    else:
+        problem = dataclasses.replace(
+            problem_2d_smooth(), rhs=None, final_time=0.05,
+            initial=lambda x, y: np.sin(np.pi * x) * np.sin(2.0 * np.pi * y) + x * y)
+    space, N = assemble(dimension, 6 if dimension == 1 else 4, 2), 17
+    if uniform:
+        part = make_uniform_partition(problem.final_time, N)
+    else:
+        nodes = np.r_[0.0, np.cumsum(np.random.default_rng(q).uniform(0.2, 1.0, N))]
+        part = TimePartition(problem.final_time * nodes / nodes[-1])
+    bound = stability_check(run_decomposed(problem, space, part, q), problem, 1.0)
+    assert bound["f_dual_sq"] == 0.0 and bound["satisfied"]
+    assert bound["u2_final_H_sq"] > 0.01 * bound["u0_H_sq"]
+    energy = 2.0 * bound["u1_L2V_sq"] + bound["u2_final_H_sq"]
+    assert energy == pytest.approx(bound["u0_H_sq"], rel=1e-13, abs=0.0)
+
+
+def test_stability_result_evaluates_no_rhs(monkeypatch):
+    """Once the last chunk is fed, StabilitySums.result only combines the
+    sums: with the rhs and fem.load_vector both raising, it returns the
+    block of stability_check.  heat1d-lowreg, N = 301 marches in 3 chunks."""
+    problem = problem_1d_lowreg(0.1)
+    space, part, q = assemble(1, 16, 2), make_uniform_partition(1.0, 301), 1
+    sums = StabilitySums(problem, space, part, q)
+    for chunk in march(problem, space, part, q):
+        sums.add(*chunk)
+    expected = stability_check(run_decomposed(problem, space, part, q), problem, 1.7)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("result evaluated the right-hand side")
+
+    monkeypatch.setattr(fem, "load_vector", refuse)
+    sums.problem = dataclasses.replace(problem, rhs=refuse)
+    assert sums.result(1.7) == expected
 
 
 def test_quadrature_is_chunk_invariant(monkeypatch):

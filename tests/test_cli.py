@@ -33,6 +33,9 @@ from stheat.problems import problem_2d_smooth, problem_by_id
 from stheat.solver import run_decomposed
 from stheat.timegrid import make_uniform_partition
 
+# numpy's two ufunc buffers, which level_bytes counts on top of a march stage
+BUFFERS = 2 * np.getbufsize()
+
 SMALL_RUN = {
     "problem": "heat1d-smooth",
     "q": 0,
@@ -311,6 +314,19 @@ def test_diagnostics_run_on_the_level_itself(tmp_path):
     assert level["diagnostics"]["stability"]["satisfied"]
 
 
+def test_a_level_without_a_rhs_checks_the_bound():
+    """run_level gives every impulse-free problem its stability block, one
+    without a right-hand side too: there f_dual_sq is 0 and, the scheme
+    keeping the energy identity, lhs = ||u0||^2 - ||U1||^2_{L2(V)}."""
+    problem = dataclasses.replace(problem_by_id("heat1d-lowreg"), rhs=None, exact=None,
+                                  time_breakpoints=())
+    cfg = parse_config(json.dumps({"problem": "heat1d-lowreg", "levels": [6], "explicit_N": [300],
+                                   "errors": False, "diagnostics": True}))
+    block = run_level(cfg, 0, problem)["diagnostics"]["stability"]
+    assert block["f_dual_sq"] == 0.0 and block["u0_H_sq"] > 0.0 and block["satisfied"]
+    assert block["lhs"] == pytest.approx(block["u0_H_sq"] - block["u1_L2V_sq"], rel=1e-13)
+
+
 def test_experiment_config_is_frozen():
     cfg = parse_config(json.dumps(SMALL_RUN))
     assert isinstance(cfg, ExperimentConfig)
@@ -331,29 +347,30 @@ def test_level_bytes_counts_the_solution_arrays():
     # (q+1)^2 + 2q+3 rows an interval; its solution beside its recurrence
     # terms, 3q+6 rows an interval and 1; with errors, its solution
     # c(q+2)+1 rows beside the error norms' values of one range of
-    # e <= c of its intervals, e(q+4) times points 2 dim (n(p+4))^dim + 2 dof.
+    # e <= c of its intervals, e(q+4) times points 2 dim (n(p+4))^dim + 2 dof;
+    # on top of the stage, numpy's two ufunc buffers of getbufsize() doubles.
     # No term grows with N dof.
     # 1D p=2, n=4: dof 7; q=0, N=10: one chunk of 10 intervals of 3*16 values
     kept = 3 * 7 ** 2 + 21
     assert level_bytes(1, 4, 2, 0, 10) == (
-        kept + 10 + 6 * 7 + 480 * 7 // 4 + 10 * 2 * 2 * 3) * 8
+        kept + 10 + 6 * 7 + BUFFERS + 480 * 7 // 4 + 10 * 2 * 2 * 3) * 8
     # with errors: one range of 10 intervals, 4 * 24 points an interval
     assert level_bytes(1, 4, 2, 0, 10, 1, False, True, True) == (
-        kept + 11 + 10 + 6 * 7 + 21 * 7 + 40 * (2 * 24 + 2 * 7)) * 8
+        kept + 11 + 10 + 6 * 7 + BUFFERS + 21 * 7 + 40 * (2 * 24 + 2 * 7)) * 8
     # 2D p=2, n=64: dof 127^2; q=1, N=4096: one interval a chunk and a range,
     # whose 5 * 384^2 values set the level: 28 MB, not the 1.06 GB of its solution
     kept, dof = 3 * 127 ** 2 + 8193 + 4097, 127 ** 2
     errors = level_bytes(2, 64, 2, 1, 4096, 1, False, True, True)
-    assert errors == (kept + 4096 + 10 * dof + 4 * dof + 5 * (4 * 384 ** 2 + 2 * dof)) * 8
+    assert errors == (kept + 4096 + 10 * dof + BUFFERS + 4 * dof + 5 * (4 * 384 ** 2 + 2 * dof)) * 8
     assert errors < 28e6 < 1.06e9 < 8 * 4097 * 3 * dof
     # errors off: one interval's 4 * 256^2 load values beat its 10 solution rows
     assert level_bytes(2, 64, 2, 1, 4096) == (
-        kept - 4097 + 4096 + 10 * dof + 4 * 256 ** 2 * 7 // 4 + 2 * 3 * 4) * 8
+        kept - 4097 + 4096 + 10 * dof + BUFFERS + 4 * 256 ** 2 * 7 // 4 + 2 * 3 * 4) * 8
     # 1D p=3, n=8, q=9, N=1: the gather of the 10x10 inverses beats the 480 values
-    assert level_bytes(1, 8, 3, 9, 1) == (3 * 23 ** 2 + 3 + 1 + 114 * 23 + 121 * 23) * 8
+    assert level_bytes(1, 8, 3, 9, 1) == (3 * 23 ** 2 + 3 + 1 + 114 * 23 + BUFFERS + 121 * 23) * 8
     # the inverses, r, alpha and mu once per distinct width: 3 widths of (q+1)^2 + q+3 rows
     assert level_bytes(1, 4, 2, 0, 10, 3) == (
-        3 * 7 ** 2 + 21 + 10 + 14 * 7 + 480 * 7 // 4 + 10 * 2 * 2 * 3) * 8
+        3 * 7 ** 2 + 21 + 10 + 14 * 7 + BUFFERS + 480 * 7 // 4 + 10 * 2 * 2 * 3) * 8
     # 2D p=3, n=24, q=9, 8 widths: forming the inverses, 8 * 201 rows, sets the level
     assert level_bytes(2, 24, 3, 9, 100, 8) == (3 * 71 ** 2 + 201 + 100 + 8 * 201 * 71 ** 2) * 8
     # 1D p=1, n=2 (dof 1), N=10^6: np.unique's 5N sets the level
@@ -364,17 +381,20 @@ def test_level_bytes_counts_the_diagnostic_bands():
     # the diagnostics add, beside what the level keeps: the eigenvalues, 1
     # row; the width index and its list, 5N doubles at the peak of
     # np.unique; four arrays of the interval blocks of the one mode they
-    # bisect, widths (q+2)^2 values each.  On a run, the stability bound's f
-    # term after the march may hold more: two quadrature blocks of
-    # (q+4)(n(p+2))^dim values an interval.  1D p=1, n=2: dof 1, one mode.
+    # search, widths (q+2)^2 values each.  On a run, the stability sums add
+    # a stage to the march: a chunk's solution beside two quadrature blocks
+    # of the f term, (q+4)(n(p+2))^dim values an interval.  1D p=1, n=2: dof
+    # 1, one mode.
     # q=0, N=10^6: the width index beside the eigenvalues and the blocks
     # beats the march's width index alone
     kept, diag = 3 + 2000001, 1 + 5 * 10 ** 6 + 4 * 4
     assert level_bytes(1, 2, 1, 0, 10 ** 6, 1, True) == (kept + diag) * 8
     assert level_bytes(1, 2, 1, 0, 10 ** 6) == (kept + 5 * 10 ** 6) * 8
     # q=0, N=1365: the f term, two load blocks of 1365 intervals of 4*6
-    # values, beats the march and the diagnostics
-    assert level_bytes(1, 2, 1, 0, 1365, 1, True) == (3 + 2731 + 2 * 1365 * 24) * 8
+    # values beside the chunk's 1365 * 2 + 1 solution rows, beats the rest
+    # of the march and the diagnostics
+    assert level_bytes(1, 2, 1, 0, 1365, 1, True) == (
+        3 + 2731 + 1365 + 6 + BUFFERS + 2731 + 2 * 1365 * 24) * 8
     # diagnose keeps no solution and runs no march: at q=9, N=2000 the march
     # sets a run's memory, and diagnose needs less than a seventh of it
     diagnose = level_bytes(1, 2, 1, 9, 2000, 1, True, False)
@@ -384,8 +404,10 @@ def test_level_bytes_counts_the_diagnostic_bands():
 
 
 def _traced_level(problem_id, n, p, q, N, errors, diagnostics=False):
-    """Traced peak of run_level on a level built inside it, and its number
-    of distinct interval widths."""
+    """Traced peak of run_level on a level built inside it, and the
+    arguments of level_bytes that the pre-flight takes from its partition:
+    the number of distinct interval widths, and of time segments that the
+    problem's kinks off the nodes cut an interval into."""
     problem = problem_by_id(problem_id)
     cfg = parse_config(json.dumps({"problem": problem_id, "p": p, "q": q, "levels": [n],
                                    "explicit_N": [N], "errors": errors,
@@ -396,7 +418,9 @@ def _traced_level(problem_id, n, p, q, N, errors, diagnostics=False):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak, np.unique(make_uniform_partition(problem.final_time, N).widths).size
+    nodes = make_uniform_partition(problem.final_time, N).nodes
+    segments = 1 + sum(b not in nodes for b in problem.time_breakpoints)
+    return peak, np.unique(np.diff(nodes)).size, segments
 
 
 @pytest.mark.parametrize("problem_id,n,p,q,N,errors", [
@@ -405,15 +429,23 @@ def _traced_level(problem_id, n, p, q, N, errors, diagnostics=False):
     ("heat2d-smooth", 48, 3, 0, 2, False),     # one interval's load block dominates
     ("heat2d-smooth", 24, 3, 9, 100, False),   # 8 distinct widths, each with its inverses
     ("heat2d-smooth", 60, 3, 9, 2, True),      # one interval's error values dominate
+    ("heat1d-lowreg", 16, 2, 1, 301, False),   # the kink inside interval 150 pads its chunk
+    ("heat1d-lowreg", 16, 2, 1, 301, True),    # ... and its error range
+    ("heat1d-lowreg", 8, 2, 0, 64, False),     # the kink on a node; numpy's ufunc buffers
+    ("heat1d-lowreg", 8, 2, 0, 64, True),
+    ("heat1d-smooth", 2, 1, 0, 1365, True),    # one unknown: the buffers beside small blocks
 ], ids=["heat2d-smooth-24-3-9-2", "heat1d-smooth-64-2-0-4096", "heat2d-smooth-48-3-0-2",
-        "heat2d-smooth-24-3-9-100", "heat2d-smooth-60-3-9-2-errors"])
+        "heat2d-smooth-24-3-9-100", "heat2d-smooth-60-3-9-2-errors", "heat1d-lowreg-16-2-1-301",
+        "heat1d-lowreg-16-2-1-301-errors", "heat1d-lowreg-8-2-0-64",
+        "heat1d-lowreg-8-2-0-64-errors", "heat1d-smooth-2-1-0-1365-errors"])
 def test_level_bytes_tracks_the_march_peak(problem_id, n, p, q, N, errors):
     """The pre-flight's bound, counting the partition's distinct interval
-    widths, is at least 0.8 times the traced peak of a streamed level
-    (run_level), assembly, march and error norms."""
-    peak, widths = _traced_level(problem_id, n, p, q, N, errors)
+    widths and the quadrature's time segments, is at least 0.8 times the
+    traced peak of a streamed level (run_level), assembly, march and error
+    norms."""
+    peak, widths, segments = _traced_level(problem_id, n, p, q, N, errors)
     dimension = problem_by_id(problem_id).dimension
-    assert level_bytes(dimension, n, p, q, N, widths, False, True, errors) >= 0.8 * peak
+    assert level_bytes(dimension, n, p, q, N, widths, False, True, errors, segments) >= 0.8 * peak
 
 
 def test_level_memory_is_independent_of_the_interval_count():
@@ -422,26 +454,36 @@ def test_level_memory_is_independent_of_the_interval_count():
     over the intervals and nodes take (nodes, widths, width index and
     per-node errors), and by no row of dof doubles an interval."""
     _traced_level("heat1d-smooth", 16, 2, 0, 10, True)   # caches filled outside the trace
-    small, _ = _traced_level("heat1d-smooth", 16, 2, 0, 1000, True)
-    large, _ = _traced_level("heat1d-smooth", 16, 2, 0, 16000, True)
+    small = _traced_level("heat1d-smooth", 16, 2, 0, 1000, True)[0]
+    large = _traced_level("heat1d-smooth", 16, 2, 0, 16000, True)[0]
     assert large - small <= 64 * 15000
 
 
-@pytest.mark.parametrize("problem_id,n,p,q,N", [
-    ("heat1d-smooth", 2, 1, 9, 2000),    # one mode, q = 9
-    ("heat1d-smooth", 2, 1, 1, 20000),   # one mode, many intervals
-    ("heat1d-smooth", 8, 3, 9, 500),     # 23 modes
-    ("heat2d-smooth", 4, 1, 1, 2000),    # 9 modes, 6 distinct eigenvalues
-])
-def test_level_bytes_tracks_the_diagnostics_peak(problem_id, n, p, q, N):
+@pytest.mark.parametrize("problem_id,n,p,q,N,errors", [
+    ("heat1d-smooth", 2, 1, 9, 2000, True),    # one mode, q = 9
+    ("heat1d-smooth", 2, 1, 1, 20000, True),   # one mode, many intervals
+    ("heat1d-smooth", 8, 3, 9, 500, True),     # 23 modes
+    ("heat2d-smooth", 4, 1, 1, 2000, True),    # 9 modes, 6 distinct eigenvalues
+    # errors off, many chunks: the stability sums' f blocks beside a chunk set the march's peak
+    ("heat1d-smooth", 64, 2, 0, 4096, False),  # 98 chunks of 42 intervals
+    ("heat2d-smooth", 16, 2, 0, 256, False),   # 128 chunks of 2 intervals
+    ("heat1d-lowreg", 16, 2, 1, 301, False),   # 3 chunks, the kink inside interval 150
+    ("heat1d-smooth", 2, 1, 0, 1365, False),   # one chunk: the f blocks beat the march
+], ids=["heat1d-smooth-2-1-9-2000", "heat1d-smooth-2-1-1-20000", "heat1d-smooth-8-3-9-500",
+        "heat2d-smooth-4-1-1-2000", "heat1d-smooth-64-2-0-4096-no-errors",
+        "heat2d-smooth-16-2-0-256-no-errors", "heat1d-lowreg-16-2-1-301-no-errors",
+        "heat1d-smooth-2-1-0-1365-no-errors"])
+def test_level_bytes_tracks_the_diagnostics_peak(problem_id, n, p, q, N, errors):
     """With diagnostics the pre-flight's bound, counting the partition's
-    distinct interval widths, is at least 0.8 times the traced peak of a
-    level of `run` (run_level: the diagnostics, then the march with the
-    error norms and the stability sums) and of `diagnose` (the diagnostics
-    alone), each on a freshly assembled level."""
+    distinct interval widths and the quadrature's time segments, is at
+    least 0.8 times the traced peak of a level of `run` (run_level: the
+    diagnostics, then the march with the error norms, if any, and the
+    stability sums) and of `diagnose` (the diagnostics alone), each on a
+    freshly assembled level."""
     problem = problem_by_id(problem_id)
-    peak, widths = _traced_level(problem_id, n, p, q, N, True, True)
-    assert level_bytes(problem.dimension, n, p, q, N, widths, True, True, True) >= 0.8 * peak
+    peak, widths, segments = _traced_level(problem_id, n, p, q, N, errors, True)
+    assert level_bytes(problem.dimension, n, p, q, N, widths, True, True, errors,
+                       segments) >= 0.8 * peak
     space = assemble(problem.dimension, n, p)
     partition = make_uniform_partition(problem.final_time, N)
     tracemalloc.start()
