@@ -50,7 +50,7 @@ from .analysis import ErrorNorms, StabilitySums, cfl_constant, diagnostic_consta
 from .fem import assemble
 from .problems import problem_by_id, validate_residual
 from .solver import impulse_nodes, march
-from .timegrid import CHUNK_VALUES, MAX_TRIAL_DEGREE, make_uniform_partition
+from .timegrid import CHUNK_VALUES, MAX_TRIAL_DEGREE, cut_points, make_uniform_partition
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -239,9 +239,7 @@ def preflight(cfg, problem, run):
             partition = make_uniform_partition(problem.final_time, N)
             k = np.sort(partition.widths)   # np.unique would import numpy.ma here, in the run
             widths = 1 + np.count_nonzero(k[1:] != k[:-1])
-            # the quadrature cuts an interval at the kinks off the nodes, at most all of them
-            segments = 1 + sum(0.0 < b < problem.final_time and b not in partition.nodes
-                               for b in problem.time_breakpoints)
+            segments = 1 + len(cut_points(partition, problem.time_breakpoints))   # all: a bound
             need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N, widths, diagnostics, run,
                                errors, segments)
         if need > available:

@@ -75,8 +75,8 @@ class FemSpace:
 
         x, w: global quadrature points/weights on (0,1), element-major, shape
         (n*nq,); B, D: values and x-derivatives of the p+1 local basis
-        functions of one element at its nq points, shape (nq, p+1).
-        """
+        functions of one element at its nq points, shape (nq, p+1); cached
+        per (n, p, nq), so the arrays are shared and read-only."""
         if self.n is None:
             raise ValueError("no mesh attached to this space")
         return _line_tables(self.n, self.degree, nq)
@@ -100,7 +100,8 @@ class SpectralDecomposition:
     i*d + j like the coefficients; they are applied as V^T X V and never
     formed.  The solution is kept in modal coordinates a = V^T M u, a load
     vector f enters as V^T f, and values in space need u = V a; both maps
-    act on the last axis.
+    act on the last axis as one 2-D GEMM over all leading rows in 1D, and
+    two in 2D (X V, then the same on the swapped axes).
     """
 
     def __init__(self, dimension, line_eigenvalues, eigenvectors):
@@ -111,11 +112,11 @@ class SpectralDecomposition:
         self.eigenvalues = line_eigenvalues
 
     def _apply(self, X, P):
+        d, shape = P.shape[0], X.shape
         if self.dimension == 1:
-            return X @ P
-        d = P.shape[0]
-        lead = X.shape[:-1]
-        return (P.T @ X.reshape(lead + (d, d)) @ P).reshape(lead + (d * d,))
+            return (X.reshape(-1, d) @ P).reshape(shape)
+        Y = (X.reshape(-1, d) @ P).reshape(-1, d, d).swapaxes(1, 2)
+        return (Y.reshape(-1, d) @ P).reshape(-1, d, d).swapaxes(1, 2).reshape(shape)
 
     def modal_loads(self, f):
         """V^T f for load vectors f."""
@@ -142,13 +143,16 @@ def element_tables(p, nq):
     return vals, dvals
 
 
+@functools.lru_cache(maxsize=None)
 def _line_tables(n, p, nq):
     rule = gauss_rule(nq)
     h = 1.0 / n
     x = (np.arange(n)[:, None] + rule.points[None, :]).ravel() * h
     w = np.tile(rule.weights * h, n)
     vals, dvals = element_tables(p, nq)
-    return x, w, vals, dvals / h
+    dvals = dvals / h
+    x.flags.writeable = w.flags.writeable = dvals.flags.writeable = False
+    return x, w, vals, dvals
 
 
 def assemble(dimension, n, p):

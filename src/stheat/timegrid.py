@@ -7,11 +7,11 @@ polynomials at Gauss-Lobatto points (test side, so the endpoint values of a
 test function are single coefficients).  Both are held as rows of
 shifted-Legendre coefficients, so the reference blocks that couple them are
 closed-form products of those rows, exact up to round-off.  Every space-time
-integral of the package (load moments, error norms, the stability bound)
-takes its time nodes from quadrature_nodes, one chunk of intervals at a
-time, in a regular (interval, slot) layout: row i holds the Gauss nodes of
-one interval, so an integral over each interval is a contraction over the
-slot axis.
+integral of the package takes its time nodes from quadrature_nodes, one
+chunk of intervals at a time, as (interval, slot) arrays, so an integral
+over each interval is a contraction over the slot axis.  An interval is cut
+only at a breakpoint off its nodes (cut_points); an uncut one gets the
+reference Gauss points exactly, where reference_values holds both bases.
 """
 
 import functools
@@ -132,8 +132,7 @@ class TemporalBasis:
         self.coeffs = lagrange_legendre(self.nodes)
 
     def eval_all(self, tau):
-        """Values of all basis functions; shape (degree+1, len(tau))."""
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
+        """Values of all basis functions at the array tau; shape (degree+1, len(tau))."""
         return self.coeffs @ npleg.legvander(2.0 * tau - 1.0, self.degree).T
 
 
@@ -148,30 +147,45 @@ def chunks(lo, hi, values_per_item):
     return [(a, min(a + step, hi)) for a in range(lo, hi, step)]
 
 
+def cut_points(partition, breakpoints, lo=0, hi=None):
+    """The breakpoints inside the intervals lo..hi-1 and farther than 1e-12 max(1, T)
+    from every node, sorted: a breakpoint that close is that node (impulse_nodes)."""
+    nodes = partition.nodes[lo:(partition.num_intervals if hi is None else hi) + 1]
+    inside = [b for b in sorted(set(breakpoints)) if nodes[0] < b < nodes[-1]]
+    return [b for b, i in zip(inside, np.searchsorted(nodes, inside))
+            if min(b - nodes[i - 1], nodes[i] - b) > 1e-12 * max(1.0, partition.final_time)]
+
+
 def quadrature_nodes(partition, lo, hi, npoints, breakpoints=()):
     """Time nodes of the space-time quadrature on the intervals lo..hi-1.
 
-    Each interval is cut at the breakpoints that lie strictly inside it (so a
-    kink of the integrand does not degrade accuracy) and every segment gets
-    the npoints-point Gauss rule.  Returns (t, tau, weight) of shape
-    (hi-lo, slots): row i holds the physical times, their reference
-    coordinates (t - a)/k on interval lo+i = [a, a + k], and the physical
-    weights, in time order.  slots is npoints times the largest segment
-    count in the chunk; a shorter row is padded with weight 0 at copies of
-    its own first Gauss nodes, never at an interval end or a cut.
+    Each interval is cut at its cut_points (so a kink does not degrade
+    accuracy) and every segment gets the npoints-point Gauss rule.  Returns
+    (t, tau, weight) of shape (hi-lo, slots): row i holds the times, their
+    reference coordinates (s0 - a)/k + (l/k) tau_ref on segment [s0, s0 + l]
+    of interval lo+i = [a, a + k] (gauss_rule(npoints).points bit for bit if
+    uncut), and the weights.  slots is npoints times the most segments of an
+    interval (no cut: reference_values serves the block); a shorter row is
+    padded with weight 0 at copies of its own first nodes.
     """
     rule = gauss_rule(npoints)
     nodes = partition.nodes[lo:hi + 1]
-    cuts = {b for b in breakpoints if nodes[0] < b < nodes[-1] and b not in nodes}
-    pts = np.sort(np.concatenate((nodes, list(cuts))))
+    cuts = cut_points(partition, breakpoints, lo, hi)
+    if not cuts:
+        seg = np.diff(nodes)[:, None]
+        tau = np.repeat(rule.points[None], hi - lo, axis=0)
+        return nodes[:-1, None] + seg * rule.points, tau, seg * rule.weights
+    pts = np.sort(np.concatenate((nodes, cuts)))
     seg0, seg = pts[:-1], np.diff(pts)
     first = np.searchsorted(pts, nodes)   # the segment each node starts
     slots = np.arange(np.diff(first).max())
     live = slots < np.diff(first)[:, None]
     pick = first[:-1, None] + slots * live   # a pad repeats its row's first segment
-    t = (seg0[pick][..., None] + seg[pick][..., None] * rule.points).reshape(hi - lo, -1)
+    s0, ell = seg0[pick][..., None], seg[pick][..., None]
+    t = (s0 + ell * rule.points).reshape(hi - lo, -1)
     weight = ((live * seg[pick])[..., None] * rule.weights).reshape(hi - lo, -1)
-    tau = (t - nodes[:-1, None]) / partition.widths[lo:hi, None]
+    k = partition.widths[lo:hi, None, None]   # an uncut row has s0 = a and ell = k exactly
+    tau = ((s0 - nodes[:-1, None, None]) / k + ell / k * rule.points).reshape(hi - lo, -1)
     return t, tau, weight
 
 
@@ -232,3 +246,14 @@ def reference_blocks(q):
     for block in (rb.D, rb.G, rb.E, rb.GL2, rb.L):
         block.flags.writeable = False
     return rb
+
+
+@functools.lru_cache(maxsize=None)
+def reference_values(q, npoints):
+    """Both time bases at the npoints Gauss points tau_s, built once per (q, npoints)
+    and read-only: test[j, s] = l_j(tau_s) w_s (times the weights), trial[s, m] = P_m(tau_s)."""
+    rule = gauss_rule(npoints)
+    test = reference_blocks(q).test.eval_all(rule.points) * rule.weights
+    trial = npleg.legvander(2.0 * rule.points - 1.0, q)
+    test.flags.writeable = trial.flags.writeable = False
+    return test, trial

@@ -7,6 +7,7 @@ import tempfile
 import tracemalloc
 
 import numpy as np
+import numpy.polynomial.legendre as npleg
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,7 +32,7 @@ from stheat.analysis import error_norms, stability_check
 from stheat.fem import assemble
 from stheat.problems import problem_2d_smooth, problem_by_id
 from stheat.solver import run_decomposed
-from stheat.timegrid import make_uniform_partition
+from stheat.timegrid import TemporalBasis, cut_points, make_uniform_partition
 
 # numpy's two ufunc buffers, which level_bytes counts on top of a march stage
 BUFFERS = 2 * np.getbufsize()
@@ -418,9 +419,9 @@ def _traced_level(problem_id, n, p, q, N, errors, diagnostics=False):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    nodes = make_uniform_partition(problem.final_time, N).nodes
-    segments = 1 + sum(b not in nodes for b in problem.time_breakpoints)
-    return peak, np.unique(np.diff(nodes)).size, segments
+    partition = make_uniform_partition(problem.final_time, N)
+    segments = 1 + len(cut_points(partition, problem.time_breakpoints))
+    return peak, np.unique(partition.widths).size, segments
 
 
 @pytest.mark.parametrize("problem_id,n,p,q,N,errors", [
@@ -446,6 +447,23 @@ def test_level_bytes_tracks_the_march_peak(problem_id, n, p, q, N, errors):
     peak, widths, segments = _traced_level(problem_id, n, p, q, N, errors)
     dimension = problem_by_id(problem_id).dimension
     assert level_bytes(dimension, n, p, q, N, widths, False, True, errors, segments) >= 0.8 * peak
+
+
+def test_time_bases_are_evaluated_once_per_level(monkeypatch):
+    """On an uncut level of 98 march chunks and 196 error ranges (1D p=2,
+    q=0, n=64, N=4096, errors on) every row has the reference Gauss points,
+    so the time bases come from timegrid.reference_values: the test basis
+    and the Legendre values are evaluated a bounded number of times (what
+    filling the caches takes), not once per chunk or range."""
+    calls = []
+    eval_all, legvander = TemporalBasis.eval_all, npleg.legvander
+    monkeypatch.setattr(TemporalBasis, "eval_all",
+                        lambda basis, tau: calls.append("eval_all") or eval_all(basis, tau))
+    monkeypatch.setattr(npleg, "legvander",
+                        lambda *args: calls.append("legvander") or legvander(*args))
+    cfg = parse_config(json.dumps({"problem": "heat1d-smooth", "p": 2, "q": 0, "levels": [64]}))
+    run_level(cfg, 0, problem_by_id("heat1d-smooth"))
+    assert calls.count("eval_all") <= 2 and calls.count("legvander") <= 5
 
 
 def test_level_memory_is_independent_of_the_interval_count():
@@ -509,6 +527,18 @@ def test_preflight_stays_below_the_level_it_checks():
     finally:
         tracemalloc.stop()
     assert peak < level_bytes(1, 2, 1, 0, 1000000)
+
+
+def test_preflight_counts_the_segments_that_the_quadrature_cuts(monkeypatch):
+    """heat1d-lowreg's kink t = 1/2 is node 49 of N = 98 to an ulp
+    (0.49999999999999994), and inside interval 49 of N = 99: the pre-flight
+    charges one time segment an interval to the first, two to the second."""
+    seen = []
+    bound = stheat.cli.level_bytes
+    monkeypatch.setattr(stheat.cli, "level_bytes", lambda *args: seen.append(args) or bound(*args))
+    payload = {"problem": "heat1d-lowreg", "p": 2, "levels": [4, 8], "explicit_N": [98, 99]}
+    stheat.cli.preflight(parse_config(json.dumps(payload)), problem_by_id("heat1d-lowreg"), True)
+    assert [args[9] for args in seen if len(args) == 10] == [1, 2]
 
 
 def test_preflight_counts_every_interval_width(monkeypatch):

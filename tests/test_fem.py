@@ -127,9 +127,33 @@ def test_spectral_2d_is_the_tensor_product_of_the_line():
     assert np.allclose(space.mass @ V2 @ np.diag(dec.eigenvalues) @ V2.T @ space.mass,
                        space.stiffness, rtol=1e-10, atol=1e-10)
     rng = np.random.default_rng(3)
-    X = rng.standard_normal((4, space.dof_count))
-    assert np.allclose(dec.modal_loads(X), X @ V2, atol=1e-12)
-    assert np.allclose(dec.coefficients(X), X @ V2.T, atol=1e-12)
+    for X in (rng.standard_normal((4, space.dof_count)),
+              rng.standard_normal((3, 2, space.dof_count))):
+        assert np.allclose(dec.modal_loads(X), X @ V2, atol=1e-12)
+        assert np.allclose(dec.coefficients(X), X @ V2.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_modal_maps_of_a_stack_equal_the_row_products(dimension):
+    """modal_loads and coefficients, one GEMM per axis over a (c, m, dof)
+    stack, equal the products of its rows one at a time."""
+    space = assemble(dimension, 5, 2)
+    dec = spectral(space)
+    V = dec.eigenvectors if dimension == 1 else np.kron(dec.eigenvectors, dec.eigenvectors)
+    X = np.random.default_rng(8).standard_normal((6, 3, space.dof_count))
+    for got, matrix in ((dec.modal_loads(X), V), (dec.coefficients(X), V.T)):
+        want = np.array([[row @ matrix for row in item] for item in X])
+        assert got.shape == X.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_line_tables_are_cached_and_read_only():
+    space = assemble(1, 6, 2)
+    tables = space.line_tables(4)
+    assert assemble(1, 6, 2).line_tables(4) is tables
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0] = 0.5
 
 
 def test_2d_space_keeps_only_line_matrices_until_asked():

@@ -13,7 +13,7 @@ from stheat.problems import (
     problem_impulse,
 )
 from stheat.solver import LocalBlockSystem, SpaceTimeSolution, interval_moments, run_decomposed
-from stheat.timegrid import CHUNK_VALUES, TimePartition, make_uniform_partition
+from stheat.timegrid import CHUNK_VALUES, TimePartition, cut_points, make_uniform_partition
 from reference import (
     assemble_bilinear,
     assemble_load,
@@ -232,6 +232,22 @@ def test_interval_moments_chunk_invariance():
     single = np.stack([interval_moments(problem, space, part, q, i, i + 1)[0]
                        for i in range(part.num_intervals)])
     assert np.abs(whole - single).max() <= 1e-13 * np.abs(single).max()
+
+
+def test_a_breakpoint_an_ulp_off_a_node_cuts_nothing():
+    """At N = 98 linspace puts node 49 at 0.49999999999999994: a breakpoint at
+    t = 1/2 is that node (timegrid.cut_points), so the moments equal those
+    without it, while one 1e-9 off the node still cuts its interval."""
+    part = make_uniform_partition(1.0, 98)
+    assert 0.0 < 0.5 - part.nodes[49] < 1e-16
+    f = lambda x, t: np.sin(np.pi * x) * np.abs(t - 0.5)
+    kinked = ProblemSpec(name="kink", dimension=1, rhs=f, initial=None, final_time=1.0,
+                         time_breakpoints=(0.5,))
+    plain = ProblemSpec(name="kink", dimension=1, rhs=f, initial=None, final_time=1.0)
+    space = assemble(1, 4, 2)
+    assert cut_points(part, (0.5,)) == [] and cut_points(part, (0.5 + 1e-9,)) == [0.5 + 1e-9]
+    assert np.array_equal(interval_moments(kinked, space, part, 1),
+                          interval_moments(plain, space, part, 1))
 
 
 def test_solution_shape_validation():

@@ -15,6 +15,7 @@ from stheat.timegrid import (
     make_uniform_partition,
     quadrature_nodes,
     reference_blocks,
+    reference_values,
 )
 
 
@@ -153,6 +154,41 @@ def test_quadrature_nodes_layout():
         assert np.all(np.isin(row_t[~row_live], row_t[row_live]))
     # no node sits on a cut
     assert not np.any(np.isin(t, (0.2, 0.7)))
+
+
+def test_uncut_rows_get_the_reference_points_exactly():
+    """tau of an interval that no breakpoint cuts is gauss_rule(n).points bit
+    for bit, in a block without a cut and beside a cut interval, whose own
+    tau still maps to its times."""
+    rng = np.random.default_rng(11)
+    nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, size=40))])
+    part = TimePartition(3.0 * nodes / nodes[-1])
+    cut = 0.3 * part.nodes[20] + 0.7 * part.nodes[21]
+    for npoints in (1, 3, 5):
+        points = gauss_rule(npoints).points
+        _, tau, _ = quadrature_nodes(part, 0, 40, npoints, breakpoints=(part.nodes[7],))
+        assert tau.shape == (40, npoints) and np.array_equal(tau, np.tile(points, (40, 1)))
+        t, tau, _ = quadrature_nodes(part, 5, 30, npoints, breakpoints=(cut,))
+        assert tau.shape == (25, 2 * npoints)
+        for i, row in enumerate(tau):
+            if i != 15:   # interval 20 is the cut one; the others pad with their own nodes
+                assert np.array_equal(row, np.tile(points, 2))
+        a, k = part.nodes[20], part.widths[20]
+        assert np.allclose(a + k * tau[15], t[15], rtol=0.0, atol=1e-15)
+
+
+def test_reference_values_are_cached_and_read_only():
+    """The time bases at the Gauss points of [0,1], built once per (q, npoints):
+    the test basis times the weights and the Legendre trial basis."""
+    for q, npoints in ((0, 3), (1, 5), (4, 8)):
+        test, trial = tables = reference_values(q, npoints)
+        assert reference_values(q, npoints) is tables
+        rule = gauss_rule(npoints)
+        assert np.array_equal(test, TemporalBasis(q + 1).eval_all(rule.points) * rule.weights)
+        assert np.array_equal(trial, npleg.legvander(2.0 * rule.points - 1.0, q))
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.5
 
 
 def test_gauss_rule_is_cached_and_read_only():
