@@ -83,7 +83,7 @@ class ErrorNorms:
         space, problem, q = self.space, self.problem, self.q
         x, w, B, D = self._tables
         t, tau, wt = quadrature_nodes(self.partition, lo, hi, q + 4, problem.time_breakpoints)
-        P = reference_values(q, q + 4)[1] if t.shape[1] == q + 4 else npleg.legvander(
+        P = reference_values(q, q + 4)[1] if tau.ndim == 1 else npleg.legvander(
             2.0 * tau - 1.0, q)   # the Legendre trial basis, (slot, m) or (interval, slot, m)
         coeffs = np.matmul(P, self._dec.coefficients(u1)).reshape(t.size, -1)
         if space.dimension == 1:

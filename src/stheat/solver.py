@@ -158,7 +158,7 @@ def interval_moments(problem, space, partition, q, lo=0, hi=None):
         return np.zeros((hi - lo, q + 2, space.dof_count))
     t, tau, w = quadrature_nodes(partition, lo, hi, q + 3, problem.time_breakpoints)
     loads = fem.load_vector(space, problem.rhs, t=t.ravel()).reshape(*t.shape, -1)
-    if t.shape[1] == q + 3:   # no interval is cut: every row has the reference nodes
+    if tau.ndim == 1:   # no interval is cut: every row has the reference nodes
         return np.matmul(reference_values(q, q + 3)[0], loads)
     basis = reference_blocks(q).test.eval_all(tau.ravel()).reshape(-1, *t.shape) * (
         w / partition.widths[lo:hi, None])

@@ -161,32 +161,32 @@ def quadrature_nodes(partition, lo, hi, npoints, breakpoints=()):
 
     Each interval is cut at its cut_points (so a kink does not degrade
     accuracy) and every segment gets the npoints-point Gauss rule.  Returns
-    (t, tau, weight) of shape (hi-lo, slots): row i holds the times, their
-    reference coordinates (s0 - a)/k + (l/k) tau_ref on segment [s0, s0 + l]
-    of interval lo+i = [a, a + k] (gauss_rule(npoints).points bit for bit if
-    uncut), and the weights.  slots is npoints times the most segments of an
-    interval (no cut: reference_values serves the block); a shorter row is
-    padded with weight 0 at copies of its own first nodes.
+    (t, tau, weight): t and weight of shape (hi-lo, slots), row i holding the
+    times and weights of interval lo+i = [a, a + k], and tau their reference
+    coordinates (s0 - a)/k + (l/k) tau_ref on segment [s0, s0 + l], which are
+    gauss_rule(npoints).points bit for bit on an uncut interval.  slots is
+    npoints times the most segments of an interval; a shorter row is padded
+    with weight 0 at copies of its own first nodes.  If no interval of the
+    block is cut, tau is gauss_rule(npoints).points itself, shape (npoints,),
+    the points where reference_values holds both bases: consumers branch on
+    tau.ndim, not on the slot layout.
     """
     rule = gauss_rule(npoints)
     nodes = partition.nodes[lo:hi + 1]
-    cuts = cut_points(partition, breakpoints, lo, hi)
-    if not cuts:
-        seg = np.diff(nodes)[:, None]
-        tau = np.repeat(rule.points[None], hi - lo, axis=0)
-        return nodes[:-1, None] + seg * rule.points, tau, seg * rule.weights
-    pts = np.sort(np.concatenate((nodes, cuts)))
-    seg0, seg = pts[:-1], np.diff(pts)
+    pts = np.sort(np.concatenate((nodes, cut_points(partition, breakpoints, lo, hi))))
+    seg = np.diff(pts)[:, None]
+    t, weight = pts[:-1, None] + seg * rule.points, seg * rule.weights   # per segment
+    if pts.size == nodes.size:   # no interval of the block is cut: segments are rows
+        return t, rule.points, weight
     first = np.searchsorted(pts, nodes)   # the segment each node starts
-    slots = np.arange(np.diff(first).max())
-    live = slots < np.diff(first)[:, None]
+    count = np.diff(first)
+    slots = np.arange(count.max())
+    live = slots < count[:, None]
     pick = first[:-1, None] + slots * live   # a pad repeats its row's first segment
-    s0, ell = seg0[pick][..., None], seg[pick][..., None]
-    t = (s0 + ell * rule.points).reshape(hi - lo, -1)
-    weight = ((live * seg[pick])[..., None] * rule.weights).reshape(hi - lo, -1)
-    k = partition.widths[lo:hi, None, None]   # an uncut row has s0 = a and ell = k exactly
-    tau = ((s0 - nodes[:-1, None, None]) / k + ell / k * rule.points).reshape(hi - lo, -1)
-    return t, tau, weight
+    k = partition.widths[lo:hi, None, None]   # an uncut row has s0 = a and l = k exactly
+    tau = (pts[pick][..., None] - nodes[:-1, None, None]) / k + seg[pick] / k * rule.points
+    return (t[pick].reshape(hi - lo, -1), tau.reshape(hi - lo, -1),
+            (live[..., None] * weight[pick]).reshape(hi - lo, -1))
 
 
 class ReferenceBlocks:
