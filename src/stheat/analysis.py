@@ -80,12 +80,12 @@ class ErrorNorms:
         self._u2_term(lo, end, u2[: end - lo])
 
     def _u1_term(self, lo, hi, u1):
-        space, problem, q = self.space, self.problem, self.q
+        space, problem, part, q = self.space, self.problem, self.partition, self.q
         x, w, B, D = self._tables
-        t, tau, wt = quadrature_nodes(self.partition, lo, hi, q + 4, problem.time_breakpoints)
-        P = reference_values(q, q + 4)[1] if tau.ndim == 1 else npleg.legvander(
-            2.0 * tau - 1.0, q)   # the Legendre trial basis, (slot, m) or (interval, slot, m)
-        coeffs = np.matmul(P, self._dec.coefficients(u1)).reshape(t.size, -1)
+        t, tau, wt, owner = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
+        c = self._dec.coefficients(u1)   # a cut interval's segments share its coefficients
+        P = reference_values(q, q + 4)[1] if owner is None else npleg.legvander(2.0 * tau - 1.0, q)
+        coeffs = np.matmul(P, c if owner is None else c[owner]).reshape(t.size, -1)
         if space.dimension == 1:
             sq = fem.gather(D, coeffs)
             sq -= problem.exact.grad(x[None, :], t.reshape(-1, 1))
@@ -320,7 +320,8 @@ class StabilitySums:
         if problem.rhs is None:   # f = 0
             return
         for a, b in chunks(lo, hi, self._per_interval):
-            t, _, w = quadrature_nodes(self.partition, a, b, self.q + 4, problem.time_breakpoints)
+            t, _, w, _ = quadrature_nodes(self.partition, a, b, self.q + 4,
+                                          problem.time_breakpoints)
             f = dec.modal_loads(fem.load_vector(self.space, problem.rhs, t=t.ravel()))
             self.f_sq += float(w.ravel() @ ((f * f) @ (1.0 / dec.eigenvalues)))
 

@@ -50,7 +50,7 @@ from .analysis import ErrorNorms, StabilitySums, cfl_constant, diagnostic_consta
 from .fem import assemble
 from .problems import problem_by_id, validate_residual
 from .solver import impulse_nodes, march
-from .timegrid import CHUNK_VALUES, MAX_TRIAL_DEGREE, cut_points, make_uniform_partition
+from .timegrid import CHUNK_VALUES, MAX_TRIAL_DEGREE, make_uniform_partition
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -167,22 +167,20 @@ def level_geometry(cfg, idx, final_time):
     return n, max(1, int(round(steps)))
 
 
-def level_bytes(dimension, n, p, q, N, widths=1, diagnostics=False, run=True, errors=False,
-                segments=1):
+def level_bytes(dimension, n, p, q, N, widths=1, diagnostics=False, run=True, errors=False):
     """Lower bound on the memory of a level: the largest of the peaks of
     assemble, of the march (if run) with the consumers that it feeds (the
     error norms if errors, the stability sums if diagnostics), and of the
     diagnostics, if any.  widths counts the partition's distinct interval
-    widths, and segments the most time segments that the quadrature cuts
-    one interval into (it pads every interval of a chunk to those of its
-    most cut one).  No term grows with N dof: a run holds one chunk of its
-    solution at a time.  The march's peak is the largest of its per-chunk
-    stages: the load block, the gather of the inverses, the solution beside
-    its recurrence terms, and the solution beside one range of the error
-    norms or two load blocks of the stability bound's f term; numpy holds
-    two buffers of getbufsize() doubles on top while a problem's function
-    broadcasts over the times.  The README gives the formula and what each
-    term holds.
+    widths; a kink that cuts an interval adds one quadrature row (a time
+    segment) to its chunk, which the bound leaves out.  No term grows with
+    N dof: a run holds one chunk of its solution at a time.  The march's
+    peak is the largest of its per-chunk stages: the load block, the gather
+    of the inverses, the solution beside its recurrence terms, and the
+    solution beside one range of the error norms or two load blocks of the
+    stability bound's f term; numpy holds two buffers of getbufsize()
+    doubles on top while a problem's function broadcasts over the times.
+    The README gives the formula and what each term holds.
     """
     line = n * p - 1
     dof = line ** dimension
@@ -194,15 +192,15 @@ def level_bytes(dimension, n, p, q, N, widths=1, diagnostics=False, run=True, er
         c = min(N, max(1, CHUNK_VALUES // ((q + 3) * points)))
         rows = widths * ((q + 1) ** 2 + q + 3) + 2
         solution = (c * (q + 2) + 1) * dof
-        stages = [c * (q + 3) * segments * (points * (2 * p + 3) // (p + 2) + 2 * q + 4),
+        stages = [c * (q + 3) * (points * (2 * p + 3) // (p + 2) + 2 * q + 4),
                   c * ((q + 1) ** 2 + 2 * q + 3) * dof,
                   (c * (3 * q + 6) + 1) * dof]
         if errors:
             e = min(c, max(1, CHUNK_VALUES // ((q + 4) * grid)))
-            stages.append(solution + e * (q + 4) * segments * (2 * dimension * grid + 2 * dof))
+            stages.append(solution + e * (q + 4) * (2 * dimension * grid + 2 * dof))
         if diagnostics:
             f = min(c, max(1, CHUNK_VALUES // ((q + 4) * points)))
-            stages.append(solution + 2 * f * (q + 4) * segments * points)
+            stages.append(solution + 2 * f * (q + 4) * points)
         march = kept + max(5 * N, N + max(widths * (2 * (q + 1) ** 2 + 1) * dof,
                                           rows * dof + 2 * np.getbufsize() + max(stages)))
     diag = dof + 5 * N + 4 * widths * (q + 2) ** 2 if diagnostics else 0
@@ -239,9 +237,8 @@ def preflight(cfg, problem, run):
             partition = make_uniform_partition(problem.final_time, N)
             k = np.sort(partition.widths)   # np.unique would import numpy.ma here, in the run
             widths = 1 + np.count_nonzero(k[1:] != k[:-1])
-            segments = 1 + len(cut_points(partition, problem.time_breakpoints))   # all: a bound
             need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N, widths, diagnostics, run,
-                               errors, segments)
+                               errors)
         if need > available:
             raise ConfigError("level n=%d, N=%d needs at least %s GB, more than the "
                               "%.3g GB of physical memory" % (n, N, _gigabytes(need),

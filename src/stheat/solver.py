@@ -156,13 +156,15 @@ def interval_moments(problem, space, partition, q, lo=0, hi=None):
     hi = partition.num_intervals if hi is None else hi
     if problem.rhs is None or hi == lo:
         return np.zeros((hi - lo, q + 2, space.dof_count))
-    t, tau, w = quadrature_nodes(partition, lo, hi, q + 3, problem.time_breakpoints)
+    t, tau, w, owner = quadrature_nodes(partition, lo, hi, q + 3, problem.time_breakpoints)
     loads = fem.load_vector(space, problem.rhs, t=t.ravel()).reshape(*t.shape, -1)
-    if tau.ndim == 1:   # no interval is cut: every row has the reference nodes
+    if owner is None:   # no interval is cut: every row has the reference nodes
         return np.matmul(reference_values(q, q + 3)[0], loads)
     basis = reference_blocks(q).test.eval_all(tau.ravel()).reshape(-1, *t.shape) * (
-        w / partition.widths[lo:hi, None])
-    return np.matmul(basis.transpose(1, 0, 2), loads)
+        w / partition.widths[lo + owner, None])
+    moments = np.zeros((hi - lo, q + 2, space.dof_count))
+    np.add.at(moments, owner, np.matmul(basis.transpose(1, 0, 2), loads))
+    return moments
 
 
 def impulse_nodes(problem, partition):

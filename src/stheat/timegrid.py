@@ -8,10 +8,12 @@ test function are single coefficients).  Both are held as rows of
 shifted-Legendre coefficients, so the reference blocks that couple them are
 closed-form products of those rows, exact up to round-off.  Every space-time
 integral of the package takes its time nodes from quadrature_nodes, one
-chunk of intervals at a time, as (interval, slot) arrays, so an integral
-over each interval is a contraction over the slot axis.  An interval is cut
-only at a breakpoint off its nodes (cut_points); an uncut one gets the
-reference Gauss points exactly, where reference_values holds both bases.
+chunk of intervals at a time, as (segment, point) arrays with the
+interval that owns each segment, so an integral over each interval is a
+contraction over the point axis summed over its segments.  An interval is
+cut only at a breakpoint off its nodes (cut_points); an uncut one is one
+segment with the reference Gauss points exactly, where reference_values
+holds both bases.
 """
 
 import functools
@@ -161,32 +163,26 @@ def quadrature_nodes(partition, lo, hi, npoints, breakpoints=()):
 
     Each interval is cut at its cut_points (so a kink does not degrade
     accuracy) and every segment gets the npoints-point Gauss rule.  Returns
-    (t, tau, weight): t and weight of shape (hi-lo, slots), row i holding the
-    times and weights of interval lo+i = [a, a + k], and tau their reference
-    coordinates (s0 - a)/k + (l/k) tau_ref on segment [s0, s0 + l], which are
-    gauss_rule(npoints).points bit for bit on an uncut interval.  slots is
-    npoints times the most segments of an interval; a shorter row is padded
-    with weight 0 at copies of its own first nodes.  If no interval of the
-    block is cut, tau is gauss_rule(npoints).points itself, shape (npoints,),
-    the points where reference_values holds both bases: consumers branch on
-    tau.ndim, not on the slot layout.
+    (t, tau, weight, owner) with one row per segment, in time order: t and
+    weight of shape (segments, npoints), owner the interval of each row
+    relative to lo, and tau the reference coordinates
+    (s0 - a)/k + (l/k) tau_ref of segment [s0, s0 + l] of interval [a, a + k],
+    which are gauss_rule(npoints).points bit for bit on an uncut interval.
+    If no interval of the block is cut, the rows are its intervals, owner is
+    None and tau is gauss_rule(npoints).points itself, shape (npoints,), the
+    points where reference_values holds both bases: consumers branch on
+    owner alone.
     """
     rule = gauss_rule(npoints)
     nodes = partition.nodes[lo:hi + 1]
     pts = np.sort(np.concatenate((nodes, cut_points(partition, breakpoints, lo, hi))))
     seg = np.diff(pts)[:, None]
-    t, weight = pts[:-1, None] + seg * rule.points, seg * rule.weights   # per segment
-    if pts.size == nodes.size:   # no interval of the block is cut: segments are rows
-        return t, rule.points, weight
-    first = np.searchsorted(pts, nodes)   # the segment each node starts
-    count = np.diff(first)
-    slots = np.arange(count.max())
-    live = slots < count[:, None]
-    pick = first[:-1, None] + slots * live   # a pad repeats its row's first segment
-    k = partition.widths[lo:hi, None, None]   # an uncut row has s0 = a and l = k exactly
-    tau = (pts[pick][..., None] - nodes[:-1, None, None]) / k + seg[pick] / k * rule.points
-    return (t[pick].reshape(hi - lo, -1), tau.reshape(hi - lo, -1),
-            (live[..., None] * weight[pick]).reshape(hi - lo, -1))
+    t, weight = pts[:-1, None] + seg * rule.points, seg * rule.weights
+    if pts.size == nodes.size:   # no interval of the block is cut: segments are intervals
+        return t, rule.points, weight, None
+    owner = np.searchsorted(nodes, pts[:-1], side="right") - 1
+    a, k = nodes[owner, None], partition.widths[lo + owner, None]   # uncut: s0 = a, l = k
+    return t, (pts[:-1, None] - a) / k + seg / k * rule.points, weight, owner
 
 
 class ReferenceBlocks:

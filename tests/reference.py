@@ -242,9 +242,10 @@ def crank_nicolson(problem, space, partition):
     M, K = space.mass, space.stiffness
     forcing = np.zeros((N, dof))
     if problem.rhs is not None:
-        t, _, w = quadrature_nodes(partition, 0, N, 4, problem.time_breakpoints)
+        t, _, w, owner = quadrature_nodes(partition, 0, N, 4, problem.time_breakpoints)
         loads = load_vector(space, problem.rhs, t=t.ravel()).reshape(*t.shape, dof)
-        forcing = np.matmul(w[:, None, :], loads)[:, 0]
+        np.add.at(forcing, np.arange(N) if owner is None else owner,
+                  np.matmul(w[:, None, :], loads)[:, 0])
     W = np.empty((N + 1, dof))
     W[0] = 0.0 if problem.initial is None else l2_project(space, problem.initial)
     for i, k in enumerate(partition.widths):

@@ -632,7 +632,7 @@ def _stability_dense_reference(solution, problem, c_s):
     f_sq = 0.0
     per_item = (q + 4) * space.grid_size(space.degree + 2)
     for lo, hi in chunks(0, part.num_intervals, per_item):
-        t, _, w = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
+        t, _, w, _ = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
         loads = load_vector(space, problem.rhs, t=t.ravel())
         f_sq += float(w.ravel() @ np.sum(loads * scipy.linalg.cho_solve(stiffness_cho, loads.T).T,
                                          axis=1))
@@ -704,8 +704,9 @@ def test_stability_result_evaluates_no_rhs(monkeypatch):
 def test_quadrature_is_chunk_invariant(monkeypatch):
     """Loads, error norms and the stability terms do not depend on the chunk
     size.  N = 9 puts the kink of heat1d-lowreg (t = 1/2) inside interval 4:
-    in one chunk every row but interval 4 carries pad slots, while chunks of
-    2-3 intervals pad only the rows that share a chunk with interval 4."""
+    one chunk holds the cut with all eight uncut intervals, while in chunks
+    of 2-3 intervals only one of them holds it and the others take the
+    reference points."""
     problem = problem_1d_lowreg(0.5)
     space, part, q = assemble(1, 4, 2), make_uniform_partition(1.0, 9), 1
     sol = run_decomposed(problem, space, part, q)

@@ -32,7 +32,7 @@ from stheat.analysis import error_norms, stability_check
 from stheat.fem import assemble
 from stheat.problems import problem_2d_smooth, problem_by_id
 from stheat.solver import run_decomposed
-from stheat.timegrid import TemporalBasis, cut_points, make_uniform_partition
+from stheat.timegrid import TemporalBasis, make_uniform_partition
 
 # numpy's two ufunc buffers, which level_bytes counts on top of a march stage
 BUFFERS = 2 * np.getbufsize()
@@ -406,9 +406,8 @@ def test_level_bytes_counts_the_diagnostic_bands():
 
 def _traced_level(problem_id, n, p, q, N, errors, diagnostics=False):
     """Traced peak of run_level on a level built inside it, and the
-    arguments of level_bytes that the pre-flight takes from its partition:
-    the number of distinct interval widths, and of time segments that the
-    problem's kinks off the nodes cut an interval into."""
+    argument of level_bytes that the pre-flight takes from its partition:
+    the number of distinct interval widths."""
     problem = problem_by_id(problem_id)
     cfg = parse_config(json.dumps({"problem": problem_id, "p": p, "q": q, "levels": [n],
                                    "explicit_N": [N], "errors": errors,
@@ -419,9 +418,7 @@ def _traced_level(problem_id, n, p, q, N, errors, diagnostics=False):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    partition = make_uniform_partition(problem.final_time, N)
-    segments = 1 + len(cut_points(partition, problem.time_breakpoints))
-    return peak, np.unique(partition.widths).size, segments
+    return peak, np.unique(make_uniform_partition(problem.final_time, N).widths).size
 
 
 @pytest.mark.parametrize("problem_id,n,p,q,N,errors", [
@@ -430,7 +427,7 @@ def _traced_level(problem_id, n, p, q, N, errors, diagnostics=False):
     ("heat2d-smooth", 48, 3, 0, 2, False),     # one interval's load block dominates
     ("heat2d-smooth", 24, 3, 9, 100, False),   # 8 distinct widths, each with its inverses
     ("heat2d-smooth", 60, 3, 9, 2, True),      # one interval's error values dominate
-    ("heat1d-lowreg", 16, 2, 1, 301, False),   # the kink inside interval 150 pads its chunk
+    ("heat1d-lowreg", 16, 2, 1, 301, False),   # the kink inside interval 150 cuts its chunk
     ("heat1d-lowreg", 16, 2, 1, 301, True),    # ... and its error range
     ("heat1d-lowreg", 8, 2, 0, 64, False),     # the kink on a node; numpy's ufunc buffers
     ("heat1d-lowreg", 8, 2, 0, 64, True),
@@ -441,12 +438,11 @@ def _traced_level(problem_id, n, p, q, N, errors, diagnostics=False):
         "heat1d-lowreg-8-2-0-64-errors", "heat1d-smooth-2-1-0-1365-errors"])
 def test_level_bytes_tracks_the_march_peak(problem_id, n, p, q, N, errors):
     """The pre-flight's bound, counting the partition's distinct interval
-    widths and the quadrature's time segments, is at least 0.8 times the
-    traced peak of a streamed level (run_level), assembly, march and error
-    norms."""
-    peak, widths, segments = _traced_level(problem_id, n, p, q, N, errors)
+    widths, is at least 0.8 times the traced peak of a streamed level
+    (run_level), assembly, march and error norms."""
+    peak, widths = _traced_level(problem_id, n, p, q, N, errors)
     dimension = problem_by_id(problem_id).dimension
-    assert level_bytes(dimension, n, p, q, N, widths, False, True, errors, segments) >= 0.8 * peak
+    assert level_bytes(dimension, n, p, q, N, widths, False, True, errors) >= 0.8 * peak
 
 
 def test_time_bases_are_evaluated_once_per_level(monkeypatch):
@@ -493,15 +489,13 @@ def test_level_memory_is_independent_of_the_interval_count():
         "heat1d-smooth-2-1-0-1365-no-errors"])
 def test_level_bytes_tracks_the_diagnostics_peak(problem_id, n, p, q, N, errors):
     """With diagnostics the pre-flight's bound, counting the partition's
-    distinct interval widths and the quadrature's time segments, is at
-    least 0.8 times the traced peak of a level of `run` (run_level: the
-    diagnostics, then the march with the error norms, if any, and the
-    stability sums) and of `diagnose` (the diagnostics alone), each on a
-    freshly assembled level."""
+    distinct interval widths, is at least 0.8 times the traced peak of a
+    level of `run` (run_level: the diagnostics, then the march with the
+    error norms, if any, and the stability sums) and of `diagnose` (the
+    diagnostics alone), each on a freshly assembled level."""
     problem = problem_by_id(problem_id)
-    peak, widths, segments = _traced_level(problem_id, n, p, q, N, errors, True)
-    assert level_bytes(problem.dimension, n, p, q, N, widths, True, True, errors,
-                       segments) >= 0.8 * peak
+    peak, widths = _traced_level(problem_id, n, p, q, N, errors, True)
+    assert level_bytes(problem.dimension, n, p, q, N, widths, True, True, errors) >= 0.8 * peak
     space = assemble(problem.dimension, n, p)
     partition = make_uniform_partition(problem.final_time, N)
     tracemalloc.start()
@@ -527,18 +521,6 @@ def test_preflight_stays_below_the_level_it_checks():
     finally:
         tracemalloc.stop()
     assert peak < level_bytes(1, 2, 1, 0, 1000000)
-
-
-def test_preflight_counts_the_segments_that_the_quadrature_cuts(monkeypatch):
-    """heat1d-lowreg's kink t = 1/2 is node 49 of N = 98 to an ulp
-    (0.49999999999999994), and inside interval 49 of N = 99: the pre-flight
-    charges one time segment an interval to the first, two to the second."""
-    seen = []
-    bound = stheat.cli.level_bytes
-    monkeypatch.setattr(stheat.cli, "level_bytes", lambda *args: seen.append(args) or bound(*args))
-    payload = {"problem": "heat1d-lowreg", "p": 2, "levels": [4, 8], "explicit_N": [98, 99]}
-    stheat.cli.preflight(parse_config(json.dumps(payload)), problem_by_id("heat1d-lowreg"), True)
-    assert [args[9] for args in seen if len(args) == 10] == [1, 2]
 
 
 def test_preflight_counts_every_interval_width(monkeypatch):

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -12,7 +13,13 @@ from stheat.problems import (
     problem_2d_smooth,
     problem_impulse,
 )
-from stheat.solver import LocalBlockSystem, SpaceTimeSolution, interval_moments, run_decomposed
+from stheat.solver import (
+    LocalBlockSystem,
+    SpaceTimeSolution,
+    interval_moments,
+    march_chunks,
+    run_decomposed,
+)
 from stheat.timegrid import CHUNK_VALUES, TimePartition, cut_points, make_uniform_partition
 from reference import (
     assemble_bilinear,
@@ -248,6 +255,26 @@ def test_a_breakpoint_an_ulp_off_a_node_cuts_nothing():
     assert cut_points(part, (0.5,)) == [] and cut_points(part, (0.5 + 1e-9,)) == [0.5 + 1e-9]
     assert np.array_equal(interval_moments(kinked, space, part, 1),
                           interval_moments(plain, space, part, 1))
+
+
+def test_a_cut_chunk_takes_the_memory_of_an_uncut_one():
+    """heat1d-lowreg, 1D n=16, p=2, q=1, N=301: the kink t = 1/2 inside
+    interval 150 cuts the march chunk 128..256, which then has one time
+    segment more than intervals; with warm caches the traced peak of its
+    load moments is at most 1.1 times that of the uncut chunk 0..128."""
+    problem, space, part = problem_1d_lowreg(), assemble(1, 16, 2), make_uniform_partition(1.0, 301)
+    assert march_chunks(space, part, 1)[:2] == [(0, 128), (128, 256)]
+    assert len(cut_points(part, problem.time_breakpoints, 128, 256)) == 1
+    peaks = []
+    for lo, hi in ((0, 128), (128, 256)):
+        interval_moments(problem, space, part, 1, lo, hi)   # caches filled outside the trace
+        tracemalloc.start()
+        try:
+            interval_moments(problem, space, part, 1, lo, hi)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_solution_shape_validation():

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.polynomial.legendre as npleg
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reference import quadrature_reference_blocks
 from stheat.timegrid import (
@@ -10,6 +11,7 @@ from stheat.timegrid import (
     TemporalBasis,
     TimePartition,
     chunks,
+    cut_points,
     gauss_rule,
     lobatto_points,
     make_uniform_partition,
@@ -21,8 +23,9 @@ from stheat.timegrid import (
 
 def _moment(f, phi, nodes, npoints, breakpoints=()):
     """int f(s) phi(s) ds over each interval of the partition, by the kernel."""
-    t, _, w = quadrature_nodes(TimePartition(nodes), 0, len(nodes) - 1, npoints, breakpoints)
-    return np.sum(w * f(t) * phi(t), axis=1)
+    N = len(nodes) - 1
+    t, _, w, owner = quadrature_nodes(TimePartition(nodes), 0, N, npoints, breakpoints)
+    return np.bincount(np.arange(N) if owner is None else owner, np.sum(w * f(t) * phi(t), axis=1))
 
 
 def test_uniform_partition_nodes():
@@ -137,44 +140,50 @@ def test_moment_kink_splitting_is_exact():
 
 def test_quadrature_nodes_layout():
     part = TimePartition([0.0, 0.1, 0.35, 0.4, 1.0])
-    t, tau, w = quadrature_nodes(part, 1, 4, 2, breakpoints=(0.2, 0.4, 0.7, 5.0))
-    # interval 1 and 3 are cut once (0.2, 0.7); 0.4 is a node, 5.0 outside;
-    # interval 2 fills its 2 Gauss nodes and pads 2 slots
-    assert t.shape == tau.shape == w.shape == (3, 4)
-    a, k = part.nodes[1:4, None], part.widths[1:4, None]
-    assert np.allclose(t, a + k * tau, atol=1e-15)
-    assert np.all((tau > 0.0) & (tau < 1.0))
-    assert np.allclose(w.sum(axis=1), part.widths[1:4], atol=1e-15)
-    live = w > 0.0
-    assert live.sum(axis=1).tolist() == [4, 2, 4]
-    assert np.all(np.diff(t[0]) > 0) and np.all(np.diff(t[2]) > 0)
-    assert np.all(w[1, 2:] == 0.0) and np.all(np.diff(t[1, :2]) > 0)
-    # each pad repeats a real node of its own row
-    for row_t, row_live in zip(t, live):
-        assert np.all(np.isin(row_t[~row_live], row_t[row_live]))
-    # no node sits on a cut
-    assert not np.any(np.isin(t, (0.2, 0.7)))
+    t, tau, w, owner = quadrature_nodes(part, 1, 4, 2, breakpoints=(0.2, 0.4, 0.7, 5.0))
+    # intervals 1 and 3 are cut once (0.2, 0.7); 0.4 is a node, 5.0 outside:
+    # five segments, each with the 2 Gauss nodes, owned by intervals 1, 1, 2, 3, 3
+    assert owner.tolist() == [0, 0, 1, 2, 2]
+    assert t.shape == tau.shape == w.shape == (5, 2)
+    assert np.allclose(w.sum(axis=1), [0.1, 0.15, 0.05, 0.3, 0.3], rtol=0.0, atol=1e-15)
+    assert np.array_equal(tau[2], gauss_rule(2).points)
+    a, k = part.nodes[1 + owner, None], part.widths[1 + owner, None]
+    assert np.allclose(t, a + k * tau, rtol=0.0, atol=1e-15)
 
 
-def test_uncut_rows_get_the_reference_points_exactly():
-    """tau of an interval that no breakpoint cuts is gauss_rule(n).points bit
-    for bit beside a cut interval, whose own tau still maps to its times; a
-    block without a cut returns the points themselves, one row for all."""
-    rng = np.random.default_rng(11)
-    nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, size=40))])
-    part = TimePartition(3.0 * nodes / nodes[-1])
-    cut = 0.3 * part.nodes[20] + 0.7 * part.nodes[21]
-    for npoints in (1, 3, 5):
-        points = gauss_rule(npoints).points
-        t, tau, _ = quadrature_nodes(part, 0, 40, npoints, breakpoints=(part.nodes[7],))
-        assert tau is points and t.shape == (40, npoints)
-        t, tau, _ = quadrature_nodes(part, 5, 30, npoints, breakpoints=(cut,))
-        assert tau.shape == (25, 2 * npoints)
-        for i, row in enumerate(tau):
-            if i != 15:   # interval 20 is the cut one; the others pad with their own nodes
-                assert np.array_equal(row, np.tile(points, 2))
-        a, k = part.nodes[20], part.widths[20]
-        assert np.allclose(a + k * tau[15], t[15], rtol=0.0, atol=1e-15)
+@settings(max_examples=200, deadline=None)
+@given(widths=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
+       anywhere=st.lists(st.floats(-0.1, 1.1), max_size=4),
+       near_nodes=st.lists(st.tuples(st.integers(0, 8), st.sampled_from([-1.0, 0.0, 1.0])),
+                           max_size=3),
+       npoints=st.integers(1, 5), data=st.data())
+def test_quadrature_rows_are_segments(widths, anywhere, near_nodes, npoints, data):
+    """Random partitions and breakpoints (anywhere, on a node, an ulp off
+    one): one row per time segment, in time order, owned by the interval it
+    lies in, whose segments' weights sum to its width; an uncut interval
+    gets the reference Gauss points bit for bit, also beside a cut one, and
+    a block without a cut returns the points themselves and owner None."""
+    part = TimePartition(np.concatenate([[0.0], np.cumsum(widths)]))
+    N, T = part.num_intervals, part.final_time
+    lo = data.draw(st.integers(0, N - 1))
+    hi = data.draw(st.integers(lo + 1, N))
+    breakpoints = [T * x for x in anywhere] + [
+        np.nextafter(part.nodes[i % (N + 1)], part.nodes[i % (N + 1)] + step)
+        for i, step in near_nodes]
+    t, tau, w, owner = quadrature_nodes(part, lo, hi, npoints, breakpoints)
+    points = gauss_rule(npoints).points
+    assert t.shape == w.shape == (hi - lo + len(cut_points(part, breakpoints, lo, hi)), npoints)
+    assert np.all(w > 0.0) and np.all(np.diff(t.ravel()) > 0.0)
+    if owner is None:
+        assert tau is points
+        owner, tau = np.arange(hi - lo), np.broadcast_to(points, t.shape)
+    assert np.allclose(np.bincount(owner, w.sum(axis=1), minlength=hi - lo), part.widths[lo:hi],
+                       rtol=1e-15, atol=0.0)
+    a, b = part.nodes[lo + owner, None], part.nodes[lo + owner + 1, None]
+    assert np.all((a < t) & (t < b))
+    assert np.allclose(a + (b - a) * tau, t, rtol=0.0, atol=1e-14 * T)
+    uncut = np.bincount(owner)[owner] == 1
+    assert np.array_equal(tau[uncut], np.broadcast_to(points, tau[uncut].shape))
 
 
 def test_reference_values_are_cached_and_read_only():
