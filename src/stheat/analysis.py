@@ -67,6 +67,7 @@ class ErrorNorms:
         self.problem, self.space, self.partition, self.q = problem, space, partition, q
         self._dec, nq = fem.spectral(space), space.degree + 4
         self._tables = space.line_tables(nq)
+        self._grid = np.ix_(*self._tables[:1] * space.dimension)[::-1]   # (eta, xi) in 2D
         self._per_interval = (q + 4) * space.grid_size(nq)
         self._err1_sq = 0.0
         self.per_node = np.empty(partition.num_intervals + 1)
@@ -81,31 +82,28 @@ class ErrorNorms:
 
     def _u1_term(self, lo, hi, u1):
         space, problem, part, q = self.space, self.problem, self.partition, self.q
-        x, w, B, D = self._tables
+        _, w, B, D = self._tables
         t, tau, wt, owner = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
         c = self._dec.coefficients(u1)   # a cut interval's segments share its coefficients
         P = reference_values(q, q + 4)[1] if owner is None else npleg.legvander(2.0 * tau - 1.0, q)
-        coeffs = np.matmul(P, c if owner is None else c[owner]).reshape(t.size, -1)
-        if space.dimension == 1:
-            sq = fem.gather(D, coeffs)
-            sq -= problem.exact.grad(x[None, :], t.reshape(-1, 1))
-            sp = np.square(sq, out=sq) @ w
-        else:
-            d = space.line_mass.shape[0]
-            Cm = coeffs.reshape(-1, d, d)
-            # D^T C B and B^T C D one axis at a time, as (nt, ny, nx) arrays;
-            # each exact component is dropped once subtracted, before the
-            # next discrete one is formed
-            ex, ey = problem.exact.grad(x[None, None, :], x[None, :, None], t.reshape(-1, 1, 1))
-            sq = fem.gather(D, fem.gather(B, Cm).swapaxes(1, 2))
-            sq -= ex
-            del ex
-            uy = fem.gather(B, fem.gather(D, Cm).swapaxes(1, 2))
-            uy -= ey
-            del ey
-            sq *= sq
-            sq += np.square(uy, out=uy)
-            sp = (sq @ w) @ w
+        dim, d = space.dimension, space.line_mass.shape[0]
+        coeffs = np.matmul(P, c if owner is None else c[owner]).reshape((t.size,) + (d,) * dim)
+        grad = None
+        for a in range(dim):
+            # component a: D on axis a, B on the others, last axis first, with a swap
+            # between gathers (a rotation of at most two axes), so it ends as (time, eta, xi)
+            u = coeffs
+            for axis in reversed(range(dim)):
+                u = fem.gather(D if axis == a else B, u if axis == dim - 1 else u.swapaxes(1, -1))
+            if grad is None:   # the exact values, formed once no gather's window is held
+                grad = problem.exact.grad(*self._grid, t.reshape((-1,) + (1,) * dim))
+                grad = [grad] if isinstance(grad, np.ndarray) else list(grad)   # 1D: du/dxi
+            u -= grad[a]
+            grad[a] = None   # each exact component goes before the next discrete one is formed
+            sq = np.square(u, out=u) if a == 0 else np.add(sq, np.square(u, out=u), out=sq)
+        sp = sq
+        for _ in range(dim):
+            sp = sp @ w
         return float(wt.ravel() @ sp)
 
     def _u2_term(self, lo, hi, u2):

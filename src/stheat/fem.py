@@ -18,8 +18,8 @@ are formed only on first access, by the reference solvers.
 Spatial quadrature is element-local: local degree r of element e is line
 node e*p + r, so loads (_scatter) and point values (gather) contract each
 element with the (nq, p+1) tables of the reference element (element_tables),
-one axis at a time in 2D (sum factorization), at a cost per time linear in
-the DOF count.  Only assemble forms dense (dof, n*nq) tables, which keeps
+one axis at a time (sum factorization), at a cost per time linear in the DOF
+count.  Only assemble forms dense (dof, n*nq) tables, which keeps
 the rounding of M and K.
 
 Coefficient vectors in 2D are flattened row-major: entry i*d + j multiplies
@@ -36,8 +36,8 @@ from .timegrid import gauss_rule, lagrange_coefficient_matrix
 class FemSpace:
     """Assembled finite element space; immutable once built.
 
-    line_mass and line_stiffness are the 1D matrices of the line; for a 1D
-    or abstract space they are the space's own matrices.
+    line_mass and line_stiffness are the 1D matrices of the line, in 1D the
+    space's own, also for an abstract space (dimension 1, n and degree None).
     """
 
     def __init__(self, dimension, n, degree, line_mass, line_stiffness):
@@ -46,7 +46,7 @@ class FemSpace:
         self.degree = degree
         self.line_mass = line_mass
         self.line_stiffness = line_stiffness
-        self.dof_count = line_mass.shape[0] ** max(dimension, 1)
+        self.dof_count = line_mass.shape[0] ** dimension
         self._spectral = None
 
     @functools.cached_property
@@ -82,9 +82,7 @@ class FemSpace:
         return _line_tables(self.n, self.degree, nq)
 
     def grid_size(self, nq):
-        """Points of the spatial quadrature grid of line_tables(nq); 1 without a mesh."""
-        if self.n is None:
-            return 1
+        """Points of the spatial quadrature grid of line_tables(nq)."""
         return (self.n * nq) ** self.dimension
 
     def __repr__(self):
@@ -100,23 +98,23 @@ class SpectralDecomposition:
     i*d + j like the coefficients; they are applied as V^T X V and never
     formed.  The solution is kept in modal coordinates a = V^T M u, a load
     vector f enters as V^T f, and values in space need u = V a; both maps
-    act on the last axis as one 2-D GEMM over all leading rows in 1D, and
-    two in 2D (X V, then the same on the swapped axes).
+    apply the line matrix once per axis, each time as one 2-D GEMM over all
+    leading rows on the last axis, which then swaps with the first spatial one.
     """
 
     def __init__(self, dimension, line_eigenvalues, eigenvectors):
-        self.dimension = max(dimension, 1)
+        self.dimension = dimension
         self.eigenvectors = eigenvectors
-        if self.dimension == 2:
-            line_eigenvalues = (line_eigenvalues[:, None] + line_eigenvalues[None, :]).ravel()
         self.eigenvalues = line_eigenvalues
+        for _ in range(dimension - 1):
+            self.eigenvalues = np.add.outer(self.eigenvalues, line_eigenvalues).ravel()
+        self._stack = (-1,) + eigenvectors.shape[:1] * dimension
 
     def _apply(self, X, P):
-        d, shape = P.shape[0], X.shape
-        if self.dimension == 1:
-            return (X.reshape(-1, d) @ P).reshape(shape)
-        Y = (X.reshape(-1, d) @ P).reshape(-1, d, d).swapaxes(1, 2)
-        return (Y.reshape(-1, d) @ P).reshape(-1, d, d).swapaxes(1, 2).reshape(shape)
+        shape = X.shape
+        for _ in range(self.dimension):   # each swap rotates the axes: assemble allows two
+            X = (X.reshape(-1, P.shape[0]) @ P).reshape(self._stack).swapaxes(1, -1)
+        return X.reshape(shape)
 
     def modal_loads(self, f):
         """V^T f for load vectors f."""
@@ -221,24 +219,25 @@ def load_vector(space, g, nq=None, t=None):
 
     1D: g(x) vectorized over arrays.  2D: g(x, y) with broadcasting
     (evaluated on the tensor quadrature grid).  Given an array of times t,
-    g takes t as its last argument, broadcasting over a leading time axis,
-    and the result has shape (len(t), dof): one load vector per time.
+    g takes t as its last argument, broadcasting over leading time axes,
+    and the result has shape t.shape + (dof,): one load vector per time.
     """
     if nq is None:
         nq = space.degree + 2
+    dim = space.dimension
     x, w, B, _ = space.line_tables(nq)
-    args = (x,) if space.dimension == 1 else (x[:, None], x[None, :])
+    args = np.ix_(*(x,) * dim)
     lead = ()
     if t is not None:
         t = np.asarray(t, dtype=float)
         lead = t.shape
-        args += (t.reshape(lead + (1,) * space.dimension),)
+        args += (t.reshape(lead + (1,) * dim),)
     Bw = B * w[:nq, None]
-    # no name keeps g's values: they are freed once the first axis is summed
-    out = _scatter(Bw, np.broadcast_to(np.asarray(g(*args), dtype=float),
-                                       lead + (x.size,) * space.dimension))
-    if space.dimension == 2:
-        out = _scatter(Bw, out.swapaxes(-1, -2)).swapaxes(-1, -2)
+    out = np.broadcast_to(np.asarray(g(*args), dtype=float), lead + (x.size,) * dim)
+    for _ in range(dim):
+        # sum the last axis and swap it to the front, a rotation of the at most
+        # two axes that assemble allows; g's values go once the first is summed
+        out = _scatter(Bw, out).swapaxes(-1, len(lead))
     # one contiguous row per time for the callers' products; _scatter's slice is not
     return np.ascontiguousarray(out.reshape(lead + (space.dof_count,)))
 

@@ -64,8 +64,7 @@ class SpaceTimeSolution:
         u1 = np.asarray(u1, dtype=float)
         u2 = np.asarray(u2, dtype=float)
         N = partition.num_intervals
-        dof = u2.shape[1]
-        if u1.shape != (N, q + 1, dof) or u2.shape != (N + 1, dof):
+        if u2.ndim != 2 or u2.shape[0] != N + 1 or u1.shape != (N, q + 1, u2.shape[1]):
             raise ValueError("solution arrays inconsistent with q=%d, N=%d" % (q, N))
         if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
             raise ValueError("solution contains non-finite entries")
@@ -169,12 +168,11 @@ def interval_moments(problem, space, partition, q, lo=0, hi=None):
 
 def impulse_nodes(problem, partition):
     """Partition node index of each impulse time, in order; raises ValueError
-    for a time that is no interior or final node, to 1e-12 max(1, T)."""
+    for a time that is no interior or final node, to the partition's node_tolerance."""
     nodes = partition.nodes
-    tol = 1e-12 * max(1.0, partition.final_time)
     found = [int(np.argmin(np.abs(nodes - t_star))) for t_star, _ in problem.impulses]
     for idx, (t_star, _) in zip(found, problem.impulses):
-        if abs(nodes[idx] - t_star) > tol or idx == 0:
+        if abs(nodes[idx] - t_star) > partition.node_tolerance or idx == 0:
             raise ValueError("impulse time %g does not coincide with an interior or final "
                              "partition node" % (t_star,))
     return found

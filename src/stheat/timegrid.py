@@ -38,6 +38,8 @@ class TimePartition:
         self.widths = widths
         self.k_max = float(widths.max())
         self.num_intervals = nodes.size - 1
+        # a time this close to a node is that node (cut_points, solver.impulse_nodes)
+        self.node_tolerance = 1e-12 * max(1.0, float(nodes[-1]))
 
     @property
     def final_time(self):
@@ -150,12 +152,12 @@ def chunks(lo, hi, values_per_item):
 
 
 def cut_points(partition, breakpoints, lo=0, hi=None):
-    """The breakpoints inside the intervals lo..hi-1 and farther than 1e-12 max(1, T)
+    """The breakpoints inside the intervals lo..hi-1 farther than node_tolerance
     from every node, sorted: a breakpoint that close is that node (impulse_nodes)."""
     nodes = partition.nodes[lo:(partition.num_intervals if hi is None else hi) + 1]
     inside = [b for b in sorted(set(breakpoints)) if nodes[0] < b < nodes[-1]]
     return [b for b, i in zip(inside, np.searchsorted(nodes, inside))
-            if min(b - nodes[i - 1], nodes[i] - b) > 1e-12 * max(1.0, partition.final_time)]
+            if min(b - nodes[i - 1], nodes[i] - b) > partition.node_tolerance]
 
 
 def quadrature_nodes(partition, lo, hi, npoints, breakpoints=()):

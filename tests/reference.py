@@ -48,7 +48,7 @@ from stheat.timegrid import (ReferenceBlocks, gauss_rule, lagrange_coefficient_m
 
 
 def from_matrices(mass, stiffness):
-    """Abstract space given directly by its matrices, with no mesh attached.
+    """Abstract space given directly by its matrices: dimension 1 with no mesh.
 
     Mesh-based operations such as load_vector are unavailable on it.
     """
@@ -56,7 +56,7 @@ def from_matrices(mass, stiffness):
     stiffness = np.atleast_2d(np.asarray(stiffness, dtype=float))
     if mass.shape != stiffness.shape or mass.shape[0] != mass.shape[1]:
         raise ValueError("mass and stiffness must be square and of equal shape")
-    return FemSpace(0, None, None, mass, stiffness)
+    return FemSpace(1, None, None, mass, stiffness)
 
 
 def mass_cho(space):

@@ -306,6 +306,10 @@ def test_load_vector_time_axis_matches_per_time_loads(dimension):
     batched = load_vector(space, g, t=t)
     assert batched.shape == (t.size, space.dof_count)
     assert np.allclose(batched, np.stack(per_time), rtol=0.0, atol=1e-15)
+    # two time axes: the spatial axes follow both, and the result is t.shape + (dof,)
+    column = load_vector(space, g, t=t[:, None])
+    assert column.shape == (t.size, 1, space.dof_count)
+    assert np.array_equal(column[:, 0], batched)
 
 
 def test_load_vector_time_axis_broadcasts_time_independent_values():
@@ -359,7 +363,7 @@ def test_element_local_kernels_match_dense_tables(dimension, n, p, nq, times, se
 def test_from_matrices_scalar_surrogate():
     space = from_matrices([[0.5]], [[2.0]])
     assert space.dof_count == 1
-    assert space.dimension == 0
+    assert space.dimension == 1
     with pytest.raises(ValueError):
         space.h
     with pytest.raises(ValueError):

@@ -287,6 +287,8 @@ def test_solution_shape_validation():
         SpaceTimeSolution(0, part, space, np.zeros((2, 2, 2)), good_u2)
     with pytest.raises(ValueError):
         SpaceTimeSolution(0, part, space, good_u1, np.zeros((4, 2)))
+    with pytest.raises(ValueError):
+        SpaceTimeSolution(0, part, space, good_u1, np.zeros(3))
     bad = good_u2.copy()
     bad[1, 0] = np.nan
     with pytest.raises(ValueError):
