@@ -167,20 +167,23 @@ def level_geometry(cfg, idx, final_time):
     return n, max(1, int(round(steps)))
 
 
-def level_bytes(dimension, n, p, q, N, widths=1, diagnostics=False, run=True, errors=False):
+def level_bytes(dimension, n, p, q, N, diagnostics=False, run=True, errors=False):
     """Lower bound on the memory of a level: the largest of the peaks of
     assemble, of the march (if run) with the consumers that it feeds (the
     error norms if errors, the stability sums if diagnostics), and of the
-    diagnostics, if any.  widths counts the partition's distinct interval
-    widths; a kink that cuts an interval adds one quadrature row (a time
-    segment) to its chunk, which the bound leaves out.  No term grows with
-    N dof: a run holds one chunk of its solution at a time.  The march's
-    peak is the largest of its per-chunk stages: the load block, the gather
-    of the inverses, the solution beside its recurrence terms, and the
-    solution beside one range of the error norms or two load blocks of the
-    stability bound's f term; numpy holds two buffers of getbufsize()
-    doubles on top while a problem's function broadcasts over the times.
-    The README gives the formula and what each term holds.
+    diagnostics, if any.  It counts one interval width, as an exactly
+    uniform partition has, and leaves out the march's inverses and the
+    diagnostics' blocks of each further width, and the quadrature row that
+    a kink cutting an interval adds to its chunk.  No term grows with N
+    dof: a run holds one chunk of its solution at a time, and the inverses
+    of that chunk's widths.  The march's peak is the largest of its
+    per-chunk stages beside the inverses: the load block, the gather of the
+    inverses, the solution beside its recurrence terms, and the solution
+    beside one range of the error norms or two load blocks of the
+    stability bound's f term; numpy holds two buffers of up to getbufsize()
+    doubles on top while a function broadcasts over the times, and while
+    the diagnostics' blocks broadcast over the widths.  The README gives
+    the formula and what each term holds.
     """
     line = n * p - 1
     dof = line ** dimension
@@ -190,7 +193,6 @@ def level_bytes(dimension, n, p, q, N, widths=1, diagnostics=False, run=True, er
         kept += (N + 1) * errors
         points, grid = (n * (p + 2)) ** dimension, (n * (p + 4)) ** dimension
         c = min(N, max(1, CHUNK_VALUES // ((q + 3) * points)))
-        rows = widths * ((q + 1) ** 2 + q + 3) + 2
         solution = (c * (q + 2) + 1) * dof
         stages = [c * (q + 3) * (points * (2 * p + 3) // (p + 2) + 2 * q + 4),
                   c * ((q + 1) ** 2 + 2 * q + 3) * dof,
@@ -201,9 +203,8 @@ def level_bytes(dimension, n, p, q, N, widths=1, diagnostics=False, run=True, er
         if diagnostics:
             f = min(c, max(1, CHUNK_VALUES // ((q + 4) * points)))
             stages.append(solution + 2 * f * (q + 4) * points)
-        march = kept + max(5 * N, N + max(widths * (2 * (q + 1) ** 2 + 1) * dof,
-                                          rows * dof + 2 * np.getbufsize() + max(stages)))
-    diag = dof + 5 * N + 4 * widths * (q + 2) ** 2 if diagnostics else 0
+        march = kept + ((q + 1) ** 2 + q + 5) * dof + 2 * np.getbufsize() + max(stages)
+    diag = dof + 5 * N + 4 * (q + 2) ** 2 + 2 * np.getbufsize() if diagnostics else 0
     return 8 * max(assembly, march, kept + diag)
 
 
@@ -232,19 +233,13 @@ def preflight(cfg, problem, run):
     counts = []
     for idx in range(len(cfg.levels) if run else 1):
         n, N = level_geometry(cfg, idx, problem.final_time)
-        need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N, 1, diagnostics, run, errors)
-        if need <= available:   # N is then small enough to build the partition
-            partition = make_uniform_partition(problem.final_time, N)
-            k = np.sort(partition.widths)   # np.unique would import numpy.ma here, in the run
-            widths = 1 + np.count_nonzero(k[1:] != k[:-1])
-            need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N, widths, diagnostics, run,
-                               errors)
+        need = level_bytes(problem.dimension, n, cfg.p, cfg.q, N, diagnostics, run, errors)
         if need > available:
             raise ConfigError("level n=%d, N=%d needs at least %s GB, more than the "
                               "%.3g GB of physical memory" % (n, N, _gigabytes(need),
                                                              available / 1e9))
-        try:
-            impulse_nodes(problem, partition)
+        try:   # the level fits, so its partition does: level_bytes counts nodes and widths
+            impulse_nodes(problem, make_uniform_partition(problem.final_time, N))
         except ValueError as exc:
             raise ConfigError("level n=%d, N=%d: %s" % (n, N, exc))
         counts.append(N)

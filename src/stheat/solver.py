@@ -34,7 +34,7 @@ over the c_m alone; the last row then yields u2_out through a mass solve
 march works in the M-orthonormal eigenbasis of (K, M), where
 M -> 1 and K -> lambda, so the equations split into one scalar problem per
 spatial mode.  With mu = k lambda, A = mu G[:q+1] - D[:q+1] (a (q+1)x(q+1)
-matrix per mode and distinct width) and r = D[q+1] - mu G[q+1]:
+matrix per mode and width of a chunk) and r = D[q+1] - mu G[q+1]:
 
     c = A^-1 (k b_top + e_0 a2_in),
     a2_out = alpha a2_in + g,   alpha = r A^-1 e_0,
@@ -195,29 +195,34 @@ def march(problem, space, partition, q):
     Each chunk's load moments go to modal coordinates, its forced parts and
     recurrence terms are formed for all its intervals at once, and the
     scalar recurrence runs over its intervals for all modes together,
-    starting from the last nodal value of the chunk before.  Raises
-    ValueError on the first chunk that holds a non-finite entry.
+    starting from the last nodal value of the chunk before.  The local
+    inverses are formed for a chunk's own widths, and kept while the next
+    chunk's widths are among them.  Raises ValueError on the first chunk
+    that holds a non-finite entry.
     """
     dof = space.dof_count
     dec = fem.spectral(space)
     rb = reference_blocks(q)
-    widths, width_of = np.unique(partition.widths, return_inverse=True)
-    mu = widths[:, None, None, None] * dec.eigenvalues[:, None, None]  # (widths, modes, 1, 1)
-    inv = np.linalg.inv(mu * rb.G[: q + 1] - rb.D[: q + 1])            # (widths, modes, q+1, q+1)
-    r = rb.D[q + 1] - mu[..., 0] * rb.G[q + 1]                         # (widths, modes, q+1)
-    alpha = np.einsum("wds,wds->wd", r, inv[..., 0])
-    inv_t = inv.transpose(0, 2, 3, 1)                                  # modes last
-    r_t = r.transpose(0, 2, 1)
     jumps = {i: dec.modal_loads(v) for i, v in impulse_loads(problem, space, partition).items()}
 
     node = 0.0 if problem.initial is None else dec.modal_loads(
         fem.load_vector(space, problem.initial))
+    held = np.full(1, np.inf)   # the sorted widths whose inverses are held: none yet
     for lo, hi in march_chunks(space, partition, q):
-        w = width_of[lo:hi]
+        k = partition.widths[lo:hi]
+        w = held.searchsorted(k)
+        if (held.take(w, mode="clip") != k).any():   # a width of this chunk is not held
+            inv = r = alpha = mu = None   # freed before the new ones are formed (cli.level_bytes)
+            held, w = np.unique(k, return_inverse=True)
+            mu = held[:, None, None, None] * dec.eigenvalues[:, None, None]  # (widths, modes, 1, 1)
+            inv = np.linalg.inv(mu * rb.G[: q + 1] - rb.D[: q + 1])   # (widths, modes, q+1, q+1)
+            r = rb.D[q + 1] - mu[..., 0] * rb.G[q + 1]                # (widths, modes, q+1)
+            alpha = np.einsum("wds,wds->wd", r, inv[..., 0])
+            inv, r = inv.transpose(0, 2, 3, 1), r.transpose(0, 2, 1)  # modes last
         kb = dec.modal_loads(interval_moments(problem, space, partition, q, lo, hi))
-        kb *= partition.widths[lo:hi, None, None]
-        forced = np.einsum("irsd,isd->ird", inv_t[w], kb[:, : q + 1])
-        g = kb[:, q + 1] + np.einsum("ird,ird->id", r_t[w], forced)
+        kb *= k[:, None, None]
+        forced = np.einsum("irsd,isd->ird", inv[w], kb[:, : q + 1])
+        g = kb[:, q + 1] + np.einsum("ird,ird->id", r[w], forced)
         del kb   # freed before the chunk's solution is allocated (cli.level_bytes)
         for i, zeta in jumps.items():
             if lo < i <= hi:
@@ -228,7 +233,7 @@ def march(problem, space, partition, q):
         for j in range(hi - lo):
             u2[j + 1] = a[j] * u2[j] + g[j]
         u1 = np.empty((hi - lo, q + 1, dof))
-        np.add(forced, inv_t[w, :, 0] * u2[:-1, None, :], out=u1)
+        np.add(forced, inv[w, :, 0] * u2[:-1, None, :], out=u1)
         del forced, g, a
         if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
             raise ValueError("solution contains non-finite entries")

@@ -32,7 +32,7 @@ class TimePartition:
         if not np.all(np.isfinite(nodes)):
             raise ValueError("time nodes must be finite")
         widths = np.diff(nodes)
-        if np.any(widths <= 0.0):
+        if widths.min() <= 0.0:   # no mask of N bools: cli.level_bytes counts nodes and widths
             raise ValueError("time nodes must be strictly increasing")
         self.nodes = nodes
         self.widths = widths

@@ -338,76 +338,70 @@ def test_experiment_config_is_frozen():
 def test_level_bytes_counts_the_solution_arrays():
     # doubles: the line matrices M, K and the eigenbasis 3(np-1)^2; the
     # partition's nodes and widths 2N+1; with errors, the per-node errors
-    # N+1; the march's width index N (5N at the peak of np.unique); rows of
-    # dof doubles: inverses, r, alpha and mu (q+1)^2 + q+3 per distinct
-    # width, eigenvalues and the carried nodal value 2 (while the inverses
-    # are formed, 2(q+1)^2 + 1 per width); then, for a load chunk of c
-    # intervals, the largest of: its quadrature values times (2p+3)/(p+2)
-    # beside the test basis at its times, 2(q+2)(q+3) an interval; the
-    # gather of its inverses beside its moments and forced parts,
-    # (q+1)^2 + 2q+3 rows an interval; its solution beside its recurrence
-    # terms, 3q+6 rows an interval and 1; with errors, its solution
-    # c(q+2)+1 rows beside the error norms' values of one range of
-    # e <= c of its intervals, e(q+4) times points 2 dim (n(p+4))^dim + 2 dof;
-    # on top of the stage, numpy's two ufunc buffers of getbufsize() doubles.
-    # No term grows with N dof.
+    # N+1; rows of dof doubles: the local inverses, r, alpha and mu of one
+    # width, (q+1)^2 + q+3, the eigenvalues and the carried nodal value 2;
+    # then, for a load chunk of c intervals, the largest of: its quadrature
+    # values times (2p+3)/(p+2) beside the test basis at its times,
+    # 2(q+2)(q+3) an interval; the gather of its inverses beside its
+    # moments and forced parts, (q+1)^2 + 2q+3 rows an interval; its
+    # solution beside its recurrence terms, 3q+6 rows an interval and 1;
+    # with errors, its solution c(q+2)+1 rows beside the error norms'
+    # values of one range of e <= c of its intervals, e(q+4) times points
+    # 2 dim (n(p+4))^dim + 2 dof; on top of the stage, numpy's two ufunc
+    # buffers of getbufsize() doubles.  No term grows with N dof.
     # 1D p=2, n=4: dof 7; q=0, N=10: one chunk of 10 intervals of 3*16 values
     kept = 3 * 7 ** 2 + 21
     assert level_bytes(1, 4, 2, 0, 10) == (
-        kept + 10 + 6 * 7 + BUFFERS + 480 * 7 // 4 + 10 * 2 * 2 * 3) * 8
+        kept + 6 * 7 + BUFFERS + 480 * 7 // 4 + 10 * 2 * 2 * 3) * 8
     # with errors: one range of 10 intervals, 4 * 24 points an interval
-    assert level_bytes(1, 4, 2, 0, 10, 1, False, True, True) == (
-        kept + 11 + 10 + 6 * 7 + BUFFERS + 21 * 7 + 40 * (2 * 24 + 2 * 7)) * 8
+    assert level_bytes(1, 4, 2, 0, 10, False, True, True) == (
+        kept + 11 + 6 * 7 + BUFFERS + 21 * 7 + 40 * (2 * 24 + 2 * 7)) * 8
     # 2D p=2, n=64: dof 127^2; q=1, N=4096: one interval a chunk and a range,
     # whose 5 * 384^2 values set the level: 28 MB, not the 1.06 GB of its solution
     kept, dof = 3 * 127 ** 2 + 8193 + 4097, 127 ** 2
-    errors = level_bytes(2, 64, 2, 1, 4096, 1, False, True, True)
-    assert errors == (kept + 4096 + 10 * dof + BUFFERS + 4 * dof + 5 * (4 * 384 ** 2 + 2 * dof)) * 8
+    errors = level_bytes(2, 64, 2, 1, 4096, False, True, True)
+    assert errors == (kept + 10 * dof + BUFFERS + 4 * dof + 5 * (4 * 384 ** 2 + 2 * dof)) * 8
     assert errors < 28e6 < 1.06e9 < 8 * 4097 * 3 * dof
     # errors off: one interval's 4 * 256^2 load values beat its 10 solution rows
     assert level_bytes(2, 64, 2, 1, 4096) == (
-        kept - 4097 + 4096 + 10 * dof + BUFFERS + 4 * 256 ** 2 * 7 // 4 + 2 * 3 * 4) * 8
+        kept - 4097 + 10 * dof + BUFFERS + 4 * 256 ** 2 * 7 // 4 + 2 * 3 * 4) * 8
     # 1D p=3, n=8, q=9, N=1: the gather of the 10x10 inverses beats the 480 values
-    assert level_bytes(1, 8, 3, 9, 1) == (3 * 23 ** 2 + 3 + 1 + 114 * 23 + BUFFERS + 121 * 23) * 8
-    # the inverses, r, alpha and mu once per distinct width: 3 widths of (q+1)^2 + q+3 rows
-    assert level_bytes(1, 4, 2, 0, 10, 3) == (
-        3 * 7 ** 2 + 21 + 10 + 14 * 7 + BUFFERS + 480 * 7 // 4 + 10 * 2 * 2 * 3) * 8
-    # 2D p=3, n=24, q=9, 8 widths: forming the inverses, 8 * 201 rows, sets the level
-    assert level_bytes(2, 24, 3, 9, 100, 8) == (3 * 71 ** 2 + 201 + 100 + 8 * 201 * 71 ** 2) * 8
-    # 1D p=1, n=2 (dof 1), N=10^6: np.unique's 5N sets the level
-    assert level_bytes(1, 2, 1, 0, 10 ** 6) == (3 + 2000001 + 5 * 10 ** 6) * 8
+    assert level_bytes(1, 8, 3, 9, 1) == (3 * 23 ** 2 + 3 + 114 * 23 + BUFFERS + 121 * 23) * 8
+    # 1D p=1, n=2 (dof 1), N=10^6: the nodes and widths beside one chunk of
+    # 1820 intervals of 3*6 values; no index over the intervals
+    assert level_bytes(1, 2, 1, 0, 10 ** 6) == (
+        3 + 2000001 + 6 + BUFFERS + 1820 * 3 * (6 * 5 // 3 + 4)) * 8
 
 
 def test_level_bytes_counts_the_diagnostic_bands():
     # the diagnostics add, beside what the level keeps: the eigenvalues, 1
     # row; the width index and its list, 5N doubles at the peak of
-    # np.unique; four arrays of the interval blocks of the one mode they
-    # search, widths (q+2)^2 values each.  On a run, the stability sums add
-    # a stage to the march: a chunk's solution beside two quadrature blocks
-    # of the f term, (q+4)(n(p+2))^dim values an interval.  1D p=1, n=2: dof
-    # 1, one mode.
+    # np.unique; four arrays of the interval blocks of one width of the one
+    # mode they search, (q+2)^2 values each; numpy's two ufunc buffers,
+    # while the blocks broadcast over the widths.  On a run, the stability
+    # sums add a stage to the march: a chunk's solution beside two
+    # quadrature blocks of the f term, (q+4)(n(p+2))^dim values an
+    # interval.  1D p=1, n=2: dof 1, one mode.
     # q=0, N=10^6: the width index beside the eigenvalues and the blocks
-    # beats the march's width index alone
-    kept, diag = 3 + 2000001, 1 + 5 * 10 ** 6 + 4 * 4
-    assert level_bytes(1, 2, 1, 0, 10 ** 6, 1, True) == (kept + diag) * 8
-    assert level_bytes(1, 2, 1, 0, 10 ** 6) == (kept + 5 * 10 ** 6) * 8
+    # beats the march
+    kept, diag = 3 + 2000001, 1 + 5 * 10 ** 6 + 4 * 4 + BUFFERS
+    assert level_bytes(1, 2, 1, 0, 10 ** 6, True) == (kept + diag) * 8
+    assert level_bytes(1, 2, 1, 0, 10 ** 6) < (kept + diag) * 8
     # q=0, N=1365: the f term, two load blocks of 1365 intervals of 4*6
     # values beside the chunk's 1365 * 2 + 1 solution rows, beats the rest
     # of the march and the diagnostics
-    assert level_bytes(1, 2, 1, 0, 1365, 1, True) == (
-        3 + 2731 + 1365 + 6 + BUFFERS + 2731 + 2 * 1365 * 24) * 8
+    assert level_bytes(1, 2, 1, 0, 1365, True) == (
+        3 + 2731 + 6 + BUFFERS + 2731 + 2 * 1365 * 24) * 8
     # diagnose keeps no solution and runs no march: at q=9, N=2000 the march
-    # sets a run's memory, and diagnose needs less than a seventh of it
-    diagnose = level_bytes(1, 2, 1, 9, 2000, 1, True, False)
-    assert diagnose == (3 + 4001 + 1 + 10000 + 4 * 121) * 8
-    assert level_bytes(1, 2, 1, 9, 2000, 1, True) == level_bytes(1, 2, 1, 9, 2000)
-    assert diagnose < level_bytes(1, 2, 1, 9, 2000) / 7
+    # sets a run's memory, and diagnose needs less than a sixth of it
+    diagnose = level_bytes(1, 2, 1, 9, 2000, True, False)
+    assert diagnose == (3 + 4001 + 1 + 10000 + 4 * 121 + BUFFERS) * 8
+    assert level_bytes(1, 2, 1, 9, 2000, True) == level_bytes(1, 2, 1, 9, 2000)
+    assert diagnose < level_bytes(1, 2, 1, 9, 2000) / 6
 
 
 def _traced_level(problem_id, n, p, q, N, errors, diagnostics=False):
-    """Traced peak of run_level on a level built inside it, and the
-    argument of level_bytes that the pre-flight takes from its partition:
-    the number of distinct interval widths."""
+    """Traced peak of run_level on a level built inside it."""
     problem = problem_by_id(problem_id)
     cfg = parse_config(json.dumps({"problem": problem_id, "p": p, "q": q, "levels": [n],
                                    "explicit_N": [N], "errors": errors,
@@ -418,14 +412,14 @@ def _traced_level(problem_id, n, p, q, N, errors, diagnostics=False):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak, np.unique(make_uniform_partition(problem.final_time, N).widths).size
+    return peak
 
 
 @pytest.mark.parametrize("problem_id,n,p,q,N,errors", [
     ("heat2d-smooth", 24, 3, 9, 2, False),     # the per-mode inverses dominate
     ("heat1d-smooth", 64, 2, 0, 4096, True),   # the error norms' values and the line matrices
     ("heat2d-smooth", 48, 3, 0, 2, False),     # one interval's load block dominates
-    ("heat2d-smooth", 24, 3, 9, 100, False),   # 8 distinct widths, each with its inverses
+    ("heat2d-smooth", 24, 3, 9, 100, False),   # 8 distinct widths, formed anew as they change
     ("heat2d-smooth", 60, 3, 9, 2, True),      # one interval's error values dominate
     ("heat1d-lowreg", 16, 2, 1, 301, False),   # the kink inside interval 150 cuts its chunk
     ("heat1d-lowreg", 16, 2, 1, 301, True),    # ... and its error range
@@ -437,12 +431,11 @@ def _traced_level(problem_id, n, p, q, N, errors, diagnostics=False):
         "heat1d-lowreg-16-2-1-301-errors", "heat1d-lowreg-8-2-0-64",
         "heat1d-lowreg-8-2-0-64-errors", "heat1d-smooth-2-1-0-1365-errors"])
 def test_level_bytes_tracks_the_march_peak(problem_id, n, p, q, N, errors):
-    """The pre-flight's bound, counting the partition's distinct interval
-    widths, is at least 0.8 times the traced peak of a streamed level
-    (run_level), assembly, march and error norms."""
-    peak, widths = _traced_level(problem_id, n, p, q, N, errors)
+    """The pre-flight's bound is at least 0.8 times the traced peak of a
+    streamed level (run_level), assembly, march and error norms."""
+    peak = _traced_level(problem_id, n, p, q, N, errors)
     dimension = problem_by_id(problem_id).dimension
-    assert level_bytes(dimension, n, p, q, N, widths, False, True, errors) >= 0.8 * peak
+    assert level_bytes(dimension, n, p, q, N, False, True, errors) >= 0.8 * peak
 
 
 def test_time_bases_are_evaluated_once_per_level(monkeypatch):
@@ -465,11 +458,11 @@ def test_time_bases_are_evaluated_once_per_level(monkeypatch):
 def test_level_memory_is_independent_of_the_interval_count():
     """1D p=2, n=16, q=0 with errors: from N = 1000 to 16000 the traced peak
     of run_level grows by at most 64 bytes an interval, what its vectors
-    over the intervals and nodes take (nodes, widths, width index and
-    per-node errors), and by no row of dof doubles an interval."""
+    over the intervals and nodes take (nodes, widths and per-node errors),
+    and by no row of dof doubles an interval."""
     _traced_level("heat1d-smooth", 16, 2, 0, 10, True)   # caches filled outside the trace
-    small = _traced_level("heat1d-smooth", 16, 2, 0, 1000, True)[0]
-    large = _traced_level("heat1d-smooth", 16, 2, 0, 16000, True)[0]
+    small = _traced_level("heat1d-smooth", 16, 2, 0, 1000, True)
+    large = _traced_level("heat1d-smooth", 16, 2, 0, 16000, True)
     assert large - small <= 64 * 15000
 
 
@@ -488,14 +481,13 @@ def test_level_memory_is_independent_of_the_interval_count():
         "heat2d-smooth-16-2-0-256-no-errors", "heat1d-lowreg-16-2-1-301-no-errors",
         "heat1d-smooth-2-1-0-1365-no-errors"])
 def test_level_bytes_tracks_the_diagnostics_peak(problem_id, n, p, q, N, errors):
-    """With diagnostics the pre-flight's bound, counting the partition's
-    distinct interval widths, is at least 0.8 times the traced peak of a
-    level of `run` (run_level: the diagnostics, then the march with the
+    """With diagnostics the pre-flight's bound is at least 0.8 times the
+    traced peak of a level of `run` (run_level: the diagnostics, then the march with the
     error norms, if any, and the stability sums) and of `diagnose` (the
     diagnostics alone), each on a freshly assembled level."""
     problem = problem_by_id(problem_id)
-    peak, widths = _traced_level(problem_id, n, p, q, N, errors, True)
-    assert level_bytes(problem.dimension, n, p, q, N, widths, True, True, errors) >= 0.8 * peak
+    peak = _traced_level(problem_id, n, p, q, N, errors, True)
+    assert level_bytes(problem.dimension, n, p, q, N, True, True, errors) >= 0.8 * peak
     space = assemble(problem.dimension, n, p)
     partition = make_uniform_partition(problem.final_time, N)
     tracemalloc.start()
@@ -504,12 +496,12 @@ def test_level_bytes_tracks_the_diagnostics_peak(problem_id, n, p, q, N, errors)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert level_bytes(problem.dimension, n, p, q, N, widths, True, False) >= 0.8 * peak
+    assert level_bytes(problem.dimension, n, p, q, N, True, False) >= 0.8 * peak
 
 
 def test_preflight_stays_below_the_level_it_checks():
     """1D p=1, n=2 (one unknown), N = 10^6: the pre-flight's own traced
-    peak, the partition and its distinct widths, stays below the bound it
+    peak, the partition's nodes and widths, stays below the bound it
     computes for the level."""
     problem = problem_by_id("heat1d-smooth")
     payload = {"problem": "heat1d-smooth", "p": 1, "levels": [2], "explicit_N": [1000000]}
@@ -521,19 +513,6 @@ def test_preflight_stays_below_the_level_it_checks():
     finally:
         tracemalloc.stop()
     assert peak < level_bytes(1, 2, 1, 0, 1000000)
-
-
-def test_preflight_counts_every_interval_width(monkeypatch):
-    """2D p=3, q=9, n=24, N=100: linspace gives 8 distinct widths, and their
-    inverses push the level, errors on, past a memory that one width would
-    fit in."""
-    problem = problem_by_id("heat2d-smooth")
-    one, eight = (level_bytes(2, 24, 3, 9, 100, w, False, True, True) for w in (1, 8))
-    assert np.unique(make_uniform_partition(problem.final_time, 100).widths).size == 8
-    monkeypatch.setattr(stheat.cli, "physical_memory", lambda: (one + eight) // 2)
-    payload = {"problem": "heat2d-smooth", "p": 3, "q": 9, "levels": [24], "explicit_N": [100]}
-    with pytest.raises(ConfigError, match="physical memory"):
-        stheat.cli.preflight(parse_config(json.dumps(payload)), problem, True)
 
 
 @pytest.mark.parametrize("n,p", [(400, 1), (200, 3)])
@@ -571,23 +550,24 @@ def test_preflight_accepts_a_2d_level_whose_solution_exceeds_the_memory(monkeypa
     problem = problem_by_id("heat2d-smooth")
     assert level_geometry(cfg, 0, problem.final_time) == (128, 16384)
     assert 8 * (16384 + 16385) * 255 ** 2 > 17e9
-    assert level_bytes(2, 128, 2, 0, 16384, 1, False, True, True) < 1e9
+    assert level_bytes(2, 128, 2, 0, 16384, False, True, True) < 1e9
     stheat.cli.preflight(cfg, problem, True)
 
 
 def test_diagnose_refuses_a_level_that_only_its_bands_overflow(tmp_path, monkeypatch, capsys):
-    """1D p=1, n=2, q=0, N=10^6: the march's width index (5N doubles at
-    np.unique's peak) sets a run at 56000032 bytes, and the diagnostics hold
-    the same index beside the eigenvalue and their mode's blocks, 136 bytes
-    more; so on a machine of 56000100 bytes `diagnose` exits 2 before the
-    level is built, so does a run with diagnostics, and a run without them
-    passes the pre-flight."""
-    monkeypatch.setattr(stheat.cli, "physical_memory", lambda: 56000100)
+    """1D p=1, n=2, q=0, N=10^6: the march, which holds no index over the
+    intervals, sets a run at 16742672 bytes, and the diagnostics' width
+    index (5N doubles at np.unique's peak) beside the eigenvalue, their
+    mode's blocks and numpy's two buffers sets diagnose, and a run with
+    them, at 56131240 bytes; so on a machine of 56000000 bytes `diagnose`
+    exits 2 before the level is built, so does a run with diagnostics, and
+    a run without them passes the pre-flight."""
+    monkeypatch.setattr(stheat.cli, "physical_memory", lambda: 56000000)
     payload = {"problem": "heat1d-smooth", "p": 1, "q": 0, "levels": [2],
                "explicit_N": [1000000], "errors": False}
-    assert level_bytes(1, 2, 1, 0, 1000000) == 56000032
-    assert level_bytes(1, 2, 1, 0, 1000000, 1, True, False) == 56000168
-    assert level_bytes(1, 2, 1, 0, 1000000, 1, True) == 56000168
+    assert level_bytes(1, 2, 1, 0, 1000000) == 16742672
+    assert level_bytes(1, 2, 1, 0, 1000000, True, False) == 56131240
+    assert level_bytes(1, 2, 1, 0, 1000000, True) == 56131240
     problem = problem_by_id("heat1d-smooth")
     stheat.cli.preflight(parse_config(json.dumps(payload)), problem, True)
     monkeypatch.setattr(stheat.cli, "assemble", None)   # must never be reached

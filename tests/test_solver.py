@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stheat import timegrid
 from stheat.fem import assemble, load_vector, spectral
 from stheat.problems import (
     ProblemSpec,
@@ -17,6 +18,7 @@ from stheat.solver import (
     LocalBlockSystem,
     SpaceTimeSolution,
     interval_moments,
+    march,
     march_chunks,
     run_decomposed,
 )
@@ -371,3 +373,71 @@ def test_modal_march_property(dimension, n, p, q, widths):
     assert _relative_gap(sol, *march_interval_by_interval(problem, space, partition, q)) <= 1e-12
     ref = solve_global(problem, space, partition, q)
     assert _relative_gap(sol, ref.u1, ref.u2) <= 1e-12
+
+
+def _graded(N):
+    """t_i = (i/N)^2: every interval width distinct, finest at t = 0."""
+    return TimePartition((np.arange(N + 1) / N) ** 2)
+
+
+@pytest.mark.parametrize("problem,space_args,partition,q", [
+    (problem_1d_smooth(), (1, 5, 2), _graded(42), 1),
+    (problem_1d_lowreg(0.5), (1, 4, 2), make_uniform_partition(1.0, 45), 2),
+    (_decay(1), (1, 6, 1), make_uniform_partition(1.0, 45), 0),
+    (problem_2d_smooth(), (2, 3, 1), _graded(42), 1),
+    (problem_2d_smooth(), (2, 3, 2), make_uniform_partition(1.0, 45), 0),
+])
+def test_march_across_chunks_of_changing_widths(monkeypatch, problem, space_args, partition, q):
+    """Chunks of three intervals: a graded partition has new widths in every
+    chunk, so the march forms the local inverses in each; linspace's 45
+    intervals have seven distinct widths that appear, recur and change
+    between chunks, so it forms them in some chunks and keeps them in the
+    others.  The march equals the interval march and the coupled solve."""
+    space = assemble(*space_args)
+    monkeypatch.setattr(timegrid, "CHUNK_VALUES", 3 * (q + 3) * space.grid_size(space.degree + 2))
+    plan = march_chunks(space, partition, q)
+    assert {hi - lo for lo, hi in plan} == {3}
+    interval = march_interval_by_interval(problem, space, partition, q)
+    formed, inv = [], np.linalg.inv   # the march inverts the blocks of the widths it forms
+    monkeypatch.setattr(np.linalg, "inv", lambda A: formed.append(A.shape[0]) or inv(A))
+    sol = run_decomposed(problem, space, partition, q)
+    monkeypatch.undo()
+    if np.unique(partition.widths).size == partition.num_intervals:   # graded
+        assert formed == [3] * len(plan)
+    else:
+        assert 1 < len(formed) < len(plan) and max(formed) <= 3
+    assert _relative_gap(sol, *interval) <= 1e-12
+    ref = solve_global(problem, space, partition, q)
+    assert _relative_gap(sol, ref.u1, ref.u2) <= 1e-12
+
+
+def _march_peak(problem, space, partition, q):
+    """Traced peak of consuming the march of a level built beforehand."""
+    tracemalloc.start()
+    try:
+        for chunk in march(problem, space, partition, q):
+            del chunk
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_graded_march_memory_is_independent_of_the_interval_count():
+    """1D p=2, n=16, q=1 on graded partitions, where every width is distinct:
+    from N = 1000 to 4000 the traced peak of the march grows by at most 64
+    bytes an interval, and by no local inverse of dof doubles an interval."""
+    problem, space = problem_1d_smooth(), assemble(1, 16, 2)
+    _march_peak(problem, space, _graded(10), 1)   # caches filled outside the trace
+    small, large = (_march_peak(problem, space, _graded(N), 1) for N in (1000, 4000))
+    assert large - small <= 64 * 3000
+
+
+def test_graded_march_takes_the_memory_of_a_uniform_one():
+    """2D p=2, n=24, q=1, N=256, one interval a chunk: the traced peak of the
+    march on the graded partition is at most 1.1 times that on the uniform
+    one, though every width of the graded one is distinct."""
+    problem, space = problem_2d_smooth(), assemble(2, 24, 2)
+    assert march_chunks(space, _graded(256), 1) == [(i, i + 1) for i in range(256)]
+    _march_peak(problem, space, _graded(2), 1)   # caches filled outside the trace
+    uniform = _march_peak(problem, space, make_uniform_partition(1.0, 256), 1)
+    assert _march_peak(problem, space, _graded(256), 1) <= 1.1 * uniform
