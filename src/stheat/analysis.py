@@ -2,12 +2,11 @@
 
 The error norms (ErrorNorms) and the two sides of the stability bound
 (StabilitySums) are sums over intervals and nodes, so both accumulate the
-chunks of solver.march as they come, splitting a chunk where they need
-smaller blocks but never merging two, and a run never holds the solution
-whole.  Both integrate the exact solution or the right-hand side on each
-chunk's own intervals, so a level takes one pass in one chunk plan
-(solver.march_chunks), in which error_norms and stability_check feed them
-a collected SpaceTimeSolution.
+chunks of solver.march as they come, each chunk whole, and a run never
+holds the solution whole.  Both integrate the exact solution or the
+right-hand side on each chunk's own intervals, so a level takes one pass
+in one chunk plan (solver.march_chunks), in which error_norms and
+stability_check feed them a collected SpaceTimeSolution.
 
 The diagnostics realize three constants of the discretization:
 
@@ -38,7 +37,7 @@ from numpy.polynomial import legendre as npleg
 
 from . import fem
 from .solver import march_chunks
-from .timegrid import chunks, quadrature_nodes, reference_blocks, reference_values
+from .timegrid import quadrature_nodes, reference_blocks, reference_values
 
 
 @dataclass
@@ -55,10 +54,9 @@ class ErrorNorms:
     Both errors integrate the true pointwise difference: the V part compares
     discrete gradients with the exact gradient at spatial quadrature points
     (p+4 Gauss points per element, q+4 per time segment), the nodal part
-    integrates (U2 - u(., t_n))^2 directly.  The V part splits each chunk
-    fed into ranges of about CHUNK_VALUES quadrature values and takes u1 to
-    FE coefficients first, as a modal sum would cancel the leading digits of
-    a fine level's error; the nodal part takes the chunk's nodes whole.
+    integrates (U2 - u(., t_n))^2 directly.  The V part takes u1 to FE
+    coefficients first, as a modal sum would cancel the leading digits of a
+    fine level's error.  Both take each chunk fed whole.
     """
 
     def __init__(self, problem, space, partition, q):
@@ -68,20 +66,15 @@ class ErrorNorms:
         self._dec, nq = fem.spectral(space), space.degree + 4
         self._tables = space.line_tables(nq)
         self._grid = np.ix_(*self._tables[:1] * space.dimension)[::-1]   # (eta, xi) in 2D
-        self._per_interval = (q + 4) * space.grid_size(nq)
         self._err1_sq = 0.0
         self.per_node = np.empty(partition.num_intervals + 1)
 
     def add(self, lo, hi, u1, u2):
         """Feed u1 of the intervals lo..hi-1 and u2 of the nodes lo..hi;
         node hi counts with the chunk that starts there, or with the last."""
-        for a, b in chunks(lo, hi, self._per_interval):
-            self._err1_sq += self._u1_term(a, b, u1[a - lo: b - lo])
-        end = hi + (hi == self.partition.num_intervals)
-        self._u2_term(lo, end, u2[: end - lo])
-
-    def _u1_term(self, lo, hi, u1):
         space, problem, part, q = self.space, self.problem, self.partition, self.q
+        end = hi + (hi == part.num_intervals)
+        self._u2_term(lo, end, u2[: end - lo])   # first: the U1 term's arrays stay to the end
         _, w, B, D = self._tables
         t, tau, wt, owner = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
         c = self._dec.coefficients(u1)   # a cut interval's segments share its coefficients
@@ -104,7 +97,7 @@ class ErrorNorms:
         sp = sq
         for _ in range(dim):
             sp = sp @ w
-        return float(wt.ravel() @ sp)
+        self._err1_sq += float(wt.ravel() @ sp)
 
     def _u2_term(self, lo, hi, u2):
         # Nodal error of U2 against the projected exact trace.  The projection
@@ -167,7 +160,8 @@ def _grams(q, mu):
     proj = (Lq / (2.0 * np.arange(q + 1) + 1.0)) @ Lq.T
     mu = np.asarray(mu)[..., None, None]
     dual = rb.E[order] / mu
-    return dual + mu * proj[order], dual + mu * rb.GL2[order]
+    GX, GC = mu * proj[order], mu * rb.GL2[order]   # dual added in place: no temporary block
+    return np.add(GX, dual, out=GX), np.add(GC, dual, out=GC)
 
 
 def _condense(A, q):
@@ -262,8 +256,8 @@ def diagnostic_constants(space, partition, q):
     if not lam.min() > 0.0:   # NaN fails too
         raise RuntimeError("norm Gram matrix is not positive definite")
     widths, width_of = np.unique(partition.widths, return_inverse=True)
-    top = _mode_top(q, widths * lam.max(), width_of.tolist())
-    return 1.0, 1.0, float(np.sqrt(top))
+    width_of = width_of.tolist()   # the index array is dropped before the blocks are formed
+    return 1.0, 1.0, float(np.sqrt(_mode_top(q, widths * lam.max(), width_of)))
 
 
 def infsup_discrete(space, partition, q):
@@ -292,9 +286,8 @@ class StabilitySums:
     and ||u||_V^2 = sum lambda a^2, and a load vector f has
     ||f||_{H^-1}^2 = sum (V^T f)^2 / lambda, so no solve is needed.  The f
     term does not depend on the solution, but add sums it over the chunk's
-    intervals too, at q+4 Gauss points per time segment, splitting the chunk
-    into ranges of about CHUNK_VALUES load values; a level then takes one
-    pass over its intervals, and result only combines the sums.
+    intervals too, at q+4 Gauss points per time segment; a level then takes
+    one pass over its intervals, and result only combines the sums.
     """
 
     def __init__(self, problem, space, partition, q):
@@ -302,7 +295,6 @@ class StabilitySums:
             raise ValueError("stability bound implemented for impulse-free forcing")
         self.problem, self.space, self.partition, self.q = problem, space, partition, q
         self._dec = fem.spectral(space)
-        self._per_interval = (q + 4) * space.grid_size(space.degree + 2)
         self.u1_sq = self.f_sq = 0.0
         self.u0_sq = self.u2N_sq = None
 
@@ -317,11 +309,10 @@ class StabilitySums:
             self.u2N_sq = float(np.sum(u2[-1] * u2[-1]))
         if problem.rhs is None:   # f = 0
             return
-        for a, b in chunks(lo, hi, self._per_interval):
-            t, _, w, _ = quadrature_nodes(self.partition, a, b, self.q + 4,
-                                          problem.time_breakpoints)
-            f = dec.modal_loads(fem.load_vector(self.space, problem.rhs, t=t.ravel()))
-            self.f_sq += float(w.ravel() @ ((f * f) @ (1.0 / dec.eigenvalues)))
+        t, _, w, _ = quadrature_nodes(self.partition, lo, hi, self.q + 4,
+                                      problem.time_breakpoints)
+        f = dec.modal_loads(fem.load_vector(self.space, problem.rhs, t=t.ravel()))
+        self.f_sq += float(w.ravel() @ ((f * f) @ (1.0 / dec.eigenvalues)))
 
     def result(self, c_s):
         """The bound of the chunks fed, which must cover the level, with

@@ -38,6 +38,7 @@ inside main after the package's import, so a level pays for no import.
 """
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import math
@@ -49,8 +50,8 @@ import numpy as np
 from .analysis import ErrorNorms, StabilitySums, cfl_constant, diagnostic_constants, fit_rate
 from .fem import assemble
 from .problems import problem_by_id, validate_residual
-from .solver import impulse_nodes, march
-from .timegrid import CHUNK_VALUES, MAX_TRIAL_DEGREE, make_uniform_partition
+from .solver import CHUNK_VALUES, impulse_nodes, march
+from .timegrid import MAX_TRIAL_DEGREE, make_uniform_partition
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -179,11 +180,11 @@ def level_bytes(dimension, n, p, q, N, diagnostics=False, run=True, errors=False
     of that chunk's widths.  The march's peak is the largest of its
     per-chunk stages beside the inverses: the load block, the gather of the
     inverses, the solution beside its recurrence terms, and the solution
-    beside one range of the error norms or two load blocks of the
-    stability bound's f term; numpy holds two buffers of up to getbufsize()
-    doubles on top while a function broadcasts over the times, and while
-    the diagnostics' blocks broadcast over the widths.  The README gives
-    the formula and what each term holds.
+    beside the error norms' values or the two load blocks of the stability
+    bound's f term, each of the whole chunk; numpy holds two buffers of up
+    to getbufsize() doubles on top while a function broadcasts over the
+    times, and while the diagnostics' blocks broadcast over the widths.
+    The README gives the formula and what each term holds.
     """
     line = n * p - 1
     dof = line ** dimension
@@ -196,13 +197,9 @@ def level_bytes(dimension, n, p, q, N, diagnostics=False, run=True, errors=False
         solution = (c * (q + 2) + 1) * dof
         stages = [c * (q + 3) * (points * (2 * p + 3) // (p + 2) + 2 * q + 4),
                   c * ((q + 1) ** 2 + 2 * q + 3) * dof,
-                  (c * (3 * q + 6) + 1) * dof]
-        if errors:
-            e = min(c, max(1, CHUNK_VALUES // ((q + 4) * grid)))
-            stages.append(solution + e * (q + 4) * (2 * dimension * grid + 2 * dof))
-        if diagnostics:
-            f = min(c, max(1, CHUNK_VALUES // ((q + 4) * points)))
-            stages.append(solution + 2 * f * (q + 4) * points)
+                  (c * (3 * q + 6) + 1) * dof,
+                  (solution + c * (q + 4) * (2 * dimension * grid + 2 * dof)) * errors,
+                  (solution + 2 * c * (q + 4) * points) * diagnostics]
         march = kept + ((q + 1) ** 2 + q + 5) * dof + 2 * np.getbufsize() + max(stages)
     diag = dof + 5 * N + 4 * (q + 2) ** 2 + 2 * np.getbufsize() if diagnostics else 0
     return 8 * max(assembly, march, kept + diag)
@@ -386,7 +383,22 @@ def _load_config(path):
         raise ConfigError("cannot read config: %s" % exc)
 
 
+def keep_heap_pages():
+    """Keep the freed top of the heap, and arrays up to 32 MiB on it, so that a chunk reuses
+    the pages of the one before instead of faulting in fresh ones (README: Memory); returns
+    mallopt's result per setting, 1 where it took, or () where the C library has none."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return ()
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # M_TOP_PAD, M_TRIM_THRESHOLD and M_MMAP_THRESHOLD in bytes, set together: one threshold
+    # alone ends glibc's dynamic thresholds and helps nothing
+    return tuple(mallopt(p, v) for p, v in ((-2, 16 << 20), (-1, 64 << 20), (-3, 32 << 20)))
+
+
 def main(argv=None):
+    keep_heap_pages()
     parser = argparse.ArgumentParser(prog="stheat",
                                      description="space-time heat experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)

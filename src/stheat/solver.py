@@ -15,11 +15,11 @@ interval-by-interval march.  march, below, is the one solver: a generator
 that yields the solution one chunk of intervals at a time, so a run never
 holds it whole (cli.run_level feeds each chunk to the error norms and the
 stability sums and drops it).  march_chunks is the only chunk plan of a
-level: the consumers split its chunks, never merge them, and pass over no
-interval after the march.  run_decomposed
-collects the chunks into a SpaceTimeSolution; the coupled one-shot solve of
-the whole system (solve_global in tests/reference.py) and the dense step
-LocalBlockSystem are references the tests compare it against.
+level: the consumers take its chunks whole and pass over no interval after
+the march.  run_decomposed collects the chunks into a SpaceTimeSolution;
+the coupled one-shot solve of the whole system (solve_global in
+tests/reference.py) and the dense step LocalBlockSystem are references the
+tests compare it against.
 
 On interval [a, a+k] with U1 = sum_m c_m P_m(tau), tau = (s-a)/k, testing
 with X = l_j(tau) v gives for j = 0 .. q+1
@@ -46,7 +46,7 @@ with b and zeta in modal coordinates V^T load, and u1 and u2 in a = V^T M u.
 import numpy as np
 
 from . import fem
-from .timegrid import chunks, quadrature_nodes, reference_blocks, reference_values
+from .timegrid import quadrature_nodes, reference_blocks, reference_values
 
 
 class SpaceTimeSolution:
@@ -135,13 +135,20 @@ class LocalBlockSystem:
         return c, u2_out
 
 
+# Values (spatial points times quadrature times) in the load block of one chunk of the march.
+CHUNK_VALUES = 1 << 15
+
+
 def march_chunks(space, partition, q):
-    """The chunk plan of a level: consecutive ranges (lo, hi) of its
-    intervals whose load blocks (load_vector grid points times q+3
+    """The chunk plan of a level, the only one: consecutive ranges (lo, hi)
+    of its intervals whose load blocks (load_vector grid points times q+3
     quadrature times per interval) hold about CHUNK_VALUES values.  march
-    solves in these chunks, and error_norms and stability_check feed a
-    collected solution through them, so their sums equal a streamed level's."""
-    return chunks(0, partition.num_intervals, (q + 3) * space.grid_size(space.degree + 2))
+    solves in these chunks, its consumers take them whole, and error_norms
+    and stability_check feed a collected solution through them, so their
+    sums equal a streamed level's."""
+    N, per_interval = partition.num_intervals, (q + 3) * space.grid_size(space.degree + 2)
+    step = max(1, CHUNK_VALUES // per_interval)
+    return [(lo, min(lo + step, N)) for lo in range(0, N, step)]
 
 
 def interval_moments(problem, space, partition, q, lo=0, hi=None):

@@ -140,17 +140,6 @@ class TemporalBasis:
         return self.coeffs @ npleg.legvander(2.0 * tau - 1.0, self.degree).T
 
 
-# Values (spatial points times quadrature times) in one block of a batched
-# space-time quadrature; callers march over the intervals in chunks of this size.
-CHUNK_VALUES = 1 << 15
-
-
-def chunks(lo, hi, values_per_item):
-    """Consecutive ranges (a, b) covering lo..hi-1, each worth about CHUNK_VALUES values."""
-    step = max(1, CHUNK_VALUES // values_per_item)
-    return [(a, min(a + step, hi)) for a in range(lo, hi, step)]
-
-
 def cut_points(partition, breakpoints, lo=0, hi=None):
     """The breakpoints inside the intervals lo..hi-1 farther than node_tolerance
     from every node, sorted: a breakpoint that close is that node (impulse_nodes)."""

@@ -35,12 +35,11 @@ from stheat.problems import (
     problem_by_id,
     problem_impulse,
 )
-from stheat import timegrid
+from stheat import solver
 from stheat.solver import interval_moments, march, march_chunks, run_decomposed
 from stheat.timegrid import (
     ReferenceBlocks,
     TimePartition,
-    chunks,
     gauss_rule,
     make_uniform_partition,
     quadrature_nodes,
@@ -629,13 +628,10 @@ def _stability_dense_reference(solution, problem, c_s):
     u2N_sq = float(u2[-1] @ space.mass @ u2[-1])
     u0_sq = float(u2[0] @ space.mass @ u2[0])
     stiffness_cho = scipy.linalg.cho_factor(space.stiffness)
-    f_sq = 0.0
-    per_item = (q + 4) * space.grid_size(space.degree + 2)
-    for lo, hi in chunks(0, part.num_intervals, per_item):
-        t, _, w, _ = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
-        loads = load_vector(space, problem.rhs, t=t.ravel())
-        f_sq += float(w.ravel() @ np.sum(loads * scipy.linalg.cho_solve(stiffness_cho, loads.T).T,
-                                         axis=1))
+    t, _, w, _ = quadrature_nodes(part, 0, part.num_intervals, q + 4, problem.time_breakpoints)
+    loads = load_vector(space, problem.rhs, t=t.ravel())
+    f_sq = float(w.ravel() @ np.sum(loads * scipy.linalg.cho_solve(stiffness_cho, loads.T).T,
+                                    axis=1))
     return {"u1_L2V_sq": u1_sq, "u2_final_H_sq": u2N_sq, "f_dual_sq": f_sq, "u0_H_sq": u0_sq,
             "lhs": u1_sq + u2N_sq, "rhs": c_s ** 2 * f_sq + u0_sq}
 
@@ -705,7 +701,7 @@ def test_quadrature_is_chunk_invariant(monkeypatch):
     """Loads, error norms and the stability terms do not depend on the chunk
     size.  N = 9 puts the kink of heat1d-lowreg (t = 1/2) inside interval 4:
     one chunk holds the cut with all eight uncut intervals, while in chunks
-    of 2-3 intervals only one of them holds it and the others take the
+    of 3 intervals only one of them holds it and the others take the
     reference points."""
     problem = problem_1d_lowreg(0.5)
     space, part, q = assemble(1, 4, 2), make_uniform_partition(1.0, 9), 1
@@ -718,10 +714,10 @@ def test_quadrature_is_chunk_invariant(monkeypatch):
                 np.array([errors.err_u1_L2V, *errors.per_node]),
                 np.array([v for v in stability.values() if not isinstance(v, bool)]))
 
-    monkeypatch.setattr(timegrid, "CHUNK_VALUES", 1 << 40)
+    monkeypatch.setattr(solver, "CHUNK_VALUES", 1 << 40)
     whole = quadratures()
-    monkeypatch.setattr(timegrid, "CHUNK_VALUES", 2 * (q + 4) * space.grid_size(space.degree + 4))
-    assert len(timegrid.chunks(0, part.num_intervals, (q + 3) * space.grid_size(space.degree + 2))) == 3
+    monkeypatch.setattr(solver, "CHUNK_VALUES", 3 * (q + 3) * space.grid_size(space.degree + 2))
+    assert len(march_chunks(space, part, q)) == 3
     for one, many in zip(whole, quadratures()):
         assert np.all(np.isfinite(many))
         assert np.abs(many - one).max() <= 1e-13 * np.abs(one).max()
@@ -730,7 +726,7 @@ def test_quadrature_is_chunk_invariant(monkeypatch):
 @pytest.mark.parametrize("problem_id,n,p,q,N", [
     ("heat1d-lowreg", 16, 2, 1, 301),   # 3 march chunks, the kink at t = 1/2 inside interval 150
     ("heat2d-smooth", 5, 2, 0, 40),     # 2 march chunks
-    ("heat1d-smooth", 32, 2, 0, 1024),  # march chunks of 85 intervals, error ranges of 42
+    ("heat1d-smooth", 32, 2, 0, 1024),  # march chunks of 85 intervals
 ])
 def test_error_and_stability_sums_do_not_depend_on_the_chunks(problem_id, n, p, q, N):
     """ErrorNorms and StabilitySums fed one collected level in the march's

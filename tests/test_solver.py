@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stheat import timegrid
+from stheat import solver
 from stheat.fem import assemble, load_vector, spectral
 from stheat.problems import (
     ProblemSpec,
@@ -15,6 +15,7 @@ from stheat.problems import (
     problem_impulse,
 )
 from stheat.solver import (
+    CHUNK_VALUES,
     LocalBlockSystem,
     SpaceTimeSolution,
     interval_moments,
@@ -22,7 +23,7 @@ from stheat.solver import (
     march_chunks,
     run_decomposed,
 )
-from stheat.timegrid import CHUNK_VALUES, TimePartition, cut_points, make_uniform_partition
+from stheat.timegrid import TimePartition, cut_points, make_uniform_partition
 from reference import (
     assemble_bilinear,
     assemble_load,
@@ -223,6 +224,18 @@ def test_interval_moments_constant_forcing():
     assert np.allclose(m[0].sum(axis=0), load_vector(space, lambda x: np.ones_like(x)), atol=1e-13)
 
 
+def test_march_chunks_cover_the_level():
+    """The chunks are consecutive, cover the intervals, hold at least one
+    interval each and about CHUNK_VALUES load values: 1D p=2, q=0, n=4 has
+    3 * 16 values an interval, so 682 intervals a chunk."""
+    space = assemble(1, 4, 2)
+    assert march_chunks(space, make_uniform_partition(1.0, 1), 0) == [(0, 1)]
+    plan = march_chunks(space, make_uniform_partition(1.0, 2000), 0)
+    assert plan == [(0, 682), (682, 1364), (1364, 2000)]
+    fine = assemble(2, 40, 2)   # 3 * 160^2 values an interval: more than CHUNK_VALUES
+    assert march_chunks(fine, make_uniform_partition(1.0, 5), 0) == [(i, i + 1) for i in range(5)]
+
+
 def test_interval_moments_chunk_invariance():
     """Moments over many chunks equal the per-interval ones.  The partition is
     non-uniform, one breakpoint lies strictly inside an interval and one on
@@ -394,7 +407,7 @@ def test_march_across_chunks_of_changing_widths(monkeypatch, problem, space_args
     between chunks, so it forms them in some chunks and keeps them in the
     others.  The march equals the interval march and the coupled solve."""
     space = assemble(*space_args)
-    monkeypatch.setattr(timegrid, "CHUNK_VALUES", 3 * (q + 3) * space.grid_size(space.degree + 2))
+    monkeypatch.setattr(solver, "CHUNK_VALUES", 3 * (q + 3) * space.grid_size(space.degree + 2))
     plan = march_chunks(space, partition, q)
     assert {hi - lo for lo, hi in plan} == {3}
     interval = march_interval_by_interval(problem, space, partition, q)

@@ -10,7 +10,6 @@ from stheat.timegrid import (
     ReferenceBlocks,
     TemporalBasis,
     TimePartition,
-    chunks,
     cut_points,
     gauss_rule,
     lobatto_points,
@@ -216,15 +215,6 @@ def test_reference_blocks_are_cached_and_read_only():
         with pytest.raises(ValueError):
             getattr(rb, name)[0, 0] = 0.5
         assert np.array_equal(getattr(rb, name), getattr(ReferenceBlocks(2), name))
-
-
-def test_chunks_cover_the_range():
-    assert chunks(3, 3, 10) == []
-    ranges = chunks(2, 1000, 100)
-    assert ranges[0][0] == 2 and ranges[-1][1] == 1000
-    assert all(b0 == a1 for (_, b0), (a1, _) in zip(ranges, ranges[1:]))
-    assert len(ranges) > 1
-    assert chunks(0, 5, 10 ** 9) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
 
 
 def test_reference_blocks_row_sums():
