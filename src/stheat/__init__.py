@@ -10,7 +10,6 @@ experiment runner.
 from .timegrid import (
     TimePartition,
     TemporalBasis,
-    QuadratureRule,
     make_uniform_partition,
     gauss_rule,
     lobatto_points,

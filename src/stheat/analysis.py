@@ -65,7 +65,9 @@ class ErrorNorms:
         self.problem, self.space, self.partition, self.q = problem, space, partition, q
         self._dec, nq = fem.spectral(space), space.degree + 4
         self._tables = space.line_tables(nq)
-        self._grid = np.ix_(*self._tables[:1] * space.dimension)[::-1]   # (eta, xi) in 2D
+        grid, dim = np.ix_(*self._tables[:1] * space.dimension), space.dimension
+        self._grid = [grid[(a - 1) % dim] for a in range(dim)]   # as gathered: (eta, xi) in 2D
+        self._rotate = fem.rotation(1, dim)
         self._err1_sq = 0.0
         self.per_node = np.empty(partition.num_intervals + 1)
 
@@ -83,11 +85,11 @@ class ErrorNorms:
         coeffs = np.matmul(P, c if owner is None else c[owner]).reshape((t.size,) + (d,) * dim)
         grad = None
         for a in range(dim):
-            # component a: D on axis a, B on the others, last axis first, with a swap
-            # between gathers (a rotation of at most two axes), so it ends as (time, eta, xi)
-            u = coeffs
-            for axis in reversed(range(dim)):
-                u = fem.gather(D if axis == a else B, u if axis == dim - 1 else u.swapaxes(1, -1))
+            # component a: D on axis a, B on the others, last axis first, with a rotation
+            # between gathers, so the axes end as 1, ..., dim-1, 0: (time, eta, xi) in 2D
+            u = fem.gather(D if a == dim - 1 else B, coeffs)
+            for axis in reversed(range(dim - 1)):
+                u = fem.gather(D if axis == a else B, u.transpose(self._rotate))
             if grad is None:   # the exact values, formed once no gather's window is held
                 grad = problem.exact.grad(*self._grid, t.reshape((-1,) + (1,) * dim))
                 grad = [grad] if isinstance(grad, np.ndarray) else list(grad)   # 1D: du/dxi

@@ -8,19 +8,15 @@ spatial operation works through them and the M-orthonormal eigenbasis of
 (K, M) computed once on the line (spectral) with numpy's LAPACK: numpy and
 scipy each load their own OpenBLAS, whose thread pools compete for the cores
 when one process calls both, so no command imports scipy; only the test
-references do (solver.LocalBlockSystem among them).  Space-time solutions
-stay in that eigenbasis (stheat.solver).  The dense 2D matrices
-
-    M2 = kron(M, M),    K2 = kron(K, M) + kron(M, K)
-
-are formed only on first access, by the reference solvers.
+references do.  Space-time solutions stay in that eigenbasis
+(stheat.solver).  Only the tests form the dense matrices of a space.
 
 Spatial quadrature is element-local: local degree r of element e is line
 node e*p + r, so loads (_scatter) and point values (gather) contract each
 element with the (nq, p+1) tables of the reference element (element_tables),
-one axis at a time (sum factorization), at a cost per time linear in the DOF
-count.  Only assemble forms dense (dof, n*nq) tables, which keeps
-the rounding of M and K.
+one axis at a time (sum factorization, for any number of axes: rotation), at
+a cost per time linear in the DOF count.  Only assemble forms dense (dof,
+n*nq) tables, which keeps the rounding of M and K.
 
 Coefficient vectors in 2D are flattened row-major: entry i*d + j multiplies
 phi_i(xi) * phi_j(eta) where d is the 1D DOF count.
@@ -36,8 +32,8 @@ from .timegrid import gauss_rule, lagrange_coefficient_matrix
 class FemSpace:
     """Assembled finite element space; immutable once built.
 
-    line_mass and line_stiffness are the 1D matrices of the line, in 1D the
-    space's own, also for an abstract space (dimension 1, n and degree None).
+    line_mass and line_stiffness, the only matrices kept, are those of the line,
+    in 1D the space's own, also for an abstract space (dimension 1, n and degree None).
     """
 
     def __init__(self, dimension, n, degree, line_mass, line_stiffness):
@@ -48,18 +44,6 @@ class FemSpace:
         self.line_stiffness = line_stiffness
         self.dof_count = line_mass.shape[0] ** dimension
         self._spectral = None
-
-    @functools.cached_property
-    def mass(self):
-        """Dense mass matrix; in 2D kron(M, M), formed on first access."""
-        M = self.line_mass
-        return M if self.dimension < 2 else np.kron(M, M)
-
-    @functools.cached_property
-    def stiffness(self):
-        """Dense stiffness matrix; in 2D kron(K, M) + kron(M, K), formed on first access."""
-        M, K = self.line_mass, self.line_stiffness
-        return K if self.dimension < 2 else np.kron(K, M) + np.kron(M, K)
 
     @property
     def h(self):
@@ -90,16 +74,23 @@ class FemSpace:
             self.dimension, self.n, self.degree, self.dof_count)
 
 
+@functools.lru_cache(maxsize=None)
+def rotation(lead, dim):
+    """Axes of the transpose that moves the last of dim spatial axes after lead
+    leading ones to the first spatial place; dim of them restore the order."""
+    return tuple(range(lead)) + (lead + dim - 1,) + tuple(range(lead, lead + dim - 1))
+
+
 class SpectralDecomposition:
     """M-orthonormal eigenpairs of (K, M): K V = M V diag(lam), V^T M V = I.
 
-    eigenvectors is the matrix V of the line.  In 2D the eigenvectors are the
-    products V[:, i](xi) V[:, j](eta) with eigenvalues lam_i + lam_j, indexed
-    i*d + j like the coefficients; they are applied as V^T X V and never
-    formed.  The solution is kept in modal coordinates a = V^T M u, a load
-    vector f enters as V^T f, and values in space need u = V a; both maps
-    apply the line matrix once per axis, each time as one 2-D GEMM over all
-    leading rows on the last axis, which then swaps with the first spatial one.
+    eigenvectors is the matrix V of the line.  With several axes the
+    eigenvectors are products of its columns, V[:, i](xi) V[:, j](eta) in 2D
+    with eigenvalue lam_i + lam_j, indexed i*d + j like the coefficients, and
+    never formed.  The solution is kept in modal coordinates a = V^T M u, a
+    load vector f enters as V^T f, and values in space need u = V a; both
+    maps apply V to each axis as one 2-D GEMM over all leading rows on the
+    last axis, which then moves to the first spatial one (V^T X V in 2D).
     """
 
     def __init__(self, dimension, line_eigenvalues, eigenvectors):
@@ -109,11 +100,12 @@ class SpectralDecomposition:
         for _ in range(dimension - 1):
             self.eigenvalues = np.add.outer(self.eigenvalues, line_eigenvalues).ravel()
         self._stack = (-1,) + eigenvectors.shape[:1] * dimension
+        self._rotate = rotation(1, dimension)
 
     def _apply(self, X, P):
         shape = X.shape
-        for _ in range(self.dimension):   # each swap rotates the axes: assemble allows two
-            X = (X.reshape(-1, P.shape[0]) @ P).reshape(self._stack).swapaxes(1, -1)
+        for _ in range(self.dimension):   # dimension rotations restore the axis order
+            X = (X.reshape(-1, P.shape[0]) @ P).reshape(self._stack).transpose(self._rotate)
         return X.reshape(shape)
 
     def modal_loads(self, f):
@@ -131,7 +123,7 @@ def element_tables(p, nq):
     (equispaced nodes) at the nq Gauss points, (nq, p+1) each; built once
     per (p, nq), so the arrays are shared and read-only."""
     coeff = lagrange_coefficient_matrix(np.arange(p + 1) / p)  # column j = basis j
-    powers = np.vander(gauss_rule(nq).points, p + 1, increasing=True)
+    powers = np.vander(gauss_rule(nq)[0], p + 1, increasing=True)
     dcoef = np.zeros_like(coeff)
     for j in range(p + 1):
         der = np.polynomial.polynomial.polyder(coeff[:, j])
@@ -143,10 +135,10 @@ def element_tables(p, nq):
 
 @functools.lru_cache(maxsize=None)
 def _line_tables(n, p, nq):
-    rule = gauss_rule(nq)
+    points, weights = gauss_rule(nq)
     h = 1.0 / n
-    x = (np.arange(n)[:, None] + rule.points[None, :]).ravel() * h
-    w = np.tile(rule.weights * h, n)
+    x = (np.arange(n)[:, None] + points[None, :]).ravel() * h
+    w = np.tile(weights * h, n)
     vals, dvals = element_tables(p, nq)
     dvals = dvals / h
     x.flags.writeable = w.flags.writeable = dvals.flags.writeable = False
@@ -217,7 +209,7 @@ def gather(table, c):
 def load_vector(space, g, nq=None, t=None):
     """Vector of inner products (g, phi_a) by element-wise Gauss quadrature.
 
-    1D: g(x) vectorized over arrays.  2D: g(x, y) with broadcasting
+    1D: g(x) vectorized over arrays, 2D: g(x, y) and so on, with broadcasting
     (evaluated on the tensor quadrature grid).  Given an array of times t,
     g takes t as its last argument, broadcasting over leading time axes,
     and the result has shape t.shape + (dof,): one load vector per time.
@@ -235,9 +227,8 @@ def load_vector(space, g, nq=None, t=None):
     Bw = B * w[:nq, None]
     out = np.broadcast_to(np.asarray(g(*args), dtype=float), lead + (x.size,) * dim)
     for _ in range(dim):
-        # sum the last axis and swap it to the front, a rotation of the at most
-        # two axes that assemble allows; g's values go once the first is summed
-        out = _scatter(Bw, out).swapaxes(-1, len(lead))
+        # sum the last axis and move it to the front; g's values go once the first is summed
+        out = _scatter(Bw, out).transpose(rotation(len(lead), dim))
     # one contiguous row per time for the callers' products; _scatter's slice is not
     return np.ascontiguousarray(out.reshape(lead + (space.dof_count,)))
 

@@ -18,8 +18,8 @@ stability sums and drops it).  march_chunks is the only chunk plan of a
 level: the consumers take its chunks whole and pass over no interval after
 the march.  run_decomposed collects the chunks into a SpaceTimeSolution;
 the coupled one-shot solve of the whole system (solve_global in
-tests/reference.py) and the dense step LocalBlockSystem are references the
-tests compare it against.
+tests/reference.py) and the dense step LocalBlockSystem, on the dense
+matrices the tests form, are references the tests compare it against.
 
 On interval [a, a+k] with U1 = sum_m c_m P_m(tau), tau = (s-a)/k, testing
 with X = l_j(tau) v gives for j = 0 .. q+1
@@ -77,7 +77,8 @@ class SpaceTimeSolution:
 
 class LocalBlockSystem:
     """Dense factorized interval system for one width k (reused across
-    intervals): the reference step in FE coordinates.
+    intervals): the reference step in FE coordinates, on the caller's dense
+    mass and stiffness matrices of the space.
 
     Only the tests step with it (tests/reference.py); it stays in the
     package because perfbench's solver.factor and solver.march hooks name it.
@@ -85,20 +86,17 @@ class LocalBlockSystem:
     scipy (stheat.fem module docstring).
     """
 
-    def __init__(self, space, k, q):
+    def __init__(self, mass, stiffness, k, q):
         import scipy.linalg
 
         if k <= 0.0:
             raise ValueError("interval width must be positive")
-        self.space = space
-        self.k = float(k)
-        self.q = int(q)
+        self.mass, self.stiffness, self.k, self.q = mass, stiffness, float(k), int(q)
         self.blocks = reference_blocks(q)
-        M, K = space.mass, space.stiffness
         top_D = self.blocks.D[: q + 1]
         top_G = self.blocks.G[: q + 1]
-        A = np.kron(-top_D, M) + self.k * np.kron(top_G, K)
-        mass_cho = scipy.linalg.cho_factor(M)
+        A = np.kron(-top_D, mass) + self.k * np.kron(top_G, stiffness)
+        mass_cho = scipy.linalg.cho_factor(mass)
         self._mass_solve = lambda rhs: scipy.linalg.cho_solve(mass_cho, rhs)
         try:
             if q == 0:
@@ -115,13 +113,13 @@ class LocalBlockSystem:
 
     def step(self, u2_in, moments=None, impulse_load=None):
         """Advance one interval; returns (c, u2_out) with c of shape (q+1, dof)."""
-        space, k, q = self.space, self.k, self.q
-        dof = space.dof_count
+        M, K, k, q = self.mass, self.stiffness, self.k, self.q
+        dof = M.shape[0]
         u2_in = np.asarray(u2_in, dtype=float)
         rhs = np.zeros((q + 1, dof))
         if moments is not None:
             rhs += k * moments[: q + 1]
-        rhs[0] += space.mass @ u2_in
+        rhs[0] += M @ u2_in
         c = self._solve(rhs.ravel()).reshape(q + 1, dof)
         bottom = np.zeros(dof)
         if moments is not None:
@@ -130,7 +128,7 @@ class LocalBlockSystem:
             bottom += impulse_load
         D_last, G_last = self.blocks.D[q + 1], self.blocks.G[q + 1]
         for m in range(q + 1):
-            bottom += D_last[m] * (space.mass @ c[m]) - k * G_last[m] * (space.stiffness @ c[m])
+            bottom += D_last[m] * (M @ c[m]) - k * G_last[m] * (K @ c[m])
         u2_out = self._mass_solve(bottom)
         return c, u2_out
 

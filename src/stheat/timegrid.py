@@ -41,10 +41,6 @@ class TimePartition:
         # a time this close to a node is that node (cut_points, solver.impulse_nodes)
         self.node_tolerance = 1e-12 * max(1.0, float(nodes[-1]))
 
-    @property
-    def final_time(self):
-        return float(self.nodes[-1])
-
     def __repr__(self):
         return "TimePartition(N=%d, k_max=%g)" % (self.num_intervals, self.k_max)
 
@@ -58,30 +54,17 @@ def make_uniform_partition(T, N):
     return TimePartition(np.linspace(0.0, float(T), int(N) + 1))
 
 
-class QuadratureRule:
-    """Points and positive weights on the reference interval [0,1]."""
-
-    def __init__(self, points, weights):
-        points = np.asarray(points, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if points.shape != weights.shape or points.ndim != 1:
-            raise ValueError("points and weights must be 1d arrays of equal length")
-        if np.any(weights <= 0.0):
-            raise ValueError("quadrature weights must be positive")
-        self.points = points
-        self.weights = weights
-
-
 @functools.lru_cache(maxsize=None)
 def gauss_rule(n):
-    """Gauss-Legendre rule with n points on [0,1]; exact for degree <= 2n-1.
-    Built once per point count, so its arrays are shared and read-only."""
+    """(points, weights) of the Gauss-Legendre rule with n points on [0,1];
+    exact for degree <= 2n-1.  Built once per point count, so its arrays are
+    shared and read-only."""
     if n < 1:
         raise ValueError("need at least one quadrature point")
     x, w = npleg.leggauss(int(n))
-    rule = QuadratureRule(0.5 * (x + 1.0), 0.5 * w)
-    rule.points.flags.writeable = rule.weights.flags.writeable = False
-    return rule
+    points, weights = 0.5 * (x + 1.0), 0.5 * w
+    points.flags.writeable = weights.flags.writeable = False
+    return points, weights
 
 
 def lobatto_points(m):
@@ -158,22 +141,22 @@ def quadrature_nodes(partition, lo, hi, npoints, breakpoints=()):
     weight of shape (segments, npoints), owner the interval of each row
     relative to lo, and tau the reference coordinates
     (s0 - a)/k + (l/k) tau_ref of segment [s0, s0 + l] of interval [a, a + k],
-    which are gauss_rule(npoints).points bit for bit on an uncut interval.
+    which are the points of gauss_rule(npoints) bit for bit on an uncut interval.
     If no interval of the block is cut, the rows are its intervals, owner is
-    None and tau is gauss_rule(npoints).points itself, shape (npoints,), the
+    None and tau is those points themselves, shape (npoints,), the
     points where reference_values holds both bases: consumers branch on
     owner alone.
     """
-    rule = gauss_rule(npoints)
+    points, weights = gauss_rule(npoints)
     nodes = partition.nodes[lo:hi + 1]
     pts = np.sort(np.concatenate((nodes, cut_points(partition, breakpoints, lo, hi))))
     seg = np.diff(pts)[:, None]
-    t, weight = pts[:-1, None] + seg * rule.points, seg * rule.weights
+    t, weight = pts[:-1, None] + seg * points, seg * weights
     if pts.size == nodes.size:   # no interval of the block is cut: segments are intervals
-        return t, rule.points, weight, None
+        return t, points, weight, None
     owner = np.searchsorted(nodes, pts[:-1], side="right") - 1
     a, k = nodes[owner, None], partition.widths[lo + owner, None]   # uncut: s0 = a, l = k
-    return t, (pts[:-1, None] - a) / k + seg / k * rule.points, weight, owner
+    return t, (pts[:-1, None] - a) / k + seg / k * points, weight, owner
 
 
 class ReferenceBlocks:
@@ -239,8 +222,8 @@ def reference_blocks(q):
 def reference_values(q, npoints):
     """Both time bases at the npoints Gauss points tau_s, built once per (q, npoints)
     and read-only: test[j, s] = l_j(tau_s) w_s (times the weights), trial[s, m] = P_m(tau_s)."""
-    rule = gauss_rule(npoints)
-    test = reference_blocks(q).test.eval_all(rule.points) * rule.weights
-    trial = npleg.legvander(2.0 * rule.points - 1.0, q)
+    points, weights = gauss_rule(npoints)
+    test = reference_blocks(q).test.eval_all(points) * weights
+    trial = npleg.legvander(2.0 * points - 1.0, q)
     test.flags.writeable = trial.flags.writeable = False
     return test, trial

@@ -30,11 +30,16 @@ run_decomposed;
     superlinear search of analysis._top;
   * from_matrices and l2_project: an abstract space given by its matrices
     (one spatial mode, say) and the L2 projection onto a space;
+  * dense_pair: the dense mass and stiffness matrices of a space of any
+    number of axes, formed from its line factors (the package keeps only
+    those);
   * modal: the modal coordinates V^T M u of FE coefficients u, the one
     place where the oracles' FE results meet the package's modal ones;
   * mass_cho: the Cholesky factor of a space's dense mass matrix, for the
     mass solves of the dense oracles.
 """
+
+import functools
 
 import numpy as np
 import scipy.linalg
@@ -59,9 +64,21 @@ def from_matrices(mass, stiffness):
     return FemSpace(1, None, None, mass, stiffness)
 
 
+def dense_pair(space):
+    """(mass, stiffness): the dense matrices of the space, for any number of
+    axes.  The mass is M (x) ... (x) M, and the stiffness the sum over the
+    axes a of that product with K in slot a, so in 2D kron(M, M) and
+    kron(K, M) + kron(M, K), and in 1D the line's M and K."""
+    M, K = space.line_mass, space.line_stiffness
+    axes = range(space.dimension)
+    mass = functools.reduce(np.kron, [M for _ in axes])
+    stiffness = sum(functools.reduce(np.kron, [K if b == a else M for b in axes]) for a in axes)
+    return mass, stiffness
+
+
 def mass_cho(space):
     """scipy.linalg.cho_factor of the dense mass matrix of the space."""
-    return scipy.linalg.cho_factor(space.mass)
+    return scipy.linalg.cho_factor(dense_pair(space)[0])
 
 
 def l2_project(space, g):
@@ -74,19 +91,19 @@ def l2_project(space, g):
 def modal(space, u):
     """V^T M u, the modal coordinates of the FE coefficients on the last
     axis of u, by the dense mass matrix."""
-    return spectral(space).modal_loads(u @ space.mass)
+    return spectral(space).modal_loads(u @ dense_pair(space)[0])
 
 
 def dense_line_tables(n, p, nq):
     """(x, w, B, D): global quadrature points and weights on (0,1), and the
     values and x-derivatives of the interior basis functions there, shape
     (dof, n*nq) with dof = n*p - 1."""
-    rule = gauss_rule(nq)
+    points, weights = gauss_rule(nq)
     h = 1.0 / n
-    x = (np.arange(n)[:, None] + rule.points[None, :]).ravel() * h
-    w = np.tile(rule.weights * h, n)
+    x = (np.arange(n)[:, None] + points[None, :]).ravel() * h
+    w = np.tile(weights * h, n)
     coeff = lagrange_coefficient_matrix(np.arange(p + 1) / p)  # column j = basis j
-    powers = np.vander(rule.points, p + 1, increasing=True)
+    powers = np.vander(points, p + 1, increasing=True)
     vals = powers @ coeff                            # (nq, p+1)
     dcoef = np.zeros_like(coeff)
     for j in range(p + 1):
@@ -116,8 +133,7 @@ def quadrature_reference_blocks(q):
     Bonnet's recurrence.  No monomial or Legendre coefficients are formed.
     """
     x = lobatto_points(q + 2)
-    rule = gauss_rule(q + 3)
-    tau, w = rule.points, rule.weights
+    tau, w = gauss_rule(q + 3)
     val = np.empty((q + 2, tau.size))
     der = np.zeros((q + 2, tau.size))
     for j in range(q + 2):
@@ -159,7 +175,7 @@ def assemble_bilinear(space, partition, q):
     N, dof = partition.num_intervals, space.dof_count
     trial, test = global_layout(N, q)
     rb = ReferenceBlocks(q)
-    M, K = space.mass, space.stiffness
+    M, K = dense_pair(space)
     nb = N * (q + 1) + 1
     B = np.zeros((nb, dof, nb, dof))
     for i, k in enumerate(partition.widths):
@@ -200,9 +216,10 @@ def solve_global(problem, space, partition, q):
                            assemble_load(problem, space, partition, q)).reshape(-1, dof)
     u1 = x[:-1].reshape(N, q + 1, dof)
     rb = ReferenceBlocks(q)
+    M, K = dense_pair(space)
     k = partition.widths[:-1, None]
     bottom = k * interval_moments(problem, space, partition, q, 0, N - 1)[:, q + 1]
-    bottom += (rb.D[q + 1] @ u1[:-1]) @ space.mass - k * ((rb.G[q + 1] @ u1[:-1]) @ space.stiffness)
+    bottom += (rb.D[q + 1] @ u1[:-1]) @ M - k * ((rb.G[q + 1] @ u1[:-1]) @ K)
     for n, vec in impulse_loads(problem, space, partition).items():
         if n < N:
             bottom[n - 1] += vec
@@ -223,11 +240,11 @@ def march_interval_by_interval(problem, space, partition, q):
     u2 = np.zeros((N + 1, dof))
     if problem.initial is not None:
         u2[0] = scipy.linalg.cho_solve(mass_cho(space), load_vector(space, problem.initial))
-    systems = {}
+    systems, (M, K) = {}, dense_pair(space)
     for i in range(N):
         k = float(partition.widths[i])
         if k not in systems:
-            systems[k] = LocalBlockSystem(space, k, q)
+            systems[k] = LocalBlockSystem(M, K, k, q)
         u1[i], u2[i + 1] = systems[k].step(u2[i], moments[i], jumps.get(i + 1))
     return modal(space, u1), modal(space, u2)
 
@@ -239,7 +256,7 @@ def crank_nicolson(problem, space, partition):
     if problem.impulses:
         raise ValueError("the Crank-Nicolson reference does not take impulses")
     N, dof = partition.num_intervals, space.dof_count
-    M, K = space.mass, space.stiffness
+    M, K = dense_pair(space)
     forcing = np.zeros((N, dof))
     if problem.rhs is not None:
         t, _, w, owner = quadrature_nodes(partition, 0, N, 4, problem.time_breakpoints)

@@ -45,7 +45,7 @@ from stheat.timegrid import (
     quadrature_nodes,
 )
 from reference import (assemble_bilinear, banded, banded_constants, bisected_top,
-                       dense_line_tables, from_matrices, global_layout, mass_cho,
+                       dense_line_tables, dense_pair, from_matrices, global_layout, mass_cho,
                        per_mode_bands, quadrature_reference_blocks)
 
 
@@ -96,13 +96,13 @@ def _error_norms_one_point_at_a_time(sol, problem):
     space, part, q = sol.space, sol.partition, sol.q
     u1, u2 = (spectral(space).coefficients(u) for u in (sol.u1, sol.u2))
     x, w, B, D = dense_line_tables(space.n, space.degree, space.degree + 4)
-    rule = gauss_rule(q + 4)
+    points, weights = gauss_rule(q + 4)
     err1_sq = 0.0
     for i in range(part.num_intervals):
         a, b = part.nodes[i], part.nodes[i + 1]
         cuts = [s for s in problem.time_breakpoints if a < s < b]
         for s0, s1 in zip([a] + cuts, cuts + [b]):
-            for tau, wt in zip(rule.points, rule.weights):
+            for tau, wt in zip(points, weights):
                 t = s0 + (s1 - s0) * tau
                 c = npleg.legvander(2.0 * (t - a) / (b - a) - 1.0, q)[0] @ u1[i]
                 if space.dimension == 1:
@@ -113,7 +113,7 @@ def _error_norms_one_point_at_a_time(sol, problem):
                     sq = (D.T @ C @ B - ex) ** 2 + (B.T @ C @ D - ey) ** 2
                     sp = np.sum(np.outer(w, w) * sq)
                 err1_sq += wt * (s1 - s0) * sp
-    per_node = []
+    per_node, mass = [], dense_pair(space)[0]
     cho = mass_cho(space)
     for n, t in enumerate(part.nodes):
         if space.dimension == 1:
@@ -121,7 +121,7 @@ def _error_norms_one_point_at_a_time(sol, problem):
         else:
             load = ((B * w) @ problem.exact.u(x[:, None], x[None, :], t) @ (B * w).T).ravel()
         diff = u2[n] - scipy.linalg.cho_solve(cho, load)
-        per_node.append(np.sqrt(diff @ space.mass @ diff))
+        per_node.append(np.sqrt(diff @ mass @ diff))
     return np.sqrt(err1_sq), np.array(per_node)
 
 
@@ -177,12 +177,13 @@ def _dense_gram_trial(space, partition, q):
     """Gram of the trial norm: ||y1||_{L2(V)}^2 + ||y2||_H^2, block diagonal."""
     N, dof = partition.num_intervals, space.dof_count
     trial, _ = global_layout(N, q)
+    mass, stiffness = dense_pair(space)
     nb = N * (q + 1) + 1
     G = np.zeros((nb, dof, nb, dof))
     for i, k in enumerate(partition.widths):
         for m, b in enumerate(trial[i]):
-            G[b, :, b] = (k / (2 * m + 1)) * space.stiffness
-    G[nb - 1, :, nb - 1] = space.mass
+            G[b, :, b] = (k / (2 * m + 1)) * stiffness
+    G[nb - 1, :, nb - 1] = mass
     return G.reshape(nb * dof, nb * dof)
 
 
@@ -197,15 +198,16 @@ def _dense_gram_test(space, partition, q, projected):
         vterm = Lq @ np.diag(1.0 / (2 * np.arange(q + 1) + 1)) @ Lq.T
     else:
         vterm = rb.GL2
-    dualM = space.mass @ scipy.linalg.solve(space.stiffness, space.mass)
+    mass, stiffness = dense_pair(space)
+    dualM = mass @ scipy.linalg.solve(stiffness, mass)
     dualM = 0.5 * (dualM + dualM.T)
     nb = N * (q + 1) + 1
     G = np.zeros((nb, dof, nb, dof))
     for i, k in enumerate(partition.widths):
         for j, row in enumerate(test[i]):
             for jp, col in enumerate(test[i]):
-                G[row, :, col] += (rb.E[j, jp] / k) * dualM + k * vterm[j, jp] * space.stiffness
-    G[0, :, 0] += space.mass
+                G[row, :, col] += (rb.E[j, jp] / k) * dualM + k * vterm[j, jp] * stiffness
+    G[0, :, 0] += mass
     return G.reshape(nb * dof, nb * dof)
 
 
@@ -619,15 +621,16 @@ def _stability_dense_reference(solution, problem, c_s):
     coordinates, with a Cholesky solve against K for the H^-1 norm of f."""
     space, part, q = solution.space, solution.partition, solution.q
     u1, u2 = (spectral(space).coefficients(u) for u in (solution.u1, solution.u2))
+    mass, stiffness = dense_pair(space)
     u1_sq = 0.0
     for i in range(part.num_intervals):
         k = float(part.widths[i])
         for m in range(q + 1):
             c = u1[i, m]
-            u1_sq += (k / (2 * m + 1)) * float(c @ space.stiffness @ c)
-    u2N_sq = float(u2[-1] @ space.mass @ u2[-1])
-    u0_sq = float(u2[0] @ space.mass @ u2[0])
-    stiffness_cho = scipy.linalg.cho_factor(space.stiffness)
+            u1_sq += (k / (2 * m + 1)) * float(c @ stiffness @ c)
+    u2N_sq = float(u2[-1] @ mass @ u2[-1])
+    u0_sq = float(u2[0] @ mass @ u2[0])
+    stiffness_cho = scipy.linalg.cho_factor(stiffness)
     t, _, w, _ = quadrature_nodes(part, 0, part.num_intervals, q + 4, problem.time_breakpoints)
     loads = load_vector(space, problem.rhs, t=t.ravel())
     f_sq = float(w.ravel() @ np.sum(loads * scipy.linalg.cho_solve(stiffness_cho, loads.T).T,

@@ -32,7 +32,7 @@ from stheat.cli import (
 )
 import stheat.solver
 from stheat.analysis import error_norms, stability_check
-from stheat.fem import assemble
+from stheat.fem import FemSpace, assemble
 from stheat.problems import problem_2d_smooth, problem_by_id
 from stheat.solver import run_decomposed
 from stheat.timegrid import TemporalBasis, make_uniform_partition
@@ -756,7 +756,7 @@ def test_a_nan_rhs_exits_3_before_any_level(tmp_path, monkeypatch, capsys):
 
 def test_run_level_2d_never_forms_dense_matrices(monkeypatch):
     """Errors, diagnostics and the stability check of a 2D level all work from
-    the line matrices and the modal basis."""
+    the line matrices and the modal basis: a space has no dense matrices."""
     spaces = []
 
     def recording_assemble(*args):
@@ -767,8 +767,9 @@ def test_run_level_2d_never_forms_dense_matrices(monkeypatch):
     cfg = parse_config(json.dumps({"problem": "heat2d-smooth", "levels": [4], "diagnostics": True}))
     row = run_level(cfg, 0, problem_2d_smooth())
     assert row["err_u1_L2V"] > 0.0 and row["diagnostics"]["stability"]["satisfied"]
-    assert len(spaces) == 1
-    assert "mass" not in vars(spaces[0]) and "stiffness" not in vars(spaces[0])
+    assert len(spaces) == 1 and spaces[0].dimension == 2
+    for name in ("mass", "stiffness"):
+        assert not hasattr(FemSpace, name) and not hasattr(spaces[0], name)
 
 
 def test_python_m_stheat_runs_without_runpy_warning(tmp_path):

@@ -3,28 +3,30 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from stheat.fem import assemble, gather, load_vector, spectral
-from reference import dense_line_tables, from_matrices, l2_project
+from stheat.fem import FemSpace, assemble, gather, load_vector, spectral
+from reference import dense_line_tables, dense_pair, from_matrices, l2_project
 
 
 def test_p1_two_elements_matrices():
     space = assemble(1, 2, 1)
     assert space.dof_count == 1
-    assert space.mass[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert space.stiffness[0, 0] == pytest.approx(4.0, abs=1e-13)
+    assert space.line_mass[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert space.line_stiffness[0, 0] == pytest.approx(4.0, abs=1e-13)
 
 
 def test_p1_three_elements_matrices():
     space = assemble(1, 3, 1)
-    assert np.allclose(space.mass, [[2.0 / 9.0, 1.0 / 18.0], [1.0 / 18.0, 2.0 / 9.0]], atol=1e-14)
-    assert np.allclose(space.stiffness, [[6.0, -3.0], [-3.0, 6.0]], atol=1e-12)
+    assert np.allclose(space.line_mass, [[2.0 / 9.0, 1.0 / 18.0], [1.0 / 18.0, 2.0 / 9.0]],
+                       atol=1e-14)
+    assert np.allclose(space.line_stiffness, [[6.0, -3.0], [-3.0, 6.0]], atol=1e-12)
 
 
 def test_2d_single_interior_node():
     space = assemble(2, 2, 1)
     assert space.dof_count == 1
-    assert space.mass[0, 0] == pytest.approx(1.0 / 9.0, abs=1e-14)
-    assert space.stiffness[0, 0] == pytest.approx(8.0 / 3.0, abs=1e-12)
+    mass, stiffness = dense_pair(space)
+    assert mass[0, 0] == pytest.approx(1.0 / 9.0, abs=1e-14)
+    assert stiffness[0, 0] == pytest.approx(8.0 / 3.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("dimension,n,p", [(3, 4, 1), (1, 4, 0), (1, 4, 4), (1, 1, 2)])
@@ -45,8 +47,7 @@ def test_dof_count_2d(n, p, expected):
 
 @pytest.mark.parametrize("dimension,n,p", [(1, 6, 1), (1, 5, 2), (1, 4, 3), (2, 3, 1), (2, 2, 2)])
 def test_matrices_symmetric_positive_definite(dimension, n, p):
-    space = assemble(dimension, n, p)
-    for mat in (space.mass, space.stiffness):
+    for mat in dense_pair(assemble(dimension, n, p)):
         assert np.allclose(mat, mat.T, atol=1e-12)
         assert np.all(np.linalg.eigvalsh(mat) > 0)
 
@@ -81,7 +82,7 @@ def test_p1_extreme_eigenvalue_scaling():
 def test_spectral_reconstructs_stiffness():
     space = assemble(1, 6, 2)
     dec = spectral(space)
-    M, K = space.mass, space.stiffness
+    M, K = space.line_mass, space.line_stiffness
     approx = M @ dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.T @ M
     assert np.allclose(approx, K, rtol=1e-8, atol=1e-8)
 
@@ -89,7 +90,7 @@ def test_spectral_reconstructs_stiffness():
 def test_spectral_mass_orthonormal():
     space = assemble(1, 5, 3)
     dec = spectral(space)
-    gram = dec.eigenvectors.T @ space.mass @ dec.eigenvectors
+    gram = dec.eigenvectors.T @ space.line_mass @ dec.eigenvectors
     assert np.allclose(gram, np.eye(space.dof_count), atol=1e-10)
 
 
@@ -120,12 +121,13 @@ def test_spectral_2d_is_the_tensor_product_of_the_line():
     and the modal maps equal the dense products."""
     space = assemble(2, 3, 2)
     dec = spectral(space)
+    mass, stiffness = dense_pair(space)
     V2 = np.kron(dec.eigenvectors, dec.eigenvectors)
     lam = spectral(assemble(1, 3, 2)).eigenvalues
     assert np.allclose(dec.eigenvalues, (lam[:, None] + lam[None, :]).ravel(), rtol=1e-14)
-    assert np.allclose(V2.T @ space.mass @ V2, np.eye(space.dof_count), atol=1e-12)
-    assert np.allclose(space.mass @ V2 @ np.diag(dec.eigenvalues) @ V2.T @ space.mass,
-                       space.stiffness, rtol=1e-10, atol=1e-10)
+    assert np.allclose(V2.T @ mass @ V2, np.eye(space.dof_count), atol=1e-12)
+    assert np.allclose(mass @ V2 @ np.diag(dec.eigenvalues) @ V2.T @ mass,
+                       stiffness, rtol=1e-10, atol=1e-10)
     rng = np.random.default_rng(3)
     for X in (rng.standard_normal((4, space.dof_count)),
               rng.standard_normal((3, 2, space.dof_count))):
@@ -157,11 +159,14 @@ def test_line_tables_are_cached_and_read_only():
 
 
 def test_2d_space_keeps_only_line_matrices_until_asked():
+    """A space has no dense matrices, also after projections and its
+    eigenbasis; asked for them, the reference forms them from its factors."""
     space = assemble(2, 3, 2)
     l2_project(space, lambda x, y: np.sin(np.pi * x) * y)
     spectral(space)
-    assert "mass" not in vars(space) and "stiffness" not in vars(space)
-    assert space.mass.shape == (space.dof_count, space.dof_count)
+    assert not hasattr(space, "mass") and not hasattr(space, "stiffness")
+    for matrix in dense_pair(space):
+        assert matrix.shape == (space.dof_count, space.dof_count)
 
 
 def test_l2_project_zero():
@@ -274,7 +279,7 @@ def test_load_vector_matches_mass_action():
     rng = np.random.default_rng(5)
     coeffs = rng.standard_normal(space.dof_count)
     load = load_vector(space, _fe_callable(space, coeffs), nq=space.degree + 2)
-    assert np.allclose(load, space.mass @ coeffs, atol=1e-12)
+    assert np.allclose(load, space.line_mass @ coeffs, atol=1e-12)
 
 
 def test_load_vector_2d_matches_mass_action():
@@ -282,15 +287,44 @@ def test_load_vector_2d_matches_mass_action():
     rng = np.random.default_rng(6)
     coeffs = rng.standard_normal(space.dof_count)
     load = load_vector(space, _fe_callable(space, coeffs), nq=space.degree + 2)
-    assert np.allclose(load, space.mass @ coeffs, atol=1e-12)
+    assert np.allclose(load, dense_pair(space)[0] @ coeffs, atol=1e-12)
 
 
 def test_2d_matrices_are_kronecker_products():
+    """The reference's dense pair of a 2D space is kron(M, M) and
+    kron(K, M) + kron(M, K) of the line's factors, bit for bit, and the line's
+    own pair in 1D."""
     space2 = assemble(2, 3, 2)
     space1 = assemble(1, 3, 2)
-    M1, K1 = space1.mass, space1.stiffness
-    assert np.allclose(space2.mass, np.kron(M1, M1), atol=1e-10)
-    assert np.allclose(space2.stiffness, np.kron(M1, K1) + np.kron(K1, M1), atol=1e-10)
+    M1, K1 = space1.line_mass, space1.line_stiffness
+    mass, stiffness = dense_pair(space2)
+    assert np.array_equal(mass, np.kron(M1, M1))
+    assert np.array_equal(stiffness, np.kron(K1, M1) + np.kron(M1, K1))
+    assert all(np.array_equal(got, want) for got, want in zip(dense_pair(space1), (M1, K1)))
+
+
+def test_three_axis_space_matches_the_dense_reference():
+    """A space of three axes, built from a 1D space's factors (assemble
+    allows two), maps like its dense pair: the eigenbasis that modal_loads
+    and coefficients apply is M-orthonormal and diagonalizes the stiffness,
+    and the load of g(x) h(y) k(z) is the outer product of the 1D loads."""
+    line = assemble(1, 3, 2)
+    space = FemSpace(3, line.n, line.degree, line.line_mass, line.line_stiffness)
+    mass, stiffness = dense_pair(space)
+    dec = spectral(space)
+    eye = np.eye(space.dof_count)
+    V = dec.modal_loads(eye)   # row i is V^T e_i: V itself
+    assert np.allclose(dec.coefficients(eye), V.T, atol=1e-13)
+    assert np.abs(V.T @ mass @ V - eye).max() <= 1e-13
+    assert np.abs(stiffness @ V - mass @ V * dec.eigenvalues).max() <= 1e-13 * dec.eigenvalues[-1]
+    f = np.random.default_rng(9).standard_normal((2, space.dof_count))
+    assert np.abs(dec.modal_loads(f) - f @ V).max() <= 1e-13 * np.abs(f @ V).max()
+    assert np.abs(dec.coefficients(f) - f @ V.T).max() <= 1e-13 * np.abs(f @ V.T).max()
+    factors = (lambda x: np.sin(np.pi * x), lambda y: y * (1.0 - y), np.exp)
+    loads = [load_vector(line, g) for g in factors]
+    load = load_vector(space, lambda x, y, z: factors[0](x) * factors[1](y) * factors[2](z))
+    want = np.einsum("i,j,k->ijk", *loads).ravel()
+    assert np.abs(load - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("dimension", [1, 2])

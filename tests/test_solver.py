@@ -28,17 +28,16 @@ from reference import (
     assemble_bilinear,
     assemble_load,
     crank_nicolson,
-    from_matrices,
     march_interval_by_interval,
     solve_global,
 )
 
-SCALAR = from_matrices([[1.0]], [[1.0]])
+ONE = np.ones((1, 1))
 
 
 def test_scalar_step_free_decay():
     # M = K = 1, k = 0.1, no forcing: c0 = 1/1.05, u2_out = 0.95/1.05
-    c, out = LocalBlockSystem(SCALAR, 0.1, 0).step(np.array([1.0]))
+    c, out = LocalBlockSystem(ONE, ONE, 0.1, 0).step(np.array([1.0]))
     assert c[0, 0] == pytest.approx(1.0 / 1.05, abs=1e-14)
     assert out[0] == pytest.approx(0.95 / 1.05, abs=1e-14)
 
@@ -46,19 +45,19 @@ def test_scalar_step_free_decay():
 def test_scalar_step_constant_forcing():
     # f == 1 from rest: b_j = int l_j = 1/2 each, k = 0.1
     moments = np.array([[0.5], [0.5]])
-    c, out = LocalBlockSystem(SCALAR, 0.1, 0).step(np.array([0.0]), moments=moments)
+    c, out = LocalBlockSystem(ONE, ONE, 0.1, 0).step(np.array([0.0]), moments=moments)
     assert c[0, 0] == pytest.approx(1.0 / 21.0, abs=1e-14)
     assert out[0] == pytest.approx(2.0 / 21.0, abs=1e-14)
 
 
 def test_scalar_step_zero_data():
-    c, out = LocalBlockSystem(SCALAR, 0.1, 1).step(np.array([0.0]))
+    c, out = LocalBlockSystem(ONE, ONE, 0.1, 1).step(np.array([0.0]))
     assert np.allclose(c, 0.0) and np.allclose(out, 0.0)
 
 
 def test_scalar_two_steps_match_trapezoidal_squares():
     # k = 0.5, lambda = 1: factor (1 - 1/4)/(1 + 1/4) = 0.6 per interval
-    system = LocalBlockSystem(SCALAR, 0.5, 0)
+    system = LocalBlockSystem(ONE, ONE, 0.5, 0)
     _, out1 = system.step(np.array([1.0]))
     _, out2 = system.step(out1)
     assert out1[0] == pytest.approx(0.6, abs=1e-14)
@@ -82,7 +81,7 @@ def test_nodal_amplification_is_the_diagonal_pade_approximant(q):
     DOF (lambda = 12) and one interval of width mu/lambda per mu.  The bound
     is absolute: R crosses 0, where a relative one means nothing."""
     space = assemble(1, 2, 1)
-    lam = space.stiffness[0, 0] / space.mass[0, 0]
+    lam = space.line_stiffness[0, 0] / space.line_mass[0, 0]
     assert lam == pytest.approx(12.0, rel=1e-14)
     for mu in np.logspace(-3.0, 4.0, 60):
         problem = ProblemSpec(name="decay", dimension=1, rhs=None,
@@ -93,12 +92,12 @@ def test_nodal_amplification_is_the_diagonal_pade_approximant(q):
 
 def test_q0_step_equals_hand_assembled_equations():
     space = assemble(1, 5, 2)
-    M, K = space.mass, space.stiffness
+    M, K = space.line_mass, space.line_stiffness
     k = 0.2
     rng = np.random.default_rng(21)
     u2_in = rng.standard_normal(space.dof_count)
     moments = rng.standard_normal((2, space.dof_count))
-    c, out = LocalBlockSystem(space, k, 0).step(u2_in, moments=moments)
+    c, out = LocalBlockSystem(M, K, k, 0).step(u2_in, moments=moments)
     c0 = np.linalg.solve(M + 0.5 * k * K, M @ u2_in + k * moments[0])
     assert np.allclose(c[0], c0, atol=1e-12)
     out_ref = np.linalg.solve(M, k * moments[1] + M @ c0 - 0.5 * k * (K @ c0))
@@ -108,18 +107,17 @@ def test_q0_step_equals_hand_assembled_equations():
 def test_unconditional_contraction_for_all_step_sizes():
     """|u2_out| < |u2_in| for free decay at any ratio of k to the eigenvalue."""
     for lam in (1e-4, 1.0, 1e4):
-        space = from_matrices([[1.0]], [[lam]])
         for k in (1e-3, 1.0, 1e3):
-            _, out = LocalBlockSystem(space, k, 0).step(np.array([1.0]))
+            _, out = LocalBlockSystem(ONE, lam * ONE, k, 0).step(np.array([1.0]))
             assert np.isfinite(out[0])
             assert abs(out[0]) < 1.0
 
 
 def test_local_block_system_rejects_bad_width():
     with pytest.raises(ValueError):
-        LocalBlockSystem(SCALAR, 0.0, 0)
+        LocalBlockSystem(ONE, ONE, 0.0, 0)
     with pytest.raises(ValueError):
-        LocalBlockSystem(SCALAR, -0.5, 1)
+        LocalBlockSystem(ONE, ONE, -0.5, 1)
 
 
 def test_run_decomposed_zero_problem_is_zero():
