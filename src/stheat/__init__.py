@@ -16,9 +16,7 @@ from .timegrid import (
 )
 from .fem import (
     FemSpace,
-    SpectralDecomposition,
     assemble,
-    spectral,
     load_vector,
 )
 from .problems import (

@@ -63,13 +63,12 @@ class ErrorNorms:
         if problem.exact is None:
             raise ValueError("error computation requires an exact solution")
         self.problem, self.space, self.partition, self.q = problem, space, partition, q
-        self._dec, nq = fem.spectral(space), space.degree + 4
-        self._tables = space.line_tables(nq)
+        self._tables = space.line_tables(space.degree + 4)
         grid, dim = np.ix_(*self._tables[:1] * space.dimension), space.dimension
         self._grid = [grid[(a - 1) % dim] for a in range(dim)]   # as gathered: (eta, xi) in 2D
         self._rotate = fem.rotation(1, dim)
         self._err1_sq = 0.0
-        self.per_node = np.empty(partition.num_intervals + 1)
+        self.per_node = np.full(partition.num_intervals + 1, np.nan)
 
     def add(self, lo, hi, u1, u2):
         """Feed u1 of the intervals lo..hi-1 and u2 of the nodes lo..hi;
@@ -79,7 +78,7 @@ class ErrorNorms:
         self._u2_term(lo, end, u2[: end - lo])   # first: the U1 term's arrays stay to the end
         _, w, B, D = self._tables
         t, tau, wt, owner = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
-        c = self._dec.coefficients(u1)   # a cut interval's segments share its coefficients
+        c = space.coefficients(u1)   # a cut interval's segments share its coefficients
         P = reference_values(q, q + 4)[1] if owner is None else npleg.legvander(2.0 * tau - 1.0, q)
         dim, d = space.dimension, space.line_mass.shape[0]
         coeffs = np.matmul(P, c if owner is None else c[owner]).reshape((t.size,) + (d,) * dim)
@@ -91,8 +90,7 @@ class ErrorNorms:
             for axis in reversed(range(dim - 1)):
                 u = fem.gather(D if axis == a else B, u.transpose(self._rotate))
             if grad is None:   # the exact values, formed once no gather's window is held
-                grad = problem.exact.grad(*self._grid, t.reshape((-1,) + (1,) * dim))
-                grad = [grad] if isinstance(grad, np.ndarray) else list(grad)   # 1D: du/dxi
+                grad = list(problem.exact.grad(*self._grid, t.reshape((-1,) + (1,) * dim)))
             u -= grad[a]
             grad[a] = None   # each exact component goes before the next discrete one is formed
             sq = np.square(u, out=u) if a == 0 else np.add(sq, np.square(u, out=u), out=sq)
@@ -112,11 +110,12 @@ class ErrorNorms:
         space = self.space
         trace = fem.load_vector(space, self.problem.exact.u, nq=space.degree + 4,
                                 t=self.partition.nodes[lo:hi])
-        diff = u2 - self._dec.modal_loads(trace)
+        diff = u2 - space.modal_loads(trace)
         self.per_node[lo:hi] = np.sqrt(np.sum(diff * diff, axis=1))
 
     def report(self):
-        """The ErrorReport of the chunks fed, which must cover the level."""
+        """The ErrorReport of the chunks fed, which must cover the level: a node
+        not fed makes the nodal maximum NaN."""
         return ErrorReport(
             err_u1_L2V=float(np.sqrt(self._err1_sq)),
             err_u2_nodal_max=float(self.per_node.max()),
@@ -254,7 +253,7 @@ def diagnostic_constants(space, partition, q):
     eigenvalue of (K, M), which is the largest top over the modes (README:
     the proof).  GX is positive definite on every mode exactly when every
     eigenvalue is positive."""
-    lam = fem.spectral(space).eigenvalues
+    lam = space.eigenvalues
     if not lam.min() > 0.0:   # NaN fails too
         raise RuntimeError("norm Gram matrix is not positive definite")
     widths, width_of = np.unique(partition.widths, return_inverse=True)
@@ -274,7 +273,7 @@ def cs_constant(space, partition, q):
 
 def cfl_constant(space, k_max):
     """k_max times the largest generalized eigenvalue of (K, M)."""
-    lam_max = float(fem.spectral(space).eigenvalues.max())
+    lam_max = float(space.eigenvalues.max())
     return float(k_max) * lam_max
 
 
@@ -296,15 +295,14 @@ class StabilitySums:
         if problem.impulses:
             raise ValueError("stability bound implemented for impulse-free forcing")
         self.problem, self.space, self.partition, self.q = problem, space, partition, q
-        self._dec = fem.spectral(space)
         self.u1_sq = self.f_sq = 0.0
-        self.u0_sq = self.u2N_sq = None
+        self.u0_sq = self.u2N_sq = np.nan
 
     def add(self, lo, hi, u1, u2):
         """Feed u1 of the intervals lo..hi-1 and u2 of the nodes lo..hi."""
-        dec, problem = self._dec, self.problem
+        space, problem = self.space, self.problem
         scale = self.partition.widths[lo:hi, None] / (2.0 * np.arange(self.q + 1) + 1.0)  # k/(2m+1)
-        self.u1_sq += float(np.einsum("im,imd,imd,d->", scale, u1, u1, dec.eigenvalues))
+        self.u1_sq += float(np.einsum("im,imd,imd,d->", scale, u1, u1, space.eigenvalues))
         if lo == 0:
             self.u0_sq = float(np.sum(u2[0] * u2[0]))
         if hi == self.partition.num_intervals:
@@ -313,12 +311,13 @@ class StabilitySums:
             return
         t, _, w, _ = quadrature_nodes(self.partition, lo, hi, self.q + 4,
                                       problem.time_breakpoints)
-        f = dec.modal_loads(fem.load_vector(self.space, problem.rhs, t=t.ravel()))
-        self.f_sq += float(w.ravel() @ ((f * f) @ (1.0 / dec.eigenvalues)))
+        f = space.modal_loads(fem.load_vector(space, problem.rhs, t=t.ravel()))
+        self.f_sq += float(w.ravel() @ ((f * f) @ (1.0 / space.eigenvalues)))
 
     def result(self, c_s):
         """The bound of the chunks fed, which must cover the level, with
-        the equivalence constant c_s."""
+        the equivalence constant c_s: a side whose end node was not fed
+        (rhs: node 0, lhs: node N) reads NaN, and the bound is not satisfied."""
         lhs = self.u1_sq + self.u2N_sq
         rhs = c_s ** 2 * self.f_sq + self.u0_sq
         return {

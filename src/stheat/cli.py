@@ -50,7 +50,7 @@ import numpy as np
 from .analysis import ErrorNorms, StabilitySums, cfl_constant, diagnostic_constants, fit_rate
 from .fem import assemble
 from .problems import problem_by_id, validate_residual
-from .solver import CHUNK_VALUES, impulse_nodes, march
+from .solver import chunk_length, impulse_nodes, march
 from .timegrid import MAX_TRIAL_DEGREE, make_uniform_partition
 
 EXIT_OK = 0
@@ -193,7 +193,7 @@ def level_bytes(dimension, n, p, q, N, diagnostics=False, run=True, errors=False
     if run:
         kept += (N + 1) * errors
         points, grid = (n * (p + 2)) ** dimension, (n * (p + 4)) ** dimension
-        c = min(N, max(1, CHUNK_VALUES // ((q + 3) * points)))
+        c = min(N, chunk_length(q, points))
         solution = (c * (q + 2) + 1) * dof
         stages = [c * (q + 3) * (points * (2 * p + 3) // (p + 2) + 2 * q + 4),
                   c * ((q + 1) ** 2 + 2 * q + 3) * dof,

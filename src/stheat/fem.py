@@ -5,7 +5,7 @@ uniform mesh of n elements, boundary DOFs eliminated.  The 2D space on the
 unit square is the tensor product of the 1D space with itself.  A space
 keeps only the 1D mass and stiffness matrices (M, K) of the line; every
 spatial operation works through them and the M-orthonormal eigenbasis of
-(K, M) computed once on the line (spectral) with numpy's LAPACK: numpy and
+(K, M) that the space solves once on the line with numpy's LAPACK: numpy and
 scipy each load their own OpenBLAS, whose thread pools compete for the cores
 when one process calls both, so no command imports scipy; only the test
 references do.  Space-time solutions stay in that eigenbasis
@@ -30,10 +30,19 @@ from .timegrid import gauss_rule, lagrange_coefficient_matrix
 
 
 class FemSpace:
-    """Assembled finite element space; immutable once built.
+    """Assembled finite element space and its eigenbasis; immutable once built.
 
     line_mass and line_stiffness, the only matrices kept, are those of the line,
     in 1D the space's own, also for an abstract space (dimension 1, n and degree None).
+
+    The eigenbasis is the M-orthonormal eigenpairs of (K, M): K V = M V diag(lam),
+    V^T M V = I, solved on the line on first use.  eigenvectors is the matrix V of
+    the line.  With several axes the eigenvectors are products of its columns,
+    V[:, i](xi) V[:, j](eta) in 2D with eigenvalue lam_i + lam_j, indexed i*d + j
+    like the coefficients, and never formed.  The solution is kept in modal
+    coordinates a = V^T M u, a load vector f enters as V^T f, and values in space
+    need u = V a; both maps apply V to each axis as one 2-D GEMM over all leading
+    rows on the last axis, which then moves to the first spatial one (V^T X V in 2D).
     """
 
     def __init__(self, dimension, n, degree, line_mass, line_stiffness):
@@ -43,7 +52,8 @@ class FemSpace:
         self.line_mass = line_mass
         self.line_stiffness = line_stiffness
         self.dof_count = line_mass.shape[0] ** dimension
-        self._spectral = None
+        self._stack = (-1,) + line_mass.shape[:1] * dimension
+        self._rotate = rotation(1, dimension)
 
     @property
     def h(self):
@@ -69,38 +79,31 @@ class FemSpace:
         """Points of the spatial quadrature grid of line_tables(nq)."""
         return (self.n * nq) ** self.dimension
 
-    def __repr__(self):
-        return "FemSpace(dim=%r, n=%r, p=%r, dof=%d)" % (
-            self.dimension, self.n, self.degree, self.dof_count)
+    # -- eigenbasis -------------------------------------------------------
 
+    @functools.cached_property
+    def _eigenpairs(self):
+        # With M = L L^T, the pencil reduces to the symmetric C = L^-1 K L^-T,
+        # whose eigenvectors Y give V = L^-T Y.  numpy's Cholesky, inverse and
+        # eigh keep the run on numpy's OpenBLAS alone (module docstring); the
+        # eigenvalues agree with scipy.linalg.eigh(K, M) to about 1e-12 relative.
+        Linv = np.linalg.inv(np.linalg.cholesky(self.line_mass))
+        C = Linv @ self.line_stiffness @ Linv.T
+        line, Y = np.linalg.eigh(0.5 * (C + C.T))
+        eigenvalues = line
+        for _ in range(self.dimension - 1):
+            eigenvalues = np.add.outer(eigenvalues, line).ravel()
+        return eigenvalues, Linv.T @ Y
 
-@functools.lru_cache(maxsize=None)
-def rotation(lead, dim):
-    """Axes of the transpose that moves the last of dim spatial axes after lead
-    leading ones to the first spatial place; dim of them restore the order."""
-    return tuple(range(lead)) + (lead + dim - 1,) + tuple(range(lead, lead + dim - 1))
+    @property
+    def eigenvalues(self):
+        """Generalized eigenvalues of (K, M) of the space, lam_i + lam_j in 2D."""
+        return self._eigenpairs[0]
 
-
-class SpectralDecomposition:
-    """M-orthonormal eigenpairs of (K, M): K V = M V diag(lam), V^T M V = I.
-
-    eigenvectors is the matrix V of the line.  With several axes the
-    eigenvectors are products of its columns, V[:, i](xi) V[:, j](eta) in 2D
-    with eigenvalue lam_i + lam_j, indexed i*d + j like the coefficients, and
-    never formed.  The solution is kept in modal coordinates a = V^T M u, a
-    load vector f enters as V^T f, and values in space need u = V a; both
-    maps apply V to each axis as one 2-D GEMM over all leading rows on the
-    last axis, which then moves to the first spatial one (V^T X V in 2D).
-    """
-
-    def __init__(self, dimension, line_eigenvalues, eigenvectors):
-        self.dimension = dimension
-        self.eigenvectors = eigenvectors
-        self.eigenvalues = line_eigenvalues
-        for _ in range(dimension - 1):
-            self.eigenvalues = np.add.outer(self.eigenvalues, line_eigenvalues).ravel()
-        self._stack = (-1,) + eigenvectors.shape[:1] * dimension
-        self._rotate = rotation(1, dimension)
+    @property
+    def eigenvectors(self):
+        """The M-orthonormal eigenvectors V of the line's (K, M)."""
+        return self._eigenpairs[1]
 
     def _apply(self, X, P):
         shape = X.shape
@@ -115,6 +118,17 @@ class SpectralDecomposition:
     def coefficients(self, a):
         """V a: the coefficient vectors of modal coordinates a."""
         return self._apply(a, self.eigenvectors.T)
+
+    def __repr__(self):
+        return "FemSpace(dim=%r, n=%r, p=%r, dof=%d)" % (
+            self.dimension, self.n, self.degree, self.dof_count)
+
+
+@functools.lru_cache(maxsize=None)
+def rotation(lead, dim):
+    """Axes of the transpose that moves the last of dim spatial axes after lead
+    leading ones to the first spatial place; dim of them restore the order."""
+    return tuple(range(lead)) + (lead + dim - 1,) + tuple(range(lead, lead + dim - 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -232,18 +246,3 @@ def load_vector(space, g, nq=None, t=None):
     # one contiguous row per time for the callers' products; _scatter's slice is not
     return np.ascontiguousarray(out.reshape(lead + (space.dof_count,)))
 
-
-def spectral(space):
-    """Eigendecomposition of (K, M), solved once on the line and cached on the space.
-
-    With M = L L^T, the pencil reduces to the symmetric C = L^-1 K L^-T,
-    whose eigenvectors Y give V = L^-T Y.  numpy's Cholesky, inverse and
-    eigh keep the run on numpy's OpenBLAS alone (module docstring); the
-    eigenvalues agree with scipy.linalg.eigh(K, M) to about 1e-12 relative.
-    """
-    if space._spectral is None:
-        Linv = np.linalg.inv(np.linalg.cholesky(space.line_mass))
-        C = Linv @ space.line_stiffness @ Linv.T
-        vals, Y = np.linalg.eigh(0.5 * (C + C.T))
-        space._spectral = SpectralDecomposition(space.dimension, vals, Linv.T @ Y)
-    return space._spectral

@@ -1,11 +1,12 @@
 """Catalog of heat-equation instances: manufactured smooth solutions in 1D/2D,
 a low-regularity solution with a temporal kink, and impulse (jump) forcing.
 
-Conventions: 1D callables take (xi, t) or (xi); 2D callables take
-(xi, eta, t) or (xi, eta); all accept numpy arrays with broadcasting.  An
-attached exact solution carries the time derivative, spatial gradient and
-Laplacian so that errors and residual spot-checks need no numerical
-differentiation.
+Conventions: callables take one coordinate per axis, then t if they depend
+on time: (xi, t) or (xi) in 1D, (xi, eta, t) or (xi, eta) in 2D; all accept
+numpy arrays with broadcasting.  An attached exact solution carries the time
+derivative, spatial gradient and Laplacian so that errors and residual
+spot-checks need no numerical differentiation; its gradient returns one
+component per axis, a tuple of one array in 1D.
 """
 
 import random
@@ -19,7 +20,7 @@ import numpy as np
 class ExactSolution:
     u: Callable
     du_dt: Callable
-    grad: Callable        # 1D: du/dxi; 2D: returns the pair (du/dxi, du/deta)
+    grad: Callable        # one component per axis: (du/dxi,) in 1D, (du/dxi, du/deta) in 2D
     laplacian: Callable
 
 
@@ -44,56 +45,45 @@ class ProblemSpec:
                 raise ValueError("impulse time %r outside (0, T]" % (t_star,))
 
 
-def problem_1d_smooth():
-    """u(xi,t) = sin(2 pi xi) sin(2 pi t) on (0,1) x (0,1], u0 = 0."""
-    two_pi = 2.0 * np.pi
+def _smooth(name, dimension, omega):
+    """u = prod_a sin(omega x_a) sin(omega t) on (0,1)^dimension x (0,1], u0 = 0; each
+    callable multiplies left to right, the axes before t, which keeps the artifacts' bits."""
 
-    def u(x, t):
-        return np.sin(two_pi * x) * np.sin(two_pi * t)
+    def spatial(scale, x, cos_axis=None):   # scale prod_a sin(omega x_a), cos on cos_axis
+        for a, xa in enumerate(x):
+            scale = scale * (np.cos if a == cos_axis else np.sin)(omega * xa)
+        return scale
 
-    def du_dt(x, t):
-        return two_pi * np.sin(two_pi * x) * np.cos(two_pi * t)
+    def u(*xt):
+        return spatial(1.0, xt[:-1]) * np.sin(omega * xt[-1])
 
-    def grad(x, t):
-        return two_pi * np.cos(two_pi * x) * np.sin(two_pi * t)
+    def du_dt(*xt):
+        return spatial(omega, xt[:-1]) * np.cos(omega * xt[-1])
 
-    def lap(x, t):
-        return -two_pi ** 2 * np.sin(two_pi * x) * np.sin(two_pi * t)
+    def grad(*xt):
+        s = np.sin(omega * xt[-1])
+        return tuple(spatial(omega, xt[:-1], a) * s for a in range(dimension))
 
-    def rhs(x, t):
-        return two_pi * np.sin(two_pi * x) * (np.cos(two_pi * t)
-                                              + two_pi * np.sin(two_pi * t))
+    def lap(*xt):
+        return -dimension * omega ** 2 * u(*xt)
+
+    def rhs(*xt):
+        t = xt[-1]
+        return spatial(omega, xt[:-1]) * (np.cos(omega * t) + dimension * omega * np.sin(omega * t))
 
     return ProblemSpec(
-        name="heat1d-smooth", dimension=1, rhs=rhs, initial=None,
+        name=name, dimension=dimension, rhs=rhs, initial=None,
         final_time=1.0, exact=ExactSolution(u, du_dt, grad, lap))
+
+
+def problem_1d_smooth():
+    """u(xi,t) = sin(2 pi xi) sin(2 pi t) on (0,1) x (0,1], u0 = 0."""
+    return _smooth("heat1d-smooth", 1, 2.0 * np.pi)
 
 
 def problem_2d_smooth():
     """u = sin(pi xi) sin(pi eta) sin(pi t) on the unit square, u0 = 0."""
-    pi = np.pi
-
-    def u(x, y, t):
-        return np.sin(pi * x) * np.sin(pi * y) * np.sin(pi * t)
-
-    def du_dt(x, y, t):
-        return pi * np.sin(pi * x) * np.sin(pi * y) * np.cos(pi * t)
-
-    def grad(x, y, t):
-        s = np.sin(pi * t)
-        return (pi * np.cos(pi * x) * np.sin(pi * y) * s,
-                pi * np.sin(pi * x) * np.cos(pi * y) * s)
-
-    def lap(x, y, t):
-        return -2.0 * pi ** 2 * u(x, y, t)
-
-    def rhs(x, y, t):
-        return pi * np.sin(pi * x) * np.sin(pi * y) * (np.cos(pi * t)
-                                                       + 2.0 * pi * np.sin(pi * t))
-
-    return ProblemSpec(
-        name="heat2d-smooth", dimension=2, rhs=rhs, initial=None,
-        final_time=1.0, exact=ExactSolution(u, du_dt, grad, lap))
+    return _smooth("heat2d-smooth", 2, np.pi)
 
 
 def problem_1d_lowreg(epsilon=0.1):
@@ -115,7 +105,7 @@ def problem_1d_lowreg(epsilon=0.1):
         return alpha * np.sign(t - 0.5) * np.abs(t - 0.5) ** (alpha - 1.0) * np.sin(pi * x)
 
     def grad(x, t):
-        return np.abs(t - 0.5) ** alpha * pi * np.cos(pi * x)
+        return (np.abs(t - 0.5) ** alpha * pi * np.cos(pi * x),)
 
     def lap(x, t):
         return -pi ** 2 * u(x, t)

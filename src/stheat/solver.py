@@ -57,7 +57,8 @@ class SpaceTimeSolution:
     u1 has shape (N, q+1, dof) holding shifted-Legendre coefficients of U1 on
     each interval; u2 has shape (N+1, dof) with u2[0] the projected initial
     datum and u2[N] the final-time component, both in the modal coordinates
-    a = V^T M u of fem.spectral, where the H = V_h norm is the Euclidean one.
+    a = V^T M u of the space's eigenbasis (fem.FemSpace), where the H = V_h
+    norm is the Euclidean one.
     """
 
     def __init__(self, q, partition, space, u1, u2):
@@ -137,6 +138,11 @@ class LocalBlockSystem:
 CHUNK_VALUES = 1 << 15
 
 
+def chunk_length(q, points):
+    """Intervals in a chunk of the march whose load block has points spatial points."""
+    return max(1, CHUNK_VALUES // ((q + 3) * points))
+
+
 def march_chunks(space, partition, q):
     """The chunk plan of a level, the only one: consecutive ranges (lo, hi)
     of its intervals whose load blocks (load_vector grid points times q+3
@@ -144,8 +150,7 @@ def march_chunks(space, partition, q):
     solves in these chunks, its consumers take them whole, and error_norms
     and stability_check feed a collected solution through them, so their
     sums equal a streamed level's."""
-    N, per_interval = partition.num_intervals, (q + 3) * space.grid_size(space.degree + 2)
-    step = max(1, CHUNK_VALUES // per_interval)
+    N, step = partition.num_intervals, chunk_length(q, space.grid_size(space.degree + 2))
     return [(lo, min(lo + step, N)) for lo in range(0, N, step)]
 
 
@@ -206,11 +211,10 @@ def march(problem, space, partition, q):
     that holds a non-finite entry.
     """
     dof = space.dof_count
-    dec = fem.spectral(space)
     rb = reference_blocks(q)
-    jumps = {i: dec.modal_loads(v) for i, v in impulse_loads(problem, space, partition).items()}
+    jumps = {i: space.modal_loads(v) for i, v in impulse_loads(problem, space, partition).items()}
 
-    node = 0.0 if problem.initial is None else dec.modal_loads(
+    node = 0.0 if problem.initial is None else space.modal_loads(
         fem.load_vector(space, problem.initial))
     held = np.full(1, np.inf)   # the sorted widths whose inverses are held: none yet
     for lo, hi in march_chunks(space, partition, q):
@@ -219,12 +223,12 @@ def march(problem, space, partition, q):
         if (held.take(w, mode="clip") != k).any():   # a width of this chunk is not held
             inv = r = alpha = mu = None   # freed before the new ones are formed (cli.level_bytes)
             held, w = np.unique(k, return_inverse=True)
-            mu = held[:, None, None, None] * dec.eigenvalues[:, None, None]  # (widths, modes, 1, 1)
+            mu = held[:, None, None, None] * space.eigenvalues[:, None, None]  # widths, modes, 1, 1
             inv = np.linalg.inv(mu * rb.G[: q + 1] - rb.D[: q + 1])   # (widths, modes, q+1, q+1)
             r = rb.D[q + 1] - mu[..., 0] * rb.G[q + 1]                # (widths, modes, q+1)
             alpha = np.einsum("wds,wds->wd", r, inv[..., 0])
             inv, r = inv.transpose(0, 2, 3, 1), r.transpose(0, 2, 1)  # modes last
-        kb = dec.modal_loads(interval_moments(problem, space, partition, q, lo, hi))
+        kb = space.modal_loads(interval_moments(problem, space, partition, q, lo, hi))
         kb *= k[:, None, None]
         forced = np.einsum("irsd,isd->ird", inv[w], kb[:, : q + 1])
         g = kb[:, q + 1] + np.einsum("ird,ird->id", r[w], forced)

@@ -45,7 +45,7 @@ import numpy as np
 import scipy.linalg
 
 from stheat.analysis import _condense, _grams, _last_pivot
-from stheat.fem import FemSpace, load_vector, spectral
+from stheat.fem import FemSpace, load_vector
 from stheat.solver import (LocalBlockSystem, SpaceTimeSolution, impulse_loads,
                            interval_moments)
 from stheat.timegrid import (ReferenceBlocks, gauss_rule, lagrange_coefficient_matrix,
@@ -84,14 +84,13 @@ def mass_cho(space):
 def l2_project(space, g):
     """Coefficients of the L2-orthogonal projection of g onto the space:
     M^-1 load = V V^T load."""
-    dec = spectral(space)
-    return dec.coefficients(dec.modal_loads(load_vector(space, g)))
+    return space.coefficients(space.modal_loads(load_vector(space, g)))
 
 
 def modal(space, u):
     """V^T M u, the modal coordinates of the FE coefficients on the last
     axis of u, by the dense mass matrix."""
-    return spectral(space).modal_loads(u @ dense_pair(space)[0])
+    return space.modal_loads(u @ dense_pair(space)[0])
 
 
 def dense_line_tables(n, p, nq):
@@ -297,7 +296,7 @@ def per_mode_bands(space, partition, q):
         G[0, 0] += 1.0
         return G
 
-    for lam in np.unique(spectral(space).eigenvalues)[::-1]:
+    for lam in np.unique(space.eigenvalues)[::-1]:
         mu = partition.widths[:, None, None] * lam
         b = mu * rb.G - rb.D
         BB = banded((b * (odd / mu)) @ b.transpose(0, 2, 1))

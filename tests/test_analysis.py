@@ -25,7 +25,7 @@ from stheat.analysis import (
     stability_check,
 )
 from stheat import fem
-from stheat.fem import assemble, load_vector, spectral
+from stheat.fem import assemble, load_vector
 from stheat.problems import (
     ExactSolution,
     ProblemSpec,
@@ -67,7 +67,8 @@ def test_fit_rate_argument_validation():
 
 def _zero_problem():
     zero2 = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
-    exact = ExactSolution(u=zero2, du_dt=zero2, grad=zero2, laplacian=zero2)
+    grad = lambda x, t: (zero2(x, t),)   # one component per axis
+    exact = ExactSolution(u=zero2, du_dt=zero2, grad=grad, laplacian=zero2)
     return ProblemSpec(name="rest", dimension=1, rhs=None, initial=None,
                        final_time=1.0, exact=exact)
 
@@ -94,7 +95,7 @@ def _error_norms_one_point_at_a_time(sol, problem):
     """Reference: (err_u1_L2V, per-node errors), one time point per step, in
     FE coordinates."""
     space, part, q = sol.space, sol.partition, sol.q
-    u1, u2 = (spectral(space).coefficients(u) for u in (sol.u1, sol.u2))
+    u1, u2 = (space.coefficients(u) for u in (sol.u1, sol.u2))
     x, w, B, D = dense_line_tables(space.n, space.degree, space.degree + 4)
     points, weights = gauss_rule(q + 4)
     err1_sq = 0.0
@@ -106,7 +107,8 @@ def _error_norms_one_point_at_a_time(sol, problem):
                 t = s0 + (s1 - s0) * tau
                 c = npleg.legvander(2.0 * (t - a) / (b - a) - 1.0, q)[0] @ u1[i]
                 if space.dimension == 1:
-                    sp = np.sum(w * (D.T @ c - problem.exact.grad(x, t)) ** 2)
+                    (ex,) = problem.exact.grad(x, t)
+                    sp = np.sum(w * (D.T @ c - ex) ** 2)
                 else:
                     C = c.reshape(B.shape[0], -1)
                     ex, ey = problem.exact.grad(x[:, None], x[None, :], t)
@@ -149,7 +151,7 @@ def _in_space_problem(a=0.3, b=0.7):
         return b * g(x) + 0.0 * x
 
     def grad(x, t):
-        return (a + b * t) * (1.0 - 2.0 * x)
+        return ((a + b * t) * (1.0 - 2.0 * x),)
 
     def lap(x, t):
         return -2.0 * (a + b * t) + 0.0 * x
@@ -278,7 +280,7 @@ def test_pruned_maxima_match_every_mode(space_args, partition, q):
     (BB, GX) on every mode, to 1e-12 (they sit at 1, where that bisection
     settles a few ulps away)."""
     space = assemble(*space_args)
-    top_s = max(_top_of(partition, q, lam) for lam in np.unique(spectral(space).eigenvalues))
+    top_s = max(_top_of(partition, q, lam) for lam in np.unique(space.eigenvalues))
     c_B, C_B, c_S = diagnostic_constants(space, partition, q)
     ref_b, ref_B, _ = banded_constants(space, partition, q)
     assert c_B == pytest.approx(ref_b, abs=1e-12)
@@ -363,7 +365,7 @@ def test_level_bands_match_per_mode_construction(space_args, q, partition, matri
     entry.  BB equals GX: the isometry behind c_B = C_B = 1."""
     space = assemble(*space_args)
     want = list(per_mode_bands(space, partition, q))
-    lam = np.unique(spectral(space).eigenvalues)[::-1]
+    lam = np.unique(space.eigenvalues)[::-1]
     assert len(want) == lam.size
     back = np.argsort(np.r_[1:q + 1, 0, q + 1])   # _grams' order back to time order
     for l, triple in zip(lam, want):
@@ -392,7 +394,7 @@ def test_mode_tops_do_not_decrease_in_lambda(space_args, partition, q):
     it, so no mode's own bisected top exceeds that of the largest
     eigenvalue, and c_S is the square root of the latter, bit for bit."""
     space = assemble(*space_args)
-    lam = np.unique(spectral(space).eigenvalues)
+    lam = np.unique(space.eigenvalues)
     top = _top_of(partition, q, lam[-1])
     assert all(_top_of(partition, q, l) <= top for l in lam[:-1])
     assert cs_constant(space, partition, q) == np.sqrt(top)
@@ -474,7 +476,7 @@ def test_search_matches_the_bisection_on_random_levels(monkeypatch, seed):
     1 + C_CFL^2 / (4 (2q+1)(2q+3))."""
     space, partition, q = _random_level(seed)
     widths, width_of = np.unique(partition.widths, return_inverse=True)
-    mu, width_of = widths * spectral(space).eigenvalues.max(), width_of.tolist()
+    mu, width_of = widths * space.eigenvalues.max(), width_of.tolist()
     probes = _counting(monkeypatch, "_last_pivot")
     top = _mode_top(q, mu, width_of)
     assert len(probes) <= 72
@@ -620,7 +622,7 @@ def _stability_dense_reference(solution, problem, c_s):
     """Reference: the stability terms from the dense matrices in FE
     coordinates, with a Cholesky solve against K for the H^-1 norm of f."""
     space, part, q = solution.space, solution.partition, solution.q
-    u1, u2 = (spectral(space).coefficients(u) for u in (solution.u1, solution.u2))
+    u1, u2 = (space.coefficients(u) for u in (solution.u1, solution.u2))
     mass, stiffness = dense_pair(space)
     u1_sq = 0.0
     for i in range(part.num_intervals):
@@ -766,3 +768,25 @@ def test_error_and_stability_sums_do_not_depend_on_the_chunks(problem_id, n, p, 
         assert np.abs(report.per_node - errors.per_node).max() <= 1e-14 * scale, name
         for key, value in stability.items():
             assert bound[key] == pytest.approx(value, rel=1e-13, abs=0.0), (name, key)
+
+
+def test_sums_of_chunks_that_miss_the_first_read_nan():
+    """ErrorNorms and StabilitySums fed every chunk of the march but the
+    first (1D heat1d-smooth, p=2, n=16, N=256, q=0) read NaN where the level
+    is not covered: the nodes not fed and the nodal maximum of the errors,
+    and the right side of the bound, which needs node 0's term, so the bound
+    is not satisfied."""
+    problem = problem_1d_smooth()
+    space, part, q = assemble(1, 16, 2), make_uniform_partition(1.0, 256), 0
+    assert len(march_chunks(space, part, q)) > 1
+    errors, stability = ErrorNorms(problem, space, part, q), StabilitySums(problem, space, part, q)
+    chunks = march(problem, space, part, q)
+    lo = next(chunks)[1]
+    for chunk in chunks:
+        errors.add(*chunk)
+        stability.add(*chunk)
+    report, bound = errors.report(), stability.result(1.7)
+    assert np.isnan(report.per_node[:lo]).all() and np.isfinite(report.per_node[lo:]).all()
+    assert np.isnan(report.err_u2_nodal_max)
+    assert np.isnan(bound["rhs"]) and np.isnan(bound["u0_H_sq"]) and np.isfinite(bound["lhs"])
+    assert bound["satisfied"] is False

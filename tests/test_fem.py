@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from stheat.fem import FemSpace, assemble, gather, load_vector, spectral
+from stheat.fem import FemSpace, assemble, gather, load_vector
 from reference import dense_line_tables, dense_pair, from_matrices, l2_project
 
 
@@ -54,8 +54,8 @@ def test_matrices_symmetric_positive_definite(dimension, n, p):
 
 def test_coarsest_eigenvalue_exact():
     # one interior P1 node: K/M = 4 / (1/3) = 12
-    dec = spectral(assemble(1, 2, 1))
-    assert dec.eigenvalues[0] == pytest.approx(12.0, abs=1e-10)
+    space = assemble(1, 2, 1)
+    assert space.eigenvalues[0] == pytest.approx(12.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("dimension,n,p,lam_exact", [
@@ -66,31 +66,29 @@ def test_coarsest_eigenvalue_exact():
 ])
 def test_smallest_eigenvalue_from_above(dimension, n, p, lam_exact):
     """Conforming Galerkin eigenvalues approach the Laplace eigenvalue from above."""
-    dec = spectral(assemble(dimension, n, p))
-    lam1 = dec.eigenvalues[0]
+    space = assemble(dimension, n, p)
+    lam1 = space.eigenvalues[0]
     assert lam1 >= lam_exact - 1e-10
     assert lam1 <= lam_exact * 1.05
 
 
 def test_p1_extreme_eigenvalue_scaling():
     """lambda_max h^2 for 1D P1 tends to 12; check the h^-2 growth."""
-    lam8 = spectral(assemble(1, 8, 1)).eigenvalues[-1]
-    lam16 = spectral(assemble(1, 16, 1)).eigenvalues[-1]
+    lam8 = assemble(1, 8, 1).eigenvalues[-1]
+    lam16 = assemble(1, 16, 1).eigenvalues[-1]
     assert 3.5 <= lam16 / lam8 <= 4.5
 
 
 def test_spectral_reconstructs_stiffness():
     space = assemble(1, 6, 2)
-    dec = spectral(space)
     M, K = space.line_mass, space.line_stiffness
-    approx = M @ dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.T @ M
+    approx = M @ space.eigenvectors @ np.diag(space.eigenvalues) @ space.eigenvectors.T @ M
     assert np.allclose(approx, K, rtol=1e-8, atol=1e-8)
 
 
 def test_spectral_mass_orthonormal():
     space = assemble(1, 5, 3)
-    dec = spectral(space)
-    gram = dec.eigenvectors.T @ space.line_mass @ dec.eigenvectors
+    gram = space.eigenvectors.T @ space.line_mass @ space.eigenvectors
     assert np.allclose(gram, np.eye(space.dof_count), atol=1e-10)
 
 
@@ -103,14 +101,13 @@ def test_spectral_matches_scipy_generalized_eigh(dimension, n, p):
     the same orthonormality and residual bounds as scipy's."""
     space = assemble(dimension, n, p)
     M, K = space.line_mass, space.line_stiffness
-    dec = spectral(space)
     ref_vals, ref_vecs = scipy.linalg.eigh(K, M)
     ref = ref_vals if dimension == 1 else (ref_vals[:, None] + ref_vals[None, :]).ravel()
-    assert np.max(np.abs(dec.eigenvalues - ref) / ref) < 1e-10
-    vals = dec.eigenvalues
+    assert np.max(np.abs(space.eigenvalues - ref) / ref) < 1e-10
+    vals = space.eigenvalues
     if dimension == 2:   # the line's lam_i, exactly, from the diagonal lam_i + lam_i
         vals = vals[:: M.shape[0] + 1] / 2.0
-    for lam, V in ((vals, dec.eigenvectors), (ref_vals, ref_vecs)):
+    for lam, V in ((vals, space.eigenvectors), (ref_vals, ref_vecs)):
         assert np.max(np.abs(V.T @ M @ V - np.eye(M.shape[0]))) < 1e-13
         assert np.max(np.abs(K @ V - M @ V * lam)) / lam[-1] < 1e-15
 
@@ -120,19 +117,18 @@ def test_spectral_2d_is_the_tensor_product_of_the_line():
     formed by the package; formed here, they diagonalize the dense matrices,
     and the modal maps equal the dense products."""
     space = assemble(2, 3, 2)
-    dec = spectral(space)
     mass, stiffness = dense_pair(space)
-    V2 = np.kron(dec.eigenvectors, dec.eigenvectors)
-    lam = spectral(assemble(1, 3, 2)).eigenvalues
-    assert np.allclose(dec.eigenvalues, (lam[:, None] + lam[None, :]).ravel(), rtol=1e-14)
+    V2 = np.kron(space.eigenvectors, space.eigenvectors)
+    lam = assemble(1, 3, 2).eigenvalues
+    assert np.allclose(space.eigenvalues, (lam[:, None] + lam[None, :]).ravel(), rtol=1e-14)
     assert np.allclose(V2.T @ mass @ V2, np.eye(space.dof_count), atol=1e-12)
-    assert np.allclose(mass @ V2 @ np.diag(dec.eigenvalues) @ V2.T @ mass,
+    assert np.allclose(mass @ V2 @ np.diag(space.eigenvalues) @ V2.T @ mass,
                        stiffness, rtol=1e-10, atol=1e-10)
     rng = np.random.default_rng(3)
     for X in (rng.standard_normal((4, space.dof_count)),
               rng.standard_normal((3, 2, space.dof_count))):
-        assert np.allclose(dec.modal_loads(X), X @ V2, atol=1e-12)
-        assert np.allclose(dec.coefficients(X), X @ V2.T, atol=1e-12)
+        assert np.allclose(space.modal_loads(X), X @ V2, atol=1e-12)
+        assert np.allclose(space.coefficients(X), X @ V2.T, atol=1e-12)
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
@@ -140,10 +136,9 @@ def test_modal_maps_of_a_stack_equal_the_row_products(dimension):
     """modal_loads and coefficients, one GEMM per axis over a (c, m, dof)
     stack, equal the products of its rows one at a time."""
     space = assemble(dimension, 5, 2)
-    dec = spectral(space)
-    V = dec.eigenvectors if dimension == 1 else np.kron(dec.eigenvectors, dec.eigenvectors)
+    V = space.eigenvectors if dimension == 1 else np.kron(space.eigenvectors, space.eigenvectors)
     X = np.random.default_rng(8).standard_normal((6, 3, space.dof_count))
-    for got, matrix in ((dec.modal_loads(X), V), (dec.coefficients(X), V.T)):
+    for got, matrix in ((space.modal_loads(X), V), (space.coefficients(X), V.T)):
         want = np.array([[row @ matrix for row in item] for item in X])
         assert got.shape == X.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -163,7 +158,7 @@ def test_2d_space_keeps_only_line_matrices_until_asked():
     eigenbasis; asked for them, the reference forms them from its factors."""
     space = assemble(2, 3, 2)
     l2_project(space, lambda x, y: np.sin(np.pi * x) * y)
-    spectral(space)
+    space.eigenvalues
     assert not hasattr(space, "mass") and not hasattr(space, "stiffness")
     for matrix in dense_pair(space):
         assert matrix.shape == (space.dof_count, space.dof_count)
@@ -311,15 +306,15 @@ def test_three_axis_space_matches_the_dense_reference():
     line = assemble(1, 3, 2)
     space = FemSpace(3, line.n, line.degree, line.line_mass, line.line_stiffness)
     mass, stiffness = dense_pair(space)
-    dec = spectral(space)
     eye = np.eye(space.dof_count)
-    V = dec.modal_loads(eye)   # row i is V^T e_i: V itself
-    assert np.allclose(dec.coefficients(eye), V.T, atol=1e-13)
+    V = space.modal_loads(eye)   # row i is V^T e_i: V itself
+    assert np.allclose(space.coefficients(eye), V.T, atol=1e-13)
     assert np.abs(V.T @ mass @ V - eye).max() <= 1e-13
-    assert np.abs(stiffness @ V - mass @ V * dec.eigenvalues).max() <= 1e-13 * dec.eigenvalues[-1]
+    lam = space.eigenvalues
+    assert np.abs(stiffness @ V - mass @ V * lam).max() <= 1e-13 * lam[-1]
     f = np.random.default_rng(9).standard_normal((2, space.dof_count))
-    assert np.abs(dec.modal_loads(f) - f @ V).max() <= 1e-13 * np.abs(f @ V).max()
-    assert np.abs(dec.coefficients(f) - f @ V.T).max() <= 1e-13 * np.abs(f @ V.T).max()
+    assert np.abs(space.modal_loads(f) - f @ V).max() <= 1e-13 * np.abs(f @ V).max()
+    assert np.abs(space.coefficients(f) - f @ V.T).max() <= 1e-13 * np.abs(f @ V.T).max()
     factors = (lambda x: np.sin(np.pi * x), lambda y: y * (1.0 - y), np.exp)
     loads = [load_vector(line, g) for g in factors]
     load = load_vector(space, lambda x, y, z: factors[0](x) * factors[1](y) * factors[2](z))

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stheat.fem import assemble, spectral
+from stheat.fem import assemble
 from stheat.problems import (
     ExactSolution,
     ProblemSpec,
@@ -178,8 +178,7 @@ def test_impulse_relaxes_with_trapezoidal_factor():
     part = make_uniform_partition(1.0, 4)
     k = 0.25
     sol = run_decomposed(problem, space, part, q=0)
-    dec = spectral(space)
-    lam = dec.eigenvalues
+    lam = space.eigenvalues
     ratio = (1.0 - 0.5 * k * lam) / (1.0 + 0.5 * k * lam)
     a_in, a_mid, a_out = sol.u2[2:5]
     assert np.allclose(a_mid, ratio * a_in, atol=1e-12)
@@ -199,3 +198,50 @@ def test_exact_solution_fields_are_callables():
     assert isinstance(ex, ExactSolution)
     for fn in (ex.u, ex.du_dt, ex.grad, ex.laplacian):
         assert callable(fn)
+
+
+def test_exact_gradients_have_one_component_per_axis():
+    """Every catalogue problem with an exact solution returns its gradient as
+    a tuple of dimension arrays, one per axis, in 1D too."""
+    x = np.linspace(0.1, 0.9, 4)
+    for pid in ("heat1d-smooth", "heat2d-smooth", "heat1d-lowreg", "impulse"):
+        problem = problem_by_id(pid)
+        if problem.exact is None:
+            continue
+        grad = problem.exact.grad(*np.ix_(*(x,) * problem.dimension), 0.3)
+        assert isinstance(grad, tuple) and len(grad) == problem.dimension, pid
+        for component in grad:
+            assert isinstance(component, np.ndarray), pid
+            assert component.shape == (x.size,) * problem.dimension, pid
+
+
+def test_smooth_problems_equal_their_closed_forms():
+    """The one builder behind problem_1d_smooth and problem_2d_smooth gives
+    u, du_dt, the gradient and the rhs bit for bit as the closed forms
+    written out for each dimension, on a grid of points and times."""
+    rng = np.random.default_rng(4)
+    t = np.r_[0.0, rng.uniform(0.0, 1.0, 5), 1.0][:, None, None]
+    x, y = rng.uniform(0.0, 1.0, (1, 6, 1)), rng.uniform(0.0, 1.0, (1, 1, 6))
+    w = 2.0 * np.pi
+    want = {"u": np.sin(w * x) * np.sin(w * t),
+            "du_dt": w * np.sin(w * x) * np.cos(w * t),
+            "grad": (w * np.cos(w * x) * np.sin(w * t),),
+            "rhs": w * np.sin(w * x) * (np.cos(w * t) + w * np.sin(w * t))}
+    pi, s = np.pi, np.sin(np.pi * t)
+    want2 = {"u": np.sin(pi * x) * np.sin(pi * y) * np.sin(pi * t),
+             "du_dt": pi * np.sin(pi * x) * np.sin(pi * y) * np.cos(pi * t),
+             "grad": (pi * np.cos(pi * x) * np.sin(pi * y) * s,
+                      pi * np.sin(pi * x) * np.cos(pi * y) * s),
+             "rhs": pi * np.sin(pi * x) * np.sin(pi * y) * (np.cos(pi * t)
+                                                            + 2.0 * pi * np.sin(pi * t))}
+    for problem, args, forms in ((problem_1d_smooth(), (x, t), want),
+                                 (problem_2d_smooth(), (x, y, t), want2)):
+        ex = problem.exact
+        got = {"u": ex.u(*args), "du_dt": ex.du_dt(*args), "grad": ex.grad(*args),
+               "rhs": problem.rhs(*args)}
+        for key, value in forms.items():
+            if key == "grad":
+                assert len(got[key]) == len(value)
+                assert all(np.array_equal(a, b) for a, b in zip(got[key], value)), key
+            else:
+                assert np.array_equal(got[key], value), key

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stheat import solver
-from stheat.fem import assemble, load_vector, spectral
+from stheat.fem import assemble, load_vector
 from stheat.problems import (
     ProblemSpec,
     problem_1d_lowreg,
@@ -177,7 +177,7 @@ def test_galerkin_residual_of_decomposed_solution():
     part = make_uniform_partition(1.0, 3)
     q = 1
     sol = run_decomposed(problem, space, part, q)
-    fe = spectral(space).coefficients
+    fe = space.coefficients
     x = np.concatenate([fe(sol.u1).ravel(), fe(sol.u2[-1])])   # U1 by interval, then U2(T)
     B = assemble_bilinear(space, part, q)
     F = assemble_load(problem, space, part, q)
