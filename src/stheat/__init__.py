@@ -22,6 +22,8 @@ from .fem import (
 from .problems import (
     ProblemSpec,
     ExactSolution,
+    SpaceFactor,
+    TimeFactor,
     problem_1d_smooth,
     problem_2d_smooth,
     problem_1d_lowreg,

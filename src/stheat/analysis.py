@@ -3,10 +3,13 @@
 The error norms (ErrorNorms) and the two sides of the stability bound
 (StabilitySums) are sums over intervals and nodes, so both accumulate the
 chunks of solver.march as they come, each chunk whole, and a run never
-holds the solution whole.  Both integrate the exact solution or the
-right-hand side on each chunk's own intervals, so a level takes one pass
-in one chunk plan (solver.march_chunks), in which error_norms and
-stability_check feed them a collected SpaceTimeSolution.
+holds the solution whole.  The exact solution and the right-hand side are
+sums of space x time products (stheat.problems): both integrate each
+spatial factor once per level, and its temporal factor on each chunk's
+own intervals by scalar quadrature, so a level takes one pass in one
+chunk plan (solver.march_chunks), in which error_norms and
+stability_check feed them a collected SpaceTimeSolution.  Each reads NaN
+unless the chunks fed cover the level once.
 
 The diagnostics realize three constants of the discretization:
 
@@ -30,14 +33,16 @@ condenses its blocks to the nodes and searches the last pivot of their
 recurrence down from the bound (README: the proofs, the method, its cost).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from . import fem
-from .solver import march_chunks
-from .timegrid import quadrature_nodes, reference_blocks, reference_values
+from .problems import time_values
+from .solver import factor_loads, march_chunks
+from .timegrid import gauss_rule, quadrature_nodes, reference_blocks, reference_values
 
 
 @dataclass
@@ -47,57 +52,100 @@ class ErrorReport:
     per_node: np.ndarray
 
 
-class ErrorNorms:
-    """L2(V) error of U1 and nodal H errors of U2 against the exact solution,
-    accumulated over the chunks of a march (solver.march).
+def _weighted_quadratic(weights, values, gram):
+    """sum_s weights_s values_s^T gram values_s over the points s of the leading axes."""
+    return float(weights.ravel() @ np.sum((values @ gram) * values, axis=-1).ravel())
 
-    Both errors integrate the true pointwise difference: the V part compares
-    discrete gradients with the exact gradient at spatial quadrature points
-    (p+4 Gauss points per element, q+4 per time segment), the nodal part
-    integrates (U2 - u(., t_n))^2 directly.  The V part takes u1 to FE
-    coefficients first, as a modal sum would cancel the leading digits of a
-    fine level's error.  Both take each chunk fed whole.
+
+class ErrorNorms:
+    """L2(V) error of U1 and nodal H errors of U2 against the exact solution
+    u = sum_r X_r(x) T_r(t), accumulated over the chunks of a march
+    (solver.march).
+
+    Space integrals take p+4 Gauss points per element, time integrals q+4
+    per time segment, the rule of the true pointwise difference.  Its
+    Legendre orthogonality splits the V part of each segment of length l
+    into a sum of squares: with T_r = sum_m That_rm P_m + rho_r on the
+    segment's points (That_r the rule's projection onto degree q),
+
+        l sum_m ||grad c_m - sum_r grad X_r That_rm||^2 / (2m+1)
+            + sum_s l w_s ||sum_r grad X_r rho_rs||^2,
+
+    so the gathers take the q+1 coefficient rows of a segment and the
+    exact gradients grad X_r are evaluated once per level, as is the Gram
+    matrix of the second term.  U1 goes to FE coefficients first, as a
+    modal sum would cancel the leading digits of a fine level's error; a
+    cut interval's segments re-expand it in their own Legendre bases.  The
+    nodal part compares U2 with the projected trace sum_r T_r(t_n) V^T
+    load(X_r).  Both take each chunk fed whole, and read NaN unless every
+    interval and node was fed once.
     """
 
     def __init__(self, problem, space, partition, q):
         if problem.exact is None:
             raise ValueError("error computation requires an exact solution")
         self.problem, self.space, self.partition, self.q = problem, space, partition, q
-        self._tables = space.line_tables(space.degree + 4)
-        grid, dim = np.ix_(*self._tables[:1] * space.dimension), space.dimension
-        self._grid = [grid[(a - 1) % dim] for a in range(dim)]   # as gathered: (eta, xi) in 2D
-        self._rotate = fem.rotation(1, dim)
+        spatial = [X for X, _ in problem.exact.terms]
+        self._temporal = [T.value for _, T in problem.exact.terms]
+        dim = space.dimension
+        x, w, self._B, self._D = space.line_tables(space.degree + 4)
+        grid = np.ix_(*(x,) * dim)
+        grid = [grid[(a - 1) % dim] for a in range(dim)]   # as gathered: (eta, xi) in 2D
+        self._grads = np.empty((dim, len(spatial), x.size ** dim))   # (axes, terms, points)
+        for r, X in enumerate(spatial):
+            components = X.grad(*grid)
+            if len(components) != dim:
+                raise ValueError("an exact gradient gives %d components, not one per axis (%d)"
+                                 % (len(components), dim))
+            for a, component in enumerate(components):
+                self._grads[a, r].reshape((x.size,) * dim)[...] = component
+            del components   # freed before the Gram's weights are formed (cli.level_bytes)
+        weights = functools.reduce(np.multiply.outer, [w] * dim).ravel()
+        self._gram = sum((grad * weights) @ grad.T for grad in self._grads)   # (grad X_r, grad X_s)
+        del weights   # freed before the trace's load is formed (cli.level_bytes)
+        self._w, self._rotate = w, fem.rotation(1, dim)
+        self._trace = factor_loads(space, [X.value for X in spatial], space.degree + 4)
+        # P_m(tau_s) at the rule's points, and the rule's projection onto degree q,
+        # (2m+1) sum_s w_s P_m(tau_s) g(tau_s), as a (q+1, q+4) matrix
+        self._trial = reference_values(q, q + 4)[1]
+        odd = 2.0 * np.arange(q + 1) + 1.0
+        self._project = self._trial.T * gauss_rule(q + 4)[1] * odd[:, None]
+        self._intervals = 0
         self._err1_sq = 0.0
         self.per_node = np.full(partition.num_intervals + 1, np.nan)
 
     def add(self, lo, hi, u1, u2):
         """Feed u1 of the intervals lo..hi-1 and u2 of the nodes lo..hi;
         node hi counts with the chunk that starts there, or with the last."""
-        space, problem, part, q = self.space, self.problem, self.partition, self.q
+        space, part, q = self.space, self.partition, self.q
         end = hi + (hi == part.num_intervals)
-        self._u2_term(lo, end, u2[: end - lo])   # first: the U1 term's arrays stay to the end
-        _, w, B, D = self._tables
-        t, tau, wt, owner = quadrature_nodes(part, lo, hi, q + 4, problem.time_breakpoints)
-        c = space.coefficients(u1)   # a cut interval's segments share its coefficients
-        P = reference_values(q, q + 4)[1] if owner is None else npleg.legvander(2.0 * tau - 1.0, q)
+        self._u2_term(lo, end, u2[: end - lo])
+        self._intervals += hi - lo
+        t, tau, wt, owner = quadrature_nodes(part, lo, hi, q + 4, self.problem.time_breakpoints)
+        c = space.coefficients(u1)
+        if owner is not None:   # each segment re-expands U1 in its own Legendre basis
+            c = np.matmul(self._project @ npleg.legvander(2.0 * tau - 1.0, q), c[owner])
+        values = time_values(self._temporal, t)          # (segments, points, terms)
+        coeffs = np.matmul(self._project, values)         # (segments, q+1, terms)
+        remainder = _weighted_quadratic(wt, values - np.matmul(self._trial, coeffs), self._gram)
         dim, d = space.dimension, space.line_mass.shape[0]
-        coeffs = np.matmul(P, c if owner is None else c[owner]).reshape((t.size,) + (d,) * dim)
-        grad = None
+        rows = c.reshape((-1,) + (d,) * dim)
+        coeffs = coeffs.reshape(len(rows), -1)             # (rows, terms)
+        B, D = self._B, self._D
         for a in range(dim):
             # component a: D on axis a, B on the others, last axis first, with a rotation
-            # between gathers, so the axes end as 1, ..., dim-1, 0: (time, eta, xi) in 2D
-            u = fem.gather(D if a == dim - 1 else B, coeffs)
+            # between gathers, so the axes end as 1, ..., dim-1, 0: (rows, eta, xi) in 2D
+            u = fem.gather(D if a == dim - 1 else B, rows)
             for axis in reversed(range(dim - 1)):
                 u = fem.gather(D if axis == a else B, u.transpose(self._rotate))
-            if grad is None:   # the exact values, formed once no gather's window is held
-                grad = list(problem.exact.grad(*self._grid, t.reshape((-1,) + (1,) * dim)))
-            u -= grad[a]
-            grad[a] = None   # each exact component goes before the next discrete one is formed
+            u = u.reshape(len(rows), -1)
+            u -= coeffs @ self._grads[a]
             sq = np.square(u, out=u) if a == 0 else np.add(sq, np.square(u, out=u), out=sq)
-        sp = sq
+        sp = sq.reshape((-1,) + (self._w.size,) * dim)
         for _ in range(dim):
-            sp = sp @ w
-        self._err1_sq += float(wt.ravel() @ sp)
+            sp = sp @ self._w
+        scale = wt @ (self._trial * self._trial)   # (segments, q+1): l / (2m+1) by the rule
+        self._err1_sq += float(scale.ravel() @ sp) + remainder
 
     def _u2_term(self, lo, hi, u2):
         # Nodal error of U2 against the projected exact trace.  The projection
@@ -107,17 +155,17 @@ class ErrorNorms:
         # component cannot beat.  In the M-orthonormal eigenbasis, where u2
         # lives, the H norm is the Euclidean one and the projection of a load
         # vector is V^T load.
-        space = self.space
-        trace = fem.load_vector(space, self.problem.exact.u, nq=space.degree + 4,
-                                t=self.partition.nodes[lo:hi])
-        diff = u2 - space.modal_loads(trace)
+        trace = time_values(self._temporal, self.partition.nodes[lo:hi]) @ self._trace
+        diff = u2 - trace
         self.per_node[lo:hi] = np.sqrt(np.sum(diff * diff, axis=1))
 
     def report(self):
-        """The ErrorReport of the chunks fed, which must cover the level: a node
-        not fed makes the nodal maximum NaN."""
+        """The ErrorReport of the chunks fed, which must cover the level once:
+        otherwise the V error is NaN, and so is the nodal maximum if a node
+        was not fed."""
+        covered = self._intervals == self.partition.num_intervals
         return ErrorReport(
-            err_u1_L2V=float(np.sqrt(self._err1_sq)),
+            err_u1_L2V=float(np.sqrt(self._err1_sq)) if covered else np.nan,
             err_u2_nodal_max=float(self.per_node.max()),
             per_node=self.per_node,
         )
@@ -285,47 +333,56 @@ class StabilitySums:
     rhs = c_s^2 ||f||_{L2(H^-1)}^2 + ||u0||_H^2, all realized on V_h.  In
     the modal coordinates a = V^T M u of the solution, ||u||_H^2 = sum a^2
     and ||u||_V^2 = sum lambda a^2, and a load vector f has
-    ||f||_{H^-1}^2 = sum (V^T f)^2 / lambda, so no solve is needed.  The f
+    ||f||_{H^-1}^2 = sum (V^T f)^2 / lambda, so no solve is needed.  With
+    f = sum_r X_r T_r that is T^T G T, G the Gram matrix of the factors'
+    modal loads v_r weighted by 1/lambda, formed once per level.  The f
     term does not depend on the solution, but add sums it over the chunk's
     intervals too, at q+4 Gauss points per time segment; a level then takes
-    one pass over its intervals, and result only combines the sums.
+    one pass over its intervals, and result only combines the sums, which
+    read NaN unless every interval was fed once.
     """
 
     def __init__(self, problem, space, partition, q):
         if problem.impulses:
             raise ValueError("stability bound implemented for impulse-free forcing")
         self.problem, self.space, self.partition, self.q = problem, space, partition, q
+        loads = factor_loads(space, [X for X, _ in problem.rhs or ()])
+        self._gram = (loads / space.eigenvalues) @ loads.T
+        self._temporal = [T for _, T in problem.rhs or ()]
+        self._intervals = 0
         self.u1_sq = self.f_sq = 0.0
         self.u0_sq = self.u2N_sq = np.nan
 
     def add(self, lo, hi, u1, u2):
         """Feed u1 of the intervals lo..hi-1 and u2 of the nodes lo..hi."""
-        space, problem = self.space, self.problem
         scale = self.partition.widths[lo:hi, None] / (2.0 * np.arange(self.q + 1) + 1.0)  # k/(2m+1)
-        self.u1_sq += float(np.einsum("im,imd,imd,d->", scale, u1, u1, space.eigenvalues))
+        self.u1_sq += float(np.einsum("im,imd,imd,d->", scale, u1, u1, self.space.eigenvalues))
+        self._intervals += hi - lo
         if lo == 0:
             self.u0_sq = float(np.sum(u2[0] * u2[0]))
         if hi == self.partition.num_intervals:
             self.u2N_sq = float(np.sum(u2[-1] * u2[-1]))
-        if problem.rhs is None:   # f = 0
+        if not self._temporal:   # f = 0
             return
         t, _, w, _ = quadrature_nodes(self.partition, lo, hi, self.q + 4,
-                                      problem.time_breakpoints)
-        f = space.modal_loads(fem.load_vector(space, problem.rhs, t=t.ravel()))
-        self.f_sq += float(w.ravel() @ ((f * f) @ (1.0 / space.eigenvalues)))
+                                      self.problem.time_breakpoints)
+        self.f_sq += _weighted_quadratic(w, time_values(self._temporal, t), self._gram)
 
     def result(self, c_s):
-        """The bound of the chunks fed, which must cover the level, with
-        the equivalence constant c_s: a side whose end node was not fed
-        (rhs: node 0, lhs: node N) reads NaN, and the bound is not satisfied."""
-        lhs = self.u1_sq + self.u2N_sq
-        rhs = c_s ** 2 * self.f_sq + self.u0_sq
+        """The bound of the chunks fed, which must cover the level once, with
+        the equivalence constant c_s: otherwise the interval sums read NaN,
+        and so does a side whose end node was not fed (rhs: node 0, lhs:
+        node N), and the bound is not satisfied."""
+        covered = 1.0 if self._intervals == self.partition.num_intervals else np.nan
+        u1_sq, f_sq = self.u1_sq * covered, self.f_sq * covered
+        lhs = u1_sq + self.u2N_sq
+        rhs = c_s ** 2 * f_sq + self.u0_sq
         return {
             "lhs": lhs,
             "rhs": rhs,
-            "u1_L2V_sq": self.u1_sq,
+            "u1_L2V_sq": u1_sq,
             "u2_final_H_sq": self.u2N_sq,
-            "f_dual_sq": self.f_sq,
+            "f_dual_sq": f_sq,
             "u0_H_sq": self.u0_sq,
             "satisfied": bool(lhs <= rhs * (1.0 + 1e-9)),
         }

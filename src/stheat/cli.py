@@ -173,34 +173,41 @@ def level_bytes(dimension, n, p, q, N, diagnostics=False, run=True, errors=False
     assemble, of the march (if run) with the consumers that it feeds (the
     error norms if errors, the stability sums if diagnostics), and of the
     diagnostics, if any.  It counts one interval width, as an exactly
-    uniform partition has, and leaves out the march's inverses and the
-    diagnostics' blocks of each further width, and the quadrature row that
-    a kink cutting an interval adds to its chunk.  No term grows with N
-    dof: a run holds one chunk of its solution at a time, and the inverses
-    of that chunk's widths.  The march's peak is the largest of its
-    per-chunk stages beside the inverses: the load block, the gather of the
-    inverses, the solution beside its recurrence terms, and the solution
-    beside the error norms' values or the two load blocks of the stability
-    bound's f term, each of the whole chunk; numpy holds two buffers of up
-    to getbufsize() doubles on top while a function broadcasts over the
-    times, and while the diagnostics' blocks broadcast over the widths.
-    The README gives the formula and what each term holds.
+    uniform partition has, and one product term of the data, as every
+    problem of the catalogue has; it leaves out the march's inverses and
+    the diagnostics' blocks of each further width, and the row that a kink
+    cutting an interval adds to its chunk.  No term grows with N dof: a run
+    holds one chunk of its solution at a time, and the inverses of that
+    chunk's widths.  Beside what the level keeps (with errors, the exact
+    gradients on the spatial grid and the trace's modal load), the march's
+    peak is the larger of a spatial factor's load on its grid, once a
+    level, and its per-chunk stages beside the inverses: the chunk's
+    scalar time quadrature beside its load moments, the gather of the
+    inverses, the solution beside its recurrence terms, the solution beside
+    the error norms' gathered rows and beside the f term's quadrature, each
+    of the whole chunk; numpy holds two buffers of up to getbufsize()
+    doubles on top while the chunk's einsums run, and while the
+    diagnostics' blocks broadcast over the widths.  The README gives the
+    formula and what each term holds.
     """
     line = n * p - 1
     dof = line ** dimension
     assembly = 3 * (n * p + 1) * n * (p + 1) + 2 * line ** 2
     kept = march = 3 * line ** 2 + 2 * N + 1
     if run:
-        kept += (N + 1) * errors
         points, grid = (n * (p + 2)) ** dimension, (n * (p + 4)) ** dimension
+        kept += (N + 1 + dimension * grid + dof) * errors + dof * diagnostics
         c = min(N, chunk_length(q, points))
         solution = (c * (q + 2) + 1) * dof
-        stages = [c * (q + 3) * (points * (2 * p + 3) // (p + 2) + 2 * q + 4),
+        once = max(points * (2 * p + 3) // (p + 2), 2 * grid * errors)
+        stages = [c * (4 * q + 11 + (q + 2) * dof),
                   c * ((q + 1) ** 2 + 2 * q + 3) * dof,
                   (c * (3 * q + 6) + 1) * dof,
-                  (solution + c * (q + 4) * (2 * dimension * grid + 2 * dof)) * errors,
-                  (solution + 2 * c * (q + 4) * points) * diagnostics]
-        march = kept + ((q + 1) ** 2 + q + 5) * dof + 2 * np.getbufsize() + max(stages)
+                  (solution + c * (q + 1) * (dof + (dimension + 1) * grid + 1)
+                   + 4 * c * (q + 4)) * errors,
+                  (solution + 6 * c * (q + 4)) * diagnostics]
+        buffers = 2 * min(np.getbufsize(), c * (q + 1) ** 2 * dof)
+        march = kept + max(once, ((q + 1) ** 2 + q + 5) * dof + buffers + max(stages))
     diag = dof + 5 * N + 4 * (q + 2) ** 2 + 2 * np.getbufsize() if diagnostics else 0
     return 8 * max(assembly, march, kept + diag)
 
@@ -291,17 +298,27 @@ def _cell(value):
 
 
 def _pair_rates(ks, errs):
+    """Rate of each level against the one before; None where an error is exactly 0."""
     rates = [None]
     for i in range(1, len(ks)):
-        rates.append(float(np.log(errs[i - 1] / errs[i]) / np.log(ks[i - 1] / ks[i])))
+        positive = min(errs[i - 1], errs[i]) > 0.0
+        rates.append(float(np.log(errs[i - 1] / errs[i]) / np.log(ks[i - 1] / ks[i]))
+                     if positive else None)
     return rates
+
+
+def _fitted(ks, errs):
+    """fit_rate of the levels' errors; None if one is exactly 0, where log k leaves no fit."""
+    return fit_rate(list(zip(ks, errs))) if min(errs) > 0.0 else None
 
 
 def emit_report(cfg, rows, out_dir):
     """Write rates.csv, loglog.csv and summary.json; byte-stable.
 
     Fitted rates and pass flags need at least two levels with errors; a
-    single level is reported without them.  Returns the summary.
+    single level is reported without them.  A rate that would take the log
+    of an error that is exactly 0 is null, and its pass flag false.
+    Returns the summary.
     """
     summary = {"config": dataclasses.asdict(cfg), "levels": rows}
     ks = [r["k"] for r in rows]
@@ -313,10 +330,11 @@ def emit_report(cfg, rows, out_dir):
         expected = {"u1": cfg.q + 1, "u2": 2 * (cfg.q + 1)}
         summary["expected"] = expected
         if len(rows) > 1:
-            fitted = {"u1": fit_rate(list(zip(ks, e1))), "u2": fit_rate(list(zip(ks, e2)))}
+            fitted = {"u1": _fitted(ks, e1), "u2": _fitted(ks, e2)}
             summary["rates"] = {"fitted": fitted, "per_pair_u1": r1[1:], "per_pair_u2": r2[1:]}
             summary["pass"] = {
-                key: bool(expected[key] - 0.35 <= fitted[key] <= expected[key] + 0.65)
+                key: fitted[key] is not None
+                and bool(expected[key] - 0.35 <= fitted[key] <= expected[key] + 0.65)
                 for key in ("u1", "u2")
             }
     lines = ["N,h,k,err_u1_L2V,err_u2_nodal_max,rate_u1,rate_u2"]
@@ -360,8 +378,9 @@ def run_experiment(cfg, problem, out_dir, quiet=False):
     summary = emit_report(cfg, rows, out_dir)
     if not quiet and "rates" in summary:
         fitted, expected = summary["rates"]["fitted"], summary["expected"]
-        print("fitted rates: u1 %.4f (expected %d), u2 %.4f (expected %d)"
-              % (fitted["u1"], expected["u1"], fitted["u2"], expected["u2"]))
+        print("fitted rates: " + ", ".join(
+            "%s %s (expected %d)" % (key, "none" if fitted[key] is None else "%.4f" % fitted[key],
+                                     expected[key]) for key in ("u1", "u2")))
 
 
 def run_diagnose(cfg, problem, out_dir, quiet=False):

@@ -1,12 +1,21 @@
 """Catalog of heat-equation instances: manufactured smooth solutions in 1D/2D,
 a low-regularity solution with a temporal kink, and impulse (jump) forcing.
 
-Conventions: callables take one coordinate per axis, then t if they depend
-on time: (xi, t) or (xi) in 1D, (xi, eta, t) or (xi, eta) in 2D; all accept
-numpy arrays with broadcasting.  An attached exact solution carries the time
-derivative, spatial gradient and Laplacian so that errors and residual
-spot-checks need no numerical differentiation; its gradient returns one
-component per axis, a tuple of one array in 1D.
+Space-time data are short sums of products of a spatial and a temporal
+factor, declared once: the right-hand side f = sum_r X_r(x) T_r(t) as a
+tuple of pairs (X_r, T_r) of callables, and an exact solution
+u = sum_r X_r(x) T_r(t) as a tuple of pairs (SpaceFactor, TimeFactor), where
+each spatial factor carries its gradient and Laplacian and each temporal one
+its derivative.  A level integrates each spatial factor once and each
+temporal one by scalar quadrature (stheat.solver, stheat.analysis); the
+callables of ExactSolution and ProblemSpec.source, which validate_residual
+and the tests use, are the sums of the factors' products.  The initial datum
+and the impulses stay spatial callables.
+
+Conventions: spatial callables take one coordinate per axis, (xi) in 1D and
+(xi, eta) in 2D, temporal ones the time t, and summed ones (xi, t) or
+(xi, eta, t); all accept numpy arrays with broadcasting.  A gradient returns
+one component per axis, a tuple of one array in 1D.
 """
 
 import random
@@ -17,18 +26,54 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class ExactSolution:
-    u: Callable
-    du_dt: Callable
-    grad: Callable        # one component per axis: (du/dxi,) in 1D, (du/dxi, du/deta) in 2D
+class SpaceFactor:
+    value: Callable
+    grad: Callable        # one component per axis: (dX/dxi,) in 1D, (dX/dxi, dX/deta) in 2D
     laplacian: Callable
+
+
+@dataclass(frozen=True)
+class TimeFactor:
+    value: Callable
+    derivative: Callable
+
+
+def time_values(factors, t):
+    """Values of the temporal callables at the array t, stacked on a last axis:
+    shape t.shape + (len(factors),)."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty(t.shape + (len(factors),))
+    for r, T in enumerate(factors):
+        out[..., r] = T(t)
+    return out
+
+
+@dataclass(frozen=True)
+class ExactSolution:
+    """u = sum_r X_r(x) T_r(t), with terms the pairs (SpaceFactor, TimeFactor);
+    u, du_dt, grad and laplacian are the sums of the factors' products."""
+
+    terms: tuple
+
+    def u(self, *xt):
+        return sum(X.value(*xt[:-1]) * T.value(xt[-1]) for X, T in self.terms)
+
+    def du_dt(self, *xt):
+        return sum(X.value(*xt[:-1]) * T.derivative(xt[-1]) for X, T in self.terms)
+
+    def laplacian(self, *xt):
+        return sum(X.laplacian(*xt[:-1]) * T.value(xt[-1]) for X, T in self.terms)
+
+    def grad(self, *xt):
+        terms = [[g * T.value(xt[-1]) for g in X.grad(*xt[:-1])] for X, T in self.terms]
+        return tuple(map(sum, zip(*terms)))
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
     name: str
     dimension: int
-    rhs: Optional[Callable]          # None means f == 0
+    rhs: Optional[tuple]             # pairs (X, T), f = sum_r X_r(x) T_r(t); None or (): f == 0
     initial: Optional[Callable]      # None means u0 == 0
     final_time: float
     impulses: tuple = ()             # pairs (t_star, zeta)
@@ -44,36 +89,34 @@ class ProblemSpec:
             if not (0.0 < t_star <= self.final_time):
                 raise ValueError("impulse time %r outside (0, T]" % (t_star,))
 
+    def source(self, *xt):
+        """f at (x..., t), the sum of the products of its factors; 0 if f == 0."""
+        return sum(X(*xt[:-1]) * T(xt[-1]) for X, T in self.rhs or ())
+
 
 def _smooth(name, dimension, omega):
-    """u = prod_a sin(omega x_a) sin(omega t) on (0,1)^dimension x (0,1], u0 = 0; each
-    callable multiplies left to right, the axes before t, which keeps the artifacts' bits."""
+    """u = prod_a sin(omega x_a) sin(omega t) on (0,1)^dimension x (0,1], u0 = 0,
+    and f = omega prod_a sin(omega x_a) (cos(omega t) + dimension omega sin(omega t)),
+    one product each; every spatial factor multiplies its axes left to right."""
 
-    def spatial(scale, x, cos_axis=None):   # scale prod_a sin(omega x_a), cos on cos_axis
-        for a, xa in enumerate(x):
-            scale = scale * (np.cos if a == cos_axis else np.sin)(omega * xa)
-        return scale
+    def spatial(scale, cos_axis=None):   # scale prod_a sin(omega x_a), cos on cos_axis
+        def X(*x):
+            out = scale
+            for a, xa in enumerate(x):
+                out = out * (np.cos if a == cos_axis else np.sin)(omega * xa)
+            return out
+        return X
 
-    def u(*xt):
-        return spatial(1.0, xt[:-1]) * np.sin(omega * xt[-1])
+    def grad(*x):
+        return tuple(spatial(omega, a)(*x) for a in range(dimension))
 
-    def du_dt(*xt):
-        return spatial(omega, xt[:-1]) * np.cos(omega * xt[-1])
-
-    def grad(*xt):
-        s = np.sin(omega * xt[-1])
-        return tuple(spatial(omega, xt[:-1], a) * s for a in range(dimension))
-
-    def lap(*xt):
-        return -dimension * omega ** 2 * u(*xt)
-
-    def rhs(*xt):
-        t = xt[-1]
-        return spatial(omega, xt[:-1]) * (np.cos(omega * t) + dimension * omega * np.sin(omega * t))
-
+    X = spatial(1.0)
+    space = SpaceFactor(X, grad, lambda *x: -dimension * omega ** 2 * X(*x))
+    time = TimeFactor(lambda t: np.sin(omega * t), lambda t: omega * np.cos(omega * t))
+    forcing = lambda t: np.cos(omega * t) + dimension * omega * np.sin(omega * t)
     return ProblemSpec(
-        name=name, dimension=dimension, rhs=rhs, initial=None,
-        final_time=1.0, exact=ExactSolution(u, du_dt, grad, lap))
+        name=name, dimension=dimension, rhs=((spatial(omega), forcing),), initial=None,
+        final_time=1.0, exact=ExactSolution(((space, time),)))
 
 
 def problem_1d_smooth():
@@ -98,31 +141,21 @@ def problem_1d_lowreg(epsilon=0.1):
     alpha = 0.5 * (3.0 - epsilon)
     pi = np.pi
 
-    def u(x, t):
-        return np.abs(t - 0.5) ** alpha * np.sin(pi * x)
+    def sine(x):
+        return np.sin(pi * x)
 
-    def du_dt(x, t):
-        return alpha * np.sign(t - 0.5) * np.abs(t - 0.5) ** (alpha - 1.0) * np.sin(pi * x)
-
-    def grad(x, t):
-        return (np.abs(t - 0.5) ** alpha * pi * np.cos(pi * x),)
-
-    def lap(x, t):
-        return -pi ** 2 * u(x, t)
-
-    def rhs(x, t):
-        # in closed form, not from du_dt and lap, so validate_residual checks them
+    def forcing(t):
+        # in closed form, not from the factors of u, so validate_residual checks them
         s = np.abs(t - 0.5)
-        return np.sin(pi * x) * (alpha * np.sign(t - 0.5) * s ** (alpha - 1.0)
-                                 + pi ** 2 * s ** alpha)
+        return alpha * np.sign(t - 0.5) * s ** (alpha - 1.0) + pi ** 2 * s ** alpha
 
-    def initial(x):
-        return 0.5 ** alpha * np.sin(pi * x)
-
+    space = SpaceFactor(sine, lambda x: (pi * np.cos(pi * x),), lambda x: -pi ** 2 * sine(x))
+    time = TimeFactor(lambda t: np.abs(t - 0.5) ** alpha,
+                      lambda t: alpha * np.sign(t - 0.5) * np.abs(t - 0.5) ** (alpha - 1.0))
     return ProblemSpec(
-        name="heat1d-lowreg", dimension=1, rhs=rhs, initial=initial,
-        final_time=1.0, exact=ExactSolution(u, du_dt, grad, lap),
-        time_breakpoints=(0.5,))
+        name="heat1d-lowreg", dimension=1, rhs=((sine, forcing),),
+        initial=lambda x: 0.5 ** alpha * sine(x), final_time=1.0,
+        exact=ExactSolution(((space, time),)), time_breakpoints=(0.5,))
 
 
 def problem_impulse(zeta, t_star, final_time=1.0, dimension=1):
@@ -171,7 +204,7 @@ def validate_residual(problem, num_points=20, tol=1e-8, seed=0):
         count += 1
         x = [rng.random() for _ in range(problem.dimension)]
         r = problem.exact.du_dt(*x, t) - problem.exact.laplacian(*x, t)
-        f = problem.rhs(*x, t) if problem.rhs is not None else 0.0
+        f = problem.source(*x, t)
         rel = abs(float(r - f)) / max(1.0, abs(float(f)))
         if not rel <= tol:   # NaN fails too
             raise ValueError("manufactured-solution residual %.3e exceeds %.1e" % (rel, tol))

@@ -41,11 +41,16 @@ matrix per mode and width of a chunk) and r = D[q+1] - mu G[q+1]:
     g = k b_{q+1} + zeta + r A^-1 (k b_top),
 
 with b and zeta in modal coordinates V^T load, and u1 and u2 in a = V^T M u.
+The data are sums of products, f = sum_r X_r(x) T_r(t) (stheat.problems),
+so b_j = sum_r V^T load(X_r) int_0^1 T_r(a + k tau) l_j(tau) dtau: march
+forms the modal load of each spatial factor once per level (factor_loads),
+and each chunk's moments by scalar time quadrature (interval_moments).
 """
 
 import numpy as np
 
 from . import fem
+from .problems import time_values
 from .timegrid import quadrature_nodes, reference_blocks, reference_values
 
 
@@ -134,46 +139,64 @@ class LocalBlockSystem:
         return c, u2_out
 
 
-# Values (spatial points times quadrature times) in the load block of one chunk of the march.
+# The size of a chunk of the march: about this many values of q+3 times per interval on the
+# spatial grid of the loads, the scale of the error norms' gathered rows (cli.level_bytes).
 CHUNK_VALUES = 1 << 15
 
 
 def chunk_length(q, points):
-    """Intervals in a chunk of the march whose load block has points spatial points."""
+    """Intervals in a chunk of the march on a spatial grid of points points."""
     return max(1, CHUNK_VALUES // ((q + 3) * points))
 
 
 def march_chunks(space, partition, q):
     """The chunk plan of a level, the only one: consecutive ranges (lo, hi)
-    of its intervals whose load blocks (load_vector grid points times q+3
-    quadrature times per interval) hold about CHUNK_VALUES values.  march
-    solves in these chunks, its consumers take them whole, and error_norms
-    and stability_check feed a collected solution through them, so their
-    sums equal a streamed level's."""
+    of its intervals that hold about CHUNK_VALUES values of q+3 times per
+    interval on the load grid (p+2 Gauss points an element).  march solves
+    in these chunks, its consumers take them whole, and error_norms and
+    stability_check feed a collected solution through them, so their sums
+    equal a streamed level's."""
     N, step = partition.num_intervals, chunk_length(q, space.grid_size(space.degree + 2))
     return [(lo, min(lo + step, N)) for lo in range(0, N, step)]
 
 
-def interval_moments(problem, space, partition, q, lo=0, hi=None):
+def factor_loads(space, factors, nq=None):
+    """V^T load(X) of each spatial callable X, one row each, shape (len(factors), dof):
+    a level integrates each spatial factor of its data once (fem.load_vector)."""
+    rows = [fem.load_vector(space, X, nq) for X in factors]
+    return space.modal_loads(np.reshape(rows, (len(rows), space.dof_count)))
+
+
+def interval_moments(problem, space, partition, q, lo=0, hi=None, loads=None):
     """Load moments of the intervals lo..hi-1, shape (hi-lo, q+2, dof), in
     one quadrature block (march asks for one chunk of march_chunks at a time).
 
     Entry [i-lo, j] is b_j = int_0^1 load(f(a + k tau)) l_j(tau) dtau on
-    interval i = [a, a+k].  Quadrature splits at the problem's temporal
-    breakpoints so kinks inside an interval do not degrade accuracy.
+    interval i = [a, a+k].  With f = sum_r X_r(x) T_r(t) that is
+    sum_r loads[r] int_0^1 T_r(a + k tau) l_j(tau) dtau: scalar time
+    quadrature, then one vector per spatial factor.  loads holds those
+    vectors in the caller's coordinates, one row per term of problem.rhs:
+    march passes the modal ones of factor_loads, formed once per level; by
+    default they are the load vectors load(X_r) themselves.  Quadrature
+    splits at the problem's temporal breakpoints so kinks inside an
+    interval do not degrade accuracy.
     """
     hi = partition.num_intervals if hi is None else hi
-    if problem.rhs is None or hi == lo:
+    if not problem.rhs or hi == lo:
         return np.zeros((hi - lo, q + 2, space.dof_count))
+    if loads is None:
+        loads = np.array([fem.load_vector(space, X) for X, _ in problem.rhs])
     t, tau, w, owner = quadrature_nodes(partition, lo, hi, q + 3, problem.time_breakpoints)
-    loads = fem.load_vector(space, problem.rhs, t=t.ravel()).reshape(*t.shape, -1)
+    values = time_values([T for _, T in problem.rhs], t)   # (rows, q+3, terms)
     if owner is None:   # no interval is cut: every row has the reference nodes
-        return np.matmul(reference_values(q, q + 3)[0], loads)
-    basis = reference_blocks(q).test.eval_all(tau.ravel()).reshape(-1, *t.shape) * (
-        w / partition.widths[lo + owner, None])
-    moments = np.zeros((hi - lo, q + 2, space.dof_count))
-    np.add.at(moments, owner, np.matmul(basis.transpose(1, 0, 2), loads))
-    return moments
+        moments = np.matmul(reference_values(q, q + 3)[0], values)
+    else:
+        basis = reference_blocks(q).test.eval_all(tau.ravel()).reshape(-1, *t.shape)
+        basis *= w / partition.widths[lo + owner, None]
+        moments = np.zeros((hi - lo, q + 2, len(problem.rhs)))
+        np.add.at(moments, owner, np.matmul(basis.transpose(1, 0, 2), values))
+        del basis   # freed before the moments are: a cut chunk takes an uncut one's memory
+    return (moments.reshape(-1, len(problem.rhs)) @ loads).reshape(hi - lo, q + 2, -1)
 
 
 def impulse_nodes(problem, partition):
@@ -196,24 +219,44 @@ def impulse_loads(problem, space, partition):
     return loads
 
 
+def _local_inverses(widths, eigenvalues, q):
+    """The recurrence blocks of the given widths (module docstring), modes
+    last: A^-1 of shape (widths, q+1, q+1, modes), r (widths, q+1, modes)
+    and alpha (widths, modes)."""
+    rb = reference_blocks(q)
+    mu = widths[:, None, None, None] * eigenvalues[:, None, None]   # widths, modes, 1, 1
+    inv = np.linalg.inv(mu * rb.G[: q + 1] - rb.D[: q + 1])
+    r = rb.D[q + 1] - mu[..., 0] * rb.G[q + 1]
+    alpha = np.einsum("wds,wds->wd", r, inv[..., 0])
+    return inv.transpose(0, 2, 3, 1), r.transpose(0, 2, 1), alpha
+
+
+def _merge(mask, old, new):
+    """The rows old where mask holds and new where it does not, in one array."""
+    out = np.empty(mask.shape + new.shape[1:])
+    out[mask], out[~mask] = old, new
+    return out
+
+
 def march(problem, space, partition, q):
     """March the scheme mode by mode (module docstring), one chunk of
     march_chunks at a time: yields (lo, hi, u1[lo:hi], u2[lo:hi+1]) for the
     chunks of intervals lo..hi-1 in order, u1 of shape (hi-lo, q+1, dof)
     and u2 of shape (hi-lo+1, dof), in modal coordinates (SpaceTimeSolution).
 
-    Each chunk's load moments go to modal coordinates, its forced parts and
-    recurrence terms are formed for all its intervals at once, and the
-    scalar recurrence runs over its intervals for all modes together,
-    starting from the last nodal value of the chunk before.  The local
-    inverses are formed for a chunk's own widths, and kept while the next
-    chunk's widths are among them.  Raises ValueError on the first chunk
-    that holds a non-finite entry.
+    Each chunk's load moments come from the level's modal factor loads, its
+    forced parts and recurrence terms are formed for all its intervals at
+    once, and the scalar recurrence runs over its intervals for all modes
+    together, starting from the last nodal value of the chunk before.  A
+    chunk holds the local inverses of its own widths: it inverts the blocks
+    of the widths that the chunk before did not hold, and takes the others
+    over from it.  Raises ValueError on the first chunk that holds a
+    non-finite entry.
     """
     dof = space.dof_count
-    rb = reference_blocks(q)
     jumps = {i: space.modal_loads(v) for i, v in impulse_loads(problem, space, partition).items()}
 
+    loads = factor_loads(space, [X for X, _ in problem.rhs or ()])
     node = 0.0 if problem.initial is None else space.modal_loads(
         fem.load_vector(space, problem.initial))
     held = np.full(1, np.inf)   # the sorted widths whose inverses are held: none yet
@@ -221,14 +264,16 @@ def march(problem, space, partition, q):
         k = partition.widths[lo:hi]
         w = held.searchsorted(k)
         if (held.take(w, mode="clip") != k).any():   # a width of this chunk is not held
-            inv = r = alpha = mu = None   # freed before the new ones are formed (cli.level_bytes)
-            held, w = np.unique(k, return_inverse=True)
-            mu = held[:, None, None, None] * space.eigenvalues[:, None, None]  # widths, modes, 1, 1
-            inv = np.linalg.inv(mu * rb.G[: q + 1] - rb.D[: q + 1])   # (widths, modes, q+1, q+1)
-            r = rb.D[q + 1] - mu[..., 0] * rb.G[q + 1]                # (widths, modes, q+1)
-            alpha = np.einsum("wds,wds->wd", r, inv[..., 0])
-            inv, r = inv.transpose(0, 2, 3, 1), r.transpose(0, 2, 1)  # modes last
-        kb = space.modal_loads(interval_moments(problem, space, partition, q, lo, hi))
+            widths, w = np.unique(k, return_inverse=True)
+            at = held.searchsorted(widths)
+            have = held.take(at, mode="clip") == widths
+            kept = [b[at[have]] for b in (inv, r, alpha)] if have.any() else None
+            inv = r = alpha = None   # the rest freed before new ones are formed (cli.level_bytes)
+            inv, r, alpha = _local_inverses(widths[~have], space.eigenvalues, q)
+            if kept is not None:   # the held widths' blocks are taken over, not formed again
+                inv, r, alpha = (_merge(have, *pair) for pair in zip(kept, (inv, r, alpha)))
+            held = widths
+        kb = interval_moments(problem, space, partition, q, lo, hi, loads)
         kb *= k[:, None, None]
         forced = np.einsum("irsd,isd->ird", inv[w], kb[:, : q + 1])
         g = kb[:, q + 1] + np.einsum("ird,ird->id", r[w], forced)

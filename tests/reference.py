@@ -13,7 +13,13 @@ stheat.solver.run_decomposed.  This module holds the dense oracles:
     reproduces for q = 0 without forcing;
 
 the three solve in FE coordinates and return modal ones (modal), like
-run_decomposed;
+run_decomposed, and take their loads from the grid oracles;
+  * grid_moments, grid_error_norms and grid_f_dual_sq: the load moments,
+    the error norms and the stability bound's f term with the data
+    evaluated on the whole space-time quadrature grid, through the summed
+    callables problem.source and problem.exact, the oracles for the
+    package's sums of products, which integrate each spatial factor once
+    per level;
   * dense_line_tables: the basis tables of the 1D factor mesh as dense
     (dof, n*nq) matrices, the oracle for the element-local contraction;
   * quadrature_reference_blocks: the temporal couplings of
@@ -42,14 +48,15 @@ run_decomposed;
 import functools
 
 import numpy as np
+import numpy.polynomial.legendre as npleg
 import scipy.linalg
 
 from stheat.analysis import _condense, _grams, _last_pivot
-from stheat.fem import FemSpace, load_vector
-from stheat.solver import (LocalBlockSystem, SpaceTimeSolution, impulse_loads,
-                           interval_moments)
+from stheat.fem import FemSpace, gather, load_vector, rotation
+from stheat.solver import LocalBlockSystem, SpaceTimeSolution, impulse_loads
 from stheat.timegrid import (ReferenceBlocks, gauss_rule, lagrange_coefficient_matrix,
-                             lobatto_points, quadrature_nodes)
+                             lobatto_points, quadrature_nodes, reference_blocks,
+                             reference_values)
 
 
 def from_matrices(mass, stiffness):
@@ -150,6 +157,66 @@ def quadrature_reference_blocks(q):
             (val * w) @ val.T, ((val * w) @ P.T) * (2.0 * np.arange(q + 2) + 1.0))
 
 
+# -- data on the whole space-time grid -------------------------------------------
+
+def grid_moments(problem, space, partition, q, lo=0, hi=None):
+    """The load moments of solver.interval_moments in FE coordinates, with
+    f = problem.source evaluated at every spatial quadrature point (p+2 a
+    element) and every time (q+3 a segment) of the intervals lo..hi-1."""
+    hi = partition.num_intervals if hi is None else hi
+    if not problem.rhs or hi == lo:
+        return np.zeros((hi - lo, q + 2, space.dof_count))
+    t, tau, w, owner = quadrature_nodes(partition, lo, hi, q + 3, problem.time_breakpoints)
+    loads = load_vector(space, problem.source, t=t.ravel()).reshape(*t.shape, -1)
+    if owner is None:
+        return np.matmul(reference_values(q, q + 3)[0], loads)
+    basis = reference_blocks(q).test.eval_all(tau.ravel()).reshape(-1, *t.shape) * (
+        w / partition.widths[lo + owner, None])
+    moments = np.zeros((hi - lo, q + 2, space.dof_count))
+    np.add.at(moments, owner, np.matmul(basis.transpose(1, 0, 2), loads))
+    return moments
+
+
+def grid_error_norms(solution, problem):
+    """(err_u1_L2V, per-node errors) of a whole solution: the discrete and
+    the exact gradient compared at every spatial quadrature point (p+4 a
+    element) and time (q+4 a segment), U1 expanded in time at each, and U2
+    against the projected trace of problem.exact.u at each node."""
+    space, part, q = solution.space, solution.partition, solution.q
+    dim, d = space.dimension, space.line_mass.shape[0]
+    x, w, B, D = space.line_tables(space.degree + 4)
+    grid = np.ix_(*(x,) * dim)
+    grid = [grid[(a - 1) % dim] for a in range(dim)]   # as gathered: (eta, xi) in 2D
+    t, tau, wt, owner = quadrature_nodes(part, 0, part.num_intervals, q + 4,
+                                         problem.time_breakpoints)
+    c = space.coefficients(solution.u1)
+    coeffs = np.matmul(npleg.legvander(2.0 * tau - 1.0, q), c if owner is None else c[owner])
+    coeffs = coeffs.reshape((t.size,) + (d,) * dim)
+    exact = problem.exact.grad(*grid, t.reshape((-1,) + (1,) * dim))
+    sq = 0.0
+    for a in range(dim):
+        u = gather(D if a == dim - 1 else B, coeffs)
+        for axis in reversed(range(dim - 1)):
+            u = gather(D if axis == a else B, u.transpose(rotation(1, dim)))
+        sq = sq + (u - exact[a]) ** 2
+    for _ in range(dim):
+        sq = sq @ w
+    trace = load_vector(space, problem.exact.u, nq=space.degree + 4, t=part.nodes)
+    diff = solution.u2 - space.modal_loads(trace)
+    return float(np.sqrt(wt.ravel() @ sq)), np.sqrt(np.sum(diff * diff, axis=1))
+
+
+def grid_f_dual_sq(problem, space, partition, q):
+    """||f||_{L2(H^-1)}^2 of the stability bound: V^T load(f) at every time
+    (q+4 a segment), from problem.source on the spatial grid (p+2 a element)."""
+    if not problem.rhs:
+        return 0.0
+    t, _, w, _ = quadrature_nodes(partition, 0, partition.num_intervals, q + 4,
+                                  problem.time_breakpoints)
+    f = space.modal_loads(load_vector(space, problem.source, t=t.ravel()))
+    return float(w.ravel() @ ((f * f) @ (1.0 / space.eigenvalues)))
+
+
 # -- the coupled space-time system ---------------------------------------------
 
 def global_layout(N, q):
@@ -190,7 +257,7 @@ def assemble_load(problem, space, partition, q):
     N, dof = partition.num_intervals, space.dof_count
     _, test = global_layout(N, q)
     F = np.zeros((N * (q + 1) + 1, dof))
-    moments = interval_moments(problem, space, partition, q)
+    moments = grid_moments(problem, space, partition, q)
     for i, k in enumerate(partition.widths):
         F[test[i]] += k * moments[i]
     if problem.initial is not None:
@@ -217,7 +284,7 @@ def solve_global(problem, space, partition, q):
     rb = ReferenceBlocks(q)
     M, K = dense_pair(space)
     k = partition.widths[:-1, None]
-    bottom = k * interval_moments(problem, space, partition, q, 0, N - 1)[:, q + 1]
+    bottom = k * grid_moments(problem, space, partition, q, 0, N - 1)[:, q + 1]
     bottom += (rb.D[q + 1] @ u1[:-1]) @ M - k * ((rb.G[q + 1] @ u1[:-1]) @ K)
     for n, vec in impulse_loads(problem, space, partition).items():
         if n < N:
@@ -234,7 +301,7 @@ def march_interval_by_interval(problem, space, partition, q):
     FE coordinates throughout; returns (u1, u2) in modal coordinates."""
     N, dof = partition.num_intervals, space.dof_count
     jumps = impulse_loads(problem, space, partition)
-    moments = interval_moments(problem, space, partition, q)
+    moments = grid_moments(problem, space, partition, q)
     u1 = np.empty((N, q + 1, dof))
     u2 = np.zeros((N + 1, dof))
     if problem.initial is not None:
@@ -257,9 +324,9 @@ def crank_nicolson(problem, space, partition):
     N, dof = partition.num_intervals, space.dof_count
     M, K = dense_pair(space)
     forcing = np.zeros((N, dof))
-    if problem.rhs is not None:
+    if problem.rhs:
         t, _, w, owner = quadrature_nodes(partition, 0, N, 4, problem.time_breakpoints)
-        loads = load_vector(space, problem.rhs, t=t.ravel()).reshape(*t.shape, dof)
+        loads = load_vector(space, problem.source, t=t.ravel()).reshape(*t.shape, dof)
         np.add.at(forcing, np.arange(N) if owner is None else owner,
                   np.matmul(w[:, None, :], loads)[:, 0])
     W = np.empty((N + 1, dof))

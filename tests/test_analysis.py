@@ -29,6 +29,8 @@ from stheat.fem import assemble, load_vector
 from stheat.problems import (
     ExactSolution,
     ProblemSpec,
+    SpaceFactor,
+    TimeFactor,
     problem_1d_lowreg,
     problem_1d_smooth,
     problem_2d_smooth,
@@ -45,8 +47,9 @@ from stheat.timegrid import (
     quadrature_nodes,
 )
 from reference import (assemble_bilinear, banded, banded_constants, bisected_top,
-                       dense_line_tables, dense_pair, from_matrices, global_layout, mass_cho,
-                       per_mode_bands, quadrature_reference_blocks)
+                       dense_line_tables, dense_pair, from_matrices, global_layout,
+                       grid_error_norms, grid_f_dual_sq, grid_moments, mass_cho, per_mode_bands,
+                       quadrature_reference_blocks)
 
 
 def test_fit_rate_recovers_exact_power_law():
@@ -66,9 +69,9 @@ def test_fit_rate_argument_validation():
 
 
 def _zero_problem():
-    zero2 = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
-    grad = lambda x, t: (zero2(x, t),)   # one component per axis
-    exact = ExactSolution(u=zero2, du_dt=zero2, grad=grad, laplacian=zero2)
+    zero = lambda s: np.zeros_like(np.asarray(s, dtype=float))
+    space = SpaceFactor(zero, lambda x: (zero(x),), zero)   # one gradient component per axis
+    exact = ExactSolution(((space, TimeFactor(zero, zero)),))
     return ProblemSpec(name="rest", dimension=1, rhs=None, initial=None,
                        final_time=1.0, exact=exact)
 
@@ -141,27 +144,16 @@ def test_error_norms_match_pointwise_reference(problem, space_args, N, q):
 
 
 def _in_space_problem(a=0.3, b=0.7):
-    """Exact solution (a + b t) x(1-x): inside the trial space for p >= 2, q >= 1."""
+    """Exact solution (a + b t) x(1-x): inside the trial space for p >= 2, q >= 1.
+    Two products each: u = a g + (b t) g with g = x(1-x), and f = du/dt - lap u
+    = g b + 2 (a + b t)."""
     g = lambda x: x * (1.0 - x)
-
-    def u(x, t):
-        return (a + b * t) * g(x)
-
-    def du_dt(x, t):
-        return b * g(x) + 0.0 * x
-
-    def grad(x, t):
-        return ((a + b * t) * (1.0 - 2.0 * x),)
-
-    def lap(x, t):
-        return -2.0 * (a + b * t) + 0.0 * x
-
-    def rhs(x, t):
-        return du_dt(x, t) - lap(x, t)
-
+    space = SpaceFactor(g, lambda x: (1.0 - 2.0 * x,), lambda x: -2.0 + 0.0 * x)
+    exact = ExactSolution(((space, TimeFactor(lambda t: a + 0.0 * t, lambda t: 0.0 * t)),
+                           (space, TimeFactor(lambda t: b * t, lambda t: b + 0.0 * t))))
+    rhs = ((g, lambda t: b + 0.0 * t), (lambda x: 2.0 + 0.0 * x, lambda t: a + b * t))
     return ProblemSpec(name="poly", dimension=1, rhs=rhs,
-                       initial=lambda x: a * g(x), final_time=1.0,
-                       exact=ExactSolution(u, du_dt, grad, lap))
+                       initial=lambda x: a * g(x), final_time=1.0, exact=exact)
 
 
 def test_scheme_reproduces_trial_space_solutions():
@@ -173,6 +165,48 @@ def test_scheme_reproduces_trial_space_solutions():
     rep = error_norms(sol, problem)
     assert rep.err_u1_L2V <= 1e-11
     assert rep.err_u2_nodal_max <= 1e-12
+
+
+@pytest.mark.parametrize("problem,space_args,N,q", [
+    (problem_1d_smooth(), (1, 8, 2), 50, 0),
+    (problem_1d_smooth(), (1, 6, 3), 30, 1),
+    (problem_1d_smooth(), (1, 5, 2), 20, 2),
+    (problem_2d_smooth(), (2, 4, 2), 20, 0),
+    (problem_2d_smooth(), (2, 3, 3), 12, 1),
+    (problem_1d_lowreg(), (1, 16, 2), 301, 1),   # the kink t = 1/2 cuts interval 150
+    (_in_space_problem(), (1, 4, 2), 9, 0),      # two products each, and an initial datum
+], ids=["1d-q0", "1d-q1", "1d-q2", "2d-q0", "2d-q1", "lowreg-cut", "rank-2"])
+def test_sums_of_products_match_the_grid_oracle(problem, space_args, N, q):
+    """The data integrated as sums of space x time products (spatial loads
+    once per level, the U1 error split by Legendre orthogonality) equal the
+    same integrals with the data evaluated on the whole space-time grid:
+    the V error to 1e-12 relative, every nodal error to 1e-14 absolute, the
+    load moments and the f term of the stability bound to 1e-12 relative."""
+    space = assemble(*space_args)
+    part = make_uniform_partition(problem.final_time, N)
+    sol = run_decomposed(problem, space, part, q)
+    report = error_norms(sol, problem)
+    err1, per_node = grid_error_norms(sol, problem)
+    assert report.err_u1_L2V == pytest.approx(err1, rel=1e-12, abs=0.0)
+    assert np.abs(report.per_node - per_node).max() <= 1e-14
+    moments, grid = interval_moments(problem, space, part, q), grid_moments(problem, space, part, q)
+    assert np.abs(moments - grid).max() <= 1e-12 * np.abs(grid).max()
+    f_sq = stability_check(sol, problem, 1.0)["f_dual_sq"]
+    assert f_sq == pytest.approx(grid_f_dual_sq(problem, space, part, q), rel=1e-12, abs=0.0)
+
+
+def test_an_exact_gradient_must_give_one_component_per_axis():
+    """A spatial factor whose gradient is a bare array, or a tuple of the
+    wrong length, raises ValueError when the error norms are set up (a bare
+    1D array was once split into its time rows: err_u1_L2V 2.564 in place
+    of 0.0286 on 1D heat1d-smooth p=2, n=16, N=256, q=0)."""
+    for problem, args in ((problem_1d_smooth(), (1, 16, 2)), (problem_2d_smooth(), (2, 3, 2))):
+        (space, time), = problem.exact.terms
+        for grad in (lambda *x: space.grad(*x)[0], lambda *x: space.grad(*x)[:1] * 3):
+            wrong = ExactSolution(((dataclasses.replace(space, grad=grad), time),))
+            with pytest.raises(ValueError, match="one per axis"):
+                ErrorNorms(dataclasses.replace(problem, exact=wrong), assemble(*args),
+                           make_uniform_partition(1.0, 256), 0)
 
 
 def _dense_gram_trial(space, partition, q):
@@ -634,7 +668,7 @@ def _stability_dense_reference(solution, problem, c_s):
     u0_sq = float(u2[0] @ mass @ u2[0])
     stiffness_cho = scipy.linalg.cho_factor(stiffness)
     t, _, w, _ = quadrature_nodes(part, 0, part.num_intervals, q + 4, problem.time_breakpoints)
-    loads = load_vector(space, problem.rhs, t=t.ravel())
+    loads = load_vector(space, problem.source, t=t.ravel())
     f_sq = float(w.ravel() @ np.sum(loads * scipy.linalg.cho_solve(stiffness_cho, loads.T).T,
                                     axis=1))
     return {"u1_L2V_sq": u1_sq, "u2_final_H_sq": u2N_sq, "f_dual_sq": f_sq, "u0_H_sq": u0_sq,
@@ -698,7 +732,7 @@ def test_stability_result_evaluates_no_rhs(monkeypatch):
         raise AssertionError("result evaluated the right-hand side")
 
     monkeypatch.setattr(fem, "load_vector", refuse)
-    sums.problem = dataclasses.replace(problem, rhs=refuse)
+    sums.problem = dataclasses.replace(problem, rhs=((refuse, refuse),))
     assert sums.result(1.7) == expected
 
 
@@ -737,18 +771,17 @@ def test_error_and_stability_sums_do_not_depend_on_the_chunks(problem_id, n, p, 
     """ErrorNorms and StabilitySums fed one collected level in the march's
     chunks, in chunks of one interval, and in chunks of seven (the last one
     shorter) agree with error_norms and stability_check: bit for bit in the
-    march's chunks, else to 1e-13 relative.  Each nodal error, the norm of a
-    difference of two vectors of the solution's size, agrees to 1e-14 of
-    the largest nodal norm of the solution: a one-interval chunk takes
-    V^T load as a matrix-vector product, which rounds otherwise than a
-    chunk's matrix product (9e-16 of it measured, which moves the 1.4e-5
-    nodal error of the last level by 5e-13 relative)."""
+    march's chunks, else to 1e-13 relative.  Each nodal error agrees bit
+    for bit in every plan: the trace is the time factor's value at the node
+    times the level's one modal load, whatever rows a chunk holds (it
+    agreed to 1e-14 of the largest nodal norm of the solution while a
+    one-interval chunk took V^T load of the trace as a matrix-vector
+    product)."""
     problem = problem_by_id(problem_id)
     space = assemble(problem.dimension, n, p)
     part = make_uniform_partition(problem.final_time, N)
     sol = run_decomposed(problem, space, part, q)
     errors, stability = error_norms(sol, problem), stability_check(sol, problem, 1.7)
-    scale = np.sqrt(np.sum(sol.u2 * sol.u2, axis=1)).max()
     plans = {"march": march_chunks(space, part, q),
              "one": [(i, i + 1) for i in range(N)],
              "seven": [(lo, min(lo + 7, N)) for lo in range(0, N, 7)]}
@@ -765,17 +798,18 @@ def test_error_and_stability_sums_do_not_depend_on_the_chunks(problem_id, n, p, 
             assert bound == stability
             continue
         assert report.err_u1_L2V == pytest.approx(errors.err_u1_L2V, rel=1e-13, abs=0.0), name
-        assert np.abs(report.per_node - errors.per_node).max() <= 1e-14 * scale, name
+        assert np.array_equal(report.per_node, errors.per_node), name
         for key, value in stability.items():
             assert bound[key] == pytest.approx(value, rel=1e-13, abs=0.0), (name, key)
 
 
 def test_sums_of_chunks_that_miss_the_first_read_nan():
     """ErrorNorms and StabilitySums fed every chunk of the march but the
-    first (1D heat1d-smooth, p=2, n=16, N=256, q=0) read NaN where the level
-    is not covered: the nodes not fed and the nodal maximum of the errors,
-    and the right side of the bound, which needs node 0's term, so the bound
-    is not satisfied."""
+    first (1D heat1d-smooth, p=2, n=16, N=256, q=0) read NaN in every sum
+    that the level does not cover: the nodes not fed and the nodal maximum
+    of the errors, the V error (0.01623 at the sums of the intervals fed
+    before they counted them), both sides of the bound and its interval
+    sums, so the bound is not satisfied."""
     problem = problem_1d_smooth()
     space, part, q = assemble(1, 16, 2), make_uniform_partition(1.0, 256), 0
     assert len(march_chunks(space, part, q)) > 1
@@ -787,6 +821,24 @@ def test_sums_of_chunks_that_miss_the_first_read_nan():
         stability.add(*chunk)
     report, bound = errors.report(), stability.result(1.7)
     assert np.isnan(report.per_node[:lo]).all() and np.isfinite(report.per_node[lo:]).all()
-    assert np.isnan(report.err_u2_nodal_max)
-    assert np.isnan(bound["rhs"]) and np.isnan(bound["u0_H_sq"]) and np.isfinite(bound["lhs"])
+    assert np.isnan(report.err_u2_nodal_max) and np.isnan(report.err_u1_L2V)
+    assert np.isnan(bound["rhs"]) and np.isnan(bound["u0_H_sq"]) and np.isnan(bound["lhs"])
+    assert np.isnan(bound["u1_L2V_sq"]) and np.isnan(bound["f_dual_sq"])
+    assert np.isfinite(bound["u2_final_H_sq"])
     assert bound["satisfied"] is False
+
+
+def test_sums_fed_a_chunk_twice_read_nan():
+    """ErrorNorms and StabilitySums count the intervals fed: a level whose
+    first chunk is fed twice reads NaN in its V error and in both sides of
+    the bound, though every node has a finite error."""
+    problem = problem_1d_smooth()
+    space, part, q = assemble(1, 16, 2), make_uniform_partition(1.0, 256), 0
+    errors, stability = ErrorNorms(problem, space, part, q), StabilitySums(problem, space, part, q)
+    chunks = list(march(problem, space, part, q))
+    for chunk in chunks[:1] + chunks:
+        errors.add(*chunk)
+        stability.add(*chunk)
+    report, bound = errors.report(), stability.result(1.7)
+    assert np.isfinite(report.per_node).all() and np.isnan(report.err_u1_L2V)
+    assert np.isnan(bound["lhs"]) and np.isnan(bound["rhs"]) and bound["satisfied"] is False

@@ -342,39 +342,45 @@ def test_experiment_config_is_frozen():
 def test_level_bytes_counts_the_solution_arrays():
     # doubles: the line matrices M, K and the eigenbasis 3(np-1)^2; the
     # partition's nodes and widths 2N+1; with errors, the per-node errors
-    # N+1; rows of dof doubles: the local inverses, r, alpha and mu of one
-    # width, (q+1)^2 + q+3, the eigenvalues and the carried nodal value 2;
-    # then, for a load chunk of c intervals, the largest of: its quadrature
-    # values times (2p+3)/(p+2) beside the test basis at its times,
-    # 2(q+2)(q+3) an interval; the gather of its inverses beside its
-    # moments and forced parts, (q+1)^2 + 2q+3 rows an interval; its
-    # solution beside its recurrence terms, 3q+6 rows an interval and 1;
-    # with errors, its solution c(q+2)+1 rows beside the error norms'
-    # values of the whole chunk, c(q+4) times points 2 dim (n(p+4))^dim +
-    # 2 dof; on top of the stage, numpy's two ufunc buffers of getbufsize()
-    # doubles.  No term grows with N dof.
-    # 1D p=2, n=4: dof 7; q=0, N=10: one chunk of 10 intervals of 3*16 values
+    # N+1, the exact gradients on the grid dim (n(p+4))^dim and the trace's
+    # modal load dof; rows of dof doubles: the local inverses, r and alpha
+    # of one width, (q+1)^2 + q+2, the eigenvalues, the carried nodal value
+    # and the rhs factor's modal load 3; then, for a chunk of c intervals,
+    # the largest of: its scalar time quadrature (times, weights and factor
+    # values, 3(q+3), and moments q+2 an interval) beside its load moments,
+    # (q+2) dof an interval; the gather of its inverses beside its moments
+    # and forced parts, (q+1)^2 + 2q+3 rows an interval; its solution beside
+    # its recurrence terms, 3q+6 rows an interval and 1; with errors, its
+    # solution c(q+2)+1 rows beside the gathered coefficient rows, c(q+1)
+    # of dof + (dim+1)(n(p+4))^dim + 1 values, and the quadrature of the
+    # time factors, 4c(q+4); on top of the stage, numpy's two einsum buffers
+    # of getbufsize() doubles, or of the c(q+1)^2 dof values of the gather
+    # if fewer.  No term grows with N dof.
+    # 1D p=2, n=4: dof 7; q=0, N=10: one chunk of 10 intervals
     kept = 3 * 7 ** 2 + 21
-    assert level_bytes(1, 4, 2, 0, 10) == (
-        kept + 6 * 7 + BUFFERS + 480 * 7 // 4 + 10 * 2 * 2 * 3) * 8
-    # with errors: the error norms' values of the chunk's 10 intervals, 4 * 24 points each
+    assert level_bytes(1, 4, 2, 0, 10) == (kept + 6 * 7 + 2 * 70 + 61 * 7) * 8
+    # with errors: 10 rows of 7 + 2 * 24 + 1 values beside the solution
     assert level_bytes(1, 4, 2, 0, 10, False, True, True) == (
-        kept + 11 + 6 * 7 + BUFFERS + 21 * 7 + 40 * (2 * 24 + 2 * 7)) * 8
-    # 2D p=2, n=64: dof 127^2; q=1, N=4096: one interval a chunk, whose
-    # 5 * 384^2 error values set the level: 28 MB, not the 1.06 GB of its solution
-    kept, dof = 3 * 127 ** 2 + 8193 + 4097, 127 ** 2
+        kept + 11 + 24 + 7 + 6 * 7 + 2 * 70 + 21 * 7 + 10 * (7 + 2 * 24 + 1) + 4 * 10 * 4) * 8
+    # 2D p=2, n=64: dof 127^2; q=1, N=4096: one interval a chunk, whose 2
+    # rows of 3 * 384^2 gathered values set the level: 12.3 MB, not the
+    # 1.06 GB of its solution
+    kept, dof = 3 * 127 ** 2 + 8193 + 4097 + 2 * 384 ** 2 + 127 ** 2, 127 ** 2
     errors = level_bytes(2, 64, 2, 1, 4096, False, True, True)
-    assert errors == (kept + 10 * dof + BUFFERS + 4 * dof + 5 * (4 * 384 ** 2 + 2 * dof)) * 8
-    assert errors < 28e6 < 1.06e9 < 8 * 4097 * 3 * dof
-    # errors off: one interval's 4 * 256^2 load values beat its 10 solution rows
-    assert level_bytes(2, 64, 2, 1, 4096) == (
-        kept - 4097 + 10 * dof + BUFFERS + 4 * 256 ** 2 * 7 // 4 + 2 * 3 * 4) * 8
-    # 1D p=3, n=8, q=9, N=1: the gather of the 10x10 inverses beats the 480 values
-    assert level_bytes(1, 8, 3, 9, 1) == (3 * 23 ** 2 + 3 + 114 * 23 + BUFFERS + 121 * 23) * 8
-    # 1D p=1, n=2 (dof 1), N=10^6: the nodes and widths beside one chunk of
-    # 1820 intervals of 3*6 values; no index over the intervals
+    assert errors == (kept + 10 * dof + BUFFERS + 4 * dof + 2 * (dof + 3 * 384 ** 2 + 1)
+                      + 20) * 8
+    assert errors < 12.3e6 < 1.06e9 < 8 * 4097 * 3 * dof
+    # errors off: one interval's solution beside its recurrence terms, 10 rows
+    assert level_bytes(2, 64, 2, 1, 4096) == (3 * 127 ** 2 + 8193 + 10 * dof + BUFFERS
+                                              + 10 * dof) * 8
+    # 1D p=3, n=8, q=9, N=1: the gather of the 10x10 inverses beside its buffers
+    assert level_bytes(1, 8, 3, 9, 1) == (
+        3 * 23 ** 2 + 3 + 114 * 23 + 2 * 100 * 23 + 121 * 23) * 8
+    # 1D p=1, n=2 (dof 1), N=10^6: the nodes and widths beside the scalar
+    # time quadrature of one chunk of 1820 intervals, 13 values each; no
+    # index over the intervals
     assert level_bytes(1, 2, 1, 0, 10 ** 6) == (
-        3 + 2000001 + 6 + BUFFERS + 1820 * 3 * (6 * 5 // 3 + 4)) * 8
+        3 + 2000001 + 6 + 2 * 1820 + 1820 * 13) * 8
 
 
 def test_level_bytes_counts_the_diagnostic_bands():
@@ -383,25 +389,27 @@ def test_level_bytes_counts_the_diagnostic_bands():
     # np.unique; four arrays of the interval blocks of one width of the one
     # mode they search, (q+2)^2 values each; numpy's two ufunc buffers,
     # while the blocks broadcast over the widths.  On a run, the stability
-    # sums add a stage to the march: a chunk's solution beside two
-    # quadrature blocks of the f term, (q+4)(n(p+2))^dim values an
-    # interval.  1D p=1, n=2: dof 1, one mode.
+    # sums keep the rhs factor's modal load, 1 row, and add a stage to the
+    # march: a chunk's solution beside its f term's quadrature times,
+    # weights, factor values and their temporaries, 6 values a time, q+4
+    # times an interval.  1D p=1, n=2: dof 1, one mode.
     # q=0, N=10^6: the width index beside the eigenvalues and the blocks
     # beats the march
     kept, diag = 3 + 2000001, 1 + 5 * 10 ** 6 + 4 * 4 + BUFFERS
-    assert level_bytes(1, 2, 1, 0, 10 ** 6, True) == (kept + diag) * 8
+    assert level_bytes(1, 2, 1, 0, 10 ** 6, True) == (kept + 1 + diag) * 8
     assert level_bytes(1, 2, 1, 0, 10 ** 6) < (kept + diag) * 8
-    # q=0, N=1365: the f term, two load blocks of 1365 intervals of 4*6
-    # values beside the chunk's 1365 * 2 + 1 solution rows, beats the rest
+    # q=0, N=1365: the f term of one chunk of 1365 intervals, 6 * 4 values
+    # each, beside the chunk's 1365 * 2 + 1 solution rows, beats the rest
     # of the march and the diagnostics
     assert level_bytes(1, 2, 1, 0, 1365, True) == (
-        3 + 2731 + 6 + BUFFERS + 2731 + 2 * 1365 * 24) * 8
+        3 + 2731 + 1 + 6 + 2 * 1365 + 2731 + 6 * 1365 * 4) * 8
     # diagnose keeps no solution and runs no march: at q=9, N=2000 the march
-    # sets a run's memory, and diagnose needs less than a sixth of it
+    # sets a run's memory, with the stability sums' modal load beside it,
+    # and diagnose needs less than half of it
     diagnose = level_bytes(1, 2, 1, 9, 2000, True, False)
     assert diagnose == (3 + 4001 + 1 + 10000 + 4 * 121 + BUFFERS) * 8
-    assert level_bytes(1, 2, 1, 9, 2000, True) == level_bytes(1, 2, 1, 9, 2000)
-    assert diagnose < level_bytes(1, 2, 1, 9, 2000) / 6
+    assert level_bytes(1, 2, 1, 9, 2000, True) == level_bytes(1, 2, 1, 9, 2000) + 8
+    assert diagnose < level_bytes(1, 2, 1, 9, 2000) / 2
 
 
 def _traced_level(problem_id, n, p, q, N, errors, diagnostics=False):
@@ -457,6 +465,31 @@ def test_time_bases_are_evaluated_once_per_level(monkeypatch):
     cfg = parse_config(json.dumps({"problem": "heat1d-smooth", "p": 2, "q": 0, "levels": [64]}))
     run_level(cfg, 0, problem_by_id("heat1d-smooth"))
     assert calls.count("eval_all") <= 2 and calls.count("legvander") <= 5
+
+
+def test_a_level_integrates_its_spatial_factors_once(monkeypatch):
+    """heat1d-smooth, 1D p=2, n=16, q=1, errors and diagnostics on: the
+    number of fem.load_vector calls of a level does not grow with N (one
+    for the rhs factor in the march and one in the stability sums, one for
+    the trace factor of the error norms), and the U1 error gathers the
+    (q+1)(hi-lo) coefficient rows of each chunk, not its q+4 times a
+    interval."""
+    calls, rows = [], []
+    load_vector, gather = stheat.fem.load_vector, stheat.fem.gather
+    monkeypatch.setattr(stheat.fem, "load_vector",
+                        lambda *args, **kw: calls.append(1) or load_vector(*args, **kw))
+    monkeypatch.setattr(stheat.fem, "gather",
+                        lambda table, c: rows.append(c.shape[0]) or gather(table, c))
+    counts = []
+    for N in (64, 1024):
+        cfg = parse_config(json.dumps({"problem": "heat1d-smooth", "p": 2, "q": 1, "levels": [16],
+                                       "explicit_N": [N], "diagnostics": True}))
+        del calls[:], rows[:]
+        run_level(cfg, 0, problem_by_id("heat1d-smooth"))
+        counts.append(len(calls))
+        chunks = stheat.solver.march_chunks(assemble(1, 16, 2), make_uniform_partition(1.0, N), 1)
+        assert rows == [2 * (hi - lo) for lo, hi in chunks], N
+    assert counts == [3, 3]
 
 
 def test_level_memory_is_independent_of_the_interval_count():
@@ -560,18 +593,19 @@ def test_preflight_accepts_a_2d_level_whose_solution_exceeds_the_memory(monkeypa
 
 def test_diagnose_refuses_a_level_that_only_its_bands_overflow(tmp_path, monkeypatch, capsys):
     """1D p=1, n=2, q=0, N=10^6: the march, which holds no index over the
-    intervals, sets a run at 16742672 bytes, and the diagnostics' width
+    intervals, sets a run at 16218480 bytes, and the diagnostics' width
     index (5N doubles at np.unique's peak) beside the eigenvalue, their
-    mode's blocks and numpy's two buffers sets diagnose, and a run with
-    them, at 56131240 bytes; so on a machine of 56000000 bytes `diagnose`
-    exits 2 before the level is built, so does a run with diagnostics, and
-    a run without them passes the pre-flight."""
+    mode's blocks and numpy's two buffers sets diagnose at 56131240 bytes,
+    and a run with them, which keeps the stability sums' modal load too,
+    at 56131248; so on a machine of 56000000 bytes `diagnose` exits 2
+    before the level is built, so does a run with diagnostics, and a run
+    without them passes the pre-flight."""
     monkeypatch.setattr(stheat.cli, "physical_memory", lambda: 56000000)
     payload = {"problem": "heat1d-smooth", "p": 1, "q": 0, "levels": [2],
                "explicit_N": [1000000], "errors": False}
-    assert level_bytes(1, 2, 1, 0, 1000000) == 16742672
+    assert level_bytes(1, 2, 1, 0, 1000000) == 16218480
     assert level_bytes(1, 2, 1, 0, 1000000, True, False) == 56131240
-    assert level_bytes(1, 2, 1, 0, 1000000, True) == 56131240
+    assert level_bytes(1, 2, 1, 0, 1000000, True) == 56131248
     problem = problem_by_id("heat1d-smooth")
     stheat.cli.preflight(parse_config(json.dumps(payload)), problem, True)
     monkeypatch.setattr(stheat.cli, "assemble", None)   # must never be reached
@@ -586,7 +620,7 @@ def test_diagnose_refuses_a_level_that_only_its_bands_overflow(tmp_path, monkeyp
 @pytest.mark.parametrize("command", ["run", "diagnose"])
 def test_main_rejects_levels_beyond_physical_memory(tmp_path, monkeypatch, capsys, command):
     """The pre-flight exits 2 before any level is built.  The memory probe is
-    turned down to 64 bytes, below the 3176 of the smallest level of `run`
+    turned down to 64 bytes, below the 1624 of the smallest level of `run`
     (n=2, N=4, dof 1)."""
     monkeypatch.setattr(stheat.cli, "physical_memory", lambda: 64)
     monkeypatch.setattr(stheat.cli, "assemble", None)   # must never be reached
@@ -713,8 +747,9 @@ def test_a_load_that_turns_nan_exits_3_at_its_chunk(tmp_path, monkeypatch, capsy
     every chunk of the march before the one holding T/2 (interval 512)."""
     smooth = problem_by_id("heat1d-smooth")
     half = 0.5 * smooth.final_time
+    (X, T), = smooth.rhs
     problem = dataclasses.replace(
-        smooth, rhs=lambda x, t: np.where(t > half, np.nan, smooth.rhs(x, t)))
+        smooth, rhs=((X, lambda t: np.where(t > half, np.nan, T(t))),))
     fed = []
 
     class Recording(stheat.cli.ErrorNorms):
@@ -739,8 +774,8 @@ def test_a_nan_rhs_exits_3_before_any_level(tmp_path, monkeypatch, capsys):
     """The residual spot-check fails a rhs that is NaN for t > 1/2: `stheat
     run` exits 3 (EXIT_SOLVER) before any level runs, and writes nothing."""
     smooth = problem_by_id("heat1d-smooth")
-    problem = dataclasses.replace(
-        smooth, rhs=lambda x, t: np.where(t > 0.5, np.nan, smooth.rhs(x, t)))
+    (X, T), = smooth.rhs
+    problem = dataclasses.replace(smooth, rhs=((X, lambda t: np.where(t > 0.5, np.nan, T(t))),))
 
     def no_level(*args):
         raise AssertionError("a level ran")

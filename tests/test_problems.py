@@ -28,8 +28,9 @@ def test_manufactured_residual_spot_check(make):
 def test_residual_spot_check_catches_a_wrong_time_derivative(make):
     """An exact solution whose du_dt is off by 1 % fails the check."""
     problem = make()
-    du_dt = problem.exact.du_dt
-    wrong = dataclasses.replace(problem.exact, du_dt=lambda *args: 1.01 * du_dt(*args))
+    (space, time), = problem.exact.terms
+    wrong = ExactSolution(((space, dataclasses.replace(
+        time, derivative=lambda t: 1.01 * time.derivative(t))),))
     with pytest.raises(ValueError, match="residual"):
         validate_residual(dataclasses.replace(problem, exact=wrong))
 
@@ -43,12 +44,12 @@ def test_residual_spot_check_is_seeded():
     assert validate_residual(problem, seed=1) != first
 
 
-_SMOOTH_RHS = problem_1d_smooth().rhs
+(_SMOOTH_X, _SMOOTH_T), = problem_1d_smooth().rhs
 
 
 @pytest.mark.parametrize("rhs", [
-    lambda x, t: np.nan * x,
-    lambda x, t: np.where(t > 0.5, np.nan, _SMOOTH_RHS(x, t)),
+    ((lambda x: np.nan * x, _SMOOTH_T),),
+    ((_SMOOTH_X, lambda t: np.where(t > 0.5, np.nan, _SMOOTH_T(t))),),
 ], ids=["everywhere", "after-half"])
 def test_residual_spot_check_fails_on_a_nan_rhs(rhs):
     """A NaN residual fails like one that is too large, whether the rhs is
@@ -66,21 +67,21 @@ def test_lowreg_residual_compares_independent_forms():
 def test_residual_pinned_point_1d():
     p = problem_1d_smooth()
     x, t = 0.3, 0.7
-    r = p.exact.du_dt(x, t) - p.exact.laplacian(x, t) - p.rhs(x, t)
+    r = p.exact.du_dt(x, t) - p.exact.laplacian(x, t) - p.source(x, t)
     assert abs(r) <= 1e-10
 
 
 def test_residual_pinned_point_2d():
     p = problem_2d_smooth()
     x, y, t = 0.2, 0.6, 0.4
-    r = p.exact.du_dt(x, y, t) - p.exact.laplacian(x, y, t) - p.rhs(x, y, t)
+    r = p.exact.du_dt(x, y, t) - p.exact.laplacian(x, y, t) - p.source(x, y, t)
     assert abs(r) <= 1e-10
 
 
 def test_residual_pinned_point_lowreg():
     p = problem_1d_lowreg(0.1)
     x, t = 0.3, 0.9
-    r = p.exact.du_dt(x, t) - p.exact.laplacian(x, t) - p.rhs(x, t)
+    r = p.exact.du_dt(x, t) - p.exact.laplacian(x, t) - p.source(x, t)
     assert abs(r) <= 1e-9
 
 
@@ -218,18 +219,19 @@ def test_exact_gradients_have_one_component_per_axis():
 def test_smooth_problems_equal_their_closed_forms():
     """The one builder behind problem_1d_smooth and problem_2d_smooth gives
     u, du_dt, the gradient and the rhs bit for bit as the closed forms
-    written out for each dimension, on a grid of points and times."""
+    written out for each dimension, on a grid of points and times, each a
+    product of its spatial and its temporal factor."""
     rng = np.random.default_rng(4)
     t = np.r_[0.0, rng.uniform(0.0, 1.0, 5), 1.0][:, None, None]
     x, y = rng.uniform(0.0, 1.0, (1, 6, 1)), rng.uniform(0.0, 1.0, (1, 1, 6))
     w = 2.0 * np.pi
     want = {"u": np.sin(w * x) * np.sin(w * t),
-            "du_dt": w * np.sin(w * x) * np.cos(w * t),
+            "du_dt": np.sin(w * x) * (w * np.cos(w * t)),
             "grad": (w * np.cos(w * x) * np.sin(w * t),),
             "rhs": w * np.sin(w * x) * (np.cos(w * t) + w * np.sin(w * t))}
     pi, s = np.pi, np.sin(np.pi * t)
     want2 = {"u": np.sin(pi * x) * np.sin(pi * y) * np.sin(pi * t),
-             "du_dt": pi * np.sin(pi * x) * np.sin(pi * y) * np.cos(pi * t),
+             "du_dt": np.sin(pi * x) * np.sin(pi * y) * (pi * np.cos(pi * t)),
              "grad": (pi * np.cos(pi * x) * np.sin(pi * y) * s,
                       pi * np.sin(pi * x) * np.cos(pi * y) * s),
              "rhs": pi * np.sin(pi * x) * np.sin(pi * y) * (np.cos(pi * t)
@@ -238,7 +240,7 @@ def test_smooth_problems_equal_their_closed_forms():
                                  (problem_2d_smooth(), (x, y, t), want2)):
         ex = problem.exact
         got = {"u": ex.u(*args), "du_dt": ex.du_dt(*args), "grad": ex.grad(*args),
-               "rhs": problem.rhs(*args)}
+               "rhs": problem.source(*args)}
         for key, value in forms.items():
             if key == "grad":
                 assert len(got[key]) == len(value)
