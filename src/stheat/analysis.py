@@ -1,15 +1,19 @@
 """Error norms, convergence rates, and functional-analytic diagnostics.
 
-The error norms (ErrorNorms) and the two sides of the stability bound
-(StabilitySums) are sums over intervals and nodes, so both accumulate the
-chunks of solver.march as they come, each chunk whole, and a run never
-holds the solution whole.  The exact solution and the right-hand side are
-sums of space x time products (stheat.problems): both integrate each
-spatial factor once per level, and its temporal factor on each chunk's
-own intervals by scalar quadrature, so a level takes one pass in one
-chunk plan (solver.march_chunks), in which error_norms and
-stability_check feed them a collected SpaceTimeSolution.  Each reads NaN
-unless the chunks fed cover the level once.
+A level's error norms and both sides of its stability bound are sums over
+intervals and nodes, kept by one accumulator, LevelSums, fed each chunk of
+solver.march whole (error_norms and stability_check: of a collected
+SpaceTimeSolution).  The data are sums of space x time products, so all
+that is spatial is formed once per level, and a chunk costs scalar time
+quadrature and sums of squares over its modal rows.  The U1 error splits
+by Galerkin orthogonality (Wheeler 1973): R_h u - U1 lies in V_h and
+u - R_h u is a-orthogonal to it, so ||u - U1||^2 = ||R_h u - U1||^2 +
+||u - R_h u||^2 in L2(V).  The first term is modal, with R_h X_r of modal
+coordinates rho_r = Lambda^-1 V^T load(-lap X_r); the second, the spatial
+floor, is sum_rs (int T_r T_s) S_rs with S the Gram matrix of
+grad(X_r - R_h X_r) on the spatial grid.  Differences are formed per mode
+or per grid point before they are squared, so every term is a sum of
+squares and nothing cancels.
 
 The diagnostics realize three constants of the discretization:
 
@@ -57,132 +61,154 @@ def _weighted_quadratic(weights, values, gram):
     return float(weights.ravel() @ np.sum((values @ gram) * values, axis=-1).ravel())
 
 
-class ErrorNorms:
-    """L2(V) error of U1 and nodal H errors of U2 against the exact solution
-    u = sum_r X_r(x) T_r(t), accumulated over the chunks of a march
-    (solver.march).
+def _floor_gram(space, factors, ritz):
+    """S_rs = (grad(X_r - R_h X_r), grad(X_s - R_h X_s)), R_h X_r of modal
+    coordinates ritz[r], on the grid of p+4 Gauss points an element."""
+    dim, d = space.dimension, space.line_mass.shape[0]
+    x, w, B, D = space.line_tables(space.degree + 4)
+    grid = np.ix_(*(x,) * dim)
+    grid = [grid[(a - 1) % dim] for a in range(dim)]   # as gathered: (eta, xi) in 2D
+    diffs = np.empty((dim, len(factors), x.size ** dim))   # (axes, terms, points)
+    for r, X in enumerate(factors):
+        components = X.grad(*grid)
+        if len(components) != dim:
+            raise ValueError("an exact gradient gives %d components, not one per axis (%d)"
+                             % (len(components), dim))
+        for a in range(dim):
+            diffs[a, r].reshape((x.size,) * dim)[...] = components[a]
+        del components   # freed before the next factor's are formed (cli.level_bytes)
+    rows = space.coefficients(ritz).reshape((-1,) + (d,) * dim)
+    for a in range(dim):
+        # component a: D on axis a, B on the others, last axis first, with a rotation
+        # between gathers, so the axes end as 1, ..., dim-1, 0: (terms, eta, xi) in 2D
+        u = fem.gather(D if a == dim - 1 else B, rows)
+        for axis in reversed(range(dim - 1)):
+            u = fem.gather(D if axis == a else B, u.transpose(fem.rotation(1, dim)))
+        diffs[a] -= u.reshape(len(rows), -1)
+        del u   # freed before the next axis is gathered (cli.level_bytes)
+    weights = functools.reduce(np.multiply.outer, [w] * dim).ravel()
+    return sum((diff * weights) @ diff.T for diff in diffs)
 
-    Space integrals take p+4 Gauss points per element, time integrals q+4
-    per time segment, the rule of the true pointwise difference.  Its
-    Legendre orthogonality splits the V part of each segment of length l
-    into a sum of squares: with T_r = sum_m That_rm P_m + rho_r on the
-    segment's points (That_r the rule's projection onto degree q),
 
-        l sum_m ||grad c_m - sum_r grad X_r That_rm||^2 / (2m+1)
-            + sum_s l w_s ||sum_r grad X_r rho_rs||^2,
+class LevelSums:
+    """The sums of a level over the chunks of its march, each fed whole
+    once (add): with errors, the L2(V) error of U1 and the nodal H errors
+    of U2 against the exact solution u = sum_r X_r(x) T_r(t) (report); with
+    bound, both sides of the stability bound (result).  Each reads NaN
+    unless the chunks fed cover the level once.  Set-up forms every spatial
+    matrix (module docstring); a chunk evaluates nothing in space.
 
-    so the gathers take the q+1 coefficient rows of a segment and the
-    exact gradients grad X_r are evaluated once per level, as is the Gram
-    matrix of the second term.  U1 goes to FE coefficients first, as a
-    modal sum would cancel the leading digits of a fine level's error; a
-    cut interval's segments re-expand it in their own Legendre bases.  The
-    nodal part compares U2 with the projected trace sum_r T_r(t_n) V^T
-    load(X_r).  Both take each chunk fed whole, and read NaN unless every
-    interval and node was fed once.
-    """
+    Time integrals take q+4 Gauss points per segment, where T_r = sum_m
+    That_rm P_m + rem_r (That_r the rule's projection onto degree q) splits
+    the modal error of a segment of length l into
 
-    def __init__(self, problem, space, partition, q):
-        if problem.exact is None:
+        l sum_m sum_d lambda_d (a_m - sum_r That_rm rho_r)_d^2 / (2m+1)
+            + sum_s l w_s rem_s^T (rho Lambda rho^T) rem_s,
+
+    a_m the rows of U1, re-expanded in each segment's own Legendre basis on
+    a cut interval.  The floor takes sum_s l w_s T_s^T S T_s, and the f term
+    sum_s l w_s F_s^T G F_s, G the Gram matrix of the rhs's modal loads over
+    lambda, as ||f||_{H^-1}^2 = sum (V^T f)^2 / lambda."""
+
+    def __init__(self, problem, space, partition, q, errors=True, bound=True):
+        if errors and problem.exact is None:
             raise ValueError("error computation requires an exact solution")
+        if bound and problem.impulses:
+            raise ValueError("stability bound implemented for impulse-free forcing")
         self.problem, self.space, self.partition, self.q = problem, space, partition, q
-        spatial = [X for X, _ in problem.exact.terms]
-        self._temporal = [T.value for _, T in problem.exact.terms]
-        dim = space.dimension
-        x, w, self._B, self._D = space.line_tables(space.degree + 4)
-        grid = np.ix_(*(x,) * dim)
-        grid = [grid[(a - 1) % dim] for a in range(dim)]   # as gathered: (eta, xi) in 2D
-        self._grads = np.empty((dim, len(spatial), x.size ** dim))   # (axes, terms, points)
-        for r, X in enumerate(spatial):
-            components = X.grad(*grid)
-            if len(components) != dim:
-                raise ValueError("an exact gradient gives %d components, not one per axis (%d)"
-                                 % (len(components), dim))
-            for a, component in enumerate(components):
-                self._grads[a, r].reshape((x.size,) * dim)[...] = component
-            del components   # freed before the Gram's weights are formed (cli.level_bytes)
-        weights = functools.reduce(np.multiply.outer, [w] * dim).ravel()
-        self._gram = sum((grad * weights) @ grad.T for grad in self._grads)   # (grad X_r, grad X_s)
-        del weights   # freed before the trace's load is formed (cli.level_bytes)
-        self._w, self._rotate = w, fem.rotation(1, dim)
-        self._trace = factor_loads(space, [X.value for X in spatial], space.degree + 4)
-        # P_m(tau_s) at the rule's points, and the rule's projection onto degree q,
-        # (2m+1) sum_s w_s P_m(tau_s) g(tau_s), as a (q+1, q+4) matrix
-        self._trial = reference_values(q, q + 4)[1]
-        odd = 2.0 * np.arange(q + 1) + 1.0
-        self._project = self._trial.T * gauss_rule(q + 4)[1] * odd[:, None]
+        self.errors, self.bound, lam = errors, bound, space.eigenvalues
+        exact, rhs = problem.exact.terms if errors else (), (problem.rhs or ()) if bound else ()
+        self._exact, self._forcing = [T.value for _, T in exact], [T for _, T in rhs]
+        if rhs:
+            loads = factor_loads(space, [X for X, _ in rhs])
+            self._dual = (loads / lam) @ loads.T
+        if errors:   # what the level keeps first, the floor's grid last (cli.level_bytes)
+            self.per_node = np.full(partition.num_intervals + 1, np.nan)
+            self._trace = factor_loads(space, [X.value for X, _ in exact], space.degree + 4)
+            self._ritz = factor_loads(space, [X.laplacian for X, _ in exact],
+                                      space.degree + 4) / -lam
+            self._ritz_gram = (self._ritz * lam) @ self._ritz.T
+            self._floor = _floor_gram(space, [X for X, _ in exact], self._ritz)
+            # P_m(tau_s) at the rule's points, and the rule's projection onto degree q,
+            # (2m+1) sum_s w_s P_m(tau_s) g(tau_s), as a (q+1, q+4) matrix
+            self._trial = reference_values(q, q + 4)[1]
+            odd = 2.0 * np.arange(q + 1) + 1.0
+            self._project = self._trial.T * gauss_rule(q + 4)[1] * odd[:, None]
         self._intervals = 0
-        self._err1_sq = 0.0
-        self.per_node = np.full(partition.num_intervals + 1, np.nan)
+        self.err1_sq = self.u1_sq = self.f_sq = 0.0
+        self.u0_sq = self.u2N_sq = np.nan
 
     def add(self, lo, hi, u1, u2):
-        """Feed u1 of the intervals lo..hi-1 and u2 of the nodes lo..hi;
-        node hi counts with the chunk that starts there, or with the last."""
-        space, part, q = self.space, self.partition, self.q
-        end = hi + (hi == part.num_intervals)
-        self._u2_term(lo, end, u2[: end - lo])
+        """Feed u1 of the intervals lo..hi-1 and u2 of the nodes lo..hi; a
+        nodal error takes node hi with the chunk that starts there, or the last."""
+        part, q, lam = self.partition, self.q, self.space.eigenvalues
+        last = hi == part.num_intervals
         self._intervals += hi - lo
+        if self.bound:
+            scale = part.widths[lo:hi, None] / (2.0 * np.arange(q + 1) + 1.0)  # k/(2m+1)
+            self.u1_sq += float(np.einsum("im,imd,imd,d->", scale, u1, u1, lam))
+            self.u0_sq = float(np.sum(u2[0] * u2[0])) if lo == 0 else self.u0_sq
+            self.u2N_sq = float(np.sum(u2[-1] * u2[-1])) if last else self.u2N_sq
+        if self.errors:   # U2 against the exact trace's projection onto V_h, V^T load
+            end = hi + last
+            diff = time_values(self._exact, part.nodes[lo:end]) @ self._trace
+            diff = np.square(np.subtract(u2[: end - lo], diff, out=diff), out=diff)
+            self.per_node[lo:end] = np.sqrt(np.sum(diff, axis=1))
+        if not (self._exact or self._forcing):
+            return
         t, tau, wt, owner = quadrature_nodes(part, lo, hi, q + 4, self.problem.time_breakpoints)
-        c = space.coefficients(u1)
-        if owner is not None:   # each segment re-expands U1 in its own Legendre basis
-            c = np.matmul(self._project @ npleg.legvander(2.0 * tau - 1.0, q), c[owner])
-        values = time_values(self._temporal, t)          # (segments, points, terms)
+        if self._forcing:
+            self.f_sq += _weighted_quadratic(wt, time_values(self._forcing, t), self._dual)
+        if not self.errors:
+            return
+        values = time_values(self._exact, t)              # (segments, points, terms)
         coeffs = np.matmul(self._project, values)         # (segments, q+1, terms)
-        remainder = _weighted_quadratic(wt, values - np.matmul(self._trial, coeffs), self._gram)
-        dim, d = space.dimension, space.line_mass.shape[0]
-        rows = c.reshape((-1,) + (d,) * dim)
-        coeffs = coeffs.reshape(len(rows), -1)             # (rows, terms)
-        B, D = self._B, self._D
-        for a in range(dim):
-            # component a: D on axis a, B on the others, last axis first, with a rotation
-            # between gathers, so the axes end as 1, ..., dim-1, 0: (rows, eta, xi) in 2D
-            u = fem.gather(D if a == dim - 1 else B, rows)
-            for axis in reversed(range(dim - 1)):
-                u = fem.gather(D if axis == a else B, u.transpose(self._rotate))
-            u = u.reshape(len(rows), -1)
-            u -= coeffs @ self._grads[a]
-            sq = np.square(u, out=u) if a == 0 else np.add(sq, np.square(u, out=u), out=sq)
-        sp = sq.reshape((-1,) + (self._w.size,) * dim)
-        for _ in range(dim):
-            sp = sp @ self._w
+        remainder = values - np.matmul(self._trial, coeffs)
+        if owner is not None:   # each segment re-expands U1 in its own Legendre basis
+            u1 = np.matmul(self._project @ npleg.legvander(2.0 * tau - 1.0, q), u1[owner])
+        diff = np.matmul(coeffs, self._ritz)                # (segments, q+1, dof)
+        diff = np.subtract(u1, diff, out=diff)
         scale = wt @ (self._trial * self._trial)   # (segments, q+1): l / (2m+1) by the rule
-        self._err1_sq += float(scale.ravel() @ sp) + remainder
+        self.err1_sq += (float(np.einsum("im,imd,imd,d->", scale, diff, diff, lam))
+                         + _weighted_quadratic(wt, remainder, self._ritz_gram)
+                         + _weighted_quadratic(wt, values, self._floor))
 
-    def _u2_term(self, lo, hi, u2):
-        # Nodal error of U2 against the projected exact trace.  The projection
-        # realizes the exact trace in the discrete H = V_h, matching the
-        # semidiscrete superconvergence statement; measuring against u itself
-        # would re-add the best-approximation floor ~ h^(p+1) that the nodal
-        # component cannot beat.  In the M-orthonormal eigenbasis, where u2
-        # lives, the H norm is the Euclidean one and the projection of a load
-        # vector is V^T load.
-        trace = time_values(self._temporal, self.partition.nodes[lo:hi]) @ self._trace
-        diff = u2 - trace
-        self.per_node[lo:hi] = np.sqrt(np.sum(diff * diff, axis=1))
+    def _covered(self):
+        return 1.0 if self._intervals == self.partition.num_intervals else np.nan
 
     def report(self):
-        """The ErrorReport of the chunks fed, which must cover the level once:
-        otherwise the V error is NaN, and so is the nodal maximum if a node
-        was not fed."""
-        covered = self._intervals == self.partition.num_intervals
-        return ErrorReport(
-            err_u1_L2V=float(np.sqrt(self._err1_sq)) if covered else np.nan,
-            err_u2_nodal_max=float(self.per_node.max()),
-            per_node=self.per_node,
-        )
+        """The ErrorReport of the chunks fed; a node not fed makes the maximum NaN."""
+        return ErrorReport(float(np.sqrt(self.err1_sq * self._covered())),
+                           float(self.per_node.max()), self.per_node)
+
+    def result(self, c_s):
+        """The bound lhs = ||U1||_{L2(V)}^2 + ||U2^(N)||_H^2 <= rhs = c_s^2
+        ||f||_{L2(H^-1)}^2 + ||u0||_H^2, not satisfied where a side reads NaN,
+        as it does if its end node was not fed (rhs: node 0, lhs: node N)."""
+        u1_sq, f_sq = self.u1_sq * self._covered(), self.f_sq * self._covered()
+        lhs, rhs = u1_sq + self.u2N_sq, c_s ** 2 * f_sq + self.u0_sq
+        return {"lhs": lhs, "rhs": rhs, "u1_L2V_sq": u1_sq, "u2_final_H_sq": self.u2N_sq,
+                "f_dual_sq": f_sq, "u0_H_sq": self.u0_sq,
+                "satisfied": bool(lhs <= rhs * (1.0 + 1e-9))}
 
 
-def _feed(sums, solution):
-    """sums (ErrorNorms or StabilitySums) fed a whole SpaceTimeSolution in
-    the chunks of march_chunks, so they equal a streamed level's bit for bit."""
+def _feed(problem, solution, **which):
+    """The LevelSums of a whole SpaceTimeSolution, fed in the chunks of
+    march_chunks, so they equal a streamed level's bit for bit."""
+    sums = LevelSums(problem, solution.space, solution.partition, solution.q, **which)
     for lo, hi in march_chunks(solution.space, solution.partition, solution.q):
         sums.add(lo, hi, solution.u1[lo:hi], solution.u2[lo:hi + 1])
     return sums
 
 
 def error_norms(solution, problem):
-    """ErrorNorms of a whole SpaceTimeSolution."""
-    return _feed(ErrorNorms(problem, solution.space, solution.partition, solution.q),
-                 solution).report()
+    """LevelSums.report of a whole SpaceTimeSolution."""
+    return _feed(problem, solution, bound=False).report()
+
+
+def stability_check(solution, problem, c_s):
+    """LevelSums.result of a whole SpaceTimeSolution."""
+    return _feed(problem, solution, errors=False).result(c_s)
 
 
 def fit_rate(pairs):
@@ -323,72 +349,3 @@ def cfl_constant(space, k_max):
     """k_max times the largest generalized eigenvalue of (K, M)."""
     lam_max = float(space.eigenvalues.max())
     return float(k_max) * lam_max
-
-
-class StabilitySums:
-    """Both sides of the discrete stability bound, accumulated over the
-    chunks of a march (solver.march).
-
-    lhs = ||U1||_{L2(V)}^2 + ||U2^(N)||_H^2 and
-    rhs = c_s^2 ||f||_{L2(H^-1)}^2 + ||u0||_H^2, all realized on V_h.  In
-    the modal coordinates a = V^T M u of the solution, ||u||_H^2 = sum a^2
-    and ||u||_V^2 = sum lambda a^2, and a load vector f has
-    ||f||_{H^-1}^2 = sum (V^T f)^2 / lambda, so no solve is needed.  With
-    f = sum_r X_r T_r that is T^T G T, G the Gram matrix of the factors'
-    modal loads v_r weighted by 1/lambda, formed once per level.  The f
-    term does not depend on the solution, but add sums it over the chunk's
-    intervals too, at q+4 Gauss points per time segment; a level then takes
-    one pass over its intervals, and result only combines the sums, which
-    read NaN unless every interval was fed once.
-    """
-
-    def __init__(self, problem, space, partition, q):
-        if problem.impulses:
-            raise ValueError("stability bound implemented for impulse-free forcing")
-        self.problem, self.space, self.partition, self.q = problem, space, partition, q
-        loads = factor_loads(space, [X for X, _ in problem.rhs or ()])
-        self._gram = (loads / space.eigenvalues) @ loads.T
-        self._temporal = [T for _, T in problem.rhs or ()]
-        self._intervals = 0
-        self.u1_sq = self.f_sq = 0.0
-        self.u0_sq = self.u2N_sq = np.nan
-
-    def add(self, lo, hi, u1, u2):
-        """Feed u1 of the intervals lo..hi-1 and u2 of the nodes lo..hi."""
-        scale = self.partition.widths[lo:hi, None] / (2.0 * np.arange(self.q + 1) + 1.0)  # k/(2m+1)
-        self.u1_sq += float(np.einsum("im,imd,imd,d->", scale, u1, u1, self.space.eigenvalues))
-        self._intervals += hi - lo
-        if lo == 0:
-            self.u0_sq = float(np.sum(u2[0] * u2[0]))
-        if hi == self.partition.num_intervals:
-            self.u2N_sq = float(np.sum(u2[-1] * u2[-1]))
-        if not self._temporal:   # f = 0
-            return
-        t, _, w, _ = quadrature_nodes(self.partition, lo, hi, self.q + 4,
-                                      self.problem.time_breakpoints)
-        self.f_sq += _weighted_quadratic(w, time_values(self._temporal, t), self._gram)
-
-    def result(self, c_s):
-        """The bound of the chunks fed, which must cover the level once, with
-        the equivalence constant c_s: otherwise the interval sums read NaN,
-        and so does a side whose end node was not fed (rhs: node 0, lhs:
-        node N), and the bound is not satisfied."""
-        covered = 1.0 if self._intervals == self.partition.num_intervals else np.nan
-        u1_sq, f_sq = self.u1_sq * covered, self.f_sq * covered
-        lhs = u1_sq + self.u2N_sq
-        rhs = c_s ** 2 * f_sq + self.u0_sq
-        return {
-            "lhs": lhs,
-            "rhs": rhs,
-            "u1_L2V_sq": u1_sq,
-            "u2_final_H_sq": self.u2N_sq,
-            "f_dual_sq": f_sq,
-            "u0_H_sq": self.u0_sq,
-            "satisfied": bool(lhs <= rhs * (1.0 + 1e-9)),
-        }
-
-
-def stability_check(solution, problem, c_s):
-    """StabilitySums of a whole SpaceTimeSolution."""
-    return _feed(StabilitySums(problem, solution.space, solution.partition, solution.q),
-                 solution).result(c_s)

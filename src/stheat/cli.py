@@ -29,9 +29,8 @@ with errors that the levels have distinct step sizes.  main maps each
 failure to its exit code.
 
 A level of `run` streams: run_level feeds each chunk of the march to the
-error norms and, with diagnostics, to the stability sums, and drops it, so
-a level's memory grows with the spatial unknowns and not with N times them
-(level_bytes).
+level's sums (analysis.LevelSums) and drops it, so a level's memory grows
+with the spatial unknowns and not with N times them (level_bytes).
 
 No command imports scipy, diagnostics included, and no numpy module loads
 inside main after the package's import, so a level pays for no import.
@@ -47,7 +46,7 @@ import sys
 
 import numpy as np
 
-from .analysis import ErrorNorms, StabilitySums, cfl_constant, diagnostic_constants, fit_rate
+from .analysis import LevelSums, cfl_constant, diagnostic_constants, fit_rate
 from .fem import assemble
 from .problems import problem_by_id, validate_residual
 from .solver import chunk_length, impulse_nodes, march
@@ -170,25 +169,12 @@ def level_geometry(cfg, idx, final_time):
 
 def level_bytes(dimension, n, p, q, N, diagnostics=False, run=True, errors=False):
     """Lower bound on the memory of a level: the largest of the peaks of
-    assemble, of the march (if run) with the consumers that it feeds (the
-    error norms if errors, the stability sums if diagnostics), and of the
-    diagnostics, if any.  It counts one interval width, as an exactly
-    uniform partition has, and one product term of the data, as every
-    problem of the catalogue has; it leaves out the march's inverses and
-    the diagnostics' blocks of each further width, and the row that a kink
-    cutting an interval adds to its chunk.  No term grows with N dof: a run
-    holds one chunk of its solution at a time, and the inverses of that
-    chunk's widths.  Beside what the level keeps (with errors, the exact
-    gradients on the spatial grid and the trace's modal load), the march's
-    peak is the larger of a spatial factor's load on its grid, once a
-    level, and its per-chunk stages beside the inverses: the chunk's
-    scalar time quadrature beside its load moments, the gather of the
-    inverses, the solution beside its recurrence terms, the solution beside
-    the error norms' gathered rows and beside the f term's quadrature, each
-    of the whole chunk; numpy holds two buffers of up to getbufsize()
-    doubles on top while the chunk's einsums run, and while the
-    diagnostics' blocks broadcast over the widths.  The README gives the
-    formula and what each term holds.
+    assemble, of the march (if run) with the level's sums that it feeds (the
+    error norms if errors, the stability bound if diagnostics), and of the
+    diagnostics, if any.  It counts one interval width and one product term
+    of the data, as an exactly uniform partition and every catalogue problem
+    have.  No term grows with N dof: a run holds one chunk of its solution
+    at a time.  The README gives the formula and what each term holds.
     """
     line = n * p - 1
     dof = line ** dimension
@@ -196,18 +182,18 @@ def level_bytes(dimension, n, p, q, N, diagnostics=False, run=True, errors=False
     kept = march = 3 * line ** 2 + 2 * N + 1
     if run:
         points, grid = (n * (p + 2)) ** dimension, (n * (p + 4)) ** dimension
-        kept += (N + 1 + dimension * grid + dof) * errors + dof * diagnostics
         c = min(N, chunk_length(q, points))
         solution = (c * (q + 2) + 1) * dof
-        once = max(points * (2 * p + 3) // (p + 2), 2 * grid * errors)
+        once = max(points * (2 * p + 3) // (p + 2),
+                   (2 * dimension * grid + 2 * np.getbufsize() * (dimension > 1)) * errors)
         stages = [c * (4 * q + 11 + (q + 2) * dof),
                   c * ((q + 1) ** 2 + 2 * q + 3) * dof,
                   (c * (3 * q + 6) + 1) * dof,
-                  (solution + c * (q + 1) * (dof + (dimension + 1) * grid + 1)
-                   + 4 * c * (q + 4)) * errors,
+                  (solution + c * (q + 1) * (dof + 2) + 6 * c * (q + 4)) * errors,
                   (solution + 6 * c * (q + 4)) * diagnostics]
         buffers = 2 * min(np.getbufsize(), c * (q + 1) ** 2 * dof)
-        march = kept + max(once, ((q + 1) ** 2 + q + 5) * dof + buffers + max(stages))
+        march = kept + (N + 1 + 2 * dof) * errors + max(
+            once, ((q + 1) ** 2 + q + 5) * dof + buffers + max(stages))
     diag = dof + 5 * N + 4 * (q + 2) ** 2 + 2 * np.getbufsize() if diagnostics else 0
     return 8 * max(assembly, march, kept + diag)
 
@@ -261,29 +247,24 @@ def _build_level(cfg, idx, problem):
 def run_level(cfg, idx, problem):
     """Solve one refinement level; returns its row of summary.json.
 
-    The level's solution is never held whole: every chunk of the march
-    goes to the error norms and, with diagnostics, to the stability sums,
-    and is dropped.  c_S needs only the space and the partition, so the
-    diagnostics come first."""
+    Every chunk of the march goes to the level's sums and is dropped, so the
+    solution is never held whole.  c_S needs only the space and the
+    partition, so the diagnostics come first."""
     space, partition = _build_level(cfg, idx, problem)
     row = {"n": space.n, "N": partition.num_intervals, "h": space.h, "k": partition.k_max}
-    errors = ErrorNorms(problem, space, partition, cfg.q) if cfg.errors else None
-    stability = None
+    bound = cfg.diagnostics and not problem.impulses   # what the bound needs
     if cfg.diagnostics:
         row["diagnostics"] = block = level_diagnostics(space, partition, cfg.q)
-        if not problem.impulses:   # what the bound needs
-            stability = StabilitySums(problem, space, partition, cfg.q)
-    sums = [acc for acc in (errors, stability) if acc is not None]
+    sums = LevelSums(problem, space, partition, cfg.q, cfg.errors, bound)
     for chunk in march(problem, space, partition, cfg.q):
-        for acc in sums:
-            acc.add(*chunk)
+        sums.add(*chunk)
         del chunk   # the next chunk is computed without this one
-    if errors is not None:
-        report = errors.report()
+    if cfg.errors:
+        report = sums.report()
         row["err_u1_L2V"] = report.err_u1_L2V
         row["err_u2_nodal_max"] = report.err_u2_nodal_max
-    if stability is not None:
-        block["stability"] = stability.result(block["c_S"])
+    if bound:
+        block["stability"] = sums.result(block["c_S"])
     return row
 
 

@@ -13,13 +13,13 @@ against all X yields one square linear system.  Each interval's interior
 test functions only see that interval, so the system is an
 interval-by-interval march.  march, below, is the one solver: a generator
 that yields the solution one chunk of intervals at a time, so a run never
-holds it whole (cli.run_level feeds each chunk to the error norms and the
-stability sums and drops it).  march_chunks is the only chunk plan of a
-level: the consumers take its chunks whole and pass over no interval after
-the march.  run_decomposed collects the chunks into a SpaceTimeSolution;
-the coupled one-shot solve of the whole system (solve_global in
-tests/reference.py) and the dense step LocalBlockSystem, on the dense
-matrices the tests form, are references the tests compare it against.
+holds it whole (cli.run_level feeds each chunk to analysis.LevelSums and
+drops it).  march_chunks is the only chunk plan of a level: the consumers
+take its chunks whole and pass over no interval after the march.
+run_decomposed collects the chunks into a SpaceTimeSolution; the coupled
+one-shot solve of the whole system (solve_global in tests/reference.py)
+and the dense step LocalBlockSystem, on the dense matrices the tests form,
+are references the tests compare it against.
 
 On interval [a, a+k] with U1 = sum_m c_m P_m(tau), tau = (s-a)/k, testing
 with X = l_j(tau) v gives for j = 0 .. q+1
@@ -140,7 +140,7 @@ class LocalBlockSystem:
 
 
 # The size of a chunk of the march: about this many values of q+3 times per interval on the
-# spatial grid of the loads, the scale of the error norms' gathered rows (cli.level_bytes).
+# spatial grid of the loads, though no stage of a chunk evaluates on it (cli.level_bytes).
 CHUNK_VALUES = 1 << 15
 
 

@@ -151,7 +151,9 @@ def quadrature_nodes(partition, lo, hi, npoints, breakpoints=()):
     nodes = partition.nodes[lo:hi + 1]
     pts = np.sort(np.concatenate((nodes, cut_points(partition, breakpoints, lo, hi))))
     seg = np.diff(pts)[:, None]
-    t, weight = pts[:-1, None] + seg * points, seg * weights
+    # outer products as matmuls, which hold no ufunc buffers, and t built in place
+    t, weight = seg @ points[None], seg @ weights[None]
+    t += pts[:-1, None]
     if pts.size == nodes.size:   # no interval of the block is cut: segments are intervals
         return t, points, weight, None
     owner = np.searchsorted(nodes, pts[:-1], side="right") - 1

@@ -9,8 +9,7 @@ import scipy.linalg
 
 from stheat import analysis
 from stheat.analysis import (
-    ErrorNorms,
-    StabilitySums,
+    LevelSums,
     _grams,
     _condense,
     _last_pivot,
@@ -205,8 +204,8 @@ def test_an_exact_gradient_must_give_one_component_per_axis():
         for grad in (lambda *x: space.grad(*x)[0], lambda *x: space.grad(*x)[:1] * 3):
             wrong = ExactSolution(((dataclasses.replace(space, grad=grad), time),))
             with pytest.raises(ValueError, match="one per axis"):
-                ErrorNorms(dataclasses.replace(problem, exact=wrong), assemble(*args),
-                           make_uniform_partition(1.0, 256), 0)
+                LevelSums(dataclasses.replace(problem, exact=wrong), assemble(*args),
+                          make_uniform_partition(1.0, 256), 0)
 
 
 def _dense_gram_trial(space, partition, q):
@@ -718,12 +717,12 @@ def test_unforced_scheme_keeps_the_energy_identity(dimension, q, uniform):
 
 
 def test_stability_result_evaluates_no_rhs(monkeypatch):
-    """Once the last chunk is fed, StabilitySums.result only combines the
-    sums: with the rhs and fem.load_vector both raising, it returns the
-    block of stability_check.  heat1d-lowreg, N = 301 marches in 3 chunks."""
+    """Once the last chunk is fed, LevelSums.result only combines the sums:
+    with the rhs and fem.load_vector both raising, it returns the block of
+    stability_check.  heat1d-lowreg, N = 301 marches in 3 chunks."""
     problem = problem_1d_lowreg(0.1)
     space, part, q = assemble(1, 16, 2), make_uniform_partition(1.0, 301), 1
-    sums = StabilitySums(problem, space, part, q)
+    sums = LevelSums(problem, space, part, q)
     for chunk in march(problem, space, part, q):
         sums.add(*chunk)
     expected = stability_check(run_decomposed(problem, space, part, q), problem, 1.7)
@@ -734,6 +733,49 @@ def test_stability_result_evaluates_no_rhs(monkeypatch):
     monkeypatch.setattr(fem, "load_vector", refuse)
     sums.problem = dataclasses.replace(problem, rhs=((refuse, refuse),))
     assert sums.result(1.7) == expected
+
+
+def test_level_sums_evaluate_nothing_in_space_after_set_up(monkeypatch):
+    """Once LevelSums is set up, its chunks touch no spatial grid: with
+    fem.gather, fem.load_vector and every spatial callable of the data
+    raising, it takes every chunk of a 2D q=1 level (heat2d-smooth, p=2,
+    n=4, N=40, 2 march chunks) and its report and bound equal error_norms
+    and stability_check."""
+    armed = []
+
+    def guarded(f):
+        def g(*x):
+            if armed:
+                raise AssertionError("a chunk evaluated the data in space")
+            return f(*x)
+        return g
+
+    smooth = problem_2d_smooth()
+    (X, T), = smooth.exact.terms
+    (F, S), = smooth.rhs
+    X = SpaceFactor(guarded(X.value), guarded(X.grad), guarded(X.laplacian))
+    problem = dataclasses.replace(smooth, exact=ExactSolution(((X, T),)),
+                                  rhs=((guarded(F), S),))
+    space, part, q = assemble(2, 4, 2), make_uniform_partition(1.0, 40), 1
+    sol = run_decomposed(problem, space, part, q)
+    errors, bound = error_norms(sol, problem), stability_check(sol, problem, 1.7)
+    sums = LevelSums(problem, space, part, q)
+    armed.append(True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a chunk evaluated on the spatial grid")
+
+    monkeypatch.setattr(fem, "gather", refuse)
+    monkeypatch.setattr(fem, "load_vector", refuse)
+    chunks = march_chunks(space, part, q)
+    assert len(chunks) == 2
+    for lo, hi in chunks:
+        sums.add(lo, hi, sol.u1[lo:hi], sol.u2[lo:hi + 1])
+    report = sums.report()
+    assert (report.err_u1_L2V, report.err_u2_nodal_max) == (errors.err_u1_L2V,
+                                                            errors.err_u2_nodal_max)
+    assert np.array_equal(report.per_node, errors.per_node)
+    assert sums.result(1.7) == bound
 
 
 def test_quadrature_is_chunk_invariant(monkeypatch):
@@ -768,7 +810,7 @@ def test_quadrature_is_chunk_invariant(monkeypatch):
     ("heat1d-smooth", 32, 2, 0, 1024),  # march chunks of 85 intervals
 ])
 def test_error_and_stability_sums_do_not_depend_on_the_chunks(problem_id, n, p, q, N):
-    """ErrorNorms and StabilitySums fed one collected level in the march's
+    """LevelSums fed one collected level in the march's
     chunks, in chunks of one interval, and in chunks of seven (the last one
     shorter) agree with error_norms and stability_check: bit for bit in the
     march's chunks, else to 1e-13 relative.  Each nodal error agrees bit
@@ -787,11 +829,10 @@ def test_error_and_stability_sums_do_not_depend_on_the_chunks(problem_id, n, p, 
              "seven": [(lo, min(lo + 7, N)) for lo in range(0, N, 7)]}
     assert len(plans["march"]) > 1
     for name, plan in plans.items():
-        sums = ErrorNorms(problem, space, part, q), StabilitySums(problem, space, part, q)
+        sums = LevelSums(problem, space, part, q)
         for lo, hi in plan:
-            for acc in sums:
-                acc.add(lo, hi, sol.u1[lo:hi], sol.u2[lo:hi + 1])
-        report, bound = sums[0].report(), sums[1].result(1.7)
+            sums.add(lo, hi, sol.u1[lo:hi], sol.u2[lo:hi + 1])
+        report, bound = sums.report(), sums.result(1.7)
         if name == "march":
             assert (report.err_u1_L2V, report.err_u2_nodal_max) == (
                 errors.err_u1_L2V, errors.err_u2_nodal_max)
@@ -804,7 +845,7 @@ def test_error_and_stability_sums_do_not_depend_on_the_chunks(problem_id, n, p, 
 
 
 def test_sums_of_chunks_that_miss_the_first_read_nan():
-    """ErrorNorms and StabilitySums fed every chunk of the march but the
+    """LevelSums fed every chunk of the march but the
     first (1D heat1d-smooth, p=2, n=16, N=256, q=0) read NaN in every sum
     that the level does not cover: the nodes not fed and the nodal maximum
     of the errors, the V error (0.01623 at the sums of the intervals fed
@@ -813,13 +854,12 @@ def test_sums_of_chunks_that_miss_the_first_read_nan():
     problem = problem_1d_smooth()
     space, part, q = assemble(1, 16, 2), make_uniform_partition(1.0, 256), 0
     assert len(march_chunks(space, part, q)) > 1
-    errors, stability = ErrorNorms(problem, space, part, q), StabilitySums(problem, space, part, q)
+    sums = LevelSums(problem, space, part, q)
     chunks = march(problem, space, part, q)
     lo = next(chunks)[1]
     for chunk in chunks:
-        errors.add(*chunk)
-        stability.add(*chunk)
-    report, bound = errors.report(), stability.result(1.7)
+        sums.add(*chunk)
+    report, bound = sums.report(), sums.result(1.7)
     assert np.isnan(report.per_node[:lo]).all() and np.isfinite(report.per_node[lo:]).all()
     assert np.isnan(report.err_u2_nodal_max) and np.isnan(report.err_u1_L2V)
     assert np.isnan(bound["rhs"]) and np.isnan(bound["u0_H_sq"]) and np.isnan(bound["lhs"])
@@ -829,16 +869,15 @@ def test_sums_of_chunks_that_miss_the_first_read_nan():
 
 
 def test_sums_fed_a_chunk_twice_read_nan():
-    """ErrorNorms and StabilitySums count the intervals fed: a level whose
+    """LevelSums counts the intervals fed: a level whose
     first chunk is fed twice reads NaN in its V error and in both sides of
     the bound, though every node has a finite error."""
     problem = problem_1d_smooth()
     space, part, q = assemble(1, 16, 2), make_uniform_partition(1.0, 256), 0
-    errors, stability = ErrorNorms(problem, space, part, q), StabilitySums(problem, space, part, q)
+    sums = LevelSums(problem, space, part, q)
     chunks = list(march(problem, space, part, q))
     for chunk in chunks[:1] + chunks:
-        errors.add(*chunk)
-        stability.add(*chunk)
-    report, bound = errors.report(), stability.result(1.7)
+        sums.add(*chunk)
+    report, bound = sums.report(), sums.result(1.7)
     assert np.isfinite(report.per_node).all() and np.isnan(report.err_u1_L2V)
     assert np.isnan(bound["lhs"]) and np.isnan(bound["rhs"]) and bound["satisfied"] is False

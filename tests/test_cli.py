@@ -342,34 +342,37 @@ def test_experiment_config_is_frozen():
 def test_level_bytes_counts_the_solution_arrays():
     # doubles: the line matrices M, K and the eigenbasis 3(np-1)^2; the
     # partition's nodes and widths 2N+1; with errors, the per-node errors
-    # N+1, the exact gradients on the grid dim (n(p+4))^dim and the trace's
-    # modal load dof; rows of dof doubles: the local inverses, r and alpha
-    # of one width, (q+1)^2 + q+2, the eigenvalues, the carried nodal value
-    # and the rhs factor's modal load 3; then, for a chunk of c intervals,
+    # N+1 and the modal loads of the trace and of its Ritz projection 2 dof,
+    # and once a level the floor's exact and discrete gradients on the grid,
+    # 2 dim (n(p+4))^dim, with numpy's two buffers in 2D; rows of dof
+    # doubles: the local inverses, r and alpha of one width, (q+1)^2 + q+2,
+    # the eigenvalues, the carried nodal value and the rhs factor's modal
+    # load 3; then, for a chunk of c intervals,
     # the largest of: its scalar time quadrature (times, weights and factor
     # values, 3(q+3), and moments q+2 an interval) beside its load moments,
     # (q+2) dof an interval; the gather of its inverses beside its moments
     # and forced parts, (q+1)^2 + 2q+3 rows an interval; its solution beside
     # its recurrence terms, 3q+6 rows an interval and 1; with errors, its
-    # solution c(q+2)+1 rows beside the gathered coefficient rows, c(q+1)
-    # of dof + (dim+1)(n(p+4))^dim + 1 values, and the quadrature of the
-    # time factors, 4c(q+4); on top of the stage, numpy's two einsum buffers
+    # solution c(q+2)+1 rows beside the modal error rows and the Legendre
+    # coefficients, c(q+1) of dof + 2 values, and the quadrature of the time
+    # factors, 6c(q+4); on top of the stage, numpy's two einsum buffers
     # of getbufsize() doubles, or of the c(q+1)^2 dof values of the gather
     # if fewer.  No term grows with N dof.
     # 1D p=2, n=4: dof 7; q=0, N=10: one chunk of 10 intervals
     kept = 3 * 7 ** 2 + 21
     assert level_bytes(1, 4, 2, 0, 10) == (kept + 6 * 7 + 2 * 70 + 61 * 7) * 8
-    # with errors: 10 rows of 7 + 2 * 24 + 1 values beside the solution
+    # with errors: 10 rows of 7 + 2 values beside the solution, and 6 * 4
+    # values an interval of the time quadrature
     assert level_bytes(1, 4, 2, 0, 10, False, True, True) == (
-        kept + 11 + 24 + 7 + 6 * 7 + 2 * 70 + 21 * 7 + 10 * (7 + 2 * 24 + 1) + 4 * 10 * 4) * 8
-    # 2D p=2, n=64: dof 127^2; q=1, N=4096: one interval a chunk, whose 2
-    # rows of 3 * 384^2 gathered values set the level: 12.3 MB, not the
-    # 1.06 GB of its solution
-    kept, dof = 3 * 127 ** 2 + 8193 + 4097 + 2 * 384 ** 2 + 127 ** 2, 127 ** 2
+        kept + 11 + 2 * 7 + 6 * 7 + 2 * 70 + 21 * 7 + 10 * (7 + 2) + 6 * 10 * 4) * 8
+    # 2D p=2, n=64: dof 127^2; q=1, N=4096: one interval a chunk; the
+    # floor's two gradients on the grid of 384^2 points, once a level,
+    # beside numpy's two buffers, set the level: 5.6 MB, not the 1.06 GB of
+    # its solution (12.3 MB while every chunk gathered its error rows)
+    kept, dof = 3 * 127 ** 2 + 8193 + 4097 + 2 * 127 ** 2, 127 ** 2
     errors = level_bytes(2, 64, 2, 1, 4096, False, True, True)
-    assert errors == (kept + 10 * dof + BUFFERS + 4 * dof + 2 * (dof + 3 * 384 ** 2 + 1)
-                      + 20) * 8
-    assert errors < 12.3e6 < 1.06e9 < 8 * 4097 * 3 * dof
+    assert errors == (kept + 2 * 2 * 384 ** 2 + BUFFERS) * 8
+    assert errors < 5.6e6 < 1.06e9 < 8 * 4097 * 3 * dof
     # errors off: one interval's solution beside its recurrence terms, 10 rows
     assert level_bytes(2, 64, 2, 1, 4096) == (3 * 127 ** 2 + 8193 + 10 * dof + BUFFERS
                                               + 10 * dof) * 8
@@ -389,26 +392,26 @@ def test_level_bytes_counts_the_diagnostic_bands():
     # np.unique; four arrays of the interval blocks of one width of the one
     # mode they search, (q+2)^2 values each; numpy's two ufunc buffers,
     # while the blocks broadcast over the widths.  On a run, the stability
-    # sums keep the rhs factor's modal load, 1 row, and add a stage to the
-    # march: a chunk's solution beside its f term's quadrature times,
+    # bound keeps no row, and adds a stage to the march: a chunk's solution
+    # beside its f term's quadrature times,
     # weights, factor values and their temporaries, 6 values a time, q+4
     # times an interval.  1D p=1, n=2: dof 1, one mode.
     # q=0, N=10^6: the width index beside the eigenvalues and the blocks
     # beats the march
     kept, diag = 3 + 2000001, 1 + 5 * 10 ** 6 + 4 * 4 + BUFFERS
-    assert level_bytes(1, 2, 1, 0, 10 ** 6, True) == (kept + 1 + diag) * 8
+    assert level_bytes(1, 2, 1, 0, 10 ** 6, True) == (kept + diag) * 8
     assert level_bytes(1, 2, 1, 0, 10 ** 6) < (kept + diag) * 8
     # q=0, N=1365: the f term of one chunk of 1365 intervals, 6 * 4 values
     # each, beside the chunk's 1365 * 2 + 1 solution rows, beats the rest
     # of the march and the diagnostics
     assert level_bytes(1, 2, 1, 0, 1365, True) == (
-        3 + 2731 + 1 + 6 + 2 * 1365 + 2731 + 6 * 1365 * 4) * 8
+        3 + 2731 + 6 + 2 * 1365 + 2731 + 6 * 1365 * 4) * 8
     # diagnose keeps no solution and runs no march: at q=9, N=2000 the march
-    # sets a run's memory, with the stability sums' modal load beside it,
-    # and diagnose needs less than half of it
+    # sets a run's memory, with the stability bound or without, and
+    # diagnose needs less than half of it
     diagnose = level_bytes(1, 2, 1, 9, 2000, True, False)
     assert diagnose == (3 + 4001 + 1 + 10000 + 4 * 121 + BUFFERS) * 8
-    assert level_bytes(1, 2, 1, 9, 2000, True) == level_bytes(1, 2, 1, 9, 2000) + 8
+    assert level_bytes(1, 2, 1, 9, 2000, True) == level_bytes(1, 2, 1, 9, 2000)
     assert diagnose < level_bytes(1, 2, 1, 9, 2000) / 2
 
 
@@ -470,10 +473,10 @@ def test_time_bases_are_evaluated_once_per_level(monkeypatch):
 def test_a_level_integrates_its_spatial_factors_once(monkeypatch):
     """heat1d-smooth, 1D p=2, n=16, q=1, errors and diagnostics on: the
     number of fem.load_vector calls of a level does not grow with N (one
-    for the rhs factor in the march and one in the stability sums, one for
-    the trace factor of the error norms), and the U1 error gathers the
-    (q+1)(hi-lo) coefficient rows of each chunk, not its q+4 times a
-    interval."""
+    for the rhs factor in the march and one for the stability bound, one
+    for the trace factor of the error norms and one for its Laplacian, the
+    load of its Ritz projection), and fem.gather runs once a level, on the
+    one row of that projection, not on any chunk."""
     calls, rows = [], []
     load_vector, gather = stheat.fem.load_vector, stheat.fem.gather
     monkeypatch.setattr(stheat.fem, "load_vector",
@@ -487,9 +490,8 @@ def test_a_level_integrates_its_spatial_factors_once(monkeypatch):
         del calls[:], rows[:]
         run_level(cfg, 0, problem_by_id("heat1d-smooth"))
         counts.append(len(calls))
-        chunks = stheat.solver.march_chunks(assemble(1, 16, 2), make_uniform_partition(1.0, N), 1)
-        assert rows == [2 * (hi - lo) for lo, hi in chunks], N
-    assert counts == [3, 3]
+        assert rows == [1], N
+    assert counts == [4, 4]
 
 
 def test_level_memory_is_independent_of_the_interval_count():
@@ -595,9 +597,8 @@ def test_diagnose_refuses_a_level_that_only_its_bands_overflow(tmp_path, monkeyp
     """1D p=1, n=2, q=0, N=10^6: the march, which holds no index over the
     intervals, sets a run at 16218480 bytes, and the diagnostics' width
     index (5N doubles at np.unique's peak) beside the eigenvalue, their
-    mode's blocks and numpy's two buffers sets diagnose at 56131240 bytes,
-    and a run with them, which keeps the stability sums' modal load too,
-    at 56131248; so on a machine of 56000000 bytes `diagnose` exits 2
+    mode's blocks and numpy's two buffers sets diagnose, and a run with
+    them, at 56131240 bytes; so on a machine of 56000000 bytes `diagnose` exits 2
     before the level is built, so does a run with diagnostics, and a run
     without them passes the pre-flight."""
     monkeypatch.setattr(stheat.cli, "physical_memory", lambda: 56000000)
@@ -605,7 +606,7 @@ def test_diagnose_refuses_a_level_that_only_its_bands_overflow(tmp_path, monkeyp
                "explicit_N": [1000000], "errors": False}
     assert level_bytes(1, 2, 1, 0, 1000000) == 16218480
     assert level_bytes(1, 2, 1, 0, 1000000, True, False) == 56131240
-    assert level_bytes(1, 2, 1, 0, 1000000, True) == 56131248
+    assert level_bytes(1, 2, 1, 0, 1000000, True) == 56131240
     problem = problem_by_id("heat1d-smooth")
     stheat.cli.preflight(parse_config(json.dumps(payload)), problem, True)
     monkeypatch.setattr(stheat.cli, "assemble", None)   # must never be reached
@@ -752,13 +753,13 @@ def test_a_load_that_turns_nan_exits_3_at_its_chunk(tmp_path, monkeypatch, capsy
         smooth, rhs=((X, lambda t: np.where(t > half, np.nan, T(t))),))
     fed = []
 
-    class Recording(stheat.cli.ErrorNorms):
+    class Recording(stheat.cli.LevelSums):
         def add(self, lo, hi, u1, u2):
             fed.append((lo, hi))
             super().add(lo, hi, u1, u2)
 
     monkeypatch.setattr(stheat.cli, "problem_by_id", lambda pid, epsilon: problem)
-    monkeypatch.setattr(stheat.cli, "ErrorNorms", Recording)
+    monkeypatch.setattr(stheat.cli, "LevelSums", Recording)
     # the spot-check fails this rhs before any level; skip it to reach the march
     monkeypatch.setattr(stheat.cli, "validate_residual", lambda problem, seed: 0.0)
     cfg = _write_config(tmp_path, {"problem": "heat1d-smooth", "p": 2, "levels": [16],
