@@ -169,12 +169,12 @@ def level_geometry(cfg, idx, final_time):
 
 def level_bytes(dimension, n, p, q, N, diagnostics=False, run=True, errors=False):
     """Lower bound on the memory of a level: the largest of the peaks of
-    assemble, of the march (if run) with the level's sums that it feeds (the
-    error norms if errors, the stability bound if diagnostics), and of the
-    diagnostics, if any.  It counts one interval width and one product term
-    of the data, as an exactly uniform partition and every catalogue problem
-    have.  No term grows with N dof: a run holds one chunk of its solution
-    at a time.  The README gives the formula and what each term holds.
+    assemble, of the line's eigenbasis, of the march (if run) with the sums it
+    feeds (the error norms if errors, the stability bound if diagnostics),
+    and of the diagnostics, if any.  It counts one interval width and one
+    product term of the data, as a uniform partition and every catalogue
+    problem have.  No term grows with N dof: a run holds one chunk of its
+    solution at a time.  The README gives the formula and what each term holds.
     """
     line = n * p - 1
     dof = line ** dimension
@@ -195,7 +195,7 @@ def level_bytes(dimension, n, p, q, N, diagnostics=False, run=True, errors=False
         march = kept + (N + 1 + 2 * dof) * errors + max(
             once, ((q + 1) ** 2 + q + 5) * dof + buffers + max(stages))
     diag = dof + 5 * N + 4 * (q + 2) ** 2 + 2 * np.getbufsize() if diagnostics else 0
-    return 8 * max(assembly, march, kept + diag)
+    return 8 * max(assembly, kept + 3 * line ** 2, march, kept + diag)
 
 
 def physical_memory():

@@ -178,10 +178,10 @@ def assemble(dimension, n, p):
         D[e * p + r, e] = dvals[:, r]
     B = B[1:-1].reshape(n * p - 1, -1)
     D = D[1:-1].reshape(n * p - 1, -1)
-    M = (B * w) @ B.T
-    K = (D * w) @ D.T
-    M = 0.5 * (M + M.T)
-    K = 0.5 * (K + K.T)
+    M, K = (B * w) @ B.T, (D * w) @ D.T
+    for A in (M, K):   # symmetrized in place: one L^2 temporary at a time (cli.level_bytes)
+        A += A.T
+        A *= 0.5
     return FemSpace(dimension, n, p, M, K)
 
 

@@ -231,13 +231,6 @@ def _local_inverses(widths, eigenvalues, q):
     return inv.transpose(0, 2, 3, 1), r.transpose(0, 2, 1), alpha
 
 
-def _merge(mask, old, new):
-    """The rows old where mask holds and new where it does not, in one array."""
-    out = np.empty(mask.shape + new.shape[1:])
-    out[mask], out[~mask] = old, new
-    return out
-
-
 def march(problem, space, partition, q):
     """March the scheme mode by mode (module docstring), one chunk of
     march_chunks at a time: yields (lo, hi, u1[lo:hi], u2[lo:hi+1]) for the
@@ -247,11 +240,10 @@ def march(problem, space, partition, q):
     Each chunk's load moments come from the level's modal factor loads, its
     forced parts and recurrence terms are formed for all its intervals at
     once, and the scalar recurrence runs over its intervals for all modes
-    together, starting from the last nodal value of the chunk before.  A
-    chunk holds the local inverses of its own widths: it inverts the blocks
-    of the widths that the chunk before did not hold, and takes the others
-    over from it.  Raises ValueError on the first chunk that holds a
-    non-finite entry.
+    together, starting from the last nodal value of the chunk before.  It
+    forms the local inverses of a chunk's distinct widths when the chunk has
+    one it does not hold: once for a uniform partition (one width), in every
+    chunk of a graded one.  Raises ValueError on a non-finite entry.
     """
     dof = space.dof_count
     jumps = {i: space.modal_loads(v) for i, v in impulse_loads(problem, space, partition).items()}
@@ -264,15 +256,9 @@ def march(problem, space, partition, q):
         k = partition.widths[lo:hi]
         w = held.searchsorted(k)
         if (held.take(w, mode="clip") != k).any():   # a width of this chunk is not held
-            widths, w = np.unique(k, return_inverse=True)
-            at = held.searchsorted(widths)
-            have = held.take(at, mode="clip") == widths
-            kept = [b[at[have]] for b in (inv, r, alpha)] if have.any() else None
-            inv = r = alpha = None   # the rest freed before new ones are formed (cli.level_bytes)
-            inv, r, alpha = _local_inverses(widths[~have], space.eigenvalues, q)
-            if kept is not None:   # the held widths' blocks are taken over, not formed again
-                inv, r, alpha = (_merge(have, *pair) for pair in zip(kept, (inv, r, alpha)))
-            held = widths
+            held, w = np.unique(k, return_inverse=True)
+            inv = r = alpha = None   # freed before the new ones are formed (cli.level_bytes)
+            inv, r, alpha = _local_inverses(held, space.eigenvalues, q)
         kb = interval_moments(problem, space, partition, q, lo, hi, loads)
         kb *= k[:, None, None]
         forced = np.einsum("irsd,isd->ird", inv[w], kb[:, : q + 1])

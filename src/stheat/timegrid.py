@@ -23,7 +23,10 @@ from numpy.polynomial import legendre as npleg
 
 
 class TimePartition:
-    """Strictly increasing finite time nodes t_0 < t_1 < ... < t_N."""
+    """Strictly increasing finite time nodes t_0 < t_1 < ... < t_N.  Where
+    np.diff(nodes) spreads by at most 4 ulps of the largest |node| (linspace's
+    rounding spreads it by 2), widths is one width, (t_N - t_0)/N: it may
+    differ from np.diff(nodes) by up to 2 ulps of t_N.  The nodes are kept."""
 
     def __init__(self, nodes):
         nodes = np.asarray(nodes, dtype=float)
@@ -34,6 +37,9 @@ class TimePartition:
         widths = np.diff(nodes)
         if widths.min() <= 0.0:   # no mask of N bools: cli.level_bytes counts nodes and widths
             raise ValueError("time nodes must be strictly increasing")
+        # the largest |node| from the ends: np.abs(nodes) would add N+1 doubles (cli.level_bytes)
+        if widths.max() - widths.min() <= 4 * np.spacing(max(-nodes[0], nodes[-1])):
+            widths.fill((nodes[-1] - nodes[0]) / (nodes.size - 1))
         self.nodes = nodes
         self.widths = widths
         self.k_max = float(widths.max())
@@ -157,7 +163,7 @@ def quadrature_nodes(partition, lo, hi, npoints, breakpoints=()):
     if pts.size == nodes.size:   # no interval of the block is cut: segments are intervals
         return t, points, weight, None
     owner = np.searchsorted(nodes, pts[:-1], side="right") - 1
-    a, k = nodes[owner, None], partition.widths[lo + owner, None]   # uncut: s0 = a, l = k
+    a, k = nodes[owner, None], np.diff(nodes)[owner, None]   # uncut: s0 = a, l = k
     return t, (pts[:-1, None] - a) / k + seg / k * points, weight, owner
 
 

@@ -434,7 +434,7 @@ def _traced_level(problem_id, n, p, q, N, errors, diagnostics=False):
     ("heat2d-smooth", 24, 3, 9, 2, False),     # the per-mode inverses dominate
     ("heat1d-smooth", 64, 2, 0, 4096, True),   # the error norms' values and the line matrices
     ("heat2d-smooth", 48, 3, 0, 2, False),     # one interval's load block dominates
-    ("heat2d-smooth", 24, 3, 9, 100, False),   # 8 distinct widths, formed anew as they change
+    ("heat2d-smooth", 24, 3, 9, 100, False),   # 100 one-interval chunks, one width formed once
     ("heat2d-smooth", 60, 3, 9, 2, True),      # one interval's error values dominate
     ("heat1d-lowreg", 16, 2, 1, 301, False),   # the kink inside interval 150 cuts its chunk
     ("heat1d-lowreg", 16, 2, 1, 301, True),    # ... and its error values
@@ -451,6 +451,19 @@ def test_level_bytes_tracks_the_march_peak(problem_id, n, p, q, N, errors):
     peak = _traced_level(problem_id, n, p, q, N, errors)
     dimension = problem_by_id(problem_id).dimension
     assert level_bytes(dimension, n, p, q, N, False, True, errors) >= 0.8 * peak
+
+
+@pytest.mark.parametrize("problem_id,n,p,q,N,errors", [
+    ("heat1d-smooth", 64, 2, 0, 4096, True),    # assembly: M and K symmetrized in place
+    ("heat1d-smooth", 64, 3, 0, 4096, False),   # the eigenbasis beside the partition
+], ids=["heat1d-smooth-64-2-0-4096-errors", "heat1d-smooth-64-3-0-4096"])
+def test_level_bytes_counts_the_line_matrices_stages(problem_id, n, p, q, N, errors):
+    """On 1D levels whose line matrices set the memory, the bound is at least
+    0.97 times the traced peak of run_level: the line's eigenbasis takes
+    four line^2 transients beside M, K and the partition's nodes and widths,
+    and assemble symmetrizes M and K in place."""
+    peak = _traced_level(problem_id, n, p, q, N, errors)
+    assert level_bytes(1, n, p, q, N, False, True, errors) >= 0.97 * peak
 
 
 def test_time_bases_are_evaluated_once_per_level(monkeypatch):

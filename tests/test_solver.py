@@ -23,7 +23,7 @@ from stheat.solver import (
     march_chunks,
     run_decomposed,
 )
-from stheat.timegrid import TimePartition, cut_points, make_uniform_partition
+from stheat.timegrid import TimePartition, cut_points, make_uniform_partition, reference_blocks
 from reference import (
     assemble_bilinear,
     assemble_load,
@@ -392,61 +392,88 @@ def _graded(N):
     return TimePartition((np.arange(N + 1) / N) ** 2)
 
 
+def _cycled():
+    """Widths 1, 1.5, 1.5 and six of 2, four times over, in units of 1/64:
+    36 intervals on [0, 1] whose three widths recur bit for bit by design."""
+    return TimePartition(np.cumsum([0.0] + ([1.0, 1.5, 1.5] + [2.0] * 6) * 4) / 64)
+
+
+def _count_formations(monkeypatch):
+    """The number of widths of each np.linalg.inv call from here on: the
+    march inverts the blocks of all the widths it forms in one call."""
+    formed, inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda A: formed.append(A.shape[0]) or inv(A))
+    return formed
+
+
 @pytest.mark.parametrize("problem,space_args,partition,q", [
     (problem_1d_smooth(), (1, 5, 2), _graded(42), 1),
     (problem_1d_lowreg(0.5), (1, 4, 2), make_uniform_partition(1.0, 45), 2),
     (_decay(1), (1, 6, 1), make_uniform_partition(1.0, 45), 0),
     (problem_2d_smooth(), (2, 3, 1), _graded(42), 1),
     (problem_2d_smooth(), (2, 3, 2), make_uniform_partition(1.0, 45), 0),
+    (problem_2d_smooth(), (2, 3, 2), _cycled(), 1),
 ])
 def test_march_across_chunks_of_changing_widths(monkeypatch, problem, space_args, partition, q):
     """Chunks of three intervals: a graded partition has new widths in every
-    chunk, so the march forms the local inverses in each; linspace's 45
-    intervals have seven distinct widths that appear, recur and change
-    between chunks, so it forms them in some chunks and keeps them in the
-    others.  The march equals the interval march and the coupled solve."""
+    chunk, so the march forms the local inverses in each; a uniform one has
+    one width, formed once; the cycled widths appear, recur and change
+    between chunks, so the march forms them in the 8 of 12 chunks that have
+    a width it does not hold.  The march equals the interval march and the
+    coupled solve."""
     space = assemble(*space_args)
     monkeypatch.setattr(solver, "CHUNK_VALUES", 3 * (q + 3) * space.grid_size(space.degree + 2))
     plan = march_chunks(space, partition, q)
     assert {hi - lo for lo, hi in plan} == {3}
     interval = march_interval_by_interval(problem, space, partition, q)
-    formed, inv = [], np.linalg.inv   # the march inverts the blocks of the widths it forms
-    monkeypatch.setattr(np.linalg, "inv", lambda A: formed.append(A.shape[0]) or inv(A))
+    formed = _count_formations(monkeypatch)
     sol = run_decomposed(problem, space, partition, q)
     monkeypatch.undo()
-    if np.unique(partition.widths).size == partition.num_intervals:   # graded
+    distinct = np.unique(partition.widths).size
+    if distinct == partition.num_intervals:   # graded
         assert formed == [3] * len(plan)
-    else:
-        assert 1 < len(formed) < len(plan) and max(formed) <= 3
+    elif distinct == 1:   # uniform
+        assert formed == [1]
+    else:   # [1, 1.5, 1.5], [2, 2, 2] twice, four times over
+        assert formed == [2, 1] * 4 and len(plan) == 12
     assert _relative_gap(sol, *interval) <= 1e-12
     ref = solve_global(problem, space, partition, q)
     assert _relative_gap(sol, ref.u1, ref.u2) <= 1e-12
 
 
 def test_march_forms_each_width_of_a_linspace_level_once(monkeypatch):
-    """1D p=2, n=100, q=0, N=4000: linspace gives 11 distinct widths, which
-    appear, recur and change over the 149 march chunks.  The march inverts
-    the blocks of a width only when it does not hold them, and takes the
-    held ones over, so it inverts 11 widths' blocks in all (22 when a chunk
-    with a new width formed all of its own again).  The march equals the
-    march in one chunk, which forms the 11 widths' blocks at once, bit for
-    bit, and the dense interval march on the FE matrices to 1e-11 relative:
-    that march drifts by 2.1e-12 over the 4000 intervals, as it did when
-    the march formed every width of a chunk again."""
+    """1D p=2, n=100, q=0, N=4000: linspace's nodes have one width
+    (timegrid.TimePartition), so the march forms the local inverses once
+    over its 149 chunks.  It equals the march in one chunk bit for bit, and
+    the dense interval march on the FE matrices to 1e-11 relative: that
+    march drifts by 2.1e-12 over the 4000 intervals."""
     problem, space = problem_1d_smooth(), assemble(1, 100, 2)
     partition = make_uniform_partition(1.0, 4000)
-    assert np.unique(partition.widths).size == 11 and len(march_chunks(space, partition, 0)) == 149
+    assert np.unique(partition.widths).size == 1 and len(march_chunks(space, partition, 0)) == 149
     interval = march_interval_by_interval(problem, space, partition, 0)
     space.eigenvalues   # the eigenbasis, inverted once, formed outside the count
-    formed, inv = [], np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda A: formed.append(A.shape[0]) or inv(A))
+    formed = _count_formations(monkeypatch)
     sol = run_decomposed(problem, space, partition, 0)
     monkeypatch.undo()
-    assert sum(formed) == 11 and 1 < len(formed) < 149
+    assert formed == [1]
     monkeypatch.setattr(solver, "CHUNK_VALUES", 1 << 40)
     whole = run_decomposed(problem, space, partition, 0)
     assert np.array_equal(sol.u1, whole.u1) and np.array_equal(sol.u2, whole.u2)
     assert _relative_gap(sol, *interval) <= 1e-11
+
+
+def test_a_uniform_2d_level_forms_its_local_inverses_once(monkeypatch):
+    """2D heat2d-smooth, p=2, q=0, n=24, N=576: one interval a chunk, and one
+    width, so the march forms the local inverses once over its 576 chunks."""
+    problem, space = problem_2d_smooth(), assemble(2, 24, 2)
+    partition = make_uniform_partition(problem.final_time, 576)
+    assert len(march_chunks(space, partition, 0)) == 576
+    space.eigenvalues, reference_blocks(0)   # each inverts once, outside the count
+    formed = _count_formations(monkeypatch)
+    for chunk in march(problem, space, partition, 0):
+        del chunk
+    monkeypatch.undo()
+    assert formed == [1]
 
 
 def _march_peak(problem, space, partition, q):

@@ -45,6 +45,28 @@ def test_uniform_partition_widths():
     assert np.allclose(part.widths, 0.4)
 
 
+@pytest.mark.parametrize("a,b", [(0.0, 0.001), (0.0, 0.3), (0.0, 1.0), (0.0, 7.0), (0.0, 64.9),
+                                 (-1.0, 2.0), (100.0, 101.0)])
+def test_a_linspace_partition_has_one_width(a, b):
+    """linspace's rounding spreads np.diff(nodes) by at most 2 ulps of the
+    largest |node|, so each of these partitions has one width, the step
+    (b - a)/N that linspace used, and k_max is that width; the nodes are kept."""
+    for N in (1, 3, 7, 45, 100, 576, 2304, 4000, 9216, 10 ** 5, 10 ** 6):
+        nodes = np.linspace(a, b, N + 1)
+        part = TimePartition(nodes)
+        assert np.all(part.widths == (b - a) / N) and part.k_max == (b - a) / N, N
+        assert np.array_equal(part.nodes, nodes)
+
+
+def test_other_partitions_keep_their_node_differences():
+    """Graded nodes, and linspace nodes with one node moved by 1e-9, keep
+    np.diff(nodes) as their widths bit for bit."""
+    moved = np.linspace(0.0, 1.0, 101)
+    moved[37] += 1e-9
+    for nodes in ((np.arange(101) / 100) ** 2, moved, np.array([0.0, 0.1, 0.35, 0.4, 1.0])):
+        assert np.array_equal(TimePartition(nodes).widths, np.diff(nodes))
+
+
 @pytest.mark.parametrize("T,N", [(0.0, 4), (-1.0, 4), (1.0, 0), (np.nan, 4), (np.inf, 4)])
 def test_uniform_partition_rejects_bad_input(T, N):
     with pytest.raises(ValueError):
@@ -158,7 +180,8 @@ def test_quadrature_nodes_build_the_times_in_place():
     below 24.8 k doubles, what it took while its times were the sum of two
     temporary blocks and each outer product held numpy's ufunc buffers
     (19.4 k now), and its times and weights stay bit for bit the nodes plus
-    the widths times the Gauss points, and the widths times the weights."""
+    the node differences times the Gauss points, and those differences times
+    the weights (the partition's one width may differ from them by 2 ulps)."""
     part = make_uniform_partition(1.0, 1365)
     quadrature_nodes(part, 0, 1365, 4)   # caches filled outside the trace
     tracemalloc.start()
@@ -169,8 +192,9 @@ def test_quadrature_nodes_build_the_times_in_place():
         tracemalloc.stop()
     assert peak < 8 * 24800
     points, weights = gauss_rule(4)
-    assert np.array_equal(t, part.nodes[:-1, None] + part.widths[:, None] * points)
-    assert np.array_equal(w, part.widths[:, None] * weights)
+    seg = np.diff(part.nodes)[:, None]
+    assert np.array_equal(t, part.nodes[:-1, None] + seg * points)
+    assert np.array_equal(w, seg * weights)
 
 @settings(max_examples=200, deadline=None)
 @given(widths=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
