@@ -173,8 +173,9 @@ def level_bytes(dimension, n, p, q, N, diagnostics=False, run=True, errors=False
     feeds (the error norms if errors, the stability bound if diagnostics),
     and of the diagnostics, if any.  It counts one interval width and one
     product term of the data, as a uniform partition and every catalogue
-    problem have.  No term grows with N dof: a run holds one chunk of its
-    solution at a time.  The README gives the formula and what each term holds.
+    problem have.  No term grows with N dof: a run holds one chunk of its solution,
+    c = chunk_length(q, dof) intervals, at a time.  The README gives the formula
+    and what each term holds.
     """
     line = n * p - 1
     dof = line ** dimension
@@ -182,7 +183,7 @@ def level_bytes(dimension, n, p, q, N, diagnostics=False, run=True, errors=False
     kept = march = 3 * line ** 2 + 2 * N + 1
     if run:
         points, grid = (n * (p + 2)) ** dimension, (n * (p + 4)) ** dimension
-        c = min(N, chunk_length(q, points))
+        c = min(N, chunk_length(q, dof))
         solution = (c * (q + 2) + 1) * dof
         once = max(points * (2 * p + 3) // (p + 2),
                    (2 * dimension * grid + 2 * np.getbufsize() * (dimension > 1)) * errors)
@@ -195,7 +196,7 @@ def level_bytes(dimension, n, p, q, N, diagnostics=False, run=True, errors=False
         march = kept + (N + 1 + 2 * dof) * errors + max(
             once, ((q + 1) ** 2 + q + 5) * dof + buffers + max(stages))
     diag = dof + 5 * N + 4 * (q + 2) ** 2 + 2 * np.getbufsize() if diagnostics else 0
-    return 8 * max(assembly, kept + 3 * line ** 2, march, kept + diag)
+    return 8 * max(assembly, kept + 2 * line ** 2, march, kept + diag)
 
 
 def physical_memory():

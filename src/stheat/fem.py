@@ -75,21 +75,19 @@ class FemSpace:
             raise ValueError("no mesh attached to this space")
         return _line_tables(self.n, self.degree, nq)
 
-    def grid_size(self, nq):
-        """Points of the spatial quadrature grid of line_tables(nq)."""
-        return (self.n * nq) ** self.dimension
-
     # -- eigenbasis -------------------------------------------------------
 
     @functools.cached_property
     def _eigenpairs(self):
-        # With M = L L^T, the pencil reduces to the symmetric C = L^-1 K L^-T,
-        # whose eigenvectors Y give V = L^-T Y.  numpy's Cholesky, inverse and
-        # eigh keep the run on numpy's OpenBLAS alone (module docstring); the
-        # eigenvalues agree with scipy.linalg.eigh(K, M) to about 1e-12 relative.
+        # With M = L L^T, the pencil reduces to the symmetric C = L^-1 K L^-T, whose eigenvectors
+        # Y give V = L^-T Y.  numpy's Cholesky, inverse and eigh keep the run on numpy's OpenBLAS
+        # alone (module docstring); eigenvalues match scipy.linalg.eigh(K, M) to 1e-12 relative.
         Linv = np.linalg.inv(np.linalg.cholesky(self.line_mass))
         C = Linv @ self.line_stiffness @ Linv.T
-        line, Y = np.linalg.eigh(0.5 * (C + C.T))
+        C += C.T   # symmetrized in place, and dropped before V: three line^2 transients
+        C *= 0.5
+        line, Y = np.linalg.eigh(C)
+        del C
         eigenvalues = line
         for _ in range(self.dimension - 1):
             eigenvalues = np.add.outer(eigenvalues, line).ravel()

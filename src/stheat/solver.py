@@ -51,7 +51,7 @@ import numpy as np
 
 from . import fem
 from .problems import time_values
-from .timegrid import quadrature_nodes, reference_blocks, reference_values
+from .timegrid import gauss_rule, quadrature_nodes, reference_blocks, reference_values
 
 
 class SpaceTimeSolution:
@@ -139,24 +139,23 @@ class LocalBlockSystem:
         return c, u2_out
 
 
-# The size of a chunk of the march: about this many values of q+3 times per interval on the
-# spatial grid of the loads, though no stage of a chunk evaluates on it (cli.level_bytes).
+# The size of a chunk of the march: about this many values of its load moments, q+2 modal
+# rows per interval; a chunk holds only modal rows (cli.level_bytes).
 CHUNK_VALUES = 1 << 15
 
 
-def chunk_length(q, points):
-    """Intervals in a chunk of the march on a spatial grid of points points."""
-    return max(1, CHUNK_VALUES // ((q + 3) * points))
+def chunk_length(q, dof):
+    """Intervals in a chunk of the march of a space of dof unknowns."""
+    return max(1, CHUNK_VALUES // ((q + 2) * dof))
 
 
 def march_chunks(space, partition, q):
-    """The chunk plan of a level, the only one: consecutive ranges (lo, hi)
-    of its intervals that hold about CHUNK_VALUES values of q+3 times per
-    interval on the load grid (p+2 Gauss points an element).  march solves
-    in these chunks, its consumers take them whole, and error_norms and
-    stability_check feed a collected solution through them, so their sums
-    equal a streamed level's."""
-    N, step = partition.num_intervals, chunk_length(q, space.grid_size(space.degree + 2))
+    """The chunk plan of a level, the only one: consecutive ranges (lo, hi) of
+    its intervals whose load moments, q+2 rows of dof modal values an interval,
+    hold about CHUNK_VALUES values.  march solves in these chunks, its consumers
+    take them whole, and error_norms and stability_check feed a collected
+    solution through them, so their sums equal a streamed level's."""
+    N, step = partition.num_intervals, chunk_length(q, space.dof_count)
     return [(lo, min(lo + step, N)) for lo in range(0, N, step)]
 
 
@@ -178,8 +177,9 @@ def interval_moments(problem, space, partition, q, lo=0, hi=None, loads=None):
     vectors in the caller's coordinates, one row per term of problem.rhs:
     march passes the modal ones of factor_loads, formed once per level; by
     default they are the load vectors load(X_r) themselves.  Quadrature
-    splits at the problem's temporal breakpoints so kinks inside an
-    interval do not degrade accuracy.
+    splits at the problem's temporal breakpoints so kinks inside an interval
+    do not degrade accuracy; an uncut interval takes the reference rule in a
+    chunk with a cut too, so its moments do not depend on the chunk plan.
     """
     hi = partition.num_intervals if hi is None else hi
     if not problem.rhs or hi == lo:
@@ -192,7 +192,8 @@ def interval_moments(problem, space, partition, q, lo=0, hi=None, loads=None):
         moments = np.matmul(reference_values(q, q + 3)[0], values)
     else:
         basis = reference_blocks(q).test.eval_all(tau.ravel()).reshape(-1, *t.shape)
-        basis *= w / partition.widths[lo + owner, None]
+        whole = (np.bincount(owner) == 1)[owner, None]   # the rows of uncut intervals
+        basis *= np.where(whole, gauss_rule(q + 3)[1], w / partition.widths[lo + owner, None])
         moments = np.zeros((hi - lo, q + 2, len(problem.rhs)))
         np.add.at(moments, owner, np.matmul(basis.transpose(1, 0, 2), values))
         del basis   # freed before the moments are: a cut chunk takes an uncut one's memory
@@ -261,9 +262,9 @@ def march(problem, space, partition, q):
             inv, r, alpha = _local_inverses(held, space.eigenvalues, q)
         kb = interval_moments(problem, space, partition, q, lo, hi, loads)
         kb *= k[:, None, None]
-        forced = np.einsum("irsd,isd->ird", inv[w], kb[:, : q + 1])
-        g = kb[:, q + 1] + np.einsum("ird,ird->id", r[w], forced)
-        del kb   # freed before the chunk's solution is allocated (cli.level_bytes)
+        u1 = np.einsum("irsd,isd->ird", inv[w], kb[:, : q + 1])   # the forced parts
+        g = kb[:, q + 1] + np.einsum("ird,ird->id", r[w], u1)
+        del kb   # freed before the nodal values are allocated (cli.level_bytes)
         for i, zeta in jumps.items():
             if lo < i <= hi:
                 g[i - 1 - lo] += zeta
@@ -272,9 +273,8 @@ def march(problem, space, partition, q):
         u2[0] = node
         for j in range(hi - lo):
             u2[j + 1] = a[j] * u2[j] + g[j]
-        u1 = np.empty((hi - lo, q + 1, dof))
-        np.add(forced, inv[w, :, 0] * u2[:-1, None, :], out=u1)
-        del forced, g, a
+        del g, a   # freed before u1 takes the homogeneous parts (cli.level_bytes)
+        u1 += inv[w, :, 0] * u2[:-1, None, :]
         if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
             raise ValueError("solution contains non-finite entries")
         node = u2[-1].copy()

@@ -42,7 +42,10 @@ run_decomposed, and take their loads from the grid oracles;
   * modal: the modal coordinates V^T M u of FE coefficients u, the one
     place where the oracles' FE results meet the package's modal ones;
   * mass_cho: the Cholesky factor of a space's dense mass matrix, for the
-    mass solves of the dense oracles.
+    mass solves of the dense oracles;
+  * chunks_of: a chunk plan of c intervals on a space of dof unknowns, for
+    the tests whose premise is a level of several chunks or of chunks of a
+    given length.
 """
 
 import functools
@@ -52,11 +55,19 @@ import numpy.polynomial.legendre as npleg
 import scipy.linalg
 
 from stheat.analysis import _condense, _grams, _last_pivot
+from stheat import solver
 from stheat.fem import FemSpace, gather, load_vector, rotation
 from stheat.solver import LocalBlockSystem, SpaceTimeSolution, impulse_loads
 from stheat.timegrid import (ReferenceBlocks, gauss_rule, lagrange_coefficient_matrix,
                              lobatto_points, quadrature_nodes, reference_blocks,
                              reference_values)
+
+
+def chunks_of(monkeypatch, c, q, dof):
+    """Have solver.march_chunks cut a level of degree q on a space of dof
+    unknowns into chunks of c intervals (the last one shorter), through
+    solver.CHUNK_VALUES, for as long as monkeypatch holds it."""
+    monkeypatch.setattr(solver, "CHUNK_VALUES", c * (q + 2) * dof)
 
 
 def from_matrices(mass, stiffness):

@@ -46,7 +46,7 @@ from stheat.timegrid import (
     quadrature_nodes,
 )
 from reference import (assemble_bilinear, banded, banded_constants, bisected_top,
-                       dense_line_tables, dense_pair, from_matrices, global_layout,
+                       chunks_of, dense_line_tables, dense_pair, from_matrices, global_layout,
                        grid_error_norms, grid_f_dual_sq, grid_moments, mass_cho, per_mode_bands,
                        quadrature_reference_blocks)
 
@@ -719,9 +719,11 @@ def test_unforced_scheme_keeps_the_energy_identity(dimension, q, uniform):
 def test_stability_result_evaluates_no_rhs(monkeypatch):
     """Once the last chunk is fed, LevelSums.result only combines the sums:
     with the rhs and fem.load_vector both raising, it returns the block of
-    stability_check.  heat1d-lowreg, N = 301 marches in 3 chunks."""
+    stability_check.  heat1d-lowreg, 1D p=2, n=43 (dof 85), N = 301
+    marches in 3 chunks."""
     problem = problem_1d_lowreg(0.1)
-    space, part, q = assemble(1, 16, 2), make_uniform_partition(1.0, 301), 1
+    space, part, q = assemble(1, 43, 2), make_uniform_partition(1.0, 301), 1
+    assert len(march_chunks(space, part, q)) == 3
     sums = LevelSums(problem, space, part, q)
     for chunk in march(problem, space, part, q):
         sums.add(*chunk)
@@ -739,8 +741,8 @@ def test_level_sums_evaluate_nothing_in_space_after_set_up(monkeypatch):
     """Once LevelSums is set up, its chunks touch no spatial grid: with
     fem.gather, fem.load_vector and every spatial callable of the data
     raising, it takes every chunk of a 2D q=1 level (heat2d-smooth, p=2,
-    n=4, N=40, 2 march chunks) and its report and bound equal error_norms
-    and stability_check."""
+    n=4, N=40, in 2 march chunks of up to 32 intervals) and its report and
+    bound equal error_norms and stability_check."""
     armed = []
 
     def guarded(f):
@@ -757,6 +759,7 @@ def test_level_sums_evaluate_nothing_in_space_after_set_up(monkeypatch):
     problem = dataclasses.replace(smooth, exact=ExactSolution(((X, T),)),
                                   rhs=((guarded(F), S),))
     space, part, q = assemble(2, 4, 2), make_uniform_partition(1.0, 40), 1
+    chunks_of(monkeypatch, 32, q, space.dof_count)
     sol = run_decomposed(problem, space, part, q)
     errors, bound = error_norms(sol, problem), stability_check(sol, problem, 1.7)
     sums = LevelSums(problem, space, part, q)
@@ -797,23 +800,27 @@ def test_quadrature_is_chunk_invariant(monkeypatch):
 
     monkeypatch.setattr(solver, "CHUNK_VALUES", 1 << 40)
     whole = quadratures()
-    monkeypatch.setattr(solver, "CHUNK_VALUES", 3 * (q + 3) * space.grid_size(space.degree + 2))
+    chunks_of(monkeypatch, 3, q, space.dof_count)
     assert len(march_chunks(space, part, q)) == 3
     for one, many in zip(whole, quadratures()):
         assert np.all(np.isfinite(many))
         assert np.abs(many - one).max() <= 1e-13 * np.abs(one).max()
 
 
-@pytest.mark.parametrize("problem_id,n,p,q,N", [
-    ("heat1d-lowreg", 16, 2, 1, 301),   # 3 march chunks, the kink at t = 1/2 inside interval 150
-    ("heat2d-smooth", 5, 2, 0, 40),     # 2 march chunks
-    ("heat1d-smooth", 32, 2, 0, 1024),  # march chunks of 85 intervals
+@pytest.mark.parametrize("problem_id,n,p,q,N,c", [
+    # 3 march chunks, the kink at t = 1/2 inside interval 150
+    pytest.param("heat1d-lowreg", 16, 2, 1, 301, 128, id="heat1d-lowreg-16-2-1-301"),
+    pytest.param("heat2d-smooth", 5, 2, 0, 40, 27, id="heat2d-smooth-5-2-0-40"),   # 2 march chunks
+    # the level's own plan: 4 march chunks of 260 intervals
+    pytest.param("heat1d-smooth", 32, 2, 0, 1024, None, id="heat1d-smooth-32-2-0-1024"),
 ])
-def test_error_and_stability_sums_do_not_depend_on_the_chunks(problem_id, n, p, q, N):
+def test_error_and_stability_sums_do_not_depend_on_the_chunks(monkeypatch, problem_id, n, p, q,
+                                                             N, c):
     """LevelSums fed one collected level in the march's
-    chunks, in chunks of one interval, and in chunks of seven (the last one
-    shorter) agree with error_norms and stability_check: bit for bit in the
-    march's chunks, else to 1e-13 relative.  Each nodal error agrees bit
+    chunks (of c intervals, if c is given), in chunks of one interval, and
+    in chunks of seven (the last one shorter) agree with error_norms and
+    stability_check: bit for bit in the march's chunks, else to 1e-13
+    relative.  Each nodal error agrees bit
     for bit in every plan: the trace is the time factor's value at the node
     times the level's one modal load, whatever rows a chunk holds (it
     agreed to 1e-14 of the largest nodal norm of the solution while a
@@ -822,6 +829,8 @@ def test_error_and_stability_sums_do_not_depend_on_the_chunks(problem_id, n, p, 
     problem = problem_by_id(problem_id)
     space = assemble(problem.dimension, n, p)
     part = make_uniform_partition(problem.final_time, N)
+    if c is not None:
+        chunks_of(monkeypatch, c, q, space.dof_count)
     sol = run_decomposed(problem, space, part, q)
     errors, stability = error_norms(sol, problem), stability_check(sol, problem, 1.7)
     plans = {"march": march_chunks(space, part, q),
@@ -844,15 +853,16 @@ def test_error_and_stability_sums_do_not_depend_on_the_chunks(problem_id, n, p, 
             assert bound[key] == pytest.approx(value, rel=1e-13, abs=0.0), (name, key)
 
 
-def test_sums_of_chunks_that_miss_the_first_read_nan():
-    """LevelSums fed every chunk of the march but the
-    first (1D heat1d-smooth, p=2, n=16, N=256, q=0) read NaN in every sum
+def test_sums_of_chunks_that_miss_the_first_read_nan(monkeypatch):
+    """LevelSums fed every chunk of the march but the first (1D
+    heat1d-smooth, p=2, n=16, N=256, q=0, in chunks of 170 intervals) read NaN in every sum
     that the level does not cover: the nodes not fed and the nodal maximum
     of the errors, the V error (0.01623 at the sums of the intervals fed
     before they counted them), both sides of the bound and its interval
     sums, so the bound is not satisfied."""
     problem = problem_1d_smooth()
     space, part, q = assemble(1, 16, 2), make_uniform_partition(1.0, 256), 0
+    chunks_of(monkeypatch, 170, q, space.dof_count)
     assert len(march_chunks(space, part, q)) > 1
     sums = LevelSums(problem, space, part, q)
     chunks = march(problem, space, part, q)

@@ -36,6 +36,7 @@ from stheat.fem import FemSpace, assemble
 from stheat.problems import problem_2d_smooth, problem_by_id
 from stheat.solver import run_decomposed
 from stheat.timegrid import TemporalBasis, make_uniform_partition
+from reference import chunks_of
 
 # numpy's two ufunc buffers, which level_bytes counts on top of a march stage
 BUFFERS = 2 * np.getbufsize()
@@ -380,10 +381,10 @@ def test_level_bytes_counts_the_solution_arrays():
     assert level_bytes(1, 8, 3, 9, 1) == (
         3 * 23 ** 2 + 3 + 114 * 23 + 2 * 100 * 23 + 121 * 23) * 8
     # 1D p=1, n=2 (dof 1), N=10^6: the nodes and widths beside the scalar
-    # time quadrature of one chunk of 1820 intervals, 13 values each; no
-    # index over the intervals
+    # time quadrature of one chunk of 16384 intervals, 13 values each, and
+    # numpy's two buffers; no index over the intervals
     assert level_bytes(1, 2, 1, 0, 10 ** 6) == (
-        3 + 2000001 + 6 + 2 * 1820 + 1820 * 13) * 8
+        3 + 2000001 + 6 + BUFFERS + 16384 * 13) * 8
 
 
 def test_level_bytes_counts_the_diagnostic_bands():
@@ -432,7 +433,7 @@ def _traced_level(problem_id, n, p, q, N, errors, diagnostics=False):
 
 @pytest.mark.parametrize("problem_id,n,p,q,N,errors", [
     ("heat2d-smooth", 24, 3, 9, 2, False),     # the per-mode inverses dominate
-    ("heat1d-smooth", 64, 2, 0, 4096, True),   # the error norms' values and the line matrices
+    ("heat1d-smooth", 64, 2, 0, 4096, True),   # 32 chunks of 129 intervals beside the error values
     ("heat2d-smooth", 48, 3, 0, 2, False),     # one interval's load block dominates
     ("heat2d-smooth", 24, 3, 9, 100, False),   # 100 one-interval chunks, one width formed once
     ("heat2d-smooth", 60, 3, 9, 2, True),      # one interval's error values dominate
@@ -441,10 +442,13 @@ def _traced_level(problem_id, n, p, q, N, errors, diagnostics=False):
     ("heat1d-lowreg", 8, 2, 0, 64, False),     # the kink on a node; numpy's ufunc buffers
     ("heat1d-lowreg", 8, 2, 0, 64, True),
     ("heat1d-smooth", 2, 1, 0, 1365, True),    # one unknown: the buffers beside small blocks
+    ("heat2d-smooth", 4, 1, 1, 2000, True),    # 9 modes: 2 chunks of up to 1213 intervals
+    ("heat1d-smooth", 2, 1, 9, 2000, True),    # one mode, q = 9: one chunk of 2000 intervals
 ], ids=["heat2d-smooth-24-3-9-2", "heat1d-smooth-64-2-0-4096", "heat2d-smooth-48-3-0-2",
         "heat2d-smooth-24-3-9-100", "heat2d-smooth-60-3-9-2-errors", "heat1d-lowreg-16-2-1-301",
         "heat1d-lowreg-16-2-1-301-errors", "heat1d-lowreg-8-2-0-64",
-        "heat1d-lowreg-8-2-0-64-errors", "heat1d-smooth-2-1-0-1365-errors"])
+        "heat1d-lowreg-8-2-0-64-errors", "heat1d-smooth-2-1-0-1365-errors",
+        "heat2d-smooth-4-1-1-2000-errors", "heat1d-smooth-2-1-9-2000-errors"])
 def test_level_bytes_tracks_the_march_peak(problem_id, n, p, q, N, errors):
     """The pre-flight's bound is at least 0.8 times the traced peak of a
     streamed level (run_level), assembly, march and error norms."""
@@ -454,20 +458,23 @@ def test_level_bytes_tracks_the_march_peak(problem_id, n, p, q, N, errors):
 
 
 @pytest.mark.parametrize("problem_id,n,p,q,N,errors", [
-    ("heat1d-smooth", 64, 2, 0, 4096, True),    # assembly: M and K symmetrized in place
-    ("heat1d-smooth", 64, 3, 0, 4096, False),   # the eigenbasis beside the partition
-], ids=["heat1d-smooth-64-2-0-4096-errors", "heat1d-smooth-64-3-0-4096"])
+    ("heat1d-smooth", 128, 2, 0, 4096, True),    # assembly: M and K symmetrized in place
+    ("heat1d-smooth", 100, 3, 0, 50000, False),  # the eigenbasis beside the partition
+], ids=["heat1d-smooth-128-2-0-4096-errors", "heat1d-smooth-100-3-0-50000"])
 def test_level_bytes_counts_the_line_matrices_stages(problem_id, n, p, q, N, errors):
-    """On 1D levels whose line matrices set the memory, the bound is at least
-    0.97 times the traced peak of run_level: the line's eigenbasis takes
-    four line^2 transients beside M, K and the partition's nodes and widths,
-    and assemble symmetrizes M and K in place."""
-    peak = _traced_level(problem_id, n, p, q, N, errors)
-    assert level_bytes(1, n, p, q, N, False, True, errors) >= 0.97 * peak
+    """On 1D levels whose line matrices, not the march, set the bound, it is
+    at least 0.97 times the traced peak of run_level: the line's eigenbasis
+    takes three line^2 transients beside M, K and the partition's nodes and
+    widths, and assemble symmetrizes M and K in place.  Beside chunks of
+    about 16384 modal values that takes a line of more than about 240
+    unknowns."""
+    bound = level_bytes(1, n, p, q, N, False, True, errors)
+    assert bound == level_bytes(1, n, p, q, N, False, False, errors)
+    assert bound >= 0.97 * _traced_level(problem_id, n, p, q, N, errors)
 
 
 def test_time_bases_are_evaluated_once_per_level(monkeypatch):
-    """On an uncut level of 98 march chunks (1D p=2, q=0, n=64, N=4096,
+    """On an uncut level of 32 march chunks (1D p=2, q=0, n=64, N=4096,
     errors on) every row has the reference Gauss points, so the time bases
     come from timegrid.reference_values: the test basis
     and the Legendre values are evaluated a bounded number of times (what
@@ -523,10 +530,10 @@ def test_level_memory_is_independent_of_the_interval_count():
     ("heat1d-smooth", 2, 1, 1, 20000, True),   # one mode, many intervals
     ("heat1d-smooth", 8, 3, 9, 500, True),     # 23 modes
     ("heat2d-smooth", 4, 1, 1, 2000, True),    # 9 modes, 6 distinct eigenvalues
-    # errors off, many chunks: the stability sums' f blocks beside a chunk set the march's peak
-    ("heat1d-smooth", 64, 2, 0, 4096, False),  # 98 chunks of 42 intervals
-    ("heat2d-smooth", 16, 2, 0, 256, False),   # 128 chunks of 2 intervals
-    ("heat1d-lowreg", 16, 2, 1, 301, False),   # 3 chunks, the kink inside interval 150
+    # errors off: the stability sums' f blocks beside a chunk set the march's peak
+    ("heat1d-smooth", 64, 2, 0, 4096, False),  # 32 chunks of 129 intervals (dof 127)
+    ("heat2d-smooth", 16, 2, 0, 256, False),   # 16 chunks of up to 17 intervals (dof 31^2)
+    ("heat1d-lowreg", 16, 2, 1, 301, False),   # one chunk, the kink inside interval 150
     ("heat1d-smooth", 2, 1, 0, 1365, False),   # one chunk: the f blocks beat the march
 ], ids=["heat1d-smooth-2-1-9-2000", "heat1d-smooth-2-1-1-20000", "heat1d-smooth-8-3-9-500",
         "heat2d-smooth-4-1-1-2000", "heat1d-smooth-64-2-0-4096-no-errors",
@@ -608,7 +615,7 @@ def test_preflight_accepts_a_2d_level_whose_solution_exceeds_the_memory(monkeypa
 
 def test_diagnose_refuses_a_level_that_only_its_bands_overflow(tmp_path, monkeypatch, capsys):
     """1D p=1, n=2, q=0, N=10^6: the march, which holds no index over the
-    intervals, sets a run at 16218480 bytes, and the diagnostics' width
+    intervals, sets a run at 17835088 bytes, and the diagnostics' width
     index (5N doubles at np.unique's peak) beside the eigenvalue, their
     mode's blocks and numpy's two buffers sets diagnose, and a run with
     them, at 56131240 bytes; so on a machine of 56000000 bytes `diagnose` exits 2
@@ -617,7 +624,7 @@ def test_diagnose_refuses_a_level_that_only_its_bands_overflow(tmp_path, monkeyp
     monkeypatch.setattr(stheat.cli, "physical_memory", lambda: 56000000)
     payload = {"problem": "heat1d-smooth", "p": 1, "q": 0, "levels": [2],
                "explicit_N": [1000000], "errors": False}
-    assert level_bytes(1, 2, 1, 0, 1000000) == 16218480
+    assert level_bytes(1, 2, 1, 0, 1000000) == 17835088
     assert level_bytes(1, 2, 1, 0, 1000000, True, False) == 56131240
     assert level_bytes(1, 2, 1, 0, 1000000, True) == 56131240
     problem = problem_by_id("heat1d-smooth")
@@ -723,17 +730,17 @@ def test_main_random_configs_exit_with_a_documented_code(command, payload):
 
 @pytest.mark.parametrize("problem_id,n,p,q,N", [
     ("heat1d-smooth", 12, 2, 0, 300),
-    ("impulse", 16, 2, 1, 300),        # the jump at t = 1/2, node 150, inside the first chunk
-    ("heat1d-lowreg", 16, 2, 3, 201),  # the kink at t = 1/2, inside interval 100
+    ("impulse", 16, 2, 1, 300),        # the jump at t = 1/2, node 150, inside the chunk 144..160
+    ("heat1d-lowreg", 16, 2, 3, 201),  # the kink at t = 1/2, inside interval 100, chunk 96..112
     ("heat2d-smooth", 8, 2, 0, 64),
     ("heat2d-smooth", 7, 2, 1, 40),
     ("heat2d-smooth", 5, 2, 3, 40),
-    ("heat1d-smooth", 32, 2, 0, 1024),  # march chunks of 85 intervals
+    ("heat1d-smooth", 32, 2, 0, 1024),
 ])
-def test_streamed_level_matches_the_collected_solution(problem_id, n, p, q, N):
+def test_streamed_level_matches_the_collected_solution(monkeypatch, problem_id, n, p, q, N):
     """run_level's errors and stability sums, fed chunk by chunk from the
     march, equal those of the collected solution bit for bit.  Each level
-    marches in several chunks, which error_norms and stability_check follow
+    marches in chunks of 16 intervals, which error_norms and stability_check follow
     on the collected solution, each chunk whole.  The impulse
     problem has no exact solution, so it borrows heat1d-smooth's: any field
     compares the paths."""
@@ -743,6 +750,7 @@ def test_streamed_level_matches_the_collected_solution(problem_id, n, p, q, N):
     cfg = parse_config(json.dumps({"problem": problem_id, "p": p, "q": q, "levels": [n],
                                    "explicit_N": [N], "diagnostics": True}))
     space, partition = stheat.cli._build_level(cfg, 0, problem)
+    chunks_of(monkeypatch, 16, q, space.dof_count)
     assert len(stheat.solver.march_chunks(space, partition, q)) > 1
     row = run_level(cfg, 0, problem)
     solution = run_decomposed(problem, space, partition, q)
@@ -756,9 +764,10 @@ def test_streamed_level_matches_the_collected_solution(problem_id, n, p, q, N):
 
 
 def test_a_load_that_turns_nan_exits_3_at_its_chunk(tmp_path, monkeypatch, capsys):
-    """heat1d-smooth with f NaN after T/2, 1D p=2, n=16, q=0, N=1024: `stheat
-    run` exits 3 (EXIT_SOLVER), and only after the error norms have taken
-    every chunk of the march before the one holding T/2 (interval 512)."""
+    """heat1d-smooth with f NaN after T/2, 1D p=2, n=16, q=0, N=4096, in
+    chunks of 528 intervals: `stheat run` exits 3 (EXIT_SOLVER), and only
+    after the error norms have taken every chunk of the march before the
+    one holding T/2 (interval 2048)."""
     smooth = problem_by_id("heat1d-smooth")
     half = 0.5 * smooth.final_time
     (X, T), = smooth.rhs
@@ -776,12 +785,12 @@ def test_a_load_that_turns_nan_exits_3_at_its_chunk(tmp_path, monkeypatch, capsy
     # the spot-check fails this rhs before any level; skip it to reach the march
     monkeypatch.setattr(stheat.cli, "validate_residual", lambda problem, seed: 0.0)
     cfg = _write_config(tmp_path, {"problem": "heat1d-smooth", "p": 2, "levels": [16],
-                                   "explicit_N": [1024]})
+                                   "explicit_N": [4096]})
     assert main(["run", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_SOLVER
     assert "non-finite" in capsys.readouterr().err
-    partition = make_uniform_partition(smooth.final_time, 1024)
+    partition = make_uniform_partition(smooth.final_time, 4096)
     chunks = stheat.solver.march_chunks(assemble(1, 16, 2), partition, 0)
-    assert fed == [(lo, hi) for lo, hi in chunks if hi <= 512] and len(fed) == 3
+    assert fed == [(lo, hi) for lo, hi in chunks if hi <= 2048] and len(fed) == 3
 
 
 def test_a_nan_rhs_exits_3_before_any_level(tmp_path, monkeypatch, capsys):

@@ -15,7 +15,6 @@ from stheat.problems import (
     problem_impulse,
 )
 from stheat.solver import (
-    CHUNK_VALUES,
     LocalBlockSystem,
     SpaceTimeSolution,
     interval_moments,
@@ -27,6 +26,7 @@ from stheat.timegrid import TimePartition, cut_points, make_uniform_partition, r
 from reference import (
     assemble_bilinear,
     assemble_load,
+    chunks_of,
     crank_nicolson,
     march_interval_by_interval,
     solve_global,
@@ -224,20 +224,38 @@ def test_interval_moments_constant_forcing():
 
 def test_march_chunks_cover_the_level():
     """The chunks are consecutive, cover the intervals, hold at least one
-    interval each and about CHUNK_VALUES load values: 1D p=2, q=0, n=4 has
-    3 * 16 values an interval, so 682 intervals a chunk."""
+    interval each and about CHUNK_VALUES values of load moments: 1D p=2,
+    q=0, n=4 has dof 7, so 2 * 7 values an interval and 2340 intervals a
+    chunk."""
     space = assemble(1, 4, 2)
     assert march_chunks(space, make_uniform_partition(1.0, 1), 0) == [(0, 1)]
-    plan = march_chunks(space, make_uniform_partition(1.0, 2000), 0)
-    assert plan == [(0, 682), (682, 1364), (1364, 2000)]
-    fine = assemble(2, 40, 2)   # 3 * 160^2 values an interval: more than CHUNK_VALUES
+    plan = march_chunks(space, make_uniform_partition(1.0, 5000), 0)
+    assert plan == [(0, 2340), (2340, 4680), (4680, 5000)]
+    fine = assemble(2, 65, 2)   # 2 * 129^2 values an interval: more than CHUNK_VALUES
     assert march_chunks(fine, make_uniform_partition(1.0, 5), 0) == [(i, i + 1) for i in range(5)]
 
 
+@pytest.mark.parametrize("spaces", [
+    ((1, 12, 1), (1, 4, 3)),   # dof 11 each
+    ((1, 10, 1), (2, 4, 1)),   # dof 9 each
+])
+def test_spaces_of_equal_dof_share_a_chunk_plan(spaces):
+    """A chunk holds modal rows only, so the plan depends on the space only
+    through its dof: spaces of equal dof but other degrees, meshes or
+    dimensions cut a level alike, for every q, into several chunks."""
+    first, second = (assemble(*args) for args in spaces)
+    assert first.dof_count == second.dof_count
+    for q, N in ((0, 1), (0, 5000), (1, 5000), (9, 5000)):
+        partition = make_uniform_partition(1.0, N)
+        plan = march_chunks(first, partition, q)
+        assert march_chunks(second, partition, q) == plan
+        assert len(plan) > 1 or N == 1
+
+
 def test_interval_moments_chunk_invariance():
-    """Moments over many chunks equal the per-interval ones.  The partition is
-    non-uniform, one breakpoint lies strictly inside an interval and one on
-    a node."""
+    """Moments over many chunks equal the per-interval ones bit for bit.  The
+    partition is non-uniform, one breakpoint lies strictly inside an
+    interval and one on a node."""
     rng = np.random.default_rng(5)
     nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, size=1200))])
     part = TimePartition(nodes / nodes[-1])
@@ -247,12 +265,28 @@ def test_interval_moments_chunk_invariance():
           lambda t: np.abs(t - inside) + np.abs(t - on_node) ** 1.5),)
     problem = ProblemSpec(name="kinks", dimension=1, rhs=f, initial=None, final_time=1.0,
                           time_breakpoints=(inside, on_node))
-    space, q = assemble(1, 8, 2), 0
-    assert part.num_intervals * (q + 3) * space.grid_size(space.degree + 2) > 2 * CHUNK_VALUES
+    space, q = assemble(1, 16, 2), 0
+    assert len(march_chunks(space, part, q)) >= 3
     whole = interval_moments(problem, space, part, q)
     single = np.stack([interval_moments(problem, space, part, q, i, i + 1)[0]
                        for i in range(part.num_intervals)])
-    assert np.abs(whole - single).max() <= 1e-13 * np.abs(single).max()
+    assert np.array_equal(whole, single)
+
+
+@pytest.mark.parametrize("n,q,N", [(16, 1, 301), (8, 3, 201), (4, 1, 9)])
+def test_a_cut_level_marches_alike_in_any_chunks(monkeypatch, n, q, N):
+    """heat1d-lowreg, 1D p=2, whose kink t = 1/2 cuts an interval: the march
+    gives the same solution bit for bit in the level's own chunks and in
+    chunks of 1, 7 and 128 intervals, so the chunk plan is a matter of
+    memory alone: an uncut interval takes the reference rule also in a
+    chunk that holds the cut."""
+    problem, space = problem_1d_lowreg(), assemble(1, n, 2)
+    part = make_uniform_partition(problem.final_time, N)
+    own = run_decomposed(problem, space, part, q)
+    for c in (1, 7, 128):
+        chunks_of(monkeypatch, c, q, space.dof_count)
+        sol = run_decomposed(problem, space, part, q)
+        assert np.array_equal(sol.u1, own.u1) and np.array_equal(sol.u2, own.u2), c
 
 
 def test_a_breakpoint_an_ulp_off_a_node_cuts_nothing():
@@ -272,11 +306,11 @@ def test_a_breakpoint_an_ulp_off_a_node_cuts_nothing():
 
 
 def test_a_cut_chunk_takes_the_memory_of_an_uncut_one():
-    """heat1d-lowreg, 1D n=16, p=2, q=1, N=301: the kink t = 1/2 inside
-    interval 150 cuts the march chunk 128..256, which then has one time
-    segment more than intervals; with warm caches the traced peak of its
-    load moments is at most 1.1 times that of the uncut chunk 0..128."""
-    problem, space, part = problem_1d_lowreg(), assemble(1, 16, 2), make_uniform_partition(1.0, 301)
+    """heat1d-lowreg, 1D n=43 (dof 85), p=2, q=1, N=301: the kink t = 1/2
+    inside interval 150 cuts the march chunk 128..256, which then has one
+    time segment more than intervals; with warm caches the traced peak of
+    its load moments is at most 1.1 times that of the uncut chunk 0..128."""
+    problem, space, part = problem_1d_lowreg(), assemble(1, 43, 2), make_uniform_partition(1.0, 301)
     assert march_chunks(space, part, 1)[:2] == [(0, 128), (128, 256)]
     assert len(cut_points(part, problem.time_breakpoints, 128, 256)) == 1
     peaks = []
@@ -422,7 +456,7 @@ def test_march_across_chunks_of_changing_widths(monkeypatch, problem, space_args
     a width it does not hold.  The march equals the interval march and the
     coupled solve."""
     space = assemble(*space_args)
-    monkeypatch.setattr(solver, "CHUNK_VALUES", 3 * (q + 3) * space.grid_size(space.degree + 2))
+    chunks_of(monkeypatch, 3, q, space.dof_count)
     plan = march_chunks(space, partition, q)
     assert {hi - lo for lo, hi in plan} == {3}
     interval = march_interval_by_interval(problem, space, partition, q)
@@ -444,12 +478,12 @@ def test_march_across_chunks_of_changing_widths(monkeypatch, problem, space_args
 def test_march_forms_each_width_of_a_linspace_level_once(monkeypatch):
     """1D p=2, n=100, q=0, N=4000: linspace's nodes have one width
     (timegrid.TimePartition), so the march forms the local inverses once
-    over its 149 chunks.  It equals the march in one chunk bit for bit, and
+    over its 49 chunks.  It equals the march in one chunk bit for bit, and
     the dense interval march on the FE matrices to 1e-11 relative: that
     march drifts by 2.1e-12 over the 4000 intervals."""
     problem, space = problem_1d_smooth(), assemble(1, 100, 2)
     partition = make_uniform_partition(1.0, 4000)
-    assert np.unique(partition.widths).size == 1 and len(march_chunks(space, partition, 0)) == 149
+    assert np.unique(partition.widths).size == 1 and len(march_chunks(space, partition, 0)) == 49
     interval = march_interval_by_interval(problem, space, partition, 0)
     space.eigenvalues   # the eigenbasis, inverted once, formed outside the count
     formed = _count_formations(monkeypatch)
@@ -463,10 +497,12 @@ def test_march_forms_each_width_of_a_linspace_level_once(monkeypatch):
 
 
 def test_a_uniform_2d_level_forms_its_local_inverses_once(monkeypatch):
-    """2D heat2d-smooth, p=2, q=0, n=24, N=576: one interval a chunk, and one
-    width, so the march forms the local inverses once over its 576 chunks."""
+    """2D heat2d-smooth, p=2, q=0, n=24, N=576, in chunks of one interval:
+    one width, so the march forms the local inverses once over its 576
+    chunks."""
     problem, space = problem_2d_smooth(), assemble(2, 24, 2)
     partition = make_uniform_partition(problem.final_time, 576)
+    chunks_of(monkeypatch, 1, 0, space.dof_count)
     assert len(march_chunks(space, partition, 0)) == 576
     space.eigenvalues, reference_blocks(0)   # each inverts once, outside the count
     formed = _count_formations(monkeypatch)
@@ -497,11 +533,12 @@ def test_graded_march_memory_is_independent_of_the_interval_count():
     assert large - small <= 64 * 3000
 
 
-def test_graded_march_takes_the_memory_of_a_uniform_one():
-    """2D p=2, n=24, q=1, N=256, one interval a chunk: the traced peak of the
-    march on the graded partition is at most 1.1 times that on the uniform
-    one, though every width of the graded one is distinct."""
+def test_graded_march_takes_the_memory_of_a_uniform_one(monkeypatch):
+    """2D p=2, n=24, q=1, N=256, in chunks of one interval: the traced peak
+    of the march on the graded partition is at most 1.1 times that on the
+    uniform one, though every width of the graded one is distinct."""
     problem, space = problem_2d_smooth(), assemble(2, 24, 2)
+    chunks_of(monkeypatch, 1, 1, space.dof_count)
     assert march_chunks(space, _graded(256), 1) == [(i, i + 1) for i in range(256)]
     _march_peak(problem, space, _graded(2), 1)   # caches filled outside the trace
     uniform = _march_peak(problem, space, make_uniform_partition(1.0, 256), 1)
